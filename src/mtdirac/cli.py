@@ -120,12 +120,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     q = conservation.QuadratureSpec(panels=args.panels)
     checks: dict[str, dict] = {}
 
-    def run(name: str, fn) -> None:
-        # module errors count as failures but never abort the report
+    def run(names: str | tuple[str, ...], fn) -> None:
+        # fn returns the entry of one name, or one entry per name of a tuple;
+        # a raising fn fails every check it feeds, and the report goes on
+        single = isinstance(names, str)
+        group = (names,) if single else names
         try:
-            checks[name] = fn()
+            entries = (fn(),) if single else fn()
         except Exception as err:
-            checks[name] = {"pass": False, "error": f"{type(err).__name__}: {err}"}
+            error = f"{type(err).__name__}: {err}"
+            entries = [{"pass": False, "error": error} for _ in group]
+        checks.update(zip(group, entries))
 
     def compatibility() -> dict:
         rep = check_compatibility(s)
@@ -135,7 +140,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     hull = s.initial.support_hull()
     if hull is not None:
-        def seams() -> np.ndarray:
+        def seams() -> list[dict]:
             vs = np.linspace(hull[0], hull[1], 101)
             worst = np.zeros(3)
             for comp in (2, 3):
@@ -143,21 +148,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     worst = np.maximum(
                         worst, seam_mismatch(s, comp, half, vs).max(axis=1)
                     )
-            return worst
+            return [_check(w, tol) for w, tol in zip(worst, (1e-10, 1e-5, 1e-2))]
 
-        try:
-            seam = seams()
-            checks["seam_c0"] = _check(seam[0], 1e-10)
-            checks["seam_c1"] = _check(seam[1], 1e-5)
-            checks["seam_c2"] = _check(seam[2], 1e-2)
-        except Exception as err:
-            checks["seam_c0"] = {"pass": False, "error": f"{type(err).__name__}: {err}"}
+        run(("seam_c0", "seam_c1", "seam_c2"), seams)
 
     h = 1e-4
     t_span, z_span = _sample_box(s)
     t1, z1, t2, z2 = sample_spacelike(rng, 64, t_span, z_span, margin=4 * h)
 
-    def residuals() -> tuple[float, float]:
+    def residuals() -> list[dict]:
         pde_max = 0.0
         cont_max = 0.0
         for k in range(t1.size):
@@ -170,16 +169,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             cont_max = max(
                 cont_max, float(np.max(np.abs(d1))), float(np.max(np.abs(d2)))
             )
-        return pde_max, cont_max
+        return [
+            _check(pde_max, 1e-6, h=h, samples=int(t1.size)),
+            _check(cont_max, 1e-5, h=h, samples=int(t1.size)),
+        ]
 
-    try:
-        pde_max, cont_max = residuals()
-        checks["pde_residuals"] = _check(pde_max, 1e-6, h=h, samples=int(t1.size))
-        checks["continuity"] = _check(cont_max, 1e-5, h=h, samples=int(t1.size))
-    except Exception as err:
-        checks["pde_residuals"] = {
-            "pass": False, "error": f"{type(err).__name__}: {err}"
-        }
+    run(("pde_residuals", "continuity"), residuals)
 
     tt = rng.uniform(t_span[0], t_span[1], 1000)
     zz = rng.uniform(z_span[0], z_span[1], 1000)
@@ -206,27 +201,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ),
     )
 
-    def conservation_diffs() -> dict:
+    def conservation_diffs() -> list[dict]:
         family = conservation.acceptance_family()
         reports = [conservation.normalization_report(s, surf, q) for surf in family]
         values = [r.value for r in reports]
         drift = max(values) - min(values) if values else 0.0
+        excluded = int(sum(r.excluded_pairs for r in reports))
         entry = _check(
             drift,
             1e-6,
             surfaces=[surf.label for surf in family],
             values=values,
-            excluded_pairs=int(sum(r.excluded_pairs for r in reports)),
+            excluded_pairs=excluded,
         )
         if all(r.box is None for r in reports):
             entry["degenerate"] = True  # zero scenario, integral vanishes
-        return entry
+        return [entry, _check(float(excluded), 0.0)]
 
-    run("conservation_diffs", conservation_diffs)
-    if "error" not in checks["conservation_diffs"]:
-        checks["excluded_pairs"] = _check(
-            float(checks["conservation_diffs"]["excluded_pairs"]), 0.0
-        )
+    run(("conservation_diffs", "excluded_pairs"), conservation_diffs)
 
     b = lorentz.Boost(0.5)
 
@@ -274,19 +266,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if hull is not None:
         def schmidt() -> dict:
-            grid = interaction.default_slice_grid(s, [0.0], n=args.grid)
-            spec = interaction.schmidt_spectrum(
-                interaction.single_time_slice(s, 0.0, grid)
-            )
+            spec = interaction.schmidt_spectrum(sl)
             top = [float(v) for v in spec.values[:4]]
             return _check(
                 abs(float(np.sum(spec.values**2)) - 1.0), 1e-12, top_values=top
             )
 
-        try:
-            checks["schmidt"] = schmidt()
-        except ValueError:
-            pass  # slice identically zero at t = 0
+        grid = interaction.default_slice_grid(s, [0.0], n=args.grid)
+        sl = interaction.single_time_slice(s, 0.0, grid)
+        if sl.matrix.any():  # an identically zero slice has no spectrum
+            run("schmidt", schmidt)
 
     all_pass = all(entry["pass"] for entry in checks.values())
     report = {
@@ -320,9 +309,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _parse_times(spec: str) -> np.ndarray:
     try:
         start, stop, count = spec.split(":")
-        return np.linspace(float(start), float(stop), int(count))
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as err:
         raise ScenarioConfigError("--times must be start:stop:count") from err
+    if count < 1:
+        raise ScenarioConfigError(f"--times count must be at least 1, got {count}")
+    return np.linspace(start, stop, count)
 
 
 def cmd_scatter(args: argparse.Namespace) -> int:

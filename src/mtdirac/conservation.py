@@ -130,13 +130,6 @@ def bump_surface(center: float, height: float, width: float) -> Hypersurface:
     )
 
 
-def custom_surface(f, fprime, slope_bound: float | None = None, label: str = "custom") -> Hypersurface:
-    if slope_bound is None:
-        z = np.linspace(-50.0, 50.0, 200001)
-        slope_bound = 1.001 * float(np.max(np.abs(fprime(z))))
-    return Hypersurface(f=f, fprime=fprime, s_max=float(slope_bound), label=label)
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Panelized product quadrature on the truncation box.
@@ -405,21 +398,6 @@ def pullback_integrand(s: Scenario, surf: Hypersurface, z1, z2) -> np.ndarray:
     return _pullback_reduce(psi, surf.fprime(z1), surf.fprime(z2))[0]
 
 
-def covector_integrand(s: Scenario, surf: Hypersurface, z1, z2) -> np.ndarray:
-    """The same density written as n_mu(x1) n_nu(x2) j^{mu nu} times the
-    induced length factors sqrt(1 - f'(z)^2) of both legs."""
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    psi = evaluate_fields(s, surf.f(z1), z1, surf.f(z2), z2)
-    j = tensor_current(psi).as_matrix()
-    n1 = surf.normal_covector(z1)
-    n2 = surf.normal_covector(z2)
-    fp1 = surf.fprime(z1)
-    fp2 = surf.fprime(z2)
-    dens = np.einsum("m...,mn...,n...->...", n1, j, n2)
-    return dens * np.sqrt(1.0 - fp1 * fp1) * np.sqrt(1.0 - fp2 * fp2)
-
-
 @dataclass(frozen=True)
 class SurfaceComparison:
     value_a: float
@@ -441,20 +419,6 @@ def compare_surfaces(
         value_a=normalization_integral(s, surf_a, q),
         value_b=normalization_integral(s, surf_b, q),
     )
-
-
-def flux_violation_probe(
-    s: Scenario,
-    surf_a: Hypersurface,
-    surf_b: Hypersurface,
-    q: QuadratureSpec = QuadratureSpec(),
-) -> SurfaceComparison:
-    """compare_surfaces for scenarios meant to break conservation.
-
-    Intended for raw boundary overrides that do not preserve |psi2| = |psi3|
-    on the coincidence set; the returned difference is the detected drift.
-    """
-    return compare_surfaces(s, surf_a, surf_b, q)
 
 
 def acceptance_family() -> list[Hypersurface]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Configuration
-from .solver import boundary_trace_fields, evaluate_fields, require_stencil_room
+from .solver import boundary_trace_fields, evaluate_fields, stencil_derivatives
 from .spin import ADJOINT_METRIC, gamma
 
 _IMAG_TOL = 1e-13
@@ -96,25 +96,12 @@ def continuity_residual(
         d1[nu] = D_t1 j^{0 nu} + D_z1 j^{1 nu}
         d2[mu] = D_t2 j^{mu 0} + D_z2 j^{mu 1}
 
-    Same stencil admissibility rule and asymmetric steps (h/4 in time, h/8
-    in space) as the field residual probe, for the same reason: matched
-    steps cancel the truncation term identically on null-structured fields
-    and leave only rounding noise.
+    D is the symmetric difference of solver.stencil_derivatives, the same
+    stencil as the field residual probe.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    require_stencil_room(c, h)
-    ht = 0.25 * h
-    hz = 0.125 * h
-    t1 = c.t1 + np.array([ht, -ht, 0, 0, 0, 0, 0, 0])
-    z1 = c.z1 + np.array([0, 0, hz, -hz, 0, 0, 0, 0])
-    t2 = c.t2 + np.array([0, 0, 0, 0, ht, -ht, 0, 0])
-    z2 = c.z2 + np.array([0, 0, 0, 0, 0, 0, hz, -hz])
-    j = current_at(s, t1, z1, t2, z2).as_matrix()  # (mu, nu, stencil)
-    d_t1 = (j[:, :, 0] - j[:, :, 1]) / (2 * ht)
-    d_z1 = (j[:, :, 2] - j[:, :, 3]) / (2 * hz)
-    d_t2 = (j[:, :, 4] - j[:, :, 5]) / (2 * ht)
-    d_z2 = (j[:, :, 6] - j[:, :, 7]) / (2 * hz)
+    d_t1, d_z1, d_t2, d_z2 = stencil_derivatives(  # each indexed [mu, nu]
+        lambda *p: current_at(s, *p).as_matrix(), c, h
+    )
     d1 = d_t1[0] + d_z1[1]  # indexed by nu
     d2 = d_t2[:, 0] + d_z2[:, 1]  # indexed by mu
     return d1, d2
@@ -129,33 +116,3 @@ def coincidence_flux(s, t, z, side: int) -> np.ndarray:
     """
     tr = boundary_trace_fields(s, t, z, side)
     return levi_civita_contraction(tensor_current(tr.values))
-
-
-@dataclass(frozen=True)
-class CurrentFormCoefficients:
-    """Coefficients of the conserved two-form in relative coordinates.
-
-    Coordinates: z = z1 - z2, Z = z1 + z2, tau = t1 - t2, T = t1 + t2.
-    Fields name the basis two-form they multiply.
-    """
-
-    dz_dZ: np.ndarray
-    dtau_dZ: np.ndarray
-    dtau_dz: np.ndarray
-    dT_dZ: np.ndarray
-    dz_dT: np.ndarray
-    dtau_dT: np.ndarray
-
-
-def current_form(psi: np.ndarray) -> CurrentFormCoefficients:
-    """Pull the current two-form j^{00} dz1^dz2 - j^{01} dz1^dt2 - j^{10} dt1^dz2
-    + j^{11} dt1^dt2 back to relative coordinates."""
-    j = tensor_current(psi)
-    return CurrentFormCoefficients(
-        dz_dZ=0.5 * j.j00,
-        dtau_dZ=-0.25 * (j.j10 + j.j01),
-        dtau_dz=0.25 * (j.j10 - j.j01),
-        dT_dZ=-0.25 * (j.j10 - j.j01),
-        dz_dT=-0.25 * (j.j10 + j.j01),
-        dtau_dT=0.5 * j.j11,
-    )

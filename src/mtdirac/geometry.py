@@ -115,15 +115,6 @@ def to_relative(c: Configuration) -> RelativeCoordinates:
     )
 
 
-def from_relative(r: RelativeCoordinates) -> Configuration:
-    return Configuration(
-        t1=0.5 * (r.T + r.tau),
-        z1=0.5 * (r.Z + r.z),
-        t2=0.5 * (r.T - r.tau),
-        z2=0.5 * (r.Z - r.z),
-    )
-
-
 def spacelike_margin(c: Configuration) -> float:
     """Euclidean distance from c to the nearest branch or domain boundary.
 

@@ -27,7 +27,7 @@ import numpy as np
 from .current import tensor_current
 from .geometry import Configuration, sample_spacelike, spacelike_margin
 from .scenario import Phase, Scenario
-from .solver import StencilError, boundary_trace_fields, evaluate_fields
+from .solver import boundary_trace_fields, evaluate_fields, stencil_derivatives
 from .spin import SIGMA3, chiral_pair_projector, embed, epsilon_gamma_pair, gamma
 
 
@@ -184,22 +184,10 @@ def field_residual_of(evaluate_fn, c: Configuration, h: float) -> float:
     """Max-norm central-difference residual of both evolution equations for
     an arbitrary field evaluator (no scenario needed).
 
-    Steps are h/4 in time and h/8 in space, matching the scenario-level
-    residual probe; see its docstring for why equal steps would be blind.
+    Same stencil as the scenario-level residual probe, from
+    solver.stencil_derivatives.
     """
-    if spacelike_margin(c) <= 2.0 * h:
-        raise StencilError("stencil would cross a seam or leave the domain")
-    ht = 0.25 * h
-    hz = 0.125 * h
-    t1 = c.t1 + np.array([ht, -ht, 0, 0, 0, 0, 0, 0])
-    z1 = c.z1 + np.array([0, 0, hz, -hz, 0, 0, 0, 0])
-    t2 = c.t2 + np.array([0, 0, 0, 0, ht, -ht, 0, 0])
-    z2 = c.z2 + np.array([0, 0, 0, 0, 0, 0, hz, -hz])
-    f = evaluate_fn(t1, z1, t2, z2)
-    d_t1 = (f[:, 0] - f[:, 1]) / (2 * ht)
-    d_z1 = (f[:, 2] - f[:, 3]) / (2 * hz)
-    d_t2 = (f[:, 4] - f[:, 5]) / (2 * ht)
-    d_z2 = (f[:, 6] - f[:, 7]) / (2 * hz)
+    d_t1, d_z1, d_t2, d_z2 = stencil_derivatives(evaluate_fn, c, h)
     r1 = 1j * d_t1 + 1j * (embed(SIGMA3, 1) @ d_z1)
     r2 = 1j * d_t2 + 1j * (embed(SIGMA3, 2) @ d_z2)
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))

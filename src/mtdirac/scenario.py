@@ -238,6 +238,30 @@ def boundary_maps(s: Scenario) -> BoundaryMaps:
     return BoundaryMaps(h1_plus, h1_minus, h2_plus, h2_minus)
 
 
+# The branch table of the solver (its module docstring states the rule):
+# null signs (s1, s2) per component, and for psi2/psi3 the BoundaryMaps
+# field feeding the boundary branch per (component, half).
+NULL_SIGNS = {1: (-1, -1), 2: (-1, 1), 3: (1, -1), 4: (1, 1)}
+BRANCH_MAPS = {(2, 1): "h1_minus", (3, 1): "h1_plus", (2, 2): "h2_plus", (3, 2): "h2_minus"}
+
+
+def null_pair(component: int, t1, z1, t2, z2):
+    """The null coordinates (z1 + s1 t1, z2 + s2 t2) that fix psi_component."""
+    s1, s2 = NULL_SIGNS[component]
+    return (z1 + t1 if s1 > 0 else z1 - t1), (z2 + t2 if s2 > 0 else z2 - t2)
+
+
+def initial_branch(half: int, x, y):
+    """Where the characteristic reaches t = 0: x < y on half 1, x > y on half 2."""
+    return x < y if half == 1 else x > y
+
+
+def coincidence_point(component: int, x, y):
+    """(t*, z*) = (s1 (x - y) / 2, (x + y) / 2) on the coincidence set."""
+    t = 0.5 * (x - y) if NULL_SIGNS[component][0] > 0 else 0.5 * (y - x)
+    return t, 0.5 * (x + y)
+
+
 def exchanged_component(comp: Component2D, sign: float = -1.0) -> Component2D:
     """sign * comp with swapped arguments; support box transposed."""
     if comp.is_zero:
@@ -342,17 +366,13 @@ def check_compatibility(s: Scenario, samples: int = 512) -> CompatibilityReport:
     z = np.linspace(hull[0] - pad, hull[1] + pad, samples)
     t0 = np.zeros_like(z)
     maps = boundary_maps(s)
-    ini = s.initial
-    conditions = {
-        "g3_half1_vs_h1_plus": ini.component(3, 1)(z, z) - maps.h1_plus(t0, z),
-        "g2_half1_vs_h1_minus": ini.component(2, 1)(z, z) - maps.h1_minus(t0, z),
-        "g2_half2_vs_h2_plus": ini.component(2, 2)(z, z) - maps.h2_plus(t0, z),
-        "g3_half2_vs_h2_minus": ini.component(3, 2)(z, z) - maps.h2_minus(t0, z),
-    }
     maxima: dict[str, float] = {}
     worst: list[tuple[str, float, float]] = []
-    for name, diff in conditions.items():
-        mag = np.abs(diff)
+    for (comp, half), map_name in BRANCH_MAPS.items():
+        name = f"g{comp}_half{half}_vs_{map_name}"
+        mag = np.abs(
+            s.initial.component(comp, half)(z, z) - getattr(maps, map_name)(t0, z)
+        )
         k = int(np.argmax(mag))
         maxima[name] = float(mag[k])
         if mag[k] > 1e-12:

@@ -6,21 +6,20 @@ The two evolution equations
     i d_t2 psi = -i (Id (x) sigma3) d_z2 psi
 
 decouple componentwise into one-dimensional transport along null lines, so
-each component is constant on a two-parameter family of characteristic
-planes:
+psi_i is constant on the null pair (x, y) = (z1 + s1 t1, z2 + s2 t2), where
+(s1, s2) is its spin label: (-,-), (-,+), (+,-), (+,+) for psi1..psi4.
 
-    psi1 = f1(z1 - t1, z2 - t2)      psi2 = f2(z1 - t1, z2 + t2)
-    psi3 = f3(z1 + t1, z2 - t2)      psi4 = f4(z1 + t1, z2 + t2)
-
-On the half-domain Omega1 (z1 < z2) the characteristics of psi1 and psi4
-always reach the initial surface t1 = t2 = 0 inside the same half, which
-pins f1 = g1, f4 = g4.  For psi2 and psi3 the characteristic either reaches
-the initial surface (initial branch) or hits the coincidence set first
-(boundary branch); there the value is the datum carried in on the partner
-null line, re-emitted with the jump factor exp(-+ i theta).  Omega2 mirrors
-this with the particle roles exchanged.  Branch selection is the strict
-inequality for the initial branch; ties go to the boundary branch, where
-compatible data agree anyway.
+On the half h the characteristics of psi1 and psi4 always reach the initial
+surface t1 = t2 = 0 inside the same half, so psi1 = g1(x, y) and
+psi4 = g4(x, y).  psi2 and psi3 take the initial branch g_i(x, y) where
+x < y on half 1 (x > y on half 2); otherwise their characteristic hits the
+coincidence set first, at t* = s1 (x - y) / 2, z* = (x + y) / 2, and the
+boundary branch is the half's boundary map at (t*, z*), which carries the
+partner datum in with the jump phase: on half 1 the minus map (t* <= 0)
+for psi2 and the plus map (t* >= 0) for psi3, on half 2 the reverse.  The
+inequality is strict: a tie (x = y, on the seam) goes to the boundary
+branch, where compatible data agree anyway.  scenario.NULL_SIGNS and
+scenario.BRANCH_MAPS hold this table; every evaluator here reads it there.
 
 Everything here is evaluated pointwise from the scenario data; there is no
 grid and no time stepping.  Array arguments broadcast; field values come
@@ -41,7 +40,16 @@ from .geometry import (
     region_masks,
     spacelike_margin,
 )
-from .scenario import BoundaryMaps, Scenario, boundary_maps
+from .scenario import (
+    BRANCH_MAPS,
+    NULL_SIGNS,
+    BoundaryMaps,
+    Scenario,
+    boundary_maps,
+    coincidence_point,
+    initial_branch,
+    null_pair,
+)
 from .spin import SIGMA3, embed
 
 
@@ -52,37 +60,24 @@ class StencilError(ValueError):
 def _eval_half(
     s: Scenario, maps: BoundaryMaps, half: int, t1, z1, t2, z2
 ) -> np.ndarray:
-    ini = s.initial
-    x1m = z1 - t1
-    x1p = z1 + t1
-    x2m = z2 - t2
-    x2p = z2 + t2
-
-    psi1 = ini.component(1, half)(x1m, x2m)
-    psi4 = ini.component(4, half)(x1p, x2p)
-
-    # Coincidence-set coordinates of the point where the (psi2, psi3)
-    # characteristics cross the diagonal; the sign of t* decides which of
-    # the two outgoing maps carries the value.
-    t2s = 0.5 * (x2p - x1m)
-    z2s = 0.5 * (x1m + x2p)
-    t3s = 0.5 * (x1p - x2m)
-    z3s = 0.5 * (x1p + x2m)
-
-    if half == 1:
-        initial2 = x1m < x2p
-        initial3 = x1p < x2m
-        bdry2 = maps.h1_minus(t2s, z2s)
-        bdry3 = maps.h1_plus(t3s, z3s)
-    else:
-        initial2 = x1m > x2p
-        initial3 = x1p > x2m
-        bdry2 = maps.h2_plus(t2s, z2s)
-        bdry3 = maps.h2_minus(t3s, z3s)
-
-    psi2 = np.where(initial2, ini.component(2, half)(x1m, x2p), bdry2)
-    psi3 = np.where(initial3, ini.component(3, half)(x1p, x2m), bdry3)
-    return np.stack([psi1, psi2, psi3, psi4])
+    """psi on flat arrays of points of one half; each branch only where it applies."""
+    out = np.empty((4, t1.size), dtype=complex)
+    for comp in NULL_SIGNS:
+        x, y = null_pair(comp, t1, z1, t2, z2)
+        g = s.initial.component(comp, half)
+        if (comp, half) not in BRANCH_MAPS:
+            out[comp - 1] = g(x, y)
+            continue
+        initial = initial_branch(half, x, y)
+        boundary = ~initial
+        if initial.any():
+            out[comp - 1, initial] = g(x[initial], y[initial])
+        if boundary.any():
+            hmap = getattr(maps, BRANCH_MAPS[(comp, half)])
+            out[comp - 1, boundary] = hmap(
+                *coincidence_point(comp, x[boundary], y[boundary])
+            )
+    return out
 
 
 def evaluate_fields(s: Scenario, t1, z1, t2, z2) -> np.ndarray:
@@ -119,19 +114,6 @@ def evaluate(s: Scenario, c: Configuration) -> np.ndarray:
     return evaluate_fields(s, c.t1, c.z1, c.t2, c.z2)
 
 
-def general_solution_eval(f1, f2, f3, f4, c: Configuration) -> np.ndarray:
-    """Evaluate the general componentwise-transport ansatz for given plane data."""
-    return np.array(
-        [
-            f1(c.z1 - c.t1, c.z2 - c.t2),
-            f2(c.z1 - c.t1, c.z2 + c.t2),
-            f3(c.z1 + c.t1, c.z2 - c.t2),
-            f4(c.z1 + c.t1, c.z2 + c.t2),
-        ],
-        dtype=complex,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Boundary traces
 # ---------------------------------------------------------------------------
@@ -156,19 +138,10 @@ def boundary_trace_fields(s: Scenario, t, z, side: int) -> BoundaryTrace:
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     t, z = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(z, dtype=float))
-    ini = s.initial
-    maps = boundary_maps(s)
-    zm = z - t
-    zp = z + t
-    psi1 = ini.component(1, side)(zm, zm)
-    psi4 = ini.component(4, side)(zp, zp)
-    if side == 1:
-        psi2 = np.where(t > 0, ini.component(2, 1)(zm, zp), maps.h1_minus(t, z))
-        psi3 = np.where(t < 0, ini.component(3, 1)(zp, zm), maps.h1_plus(t, z))
-    else:
-        psi2 = np.where(t < 0, ini.component(2, 2)(zm, zp), maps.h2_plus(t, z))
-        psi3 = np.where(t > 0, ini.component(3, 2)(zp, zm), maps.h2_minus(t, z))
-    return BoundaryTrace(side=side, t=t, z=z, values=np.stack([psi1, psi2, psi3, psi4]))
+    tf = t.reshape(-1)
+    zf = z.reshape(-1)
+    values = _eval_half(s, boundary_maps(s), side, tf, zf, tf, zf)
+    return BoundaryTrace(side=side, t=t, z=z, values=values.reshape((4,) + t.shape))
 
 
 def boundary_trace(s: Scenario, t: float, z: float, side: int) -> BoundaryTrace:
@@ -202,13 +175,7 @@ class CharacteristicCurve:
     case: str
 
     def __call__(self, tau: float) -> Configuration:
-        a, s = self.anchor, self.start
-        return Configuration(
-            t1=s.t1 + tau * (a.t1 - s.t1),
-            z1=s.z1 + tau * (a.z1 - s.z1),
-            t2=s.t2 + tau * (a.t2 - s.t2),
-            z2=s.z2 + tau * (a.z2 - s.z2),
-        )
+        return Configuration(*(float(p) for p in self.points(tau)))
 
     def points(self, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         tau = np.asarray(tau, dtype=float)
@@ -229,35 +196,17 @@ def characteristic_anchor(
     region_sign is -1 on Omega1 and +1 on Omega2 (the sign of z1 - z2).
     Returns (s_t1, s_z1, s_t2, s_z2, boundary_case).
     """
-    x1m = z1 - t1
-    x1p = z1 + t1
-    x2m = z2 - t2
-    x2p = z2 + t2
-    zero = np.zeros_like(x1m)
-    false = np.zeros(np.shape(x1m), dtype=bool)
-    if component == 1:
-        return zero, x1m, zero, x2m, false
-    if component == 4:
-        return zero, x1p, zero, x2p, false
-    if component == 2:
-        boundary = region_sign * (x1m - x2p) <= 0
-        ts = 0.5 * (x2p - x1m)
-        zs = 0.5 * (x1m + x2p)
-        s_t1 = np.where(boundary, ts, 0.0)
-        s_z1 = np.where(boundary, zs, x1m)
-        s_t2 = np.where(boundary, ts, 0.0)
-        s_z2 = np.where(boundary, zs, x2p)
-        return s_t1, s_z1, s_t2, s_z2, boundary
-    if component == 3:
-        boundary = region_sign * (x1p - x2m) <= 0
-        ts = 0.5 * (x1p - x2m)
-        zs = 0.5 * (x1p + x2m)
-        s_t1 = np.where(boundary, ts, 0.0)
-        s_z1 = np.where(boundary, zs, x1p)
-        s_t2 = np.where(boundary, ts, 0.0)
-        s_z2 = np.where(boundary, zs, x2m)
-        return s_t1, s_z1, s_t2, s_z2, boundary
-    raise ValueError("component must be in 1..4")
+    if component not in NULL_SIGNS:
+        raise ValueError("component must be in 1..4")
+    half = 1 if region_sign < 0 else 2
+    x, y = null_pair(component, *(np.asarray(a, dtype=float) for a in (t1, z1, t2, z2)))
+    if (component, half) not in BRANCH_MAPS:
+        zero = np.zeros_like(x)
+        return zero, x, zero, y, np.zeros(x.shape, dtype=bool)
+    boundary = ~initial_branch(half, x, y)
+    ts, zs = coincidence_point(component, x, y)
+    s_t = np.where(boundary, ts, 0.0)
+    return s_t, np.where(boundary, zs, x), s_t, np.where(boundary, zs, y), boundary
 
 
 def characteristic_curve(c: Configuration, component: int) -> CharacteristicCurve:
@@ -292,6 +241,38 @@ def require_stencil_room(c: Configuration, h: float) -> None:
         raise StencilError(f"margin {m:.3e} too small for stencil step {h:.3e}")
 
 
+def stencil_derivatives(
+    evaluate_fn, c: Configuration, h: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetric differences (D_t1, D_z1, D_t2, D_z2) of a field at c.
+
+    evaluate_fn maps the (t1, z1, t2, z2) arrays of the 8 stencil points to
+    values with the stencil on the last axis.  Steps are h/4 on the time
+    axes and h/8 on the space axes.  Equal steps would make the two
+    truncation terms cancel identically along the null directions every
+    exact field follows, collapsing a residual to rounding noise that grows
+    as h shrinks; unequal steps keep the estimator consistent while its
+    value on exact solutions shows the genuine O(h^2) third-derivative
+    scale.  The full stencil must stay inside one branch: points closer
+    than 2h to a branch seam or to the light-like boundary are rejected.
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    require_stencil_room(c, h)
+    ht = 0.25 * h
+    hz = 0.125 * h
+    f = evaluate_fn(
+        c.t1 + np.array([ht, -ht, 0, 0, 0, 0, 0, 0]),
+        c.z1 + np.array([0, 0, hz, -hz, 0, 0, 0, 0]),
+        c.t2 + np.array([0, 0, 0, 0, ht, -ht, 0, 0]),
+        c.z2 + np.array([0, 0, 0, 0, 0, 0, hz, -hz]),
+    )
+    return tuple(
+        (f[..., 2 * k] - f[..., 2 * k + 1]) / (2 * step)
+        for k, step in enumerate((ht, hz, ht, hz))
+    )
+
+
 def pde_residual(
     s: Scenario, c: Configuration, h: float = 1e-4
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -302,29 +283,11 @@ def pde_residual(
         r1 = i D_t1 psi + i (sigma3 (x) Id) D_z1 psi
         r2 = i D_t2 psi + i (Id (x) sigma3) D_z2 psi
 
-    where D is the symmetric difference, with step h/4 on the time axes and
-    h/8 on the space axes.  Equal steps would make the two truncation terms
-    cancel identically along the null directions every exact field follows,
-    collapsing the residual to rounding noise that grows as h shrinks;
-    unequal steps keep the estimator consistent while its value on exact
-    solutions shows the genuine O(h^2) third-derivative scale.  The full
-    stencil must stay inside one branch: points closer than 2h to a branch
-    seam or to the light-like boundary are rejected.
+    where D is the symmetric difference of stencil_derivatives.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    require_stencil_room(c, h)
-    ht = 0.25 * h
-    hz = 0.125 * h
-    t1 = c.t1 + np.array([ht, -ht, 0, 0, 0, 0, 0, 0])
-    z1 = c.z1 + np.array([0, 0, hz, -hz, 0, 0, 0, 0])
-    t2 = c.t2 + np.array([0, 0, 0, 0, ht, -ht, 0, 0])
-    z2 = c.z2 + np.array([0, 0, 0, 0, 0, 0, hz, -hz])
-    f = evaluate_fields(s, t1, z1, t2, z2)
-    d_t1 = (f[:, 0] - f[:, 1]) / (2 * ht)
-    d_z1 = (f[:, 2] - f[:, 3]) / (2 * hz)
-    d_t2 = (f[:, 4] - f[:, 5]) / (2 * ht)
-    d_z2 = (f[:, 6] - f[:, 7]) / (2 * hz)
+    d_t1, d_z1, d_t2, d_z2 = stencil_derivatives(
+        lambda *p: evaluate_fields(s, *p), c, h
+    )
     r1 = 1j * d_t1 + 1j * (_SIGMA3_SLOT1 @ d_z1)
     r2 = 1j * d_t2 + 1j * (_SIGMA3_SLOT2 @ d_z2)
     return r1, r2
@@ -350,26 +313,13 @@ def seam_mismatch(
     if order < 0 or order > 4:
         raise ValueError("order must be in 0..4")
     v = np.asarray(v, dtype=float)
-    ini = s.initial
-    maps = boundary_maps(s)
-    g = ini.component(component, half)
-
-    if component == 2:
-        hmap = maps.h1_minus if half == 1 else maps.h2_plus
-
-        def branch_b(x, y):
-            return hmap(0.5 * (y - x), 0.5 * (x + y))
-
-    else:
-        hmap = maps.h1_plus if half == 1 else maps.h2_minus
-
-        def branch_b(x, y):
-            return hmap(0.5 * (x - y), 0.5 * (x + y))
+    g = s.initial.component(component, half)
+    hmap = getattr(boundary_maps(s), BRANCH_MAPS[(component, half)])
 
     def gap(shift):
         x = v + shift
         y = v - shift
-        return g(x, y) - branch_b(x, y)
+        return g(x, y) - hmap(*coincidence_point(component, x, y))
 
     # central coefficients for d^k/ds^k on the 5-point stencil {-2h..2h}
     stencils = {

@@ -10,7 +10,7 @@ import numpy as np
 from mtdirac.conservation import (
     QuadratureSpec,
     acceptance_family,
-    flux_violation_probe,
+    compare_surfaces,
     normalization_integral,
 )
 from mtdirac.current import coincidence_flux, levi_civita_contraction, tensor_current
@@ -131,7 +131,7 @@ def test_normalization_is_surface_independent(packet, leaky):
     fine = [normalization_integral(packet, f, q.doubled()) for f in family]
     drift_fine = max(fine) - min(fine)
     control = max(
-        flux_violation_probe(leaky, family[0], f, q).difference for f in family[1:]
+        compare_surfaces(leaky, family[0], f, q).difference for f in family[1:]
     )
     ok = drift < 1e-6 and drift_fine < 1e-8 and control > 1e-3
     assert _verdict(

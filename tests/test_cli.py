@@ -311,3 +311,36 @@ def test_scatter_rejects_zero_scenario(tmp_path):
     assert (
         main(["scatter", "--scenario", str(cfg), "--out", str(tmp_path / "o")]) == 2
     )
+
+
+def test_scatter_rejects_empty_time_list(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(
+        ["scatter", "--scenario", PACKET_CFG, "--out", str(out), "--times", "0:4:0"]
+    )
+    assert rc == 2
+    assert "--times count must be at least 1" in capsys.readouterr().err
+    assert not (out / "scatter.csv").exists()
+
+
+def test_verify_records_every_check_of_a_raising_probe(tmp_path, monkeypatch, capsys):
+    import mtdirac.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("probe broke")
+
+    for name in ("seam_mismatch", "pde_residual", "continuity_residual"):
+        monkeypatch.setattr(cli, name, broken)
+    monkeypatch.setattr(cli.conservation, "normalization_report", broken)
+    out = tmp_path / "out"
+    rc = main(
+        ["verify", "--scenario", PACKET_CFG, "--out", str(out), "--panels", "16"]
+    )
+    assert rc == 1
+    checks = json.loads(_read(out / "verify.json"))["checks"]
+    fed = ("seam_c0", "seam_c1", "seam_c2", "pde_residuals", "continuity",
+           "conservation_diffs", "excluded_pairs")
+    for name in fed:
+        assert checks[name] == {"pass": False, "error": "RuntimeError: probe broke"}
+    assert checks["boundary_condition"]["pass"] and checks["schmidt"]["pass"]
+    assert "FAIL seam_c2: RuntimeError: probe broke" in capsys.readouterr().out

@@ -11,17 +11,29 @@ from mtdirac.conservation import (
     bump_surface,
     compare_surfaces,
     component_masses,
-    covector_integrand,
-    custom_surface,
     flat,
-    flux_violation_probe,
     normalization_integral,
     normalization_report,
     pullback_integrand,
     truncation_box,
     worker_count,
 )
+from mtdirac.current import tensor_current
 from mtdirac.scenario import InitialData, Scenario, ZERO2
+from mtdirac.solver import evaluate_fields
+
+
+def covector_integrand(s, surf, z1, z2):
+    """The pullback density written as n_mu(x1) n_nu(x2) j^{mu nu} times the
+    induced length factors sqrt(1 - f'(z)^2) of both legs."""
+    psi = evaluate_fields(s, surf.f(z1), z1, surf.f(z2), z2)
+    j = tensor_current(psi).as_matrix()
+    n1 = surf.normal_covector(z1)
+    n2 = surf.normal_covector(z2)
+    fp1 = surf.fprime(z1)
+    fp2 = surf.fprime(z2)
+    dens = np.einsum("m...,mn...,n...->...", n1, j, n2)
+    return dens * np.sqrt(1.0 - fp1 * fp1) * np.sqrt(1.0 - fp2 * fp2)
 
 
 def test_flat_surface():
@@ -68,12 +80,13 @@ def test_slope_bound_enforced():
         Hypersurface(f=lambda z: z, fprime=lambda z: np.ones_like(z), s_max=-0.1)
     with pytest.raises(ValueError):
         bump_surface(0.0, 10.0, 2.0)
-    with pytest.raises(ValueError):
-        custom_surface(lambda z: z, lambda z: np.ones_like(z))
-    surf = custom_surface(
-        lambda z: 0.5 * np.sin(z), lambda z: 0.5 * np.cos(z), label="wavy"
+    surf = Hypersurface(
+        f=lambda z: 0.5 * np.sin(z),
+        fprime=lambda z: 0.5 * np.cos(z),
+        s_max=0.5,
+        label="wavy",
     )
-    assert 0.5 <= surf.s_max < 0.6 and surf.label == "wavy"
+    assert surf.s_max == 0.5 and surf.label == "wavy"
 
 
 def test_quadrature_spec_validation():
@@ -184,7 +197,7 @@ def test_thread_count_never_changes_bits(packet, monkeypatch):
 
 
 def test_absorbing_boundary_breaks_conservation(leaky):
-    probe = flux_violation_probe(leaky, flat(0.0), flat(0.7))
+    probe = compare_surfaces(leaky, flat(0.0), flat(0.7))
     assert probe.difference > 1e-3
 
 

@@ -7,7 +7,6 @@ from mtdirac.current import (
     coincidence_flux,
     continuity_residual,
     current_at,
-    current_form,
     levi_civita_contraction,
     tensor_current,
 )
@@ -58,36 +57,6 @@ def test_current_batched_and_matrix_layout():
 def test_current_rejects_wrong_shape():
     with pytest.raises(ValueError):
         tensor_current(np.ones(3, dtype=complex))
-
-
-@given(spinors)
-def test_current_form_matches_congruence_transform(psi):
-    # independent route: write the two-form as an antisymmetric matrix in
-    # (t1, z1, t2, z2) and push it through the linear change of coordinates
-    # u = A v with v = (tau, zrel, Z, T)
-    j = tensor_current(psi)
-    w = np.zeros((4, 4))
-    w[1, 3] = j.j00  # dz1 ^ dz2
-    w[1, 2] = -j.j01  # dz1 ^ dt2
-    w[0, 3] = -j.j10  # dt1 ^ dz2
-    w[0, 2] = j.j11  # dt1 ^ dt2
-    w = w - w.T
-    a = 0.5 * np.array(
-        [
-            [1.0, 0.0, 0.0, 1.0],  # t1 = (T + tau)/2
-            [0.0, 1.0, 1.0, 0.0],  # z1 = (Z + zrel)/2
-            [-1.0, 0.0, 0.0, 1.0],  # t2 = (T - tau)/2
-            [0.0, -1.0, 1.0, 0.0],  # z2 = (Z - zrel)/2
-        ]
-    )
-    wp = a.T @ w @ a
-    cf = current_form(psi)
-    assert cf.dtau_dz == pytest.approx(wp[0, 1], abs=1e-12)
-    assert cf.dtau_dZ == pytest.approx(wp[0, 2], abs=1e-12)
-    assert cf.dtau_dT == pytest.approx(wp[0, 3], abs=1e-12)
-    assert cf.dz_dZ == pytest.approx(wp[1, 2], abs=1e-12)
-    assert cf.dz_dT == pytest.approx(wp[1, 3], abs=1e-12)
-    assert cf.dT_dZ == pytest.approx(-wp[2, 3], abs=1e-12)
 
 
 def test_continuity_residual_small_on_smooth_data(packet, rich):

@@ -12,7 +12,17 @@ from mtdirac.geometry import (
     classify,
     sample_spacelike,
 )
-from mtdirac.scenario import Scenario, InitialData, ZERO2
+from mtdirac.profiles import smooth_bump
+from mtdirac.scenario import (
+    BoundaryPhase,
+    InitialData,
+    Phase,
+    Scenario,
+    ZERO2,
+    check_compatibility,
+    null_pair,
+    product2,
+)
 from mtdirac.solver import (
     StencilError,
     bc_defect,
@@ -21,7 +31,6 @@ from mtdirac.solver import (
     characteristic_curve,
     evaluate,
     evaluate_fields,
-    general_solution_eval,
     pde_residual,
     require_stencil_room,
     seam_mismatch,
@@ -30,13 +39,13 @@ from mtdirac.solver import (
 
 def test_general_solution_slots():
     c = Configuration(1.0, 2.0, 0.5, 5.0)
-    out = general_solution_eval(
-        lambda x, y: x + 1j * y,
-        lambda x, y: 10 * x + 1j * y,
-        lambda x, y: 100 * x + 1j * y,
-        lambda x, y: 1000 * x + 1j * y,
-        c,
-    )
+    plane_data = {
+        1: lambda x, y: x + 1j * y,
+        2: lambda x, y: 10 * x + 1j * y,
+        3: lambda x, y: 100 * x + 1j * y,
+        4: lambda x, y: 1000 * x + 1j * y,
+    }
+    out = [f(*null_pair(i, *c.as_tuple())) for i, f in plane_data.items()]
     # slot arguments: (z1-t1, z2-t2), (z1-t1, z2+t2), (z1+t1, z2-t2), (z1+t1, z2+t2)
     assert out[0] == 1.0 + 4.5j
     assert out[1] == 10.0 + 5.5j
@@ -56,6 +65,32 @@ def test_evaluate_matches_scalar_walk_back(packet, rich):
             )
             worst = max(worst, max(abs(vals[i][k] - ref[i]) for i in range(4)))
         assert worst <= 1e-12
+
+
+def test_seam_ties_take_the_boundary_branch():
+    # g2 overlaps the diagonal and g3 vanishes, so the two branches of psi2
+    # and psi3 differ on their seams; dyadic coordinates make the ties exact
+    bump = smooth_bump(-2.0, 3.0)
+    half = (ZERO2, product2(bump, bump), ZERO2, ZERO2)
+    s = Scenario(
+        initial=InitialData(half1=half, half2=half),
+        phase=BoundaryPhase(Phase("constant", 0.7), Phase("constant", -0.3)),
+    )
+    assert not check_compatibility(s).compatible
+    # (t1, z1, t2, z2, component on its seam, half)
+    ties = [
+        (-0.5, 0.25, -0.25, 1.0, 2, 1),  # z1 - t1 == z2 + t2
+        (0.5, 0.25, 0.25, 1.0, 3, 1),  # z1 + t1 == z2 - t2
+        (0.5, 1.0, 0.25, 0.25, 2, 2),
+        (-0.5, 1.0, -0.25, 0.25, 3, 2),
+    ]
+    t1, z1, t2, z2 = (np.array([p[k] for p in ties]) for k in range(4))
+    vals = evaluate_fields(s, t1, z1, t2, z2)
+    for k, (*c, comp, half) in enumerate(ties):
+        x, y = null_pair(comp, *c)
+        assert x == y and classify(Configuration(*c)) is Region(f"Omega{half}")
+        assert tuple(vals[:, k]) == reference_value(s, *c)
+        assert vals[comp - 1, k] != s.initial.component(comp, half)(x, y)
 
 
 def test_evaluate_shape_and_broadcast(packet):
