@@ -5,32 +5,18 @@ with an absorbing boundary override leaks mass and the sweep exposes it.
 """
 import argparse
 
-import numpy as np
-
 from mtdirac.conservation import (
     QuadratureSpec,
     acceptance_family,
     normalization_integral,
 )
-from mtdirac.scenario import BoundaryMaps, BoundaryPhase, Phase, boundary_maps
+from mtdirac.scenario import Phase, absorbing_override
 from mtdirac.interaction import wavepacket_scenario
-from dataclasses import replace
 
 
 def leaky_packet():
     base = wavepacket_scenario(-1.2, -0.2, 0.2, 1.2, theta1=Phase("constant", 0.7))
-    maps = boundary_maps(base)
-
-    def absorb(t, z):
-        return np.zeros(np.broadcast(t, z).shape, dtype=complex)
-
-    broken = BoundaryMaps(
-        h1_plus=absorb,
-        h1_minus=maps.h1_minus,
-        h2_plus=maps.h2_plus,
-        h2_minus=maps.h2_minus,
-    )
-    return replace(base, boundary_override=broken)
+    return absorbing_override(base, "h1_plus")
 
 
 def sweep(label, s, q):

@@ -377,6 +377,19 @@ def _load(path: str) -> tuple[Scenario, str]:
     return load_scenario(text)
 
 
+def _at_least(low: int):
+    """argparse type for an int >= low, so that a bad value names its flag."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # a ValueError then reads "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mtdirac",
@@ -389,8 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario config JSON file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0, help="sampling seed")
-        p.add_argument("--panels", type=int, default=64, help="quadrature panels per axis")
-        p.add_argument("--grid", type=int, default=256, help="slice grid points")
+        p.add_argument(
+            "--panels", type=_at_least(1), default=64, help="quadrature panels per axis"
+        )
+        p.add_argument("--grid", type=_at_least(2), default=256, help="slice grid points")
 
     p_eval = sub.add_parser("evaluate", help="field values at configurations")
     common(p_eval)
@@ -414,10 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ScenarioConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except ValueError as err:  # ScenarioConfigError among them
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -4,10 +4,14 @@ The conserved quantity is the integral of the current two-form over the
 set of pairs (x1, x2) of points on a common space-like graph hypersurface
 t = f(z), |f'| < 1.  Pulled back to the (z1, z2) parameter plane it reads
 
-    F(z1, z2) = j00 - j01 f'(z2) - j10 f'(z1) + j11 f'(z1) f'(z2),
+    F(z1, z2) = j00 - j01 f'(z2) - j10 f'(z1) + j11 f'(z1) f'(z2)
+              = sum_i |psi_i|^2 (1 + s1_i f'(z1)) (1 + s2_i f'(z2))
 
-integrated over z1 != z2.  The integrand is smooth on each half z1 < z2
-and z1 > z2 of a compliant scenario but generally jumps across the
+with (s1_i, s2_i) = scenario.NULL_SIGNS[i]: 1 + s f'(z) is d/dz of the null
+coordinate z + s f(z), so each |psi_i|^2 is weighted by the Jacobian of the
+two null coordinates it is constant along.  Each term is integrated over
+z1 != z2 and the four totals are summed.  F is smooth on each half
+z1 < z2 and z1 > z2 of a compliant scenario but generally jumps across the
 diagonal, so panels are never allowed to straddle it: diagonal panels are
 split into two triangles, each mapped to a square by a collapsing (Duffy)
 transform whose nodes stay strictly off the diagonal.
@@ -24,15 +28,15 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .current import tensor_current
 from .geometry import region_masks
-from .scenario import Scenario
+from .scenario import NULL_SIGNS, Scenario
 from .solver import boundary_trace_fields, evaluate_fields
 
 MAX_SLOPE = 1.0 - 1e-6
@@ -51,19 +55,12 @@ class Hypersurface:
     fprime: Callable[[np.ndarray], np.ndarray]
     s_max: float
     label: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.s_max <= MAX_SLOPE:
             raise ValueError(
                 f"slope bound {self.s_max} outside [0, {MAX_SLOPE}]; surface too steep"
             )
-
-    def normal_covector(self, z) -> np.ndarray:
-        """Future-directed unit conormal n_mu = (1, -f'(z)) / sqrt(1 - f'^2)."""
-        fp = np.asarray(self.fprime(np.asarray(z, dtype=float)))
-        root = np.sqrt(1.0 - fp * fp)
-        return np.stack([np.ones_like(fp), -fp]) / root
 
 
 def flat(t0: float) -> Hypersurface:
@@ -73,7 +70,6 @@ def flat(t0: float) -> Hypersurface:
         fprime=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
         s_max=0.0,
         label="flat",
-        params={"t0": t0},
     )
 
 
@@ -88,7 +84,6 @@ def boosted_flat(beta: float, t0: float = 0.0) -> Hypersurface:
         fprime=lambda z: np.full_like(np.asarray(z, dtype=float), slope),
         s_max=abs(slope),
         label="boosted_flat",
-        params={"beta": beta, "t0": t0},
     )
 
 
@@ -118,15 +113,16 @@ def bump_surface(center: float, height: float, width: float) -> Hypersurface:
         out[inner] = np.exp(1.0 - 1.0 / d) * (-2.0 * ui / (d * d)) / half
         return out
 
-    u = np.linspace(-1.0, 1.0, 20001)[1:-1]
-    d = 1.0 - u * u
-    s_max = abs(height) / half * float(np.max(np.abs(np.exp(1.0 - 1.0 / d) * 2.0 * u / (d * d))))
+    # |d/du exp(1 - 1/d)| = exp(1 - 1/d) 2|u| / d^2, d = 1 - u^2, peaks where its
+    # log-derivative vanishes: 1 - 3 u^4 = 0.  The factor 1 + 1e-12 covers rounding.
+    u2 = 1.0 / math.sqrt(3.0)
+    d = 1.0 - u2
+    peak = math.exp(1.0 - 1.0 / d) * 2.0 * math.sqrt(u2) / (d * d)
     return Hypersurface(
         f=lambda z: height * shape(z),
         fprime=lambda z: height * shape_prime(z),
-        s_max=1.001 * s_max,  # dense-sampling bound with a safety factor
+        s_max=abs(height) / half * peak * (1.0 + 1e-12),
         label="bump",
-        params={"center": center, "height": height, "width": width},
     )
 
 
@@ -208,8 +204,12 @@ def worker_count() -> int:
     try:
         n = int(raw)
     except ValueError:
-        return 1
-    return max(1, n)
+        n = 0
+    if n >= 1:
+        return n
+    msg = f"MTDIRAC_THREADS={raw!r} is not a positive integer; using 1 thread"
+    warnings.warn(msg, RuntimeWarning, stacklevel=2)
+    return 1
 
 
 def _axis_nodes(edges: np.ndarray, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -278,27 +278,24 @@ def _values_on_surface(
     return out, excluded
 
 
-def _pullback_reduce(
+def _component_densities(
     psi: np.ndarray, fp1: np.ndarray, fp2: np.ndarray
 ) -> np.ndarray:
-    j = tensor_current(psi)
-    return (j.j00 - j.j01 * fp2 - j.j10 * fp1 + j.j11 * fp1 * fp2)[None, :]
-
-
-def _component_density_reduce(psi: np.ndarray, fp1, fp2) -> np.ndarray:
-    return psi.real**2 + psi.imag**2
+    """The terms |psi_i|^2 (1 + s1_i f'(z1)) (1 + s2_i f'(z2)) of F, axis 0 = i."""
+    dens = psi.real**2 + psi.imag**2
+    for i, (s1, s2) in enumerate(NULL_SIGNS[k] for k in (1, 2, 3, 4)):
+        dens[i] *= 1.0 + s1 * fp1  # in place: no (4, n) temporaries
+        dens[i] *= 1.0 + s2 * fp2
+    return dens
 
 
 def _integrate(
-    s: Scenario,
-    surf: Hypersurface,
-    q: QuadratureSpec,
-    reducer: Callable,
-    k_out: int,
+    s: Scenario, surf: Hypersurface, q: QuadratureSpec
 ) -> tuple[np.ndarray, int, tuple[float, float] | None, int]:
+    """Per-component integrals of _component_densities over off-diagonal pairs."""
     box = q.box if q.box is not None else truncation_box(s, surf)
     if box is None:
-        return np.zeros(k_out), 0, None, 0
+        return np.zeros(4), 0, None, 0
     edges = np.linspace(box[0], box[1], q.panels + 1)
     nodes, weights = _axis_nodes(edges, q)  # (panels, m)
     p, m = nodes.shape
@@ -315,9 +312,8 @@ def _integrate(
     z1f = z1g[offdiag]
     z2f = z2g[offdiag]
     psi, excluded = _values_on_surface(s, surf, z1f, z2f, sides[offdiag])
-    flat = np.zeros((k_out, p * m * p * m))
-    flat[:, offdiag.reshape(-1)] = reducer(psi, surf.fprime(z1f), surf.fprime(z2f))
-    vals = flat.reshape(k_out, p, m, p, m)
+    vals = np.zeros((4, p, m, p, m))
+    vals[:, offdiag] = _component_densities(psi, surf.fprime(z1f), surf.fprime(z2f))
     block = np.einsum("io,jp,kiojp->kij", weights, weights, vals)
 
     # diagonal panels: two collapsed triangles each, Gauss nodes only
@@ -329,7 +325,7 @@ def _integrate(
     WUV = (wu[:, None] * wu[None, :]) * U  # collapse jacobian factor u
     a = edges[:-1]
     width = edges[1:] - edges[:-1]
-    tri = {}
+    tri = []
     uu = np.broadcast_to(U, (u.size, u.size))
     for lower in (False, True):
         # lower triangle: z2 <= z1 (half 2); upper: z1 <= z2 (half 1)
@@ -339,18 +335,13 @@ def _integrate(
         z2t = (zv if lower else zu).reshape(-1)
         psi_t, exc_t = _values_on_surface(s, surf, z1t, z2t)
         excluded += exc_t
-        red = reducer(psi_t, surf.fprime(z1t), surf.fprime(z2t))
-        red = red.reshape(k_out, p, u.size, u.size)
-        tri[lower] = np.einsum("uv,kpuv->kp", WUV, red) * (width * width)[None, :]
+        red = _component_densities(psi_t, surf.fprime(z1t), surf.fprime(z2t))
+        red = red.reshape(4, p, u.size, u.size)
+        tri.append(np.einsum("uv,kpuv->kp", WUV, red) * (width * width)[None, :])
 
-    totals = np.empty(k_out)
-    node_count = z1f.size + 2 * p * u.size * u.size
-    for k in range(k_out):
-        contributions = (
-            list(block[k].reshape(-1)) + list(tri[False][k]) + list(tri[True][k])
-        )
-        totals[k] = math.fsum(contributions)
-    return totals, excluded, box, node_count
+    parts = np.concatenate([block.reshape(4, -1), *tri], axis=1)
+    totals = np.array([math.fsum(row) for row in parts])
+    return totals, excluded, box, z1f.size + 2 * p * u.size * u.size
 
 
 @dataclass(frozen=True)
@@ -364,9 +355,9 @@ class SurfaceIntegral:
 def normalization_report(
     s: Scenario, surf: Hypersurface, q: QuadratureSpec = QuadratureSpec()
 ) -> SurfaceIntegral:
-    totals, excluded, box, nodes = _integrate(s, surf, q, _pullback_reduce, 1)
+    totals, excluded, box, nodes = _integrate(s, surf, q)
     return SurfaceIntegral(
-        value=float(totals[0]), excluded_pairs=excluded, box=box, node_count=nodes
+        value=math.fsum(totals), excluded_pairs=excluded, box=box, node_count=nodes
     )
 
 
@@ -382,11 +373,10 @@ def component_masses(
 ) -> np.ndarray:
     """Equal-time masses (integral of |psi_i|^2 dz1 dz2) per component at time t.
 
-    Uses the same diagonal-splitting quadrature as the normalization
-    integral, whose value equals the sum of the four masses on a flat
-    surface.
+    These are the per-component totals of the normalization integral on
+    the flat surface t, whose value is their math.fsum.
     """
-    totals, _, _, _ = _integrate(s, flat(t), q, _component_density_reduce, 4)
+    totals, _, _, _ = _integrate(s, flat(t), q)
     return totals
 
 
@@ -395,7 +385,7 @@ def pullback_integrand(s: Scenario, surf: Hypersurface, z1, z2) -> np.ndarray:
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
     psi = evaluate_fields(s, surf.f(z1), z1, surf.f(z2), z2)
-    return _pullback_reduce(psi, surf.fprime(z1), surf.fprime(z2))[0]
+    return _component_densities(psi, surf.fprime(z1), surf.fprime(z2)).sum(axis=0)
 
 
 @dataclass(frozen=True)

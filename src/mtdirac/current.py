@@ -6,6 +6,14 @@ spinor; j^{00} = |psi|^2 is the configuration-space density.  It obeys one
 continuity equation per particle, and its antisymmetric contraction
 eps_{mu nu} j^{mu nu} = j^{01} - j^{10} is the net probability flux into
 the coincidence set, which the jump condition must cancel.
+
+In the spinor basis of the spin module the bilinear is diagonal: psi_i is
+constant along z_k + s_k t_k with (s1, s2) = scenario.NULL_SIGNS[i], so
+particle k moves with velocity v_k = -s_k on it and, with v^0 = 1, v^1 = v,
+
+    j^{mu nu} = sum_i v1_i^mu v2_i^nu |psi_i|^2 = SIGN_TABLE @ |psi|^2,
+
+with the rows of SIGN_TABLE ordered (mu, nu) = 00, 01, 10, 11.
 """
 
 from __future__ import annotations
@@ -15,21 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Configuration
+from .scenario import NULL_SIGNS
 from .solver import boundary_trace_fields, evaluate_fields, stencil_derivatives
-from .spin import ADJOINT_METRIC, gamma
 
-_IMAG_TOL = 1e-13
-
-
-def _current_matrices() -> dict[tuple[int, int], np.ndarray]:
-    out = {}
-    for mu in range(2):
-        for nu in range(2):
-            out[(mu, nu)] = ADJOINT_METRIC @ gamma(mu, 1) @ gamma(nu, 2)
-    return out
-
-
-_MATRICES = _current_matrices()
+# velocities v_k = -s_k of particles 1 and 2 on psi_1 .. psi_4
+_V1, _V2 = -np.array([NULL_SIGNS[i] for i in (1, 2, 3, 4)], dtype=float).T
+SIGN_TABLE = np.array([_V1**mu * _V2**nu for mu in (0, 1) for nu in (0, 1)])
 
 
 @dataclass(frozen=True)
@@ -41,9 +40,6 @@ class TensorCurrent:
     j10: np.ndarray
     j11: np.ndarray
 
-    def component(self, mu: int, nu: int) -> np.ndarray:
-        return getattr(self, f"j{mu}{nu}")
-
     def as_matrix(self) -> np.ndarray:
         """Stack into shape (2, 2) + value shape, indexed [mu, nu]."""
         return np.stack(
@@ -52,29 +48,12 @@ class TensorCurrent:
 
 
 def tensor_current(psi: np.ndarray) -> TensorCurrent:
-    """j^{mu nu} at one spinor value or a batch with components on axis 0.
-
-    The bilinear is computed from the gamma matrices, not from a
-    hand-simplified component formula; a nonvanishing imaginary part
-    (relative to |psi|^2) would mean the spinor algebra is inconsistent,
-    and raises.
-    """
+    """j^{mu nu} at one spinor value or a batch with components on axis 0."""
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[0] != 4:
         raise ValueError("psi must have 4 components on axis 0")
-    scale = float(np.max(np.einsum("i...,i...->...", psi.conj(), psi).real, initial=1.0))
-    values = {}
-    for (mu, nu), m in _MATRICES.items():
-        raw = np.einsum("i...,ij,j...->...", psi.conj(), m, psi)
-        worst = float(np.max(np.abs(raw.imag), initial=0.0))
-        if worst > _IMAG_TOL * scale:
-            raise ArithmeticError(
-                f"j^{mu}{nu} has imaginary part {worst:.3e}; spinor algebra broken"
-            )
-        values[(mu, nu)] = raw.real
-    return TensorCurrent(
-        j00=values[(0, 0)], j01=values[(0, 1)], j10=values[(1, 0)], j11=values[(1, 1)]
-    )
+    j = np.tensordot(SIGN_TABLE, psi.real**2 + psi.imag**2, axes=1)
+    return TensorCurrent(j00=j[0], j01=j[1], j10=j[2], j11=j[3])
 
 
 def current_at(s, t1, z1, t2, z2) -> TensorCurrent:

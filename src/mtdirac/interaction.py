@@ -239,6 +239,8 @@ class SliceGrid:
 
 def default_slice_grid(s: Scenario, times, n: int = 256) -> SliceGrid:
     """Grid covering the support propagated to the largest |t| requested."""
+    if n < 2:
+        raise ValueError(f"need n >= 2 slice grid points, got {n}")
     hull = s.initial.support_hull()
     if hull is None:
         return SliceGrid(n=n)

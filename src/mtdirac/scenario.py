@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -236,6 +236,16 @@ def boundary_maps(s: Scenario) -> BoundaryMaps:
         return np.exp(1j * th2(t, z)) * g2_2(z - t, z + t)
 
     return BoundaryMaps(h1_plus, h1_minus, h2_plus, h2_minus)
+
+
+def absorbing_override(s: Scenario, map_name: str) -> Scenario:
+    """s with the named boundary map zeroed: a leaking negative control."""
+
+    def absorb(t, z):
+        return np.zeros(np.broadcast(t, z).shape, dtype=complex)
+
+    broken = replace(boundary_maps(s), **{map_name: absorb})
+    return replace(s, boundary_override=broken)
 
 
 # The branch table of the solver (its module docstring states the rule):

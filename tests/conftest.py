@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from dataclasses import replace
 
@@ -7,11 +6,10 @@ from hypothesis import settings
 from mtdirac.interaction import spin_product_scenario, wavepacket_scenario
 from mtdirac.profiles import smooth_bump
 from mtdirac.scenario import (
-    BoundaryMaps,
     BoundaryPhase,
     Phase,
+    absorbing_override,
     antisymmetric_extension,
-    boundary_maps,
     load_scenario,
 )
 
@@ -69,15 +67,4 @@ def leaky():
     surfaces that straddle the overlap epoch (which starts at t = 0.2 here).
     """
     base = wavepacket_scenario(-1.2, -0.2, 0.2, 1.2, theta1=Phase("constant", 0.7))
-    maps = boundary_maps(base)
-
-    def absorb(t, z):
-        return np.zeros(np.broadcast(t, z).shape, dtype=complex)
-
-    broken = BoundaryMaps(
-        h1_plus=absorb,
-        h1_minus=maps.h1_minus,
-        h2_plus=maps.h2_plus,
-        h2_minus=maps.h2_minus,
-    )
-    return replace(base, boundary_override=broken)
+    return absorbing_override(base, "h1_plus")

@@ -305,6 +305,26 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("evaluate", "--grid", "1"),
+        ("evaluate", "--grid", "0"),
+        ("verify", "--grid", "1"),
+        ("verify", "--panels", "0"),
+        ("scatter", "--panels", "-2"),
+        ("scatter", "--grid", "two"),
+    ],
+)
+def test_size_flags_rejected_before_any_output(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", PACKET_CFG, "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scatter_rejects_zero_scenario(tmp_path):
     cfg = tmp_path / "zero.json"
     cfg.write_text("{}\n")

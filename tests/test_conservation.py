@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,18 +19,25 @@ from mtdirac.conservation import (
     truncation_box,
     worker_count,
 )
-from mtdirac.current import tensor_current
 from mtdirac.scenario import InitialData, Scenario, ZERO2
 from mtdirac.solver import evaluate_fields
+from test_current import gamma_current
+
+
+def normal_covector(surf, z):
+    """Future-directed unit conormal n_mu = (1, -f'(z)) / sqrt(1 - f'^2)."""
+    fp = np.asarray(surf.fprime(np.asarray(z, dtype=float)))
+    return np.stack([np.ones_like(fp), -fp]) / np.sqrt(1.0 - fp * fp)
 
 
 def covector_integrand(s, surf, z1, z2):
     """The pullback density written as n_mu(x1) n_nu(x2) j^{mu nu} times the
-    induced length factors sqrt(1 - f'(z)^2) of both legs."""
+    induced length factors sqrt(1 - f'(z)^2) of both legs, with j taken from
+    the gamma-matrix bilinear, not from the sign table."""
     psi = evaluate_fields(s, surf.f(z1), z1, surf.f(z2), z2)
-    j = tensor_current(psi).as_matrix()
-    n1 = surf.normal_covector(z1)
-    n2 = surf.normal_covector(z2)
+    j = gamma_current(psi).real
+    n1 = normal_covector(surf, z1)
+    n2 = normal_covector(surf, z2)
     fp1 = surf.fprime(z1)
     fp2 = surf.fprime(z2)
     dens = np.einsum("m...,mn...,n...->...", n1, j, n2)
@@ -42,7 +50,7 @@ def test_flat_surface():
     assert np.array_equal(surf.f(z), np.full(7, 0.7))
     assert not surf.fprime(z).any()
     assert surf.s_max == 0.0
-    n = surf.normal_covector(z)
+    n = normal_covector(surf, z)
     assert np.array_equal(n, np.stack([np.ones(7), np.zeros(7)]))
 
 
@@ -54,7 +62,7 @@ def test_boosted_flat_geometry():
     assert np.allclose(surf.fprime(z), math.tanh(beta))
     assert surf.s_max == pytest.approx(math.tanh(beta))
     # unit future-directed conormal of a boosted slice
-    n = surf.normal_covector(0.0)
+    n = normal_covector(surf, 0.0)
     assert n[0] == pytest.approx(math.cosh(beta))
     assert n[1] == pytest.approx(-math.sinh(beta))
 
@@ -71,6 +79,14 @@ def test_bump_surface_shape():
     assert np.abs(surf.fprime(np.linspace(-2, 3, 5001))).max() <= surf.s_max < 1.0
     with pytest.raises(ValueError):
         bump_surface(0.0, 0.3, -1.0)
+
+
+def test_bump_slope_bound_is_tight():
+    for height in (0.3, -0.45):
+        surf = bump_surface(center=0.5, height=height, width=5.0)
+        largest = np.abs(surf.fprime(np.linspace(-2.0, 3.0, 200001))).max()
+        assert largest <= surf.s_max
+        assert surf.s_max - largest <= 1e-6 * surf.s_max
 
 
 def test_slope_bound_enforced():
@@ -130,7 +146,7 @@ def test_widening_the_box_is_lossless(packet):
     assert n1 == n2
 
 
-def test_normalization_is_one_and_splits_into_masses(packet):
+def test_normalization_is_one_and_splits_into_masses(packet, rich):
     q = QuadratureSpec(panels=64)
     total = normalization_integral(packet, flat(0.0), q)
     assert total == pytest.approx(1.0, abs=1e-9)
@@ -139,8 +155,12 @@ def test_normalization_is_one_and_splits_into_masses(packet):
     assert masses[1] == pytest.approx(1.0, abs=1e-9)
     assert masses[0] == masses[3] == 0.0
     assert masses[2] == pytest.approx(0.0, abs=1e-12)
-    # on a flat slice the pullback density is j00 = sum of |psi_i|^2
-    assert math.fsum(masses) == pytest.approx(total, abs=1e-12)
+    # on a flat slice the pullback density is j00 = sum of |psi_i|^2, and the
+    # normalization integral is the fsum of the per-component totals
+    for s, t in ((packet, 0.0), (rich, 0.4)):
+        assert normalization_integral(s, flat(t), q) == math.fsum(
+            component_masses(s, t, q)
+        )
 
 
 def test_normalization_report_counts(packet):
@@ -178,14 +198,16 @@ def test_pullback_equals_covector_density(packet):
 
 
 def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("MTDIRAC_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("MTDIRAC_THREADS", "8")
-    assert worker_count() == 8
-    monkeypatch.setenv("MTDIRAC_THREADS", "abc")
-    assert worker_count() == 1
-    monkeypatch.setenv("MTDIRAC_THREADS", "-3")
-    assert worker_count() == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # valid values never warn
+        monkeypatch.delenv("MTDIRAC_THREADS", raising=False)
+        assert worker_count() == 1
+        monkeypatch.setenv("MTDIRAC_THREADS", "8")
+        assert worker_count() == 8
+    for bad in ("abc", "two", "0", "-3"):
+        monkeypatch.setenv("MTDIRAC_THREADS", bad)
+        with pytest.warns(RuntimeWarning, match=f"MTDIRAC_THREADS='{bad}'"):
+            assert worker_count() == 1
 
 
 def test_thread_count_never_changes_bits(packet, monkeypatch):

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mtdirac.current import (
+    SIGN_TABLE,
     coincidence_flux,
     continuity_residual,
     current_at,
@@ -11,12 +12,53 @@ from mtdirac.current import (
     tensor_current,
 )
 from mtdirac.geometry import Configuration, sample_spacelike
+from mtdirac.scenario import NULL_SIGNS
 from mtdirac.solver import StencilError
+from mtdirac.spin import ADJOINT_METRIC, gamma
 
 cvals = st.tuples(
     st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False)
 ).map(lambda p: complex(*p))
 spinors = st.tuples(cvals, cvals, cvals, cvals).map(np.array)
+
+
+def gamma_current(psi):
+    """Oracle: the complex bilinears adj(psi) gamma_1^mu gamma_2^nu psi, shape
+    (2, 2) + value shape, computed from the gamma matrices."""
+    psi = np.asarray(psi, dtype=complex)
+    return np.array(
+        [
+            [
+                np.einsum(
+                    "i...,ij,j...->...",
+                    psi.conj(),
+                    ADJOINT_METRIC @ gamma(mu, 1) @ gamma(nu, 2),
+                    psi,
+                )
+                for nu in range(2)
+            ]
+            for mu in range(2)
+        ]
+    )
+
+
+def test_gamma_bilinears_are_the_sign_table():
+    # each component is a simultaneous velocity eigenstate: psi_i is constant
+    # along z_k + s_k t_k, so particle k moves with v_k = -s_k on it
+    for mu in range(2):
+        for nu in range(2):
+            m = ADJOINT_METRIC @ gamma(mu, 1) @ gamma(nu, 2)
+            assert np.array_equal(m, np.diag(np.diag(m)))
+            expected = [(-s1) ** mu * (-s2) ** nu for s1, s2 in NULL_SIGNS.values()]
+            assert np.array_equal(np.diag(m), expected)
+            assert np.array_equal(SIGN_TABLE[2 * mu + nu], expected)
+
+
+@given(spinors)
+def test_current_matches_gamma_bilinear(psi):
+    raw = gamma_current(psi)
+    assert np.abs(raw.imag).max() <= 1e-13 * np.sum(np.abs(psi) ** 2)
+    assert np.abs(tensor_current(psi).as_matrix() - raw.real).max() <= 1e-12
 
 
 def test_basis_spinor_currents():
@@ -51,7 +93,6 @@ def test_current_batched_and_matrix_layout():
     for k in range(6):
         jk = tensor_current(psi[:, k])
         assert np.allclose(m[:, :, k], [[jk.j00, jk.j01], [jk.j10, jk.j11]])
-    assert j.component(0, 1) is j.j01
 
 
 def test_current_rejects_wrong_shape():

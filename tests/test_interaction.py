@@ -106,6 +106,13 @@ def test_default_slice_grid_covers_propagated_support(packet):
     assert default_slice_grid(z, [1.0]).n == 256
 
 
+def test_default_slice_grid_rejects_too_few_points(packet):
+    # the check comes before the grid spacing hull / (n - 1) is formed
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="n >= 2"):
+            default_slice_grid(packet, [0.0], n=n)
+
+
 def test_single_time_slice_layout(packet):
     grid = SliceGrid(n=48, lo=-5.0, hi=5.0)
     sl = single_time_slice(packet, 1.5, grid)
