@@ -13,8 +13,6 @@ from .geometry import (
     DomainError,
     Region,
     classify,
-    interval,
-    to_relative,
 )
 from .scenario import (
     InitialData,
@@ -78,7 +76,6 @@ __all__ = [
     "evaluate",
     "evaluate_fields",
     "flat",
-    "interval",
     "is_interacting",
     "load_scenario",
     "normalization_integral",
@@ -89,7 +86,6 @@ __all__ = [
     "single_time_slice",
     "spin_product_scenario",
     "tensor_current",
-    "to_relative",
     "transform_solution",
     "wavepacket_scenario",
 ]

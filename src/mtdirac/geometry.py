@@ -26,6 +26,7 @@ class Region(Enum):
     COINCIDENCE = "Coincidence"
     LIGHTLIKE = "LightLike"
     TIMELIKE = "TimeLike"
+    NONFINITE = "NonFinite"
 
 
 class DomainError(ValueError):
@@ -55,50 +56,6 @@ class Configuration:
         return (self.t1, self.z1, self.t2, self.z2)
 
 
-@dataclass(frozen=True)
-class RelativeCoordinates:
-    """Relative/total coordinates z = z1-z2, Z = z1+z2, tau = t1-t2, T = t1+t2."""
-
-    z: float
-    Z: float
-    tau: float
-    T: float
-
-
-def interval(c: Configuration) -> float:
-    """Pair interval (t1-t2)^2 - (z1-z2)^2; negative iff space-like."""
-    return (c.t1 - c.t2) ** 2 - (c.z1 - c.z2) ** 2
-
-
-def interval_arrays(t1, z1, t2, z2) -> np.ndarray:
-    dt = np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float)
-    dz = np.asarray(z1, dtype=float) - np.asarray(z2, dtype=float)
-    return dt * dt - dz * dz
-
-
-def classify(c: Configuration, tol: float = 0.0) -> Region:
-    """Classify a configuration by causal type and particle order.
-
-    With tol > 0 the comparisons are relative to the coordinate scale
-    s = max(1, max|coordinate|): coincidence means |t1-t2| <= tol*s and
-    |z1-z2| <= tol*s, light-like means |interval| <= tol*s^2.  The default
-    tol = 0 keeps exact floating-point comparisons.
-    """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    s = max(1.0, abs(c.t1), abs(c.z1), abs(c.t2), abs(c.z2))
-    dt = c.t1 - c.t2
-    dz = c.z1 - c.z2
-    if abs(dt) <= tol * s and abs(dz) <= tol * s:
-        return Region.COINCIDENCE
-    iv = dt * dt - dz * dz
-    if abs(iv) <= tol * s * s:
-        return Region.LIGHTLIKE
-    if iv > 0:
-        return Region.TIMELIKE
-    return Region.OMEGA1 if dz < 0 else Region.OMEGA2
-
-
 def region_masks(t1, z1, t2, z2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized exact classification into (in_omega1, in_omega2, not_spacelike)."""
     dt = np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float)
@@ -109,29 +66,50 @@ def region_masks(t1, z1, t2, z2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m1, m2, ~spacelike
 
 
-def to_relative(c: Configuration) -> RelativeCoordinates:
-    return RelativeCoordinates(
-        z=c.z1 - c.z2, Z=c.z1 + c.z2, tau=c.t1 - c.t2, T=c.t1 + c.t2
-    )
+REGIONS = tuple(Region)
 
 
-def spacelike_margin(c: Configuration) -> float:
-    """Euclidean distance from c to the nearest branch or domain boundary.
+def regions(t1, z1, t2, z2) -> np.ndarray:
+    """Exact region of each configuration, as an int array indexing REGIONS.
+
+    Space-like points are those of `region_masks`; coincidence is dt = dz = 0,
+    light-like an interval of exactly 0.  NonFinite marks a NaN or infinite
+    coordinate, and an interval that overflows to NaN (inf - inf).
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: NonFinite below
+        m1, m2, _ = region_masks(t1, z1, t2, z2)
+        t1, z1, t2, z2 = (np.asarray(a, dtype=float) for a in (t1, z1, t2, z2))
+        dt, dz = t1 - t2, z1 - z2
+        iv = dt * dt - dz * dz
+    finite = np.isfinite(t1) & np.isfinite(z1) & np.isfinite(t2) & np.isfinite(z2)
+    # one condition per Region in declaration order; NonFinite takes the rest
+    conditions = [m1, m2, (dt == 0.0) & (dz == 0.0), iv == 0.0, iv > 0.0]
+    nonfinite = REGIONS.index(Region.NONFINITE)
+    label = np.select(conditions, range(nonfinite), nonfinite)
+    return np.where(finite, label, nonfinite)
+
+
+def classify(c: Configuration) -> Region:
+    """The region of one configuration: the scalar view of `regions`."""
+    return REGIONS[int(regions(c.t1, c.z1, c.t2, c.z2))]
+
+
+def spacelike_margin(t1, z1, t2, z2):
+    """Euclidean distance to the nearest branch or domain boundary, elementwise.
 
     The relevant walls are the two light-like planes |z1-z2| = |t1-t2| and
     the two characteristic seams z1 - t1 = z2 + t2 and z1 + t1 = z2 - t2
     where the closed-form solution switches branch.  Finite-difference
     probes must keep their whole stencil strictly inside one branch.
+    Scalar coordinates give a float.
     """
-    dz = c.z1 - c.z2
-    dt = c.t1 - c.t2
-    walls = (
-        abs(dz - dt),
-        abs(dz + dt),
-        abs((c.z1 - c.t1) - (c.z2 + c.t2)),
-        abs((c.z1 + c.t1) - (c.z2 - c.t2)),
+    dz = z1 - z2
+    dt = t1 - t2
+    walls = np.minimum(
+        np.minimum(np.abs(dz - dt), np.abs(dz + dt)),
+        np.minimum(np.abs((z1 - t1) - (z2 + t2)), np.abs((z1 + t1) - (z2 - t2))),
     )
-    return 0.5 * min(walls)
+    return 0.5 * walls
 
 
 def sample_spacelike(
@@ -150,7 +128,6 @@ def sample_spacelike(
     """
     if region not in (None, Region.OMEGA1, Region.OMEGA2):
         raise ValueError("region must be None, OMEGA1 or OMEGA2")
-    out = [np.empty(0)] * 4
     got = 0
     attempts = 0
     chunks: list[np.ndarray] = []
@@ -170,17 +147,8 @@ def sample_spacelike(
         elif region is Region.OMEGA2:
             keep = m2
         if margin > 0.0:
-            dz = z1 - z2
-            dt = t1 - t2
-            walls = np.minimum(
-                np.minimum(np.abs(dz - dt), np.abs(dz + dt)),
-                np.minimum(
-                    np.abs((z1 - t1) - (z2 + t2)), np.abs((z1 + t1) - (z2 - t2))
-                ),
-            )
-            keep &= 0.5 * walls > margin
+            keep &= spacelike_margin(t1, z1, t2, z2) > margin
         chunks.append(np.stack([t1[keep], z1[keep], t2[keep], z2[keep]]))
         got += int(keep.sum())
     cat = np.concatenate(chunks, axis=1)[:, :n]
-    out = (cat[0], cat[1], cat[2], cat[3])
-    return out
+    return cat[0], cat[1], cat[2], cat[3]

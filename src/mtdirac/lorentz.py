@@ -232,7 +232,7 @@ def covariance_report(
         bt1, bz1 = b.point(st1[0], sz1[0])
         bt2, bz2 = b.point(st2[0], sz2[0])
         c = Configuration(bt1, bz1, bt2, bz2)
-        if spacelike_margin(c) <= 4.0 * h:
+        if spacelike_margin(*c.as_tuple()) <= 4.0 * h:
             continue
         kept += 1
         pde_max = max(pde_max, field_residual_of(trans.evaluate_fields, c, h))

@@ -236,7 +236,7 @@ _SIGMA3_SLOT2 = embed(SIGMA3, 2)
 
 def require_stencil_room(c: Configuration, h: float) -> None:
     """Reject configurations whose 2h-neighborhood crosses a seam or leaves the domain."""
-    m = spacelike_margin(c)
+    m = spacelike_margin(*c.as_tuple())
     if m <= 2.0 * h:
         raise StencilError(f"margin {m:.3e} too small for stencil step {h:.3e}")
 

@@ -1,11 +1,13 @@
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
 from mtdirac.cli import main
 from mtdirac.conservation import QuadratureSpec, component_masses
+from mtdirac.geometry import Configuration, classify
 from mtdirac.scenario import load_scenario
 from mtdirac.solver import evaluate_fields
 
@@ -51,6 +53,66 @@ def test_evaluate_points_roundtrip(tmp_path):
     for i in range(4):
         assert float(rows[0][5 + 2 * i]) == psi[i].real
         assert float(rows[0][6 + 2 * i]) == psi[i].imag
+
+
+def _evaluate_points(tmp_path, name, lines):
+    pts = tmp_path / f"{name}.csv"
+    pts.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / name
+    argv = ["evaluate", "--scenario", PACKET_CFG, "--out", str(out), "--points"]
+    return main(argv + [str(pts)]), out
+
+
+def _rows(out):
+    return [line.split(",") for line in _read(out / "fields.csv").splitlines()[4:]]
+
+
+def test_evaluate_flags_nonfinite_rows(tmp_path, capsys):
+    good = ["0.25,-1.5,0.125,1.5", "0.0,0.0,1.0,1.0", "0.5,2.0,0.25,-2.0"]
+    bad = ["nan,0,0,1", "0.5,inf,0.5,0", "0,0,-inf,nan"]
+    rc, clean = _evaluate_points(tmp_path, "clean", ["t1,z1,t2,z2"] + good)
+    assert rc == 0
+    mixed = [bad[0], good[0], bad[1], good[1], good[2], bad[2]]
+    rc, out = _evaluate_points(tmp_path, "mixed", ["t1,z1,t2,z2"] + mixed)
+    assert rc == 0
+    assert "6 rows, 4 outside the space-like domain" in capsys.readouterr().out
+    rows = _rows(out)
+    flagged = [rows[k] for k in (0, 2, 5)]
+    assert [r[:4] for r in flagged] == [
+        ["nan", "0", "0", "1"], ["0.5", "inf", "0.5", "0"], ["0", "0", "-inf", "nan"]
+    ]
+    for r in flagged:
+        assert r[4] == "NonFinite" and r[5:] == [""] * 8
+    assert [rows[k] for k in (1, 3, 4)] == _rows(clean)
+
+
+def test_evaluate_rejects_header_only_points_file(tmp_path, capsys):
+    rc, out = _evaluate_points(tmp_path, "empty", ["t1,z1,t2,z2"])
+    assert rc == 2
+    assert "points file has no rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_regions_match_the_per_row_rule(tmp_path):
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-2.0, 2.0, (200, 4))
+    pts[::7, 2:] = pts[::7, :2]  # coincidence
+    k = np.arange(3, 200, 11)
+    dt = rng.integers(1, 9, k.size) / 8.0
+    pts[k, :2] = np.round(pts[k, :2] * 8.0) / 8.0  # dyadic, so light-like is exact
+    pts[k, 2] = pts[k, 0] - dt
+    pts[k, 3] = pts[k, 1] + dt * np.where(k % 2 == 0, 1.0, -1.0)  # both directions
+    lines = ["extra,t2,z2,t1,z1"] + [
+        f"x,{t2!r},{z2!r},{t1!r},{z1!r}" for t1, z1, t2, z2 in pts.tolist()
+    ]
+    rc, out = _evaluate_points(tmp_path, "mixed", lines)
+    assert rc == 0
+    rows = _rows(out)
+    assert len(rows) == 200
+    want = [classify(Configuration(*p)).value for p in pts.tolist()]
+    assert [r[4] for r in rows] == want
+    assert {"Omega1", "Omega2", "Coincidence", "LightLike", "TimeLike"} <= set(want)
+    assert [[float(c) for c in r[:4]] for r in rows] == pts.tolist()
 
 
 def test_evaluate_grid(tmp_path):
@@ -314,14 +376,27 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ("verify", "--panels", "0"),
         ("scatter", "--panels", "-2"),
         ("scatter", "--grid", "two"),
+        ("evaluate", "--time", "nan"),
+        ("evaluate", "--time", "inf"),
+        ("scatter", "--times", "nan:1:3"),
+        ("scatter", "--times", "0:inf:3"),
     ],
 )
 def test_size_flags_rejected_before_any_output(tmp_path, capsys, command, flag, value):
+    # argparse rejects its typed flags; --times is parsed by the command itself
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--scenario", PACKET_CFG, "--out", str(out), flag, value])
-    assert exc.value.code == 2
-    assert f"argument {flag}:" in capsys.readouterr().err
+    argv = [command, "--scenario", PACKET_CFG, "--out", str(out), flag, value]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if flag == "--times":
+            assert main(argv) == 2
+            named = f"error: {flag} "
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            named = f"argument {flag}:"
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 
