@@ -1,0 +1,158 @@
+"""Layer timings and accuracy figures of the mtdirac library, as one JSON file.
+
+    PYTHONPATH=<parent checkout>/src python scripts/bench.py --label parent --out base.json
+    PYTHONPATH=src python scripts/bench.py --label change --baseline base.json --out BENCH.json
+
+The script uses only long-standing public functions, so it measures any
+checkout whose `src` is put first on PYTHONPATH.  Each timing is the median
+of a fixed number of repeats (time.perf_counter, statistics.median) on
+inputs drawn from fixed seeds, after one untimed warm-up call.  The layers:
+
+  evaluate_fields     2^18 space-like points on mirror_bump (points/s too)
+  tensor_current      the 2^18 spinors of that call
+  normalization_64    normalization_report, mirror_bump, bump surface, 64 panels
+  normalization_128   the same at 128 panels
+  slice_svd           a 256-point equal-time slice at t = 1.5 and its SVD
+  residual_probes     pde_residual and continuity_residual at 64 configurations
+
+The accuracy block (computed once) holds the normalization values on the
+five acceptance surfaces at 64 and 128 panels with their drift, the largest
+difference from the closed form of the crossing packet, and the largest
+PDE residual, so that a speed-up cannot hide a change in the numbers.  With
+--baseline, the file also holds the baseline's layers and accuracy and, per
+layer, the speed-up: baseline median seconds over this median.
+"""
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from mtdirac.conservation import (
+    QuadratureSpec,
+    acceptance_family,
+    bump_surface,
+    normalization_report,
+)
+from mtdirac.current import continuity_residual, tensor_current
+from mtdirac.geometry import Configuration, sample_spacelike
+from mtdirac.interaction import (
+    closed_form_packet,
+    default_slice_grid,
+    schmidt_spectrum,
+    single_time_slice,
+    wavepacket_scenario,
+)
+from mtdirac.profiles import smooth_bump
+from mtdirac.scenario import Phase, load_scenario
+from mtdirac.solver import evaluate_fields, pde_residual
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the sampling box of `verify` on mirror_bump: support hull (-2, 2.5) padded
+T_SPAN, Z_SPAN = (-3.25, 3.25), (-3.0, 3.5)
+H = 1e-4
+
+
+def timed(fn, repeats: int) -> tuple[dict, object]:
+    """Median and samples of repeats calls of fn after a warm-up; its last result."""
+    out = fn()
+    samples = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn()
+        samples.append(time.perf_counter() - t0)
+    return {"median_s": statistics.median(samples), "samples_s": samples}, out
+
+
+def residuals(s, pts) -> float:
+    worst = 0.0
+    for c in pts:
+        for r in (*pde_residual(s, c, H), *continuity_residual(s, c, H)):
+            worst = max(worst, float(np.max(np.abs(r))))
+    return worst
+
+
+def measure() -> dict:
+    s, _ = load_scenario((CONFIGS / "mirror_bump.json").read_text())
+    layers = {}
+
+    pts = sample_spacelike(np.random.default_rng(1), 2**18, T_SPAN, Z_SPAN)
+    layers["evaluate_fields"], psi = timed(lambda: evaluate_fields(s, *pts), 9)
+    layers["evaluate_fields"]["points_per_s"] = 2**18 / layers["evaluate_fields"]["median_s"]
+    layers["tensor_current"], _ = timed(lambda: tensor_current(psi), 15)
+
+    surf = bump_surface(0.0, 0.3, 5.0)
+    for panels, repeats in ((64, 7), (128, 5)):
+        q = QuadratureSpec(panels=panels)
+        layers[f"normalization_{panels}"], _ = timed(
+            lambda: normalization_report(s, surf, q), repeats
+        )
+
+    grid = default_slice_grid(s, [1.5], n=256)
+    layers["slice_svd"], _ = timed(
+        lambda: schmidt_spectrum(single_time_slice(s, 1.5, grid)), 7
+    )
+
+    probe = sample_spacelike(np.random.default_rng(2), 64, T_SPAN, Z_SPAN, margin=4 * H)
+    configs = [Configuration(*map(float, c)) for c in zip(*probe)]
+    layers["residual_probes"], worst_residual = timed(lambda: residuals(s, configs), 5)
+
+    accuracy = {"max_pde_residual": worst_residual}
+    for panels in (64, 128):
+        q = QuadratureSpec(panels=panels)
+        values = [normalization_report(s, f, q).value for f in acceptance_family()]
+        accuracy[f"surface_values_{panels}"] = values
+        accuracy[f"surface_drift_{panels}"] = max(values) - min(values)
+
+    phi = smooth_bump(-3.0, -1.0, normalize=True)
+    chi = smooth_bump(1.0, 3.0, normalize=True)
+    theta = Phase("constant", 0.7)
+    packet = wavepacket_scenario(-3.0, -1.0, 1.0, 3.0, phi, chi, theta)
+    cpts = sample_spacelike(np.random.default_rng(3), 4096, (-2.5, 2.5), (-4.0, 4.0))
+    diff = evaluate_fields(packet, *cpts) - closed_form_packet(phi, chi, theta, *cpts)
+    accuracy["closed_form_defect"] = float(np.max(np.abs(diff)))
+    return {"layers": layers, "accuracy": accuracy}
+
+
+def machine() -> dict:
+    return {
+        "platform": platform.platform(),
+        "processor": platform.processor() or platform.machine(),
+        "cpus": os.cpu_count(),
+        "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "MTDIRAC_THREADS": os.environ.get("MTDIRAC_THREADS"),
+    }
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--label", default="", help="name of the measured tree")
+    ap.add_argument("--baseline", help="an earlier output of this script to compare with")
+    args = ap.parse_args()
+
+    report = {"label": args.label, "machine": machine(), **measure()}
+    if args.baseline:
+        base = json.loads(Path(args.baseline).read_text())
+        report["baseline"] = {k: base[k] for k in ("label", "machine", "layers", "accuracy")}
+        report["speedup"] = {
+            name: base["layers"][name]["median_s"] / layer["median_s"]
+            for name, layer in report["layers"].items()
+        }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    for name, layer in report["layers"].items():
+        gain = report.get("speedup", {}).get(name)
+        extra = f"  x{gain:.2f} vs {report['baseline']['label']}" if gain else ""
+        print(f"{name:<18} {layer['median_s']:.4f} s{extra}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

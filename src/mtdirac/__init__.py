@@ -29,6 +29,7 @@ from .solver import (
     characteristic_curve,
     evaluate,
     evaluate_fields,
+    evaluate_grid,
     pde_residual,
 )
 from .current import coincidence_flux, current_at, tensor_current
@@ -75,6 +76,7 @@ __all__ = [
     "current_at",
     "evaluate",
     "evaluate_fields",
+    "evaluate_grid",
     "flat",
     "is_interacting",
     "load_scenario",

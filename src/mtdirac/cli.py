@@ -28,7 +28,13 @@ import numpy as np
 from . import conservation, interaction, lorentz
 from .geometry import REGIONS, Configuration, Region, regions, sample_spacelike
 from .scenario import Scenario, ScenarioConfigError, check_compatibility, load_scenario
-from .solver import bc_defect, evaluate_fields, pde_residual, seam_mismatch
+from .solver import (
+    bc_defect,
+    evaluate_fields,
+    evaluate_grid,
+    pde_residual,
+    seam_mismatch,
+)
 from .current import coincidence_flux, continuity_residual
 from .spin import exchange
 
@@ -71,15 +77,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     s, raw = _load(args.scenario)
     if args.points is not None:
         pts = _read_points(Path(args.points))
-    else:
+        label = regions(*pts)
+        ok = np.isin(label, [REGIONS.index(r) for r in _SPACELIKE])
+        psi = np.zeros((4, label.size), dtype=complex)
+        if ok.any():
+            psi[:, ok] = evaluate_fields(s, *(p[ok] for p in pts))
+    else:  # the pairs (z_i, z_j), i-major
         z = interaction.default_slice_grid(s, [args.time], n=args.grid).points()
+        tz = np.full(z.size, args.time)
+        psi, bad = evaluate_grid(s, tz, z, tz, z)
+        psi, ok = psi.reshape(4, -1), ~bad.reshape(-1)
         t = np.full(z.size**2, args.time)
         pts = np.stack([t, np.repeat(z, z.size), t, np.tile(z, z.size)])
-    label = regions(*pts)
-    ok = np.isin(label, [REGIONS.index(r) for r in _SPACELIKE])
-    psi = np.zeros((4, label.size), dtype=complex)
-    if ok.any():
-        psi[:, ok] = evaluate_fields(s, *(p[ok] for p in pts))
+        label = regions(*pts)
 
     # one %-template of 12 fields per region: "%.0s" takes a value and prints
     # nothing, and "%.17g" % x is byte-identical to format(x, ".17g")

@@ -16,12 +16,18 @@ diagonal, so panels are never allowed to straddle it: diagonal panels are
 split into two triangles, each mapped to a square by a collapsing (Duffy)
 transform whose nodes stay strictly off the diagonal.
 
+The off-diagonal panel blocks are one tensor grid of the axis nodes:
+surf.f and surf.fprime are evaluated on those N nodes, psi on the N x N
+pairs by solver.evaluate_grid, and the shared panel edges of the Simpson
+rule, which lie on the diagonal, take the one-sided trace of their half.
+The triangles of the diagonal panels are evaluated point by point.
+
 Truncation is lossless: data vanish exactly outside their support boxes,
 and the two null coordinates z -+ f(z) of a graph point are strictly
 increasing in z, so inverting them at the support hull endpoints yields a
 box outside which the integrand is exactly zero.  Panel contributions are
 accumulated with math.fsum, so the result is independent of chunking and
-thread count.
+thread count (MTDIRAC_THREADS splits the grid by row blocks).
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import numpy as np
 
 from .geometry import region_masks
 from .scenario import NULL_SIGNS, Scenario
-from .solver import boundary_trace_fields, evaluate_fields
+from .solver import boundary_trace_fields, evaluate_fields, evaluate_grid
 
 MAX_SLOPE = 1.0 - 1e-6
 
@@ -134,7 +140,8 @@ class QuadratureSpec:
     axis; "simpson" uses the 3-node Simpson rule per panel.  Diagonal panels
     always use Gauss nodes under the triangle-collapsing map regardless of
     rule, because Simpson nodes would land exactly on the diagonal.  box
-    overrides the automatic support truncation.
+    overrides the automatic support truncation; it must be finite with
+    lo < hi.
     """
 
     rule: str = "gauss"
@@ -147,6 +154,11 @@ class QuadratureSpec:
             raise ValueError(f"unknown rule {self.rule!r}")
         if self.order < 2 or self.panels < 1:
             raise ValueError("need order >= 2 and panels >= 1")
+        if self.box is not None:
+            lo, hi = self.box
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                msg = f"quadrature box {self.box} must be finite with lo < hi"
+                raise ValueError(msg)
 
     def doubled(self) -> "QuadratureSpec":
         return QuadratureSpec(self.rule, self.order, 2 * self.panels, self.box)
@@ -226,73 +238,62 @@ def _axis_nodes(edges: np.ndarray, q: QuadratureSpec) -> tuple[np.ndarray, np.nd
     return nodes, weights
 
 
-def _chunked_field_eval(s: Scenario, t1, z1, t2, z2) -> np.ndarray:
-    """evaluate_fields over flat arrays, split across worker threads."""
+def _threaded(evaluate, n: int, points: int) -> list:
+    """evaluate(sl) over slices of range(n); threaded from 4096 points to evaluate."""
     workers = worker_count()
-    n = z1.size
-    if workers == 1 or n < 4096:
-        return evaluate_fields(s, t1, z1, t2, z2)
+    if workers == 1 or points < 4096:
+        return [evaluate(slice(0, n))]
     bounds = np.linspace(0, n, workers + 1).astype(int)
     pieces = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(
-                lambda sl: evaluate_fields(s, t1[sl], z1[sl], t2[sl], z2[sl]), pieces
-            )
-        )
-    return np.concatenate(parts, axis=1)
+        return list(pool.map(evaluate, pieces))
 
 
 def _values_on_surface(
-    s: Scenario,
-    surf: Hypersurface,
-    z1: np.ndarray,
-    z2: np.ndarray,
-    side_hint: np.ndarray | None = None,
+    s: Scenario, surf: Hypersurface, z1: np.ndarray, z2: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """psi at graph pairs, shape (4, n).
+    """psi at graph pairs, shape (4, n), and the count of non-space-like pairs.
 
-    Exact-diagonal points (possible only for panel-edge rules) take the
-    one-sided trace of the half their panel lies in, passed via side_hint.
-    Returns the field values and the count of excluded (non-space-like,
-    off-diagonal) pairs, which the slope bound makes provably zero.
+    Those pairs, which the slope bound rules out off the diagonal, stay zero.
     """
     t1 = surf.f(z1)
     t2 = surf.f(z2)
-    on_diag = z1 == z2
     m1, m2, bad = region_masks(t1, z1, t2, z2)
     ok = m1 | m2
-    excluded = int(np.count_nonzero(bad & ~on_diag))
-    if excluded == 0 and not on_diag.any():
-        return _chunked_field_eval(s, t1, z1, t2, z2), 0
-    out = np.zeros((4, z1.size), dtype=complex)
-    if ok.any():
-        out[:, ok] = _chunked_field_eval(s, t1[ok], z1[ok], t2[ok], z2[ok])
-    if on_diag.any():
-        if side_hint is None:
-            raise ValueError("diagonal nodes need a side hint")
-        for side in (1, 2):
-            sel = on_diag & (side_hint == side)
-            if sel.any():
-                out[:, sel] = boundary_trace_fields(s, t1[sel], z1[sel], side).values
-    return out, excluded
+    t1, z1, t2, z2 = (a[ok] for a in (t1, z1, t2, z2))
+    parts = _threaded(
+        lambda sl: evaluate_fields(s, t1[sl], z1[sl], t2[sl], z2[sl]),
+        t1.size,
+        t1.size,
+    )
+    psi = np.zeros((4, ok.size), dtype=complex)
+    psi[:, ok] = np.concatenate(parts, axis=1)
+    return psi, int(np.count_nonzero(bad))
 
 
 def _component_densities(
     psi: np.ndarray, fp1: np.ndarray, fp2: np.ndarray
 ) -> np.ndarray:
     """The terms |psi_i|^2 (1 + s1_i f'(z1)) (1 + s2_i f'(z2)) of F, axis 0 = i."""
-    dens = psi.real**2 + psi.imag**2
+    dens = np.empty(psi.shape)
     for i, (s1, s2) in enumerate(NULL_SIGNS[k] for k in (1, 2, 3, 4)):
-        dens[i] *= 1.0 + s1 * fp1  # in place: no (4, n) temporaries
-        dens[i] *= 1.0 + s2 * fp2
+        d = dens[i]  # one component at a time: no (4, n) temporaries
+        np.square(psi[i].real, out=d)
+        d += np.square(psi[i].imag)
+        d *= 1.0 + s1 * fp1
+        d *= 1.0 + s2 * fp2
     return dens
 
 
 def _integrate(
     s: Scenario, surf: Hypersurface, q: QuadratureSpec
 ) -> tuple[np.ndarray, int, tuple[float, float] | None, int]:
-    """Per-component integrals of _component_densities over off-diagonal pairs."""
+    """Per-component integrals of _component_densities over off-diagonal pairs.
+
+    Returns the four totals, the count of excluded (non-space-like,
+    off-diagonal) pairs, which the slope bound makes provably zero, the box
+    and the number of nodes.
+    """
     box = q.box if q.box is not None else truncation_box(s, surf)
     if box is None:
         return np.zeros(4), 0, None, 0
@@ -300,21 +301,33 @@ def _integrate(
     nodes, weights = _axis_nodes(edges, q)  # (panels, m)
     p, m = nodes.shape
 
-    # off-diagonal panel blocks in one batch
-    z1g = np.broadcast_to(nodes[:, :, None, None], (p, m, p, m))
-    z2g = np.broadcast_to(nodes[None, None, :, :], (p, m, p, m))
-    panel_rel = np.sign(np.arange(p)[:, None] - np.arange(p)[None, :])
-    offdiag = np.broadcast_to((panel_rel != 0)[:, None, :, None], (p, m, p, m))
-    # side hint: z1-panel below z2-panel means the panel sits in z1 < z2
-    sides = np.broadcast_to(
-        np.where(panel_rel < 0, 1, 2)[:, None, :, None], (p, m, p, m)
-    )
-    z1f = z1g[offdiag]
-    z2f = z2g[offdiag]
-    psi, excluded = _values_on_surface(s, surf, z1f, z2f, sides[offdiag])
-    vals = np.zeros((4, p, m, p, m))
-    vals[:, offdiag] = _component_densities(psi, surf.fprime(z1f), surf.fprime(z2f))
-    block = np.einsum("io,jp,kiojp->kij", weights, weights, vals)
+    # off-diagonal panel blocks: one tensor grid of the axis nodes, split by
+    # row blocks; the diagonal panel blocks are computed and dropped
+    z = nodes.reshape(-1)
+    t = surf.f(z)
+    fp = surf.fprime(z)
+    panel = np.repeat(np.arange(p), m)
+
+    def grid_rows(rows):
+        psi, bad = evaluate_grid(s, t[rows], z[rows], t, z)
+        offdiag = panel[rows, None] != panel[None, :]
+        # shared edges of the Simpson rule put nodes on the diagonal: not
+        # excluded pairs, they take the trace of the half their panel lies
+        # in (z1 below z2: half 1)
+        edge = offdiag & (z[rows, None] == z[None, :])
+        i, j = np.nonzero(edge)
+        for side, sel in ((1, i + rows.start < j), (2, i + rows.start > j)):
+            if sel.any():
+                trace = boundary_trace_fields(s, t[j[sel]], z[j[sel]], side)
+                psi[:, i[sel], j[sel]] = trace.values
+        dens = _component_densities(psi, fp[rows, None], fp[None, :])
+        dens[:, ~offdiag] = 0.0
+        return dens, np.count_nonzero(bad & offdiag & ~edge)
+
+    parts = _threaded(grid_rows, z.size, z.size * z.size)
+    vals = np.concatenate([dens for dens, _ in parts], axis=1)
+    excluded = sum(int(count) for _, count in parts)
+    block = np.einsum("io,jp,kiojp->kij", weights, weights, vals.reshape(4, p, m, p, m))
 
     # diagonal panels: two collapsed triangles each, Gauss nodes only
     x, w = np.polynomial.legendre.leggauss(max(q.order, 4))
@@ -341,7 +354,7 @@ def _integrate(
 
     parts = np.concatenate([block.reshape(4, -1), *tri], axis=1)
     totals = np.array([math.fsum(row) for row in parts])
-    return totals, excluded, box, z1f.size + 2 * p * u.size * u.size
+    return totals, excluded, box, z.size**2 - p * m * m + 2 * p * u.size * u.size
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .scenario import (
     parse_profile,
     product2,
 )
-from .solver import evaluate_fields
+from .solver import evaluate_grid
 
 
 def wavepacket_scenario(
@@ -297,19 +297,11 @@ class SingleTimeSlice:
 
 def single_time_slice(s: Scenario, t: float, grid: SliceGrid) -> SingleTimeSlice:
     z = grid.points()
-    n = grid.n
-    z1 = np.broadcast_to(z[:, None], (n, n))
-    z2 = np.broadcast_to(z[None, :], (n, n))
-    off = ~np.eye(n, dtype=bool)
-    vals = np.zeros((4, n, n), dtype=complex)
-    psi = evaluate_fields(s, float(t), z1[off], float(t), z2[off])
-    for k in range(4):
-        vals[k][off] = psi[k]
-    matrix = np.block(
-        [[vals[0], vals[1]], [vals[2], vals[3]]]
-    )
+    tz = np.full(grid.n, float(t))
+    vals, _ = evaluate_grid(s, tz, z, tz, z)  # the diagonal is not space-like: zero
+    matrix = np.block([[vals[0], vals[1]], [vals[2], vals[3]]])
     return SingleTimeSlice(
-        t=float(t), grid=grid, matrix=matrix, diagonal_mask=np.eye(n, dtype=bool)
+        t=float(t), grid=grid, matrix=matrix, diagonal_mask=np.eye(grid.n, dtype=bool)
     )
 
 

@@ -37,32 +37,72 @@ class ScenarioConfigError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
+class Factors:
+    """The factors of a separable datum g(x, y) = pre * (px(a) * py(b)).
+
+    (a, b) is (x, y), or (y, x) when swapped.  pre is a chain of constants,
+    applied innermost first.  Exchanging the arguments flips swapped and
+    keeps the profiles in place, so the product keeps its operand order:
+    numpy's complex multiply is not bitwise commutative.
+    """
+
+    px: Profile1D
+    py: Profile1D
+    pre: tuple[complex, ...] = ()
+    swapped: bool = False
+
+    def _scaled(self, v: np.ndarray) -> np.ndarray:
+        for k in self.pre:
+            v = k * v
+        return v
+
+    def at(self, x, y) -> np.ndarray:
+        """Values at x and y broadcast together.
+
+        Each profile sees its own argument only, so on a column x and a row
+        y the profiles are evaluated on the axis points, not on every pair.
+        """
+        a, b = (y, x) if self.swapped else (x, y)
+        return self._scaled(self.px(a) * self.py(b))
+
+    def exchanged(self, factor) -> "Factors":
+        """factor * g(y, x)."""
+        return Factors(self.px, self.py, (*self.pre, factor), not self.swapped)
+
+
+@dataclass(frozen=True, eq=False)
 class Component2D:
     """One g_i^(h): complex function of (x, y) with compact support box.
 
-    fn is None for the identically-zero component.  The box is the closed
-    rectangle outside which the function vanishes exactly; it feeds support
-    truncation, so it must be honest.
+    A separable component carries its factors and no fn; every other one
+    carries fn.  Neither means the identically-zero component.  The box is
+    the closed rectangle outside which the function vanishes exactly; it
+    feeds support truncation, so it must be honest.
     """
 
     fn: Fn2 | None = None
     box: Box | None = None
     smoothness: int | None = None
     label: str = "zero"
+    factors: Factors | None = None
 
     def __call__(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         shape = np.broadcast_shapes(x.shape, y.shape)
-        if self.fn is None:
+        if self.is_zero:
             return np.zeros(shape, dtype=complex)
         xb = np.broadcast_to(x, shape)
         yb = np.broadcast_to(y, shape)
-        return np.asarray(self.fn(xb, yb), dtype=complex)
+        return np.asarray(self._pointwise(xb, yb), dtype=complex)
+
+    @property
+    def _pointwise(self) -> Fn2:
+        return self.fn if self.factors is None else self.factors.at
 
     @property
     def is_zero(self) -> bool:
-        return self.fn is None
+        return self.fn is None and self.factors is None
 
 
 ZERO2 = Component2D()
@@ -70,13 +110,12 @@ ZERO2 = Component2D()
 
 def product2(px: Profile1D, py: Profile1D) -> Component2D:
     """Separable component g(x, y) = px(x) * py(y)."""
-
-    def fn(x, y):
-        return px(x) * py(y)
-
     sm = _min_smoothness(px.smoothness, py.smoothness)
     return Component2D(
-        fn=fn, box=(px.support(), py.support()), smoothness=sm, label="product"
+        box=(px.support(), py.support()),
+        smoothness=sm,
+        label="product",
+        factors=Factors(px, py),
     )
 
 
@@ -276,14 +315,13 @@ def exchanged_component(comp: Component2D, sign: float = -1.0) -> Component2D:
     """sign * comp with swapped arguments; support box transposed."""
     if comp.is_zero:
         return ZERO2
-    fn = comp.fn
     box = (comp.box[1], comp.box[0]) if comp.box is not None else None
-    return Component2D(
-        fn=lambda x, y: sign * fn(y, x),
-        box=box,
-        smoothness=comp.smoothness,
-        label=f"exchanged({comp.label})",
-    )
+    label = f"exchanged({comp.label})"
+    if comp.factors is not None:
+        factors = comp.factors.exchanged(sign)
+        return Component2D(None, box, comp.smoothness, label, factors=factors)
+    fn = comp.fn
+    return Component2D(lambda x, y: sign * fn(y, x), box, comp.smoothness, label)
 
 
 def antisymmetric_extension(
@@ -327,7 +365,14 @@ def phase_mirrored(source: Component2D, theta: Phase, target: int) -> Component2
         raise ValueError("target must be 2 or 3")
     if source.is_zero:
         return ZERO2
-    fn = source.fn
+    box = (source.box[1], source.box[0]) if source.box is not None else None
+    label = f"phase_mirror(g{5 - target})"
+    sign = 1j if target == 3 else -1j
+    if source.factors is not None and theta.kind != "custom":
+        # a preset phase is one constant; the same expression as the closure
+        factors = source.factors.exchanged(np.exp(sign * theta(0.0, 0.0)))
+        return Component2D(None, box, source.smoothness, label, factors=factors)
+    fn = source._pointwise
     if target == 3:
 
         def mirrored(x, y):
@@ -338,13 +383,7 @@ def phase_mirrored(source: Component2D, theta: Phase, target: int) -> Component2
         def mirrored(x, y):
             return np.exp(-1j * theta(0.5 * (y - x), 0.5 * (x + y))) * fn(y, x)
 
-    box = (source.box[1], source.box[0]) if source.box is not None else None
-    return Component2D(
-        fn=mirrored,
-        box=box,
-        smoothness=source.smoothness,
-        label=f"phase_mirror(g{5 - target})",
-    )
+    return Component2D(mirrored, box, source.smoothness, label)
 
 
 @dataclass(frozen=True)
@@ -476,7 +515,7 @@ def _parse_component(spec, theta: Phase, parsed: dict, where: str) -> Component2
             raise ScenarioConfigError(
                 f"{where}: support must be [[xlo, xhi], [ylo, yhi]]"
             ) from err
-        comp = Component2D(comp.fn, box, comp.smoothness, comp.label)
+        comp = replace(comp, box=box)
     return comp
 
 

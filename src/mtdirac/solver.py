@@ -21,9 +21,14 @@ inequality is strict: a tie (x = y, on the seam) goes to the boundary
 branch, where compatible data agree anyway.  scenario.NULL_SIGNS and
 scenario.BRANCH_MAPS hold this table; every evaluator here reads it there.
 
-Everything here is evaluated pointwise from the scenario data; there is no
-grid and no time stepping.  Array arguments broadcast; field values come
-back as an array of shape (4,) + broadcast shape, indexed psi1..psi4.
+Everything here is evaluated from the scenario data; there is no time
+stepping.  evaluate_fields takes points: array arguments broadcast, and
+field values come back as an array of shape (4,) + broadcast shape,
+indexed psi1..psi4.  evaluate_grid takes the points of each particle and
+fills the tensor grid of their pairs.  There each null coordinate is a
+vector along one axis, so a separable datum (scenario.Factors) is
+evaluated on the axis points only; both read the branch table in one loop
+and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .geometry import (
 from .scenario import (
     BRANCH_MAPS,
     NULL_SIGNS,
-    BoundaryMaps,
     Scenario,
     boundary_maps,
     coincidence_point,
@@ -57,26 +61,41 @@ class StencilError(ValueError):
     """A finite-difference stencil would cross a branch seam or leave the domain."""
 
 
-def _eval_half(
-    s: Scenario, maps: BoundaryMaps, half: int, t1, z1, t2, z2
-) -> np.ndarray:
-    """psi on flat arrays of points of one half; each branch only where it applies."""
-    out = np.empty((4, t1.size), dtype=complex)
-    for comp in NULL_SIGNS:
-        x, y = null_pair(comp, t1, z1, t2, z2)
-        g = s.initial.component(comp, half)
-        if (comp, half) not in BRANCH_MAPS:
-            out[comp - 1] = g(x, y)
+def _eval_halves(s: Scenario, halves, t1, z1, t2, z2):
+    """psi on the points of each (half, where) of halves, zero elsewhere.
+
+    The coordinates broadcast to the shape of the masks; the result has
+    shape (4,) + that shape.  Flat arrays are a list of points.  When
+    (t1, z1) is a column and (t2, z2) a row, each null coordinate is a
+    vector along one axis, and a factored datum fills its initial branch as
+    an outer product of its profiles on the axes.  Every other value
+    (unfactored data, the boundary branch of psi2/psi3) is evaluated
+    pointwise, each branch only on its own points.
+    """
+    maps = boundary_maps(s)
+    shape = np.broadcast_shapes(t1.shape, t2.shape)
+    out = np.zeros((4,) + shape, dtype=complex)
+    for half, where in halves:
+        if not where.any():
             continue
-        initial = initial_branch(half, x, y)
-        boundary = ~initial
-        if initial.any():
-            out[comp - 1, initial] = g(x[initial], y[initial])
-        if boundary.any():
-            hmap = getattr(maps, BRANCH_MAPS[(comp, half)])
-            out[comp - 1, boundary] = hmap(
-                *coincidence_point(comp, x[boundary], y[boundary])
-            )
+        for comp in NULL_SIGNS:
+            x, y = null_pair(comp, t1, z1, t2, z2)
+            initial = where
+            if (comp, half) in BRANCH_MAPS:
+                initial = where & initial_branch(half, x, y)
+                boundary = where & ~initial
+                if boundary.any():
+                    hmap = getattr(maps, BRANCH_MAPS[(comp, half)])
+                    xb, yb = (np.broadcast_to(a, shape)[boundary] for a in (x, y))
+                    out[comp - 1][boundary] = hmap(*coincidence_point(comp, xb, yb))
+            g = s.initial.component(comp, half)
+            if g.is_zero or not initial.any():
+                continue
+            if g.factors is not None and x.shape != y.shape:  # a column, a row
+                np.copyto(out[comp - 1], g.factors.at(x, y), where=initial)
+            else:
+                xi, yi = (np.broadcast_to(a, shape)[initial] for a in (x, y))
+                out[comp - 1][initial] = g(xi, yi)
     return out
 
 
@@ -99,14 +118,26 @@ def evaluate_fields(s: Scenario, t1, z1, t2, z2) -> np.ndarray:
             f"{int(bad.sum())} of {bad.size} configurations are not space-like, "
             f"first at (t1={t1f[k]}, z1={z1f[k]}, t2={t2f[k]}, z2={z2f[k]})"
         )
-    maps = boundary_maps(s)
-    out = np.zeros((4, t1f.size), dtype=complex)
-    for half, mask in ((1, m1), (2, m2)):
-        if mask.any():
-            out[:, mask] = _eval_half(
-                s, maps, half, t1f[mask], z1f[mask], t2f[mask], z2f[mask]
-            )
+    out = _eval_halves(s, ((1, m1), (2, m2)), t1f, z1f, t2f, z2f)
     return out.reshape((4,) + shape)
+
+
+def evaluate_grid(s: Scenario, t1, z1, t2, z2) -> tuple[np.ndarray, np.ndarray]:
+    """psi on the tensor grid (t1_i, z1_i) x (t2_j, z2_j), shape (4, n1, n2).
+
+    (t1, z1) are the n1 points of particle 1 and (t2, z2) the n2 points of
+    particle 2.  Also returns the (n1, n2) mask of the entries that are not
+    space-like (geometry.region_masks); psi is zero there.  The space-like
+    entries equal evaluate_fields on the flattened grid bit for bit, but the
+    data profiles are evaluated on the axis points, not on every pair: each
+    null coordinate z + s t depends on one particle only.
+    """
+    t1, z1 = (np.asarray(a, dtype=float).reshape(-1, 1) for a in (t1, z1))
+    t2, z2 = (np.asarray(a, dtype=float).reshape(1, -1) for a in (t2, z2))
+    if t1.shape != z1.shape or t2.shape != z2.shape:
+        raise ValueError("each particle needs as many times as positions")
+    m1, m2, bad = region_masks(t1, z1, t2, z2)
+    return _eval_halves(s, ((1, m1), (2, m2)), t1, z1, t2, z2), bad
 
 
 def evaluate(s: Scenario, c: Configuration) -> np.ndarray:
@@ -140,7 +171,7 @@ def boundary_trace_fields(s: Scenario, t, z, side: int) -> BoundaryTrace:
     t, z = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(z, dtype=float))
     tf = t.reshape(-1)
     zf = z.reshape(-1)
-    values = _eval_half(s, boundary_maps(s), side, tf, zf, tf, zf)
+    values = _eval_halves(s, ((side, np.ones(tf.size, dtype=bool)),), tf, zf, tf, zf)
     return BoundaryTrace(side=side, t=t, z=z, values=values.reshape((4,) + t.shape))
 
 

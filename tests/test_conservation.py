@@ -7,6 +7,9 @@ import pytest
 from mtdirac.conservation import (
     Hypersurface,
     QuadratureSpec,
+    _axis_nodes,
+    _component_densities,
+    _integrate,
     acceptance_family,
     boosted_flat,
     bump_surface,
@@ -20,7 +23,7 @@ from mtdirac.conservation import (
     worker_count,
 )
 from mtdirac.scenario import InitialData, Scenario, ZERO2
-from mtdirac.solver import evaluate_fields
+from mtdirac.solver import boundary_trace_fields, evaluate_fields
 from test_current import gamma_current
 
 
@@ -112,6 +115,18 @@ def test_quadrature_spec_validation():
         QuadratureSpec(order=1)
     q = QuadratureSpec(panels=32)
     assert q.doubled().panels == 64 and q.doubled().rule == q.rule
+
+
+@pytest.mark.parametrize(
+    "box",
+    [(4.0, -4.0), (0.0, 0.0), (math.nan, 4.0)],
+    ids=["reversed", "empty", "nan"],
+)
+def test_quadrature_spec_rejects_a_bad_box(box, packet):
+    with pytest.raises(ValueError, match=r"quadrature box \(.*\) must be finite"):
+        QuadratureSpec(box=box)
+    with pytest.raises(ValueError, match="quadrature box"):
+        normalization_integral(packet, flat(0.0), QuadratureSpec(box=box))
 
 
 def test_truncation_box_covers_support(packet):
@@ -216,6 +231,76 @@ def test_thread_count_never_changes_bits(packet, monkeypatch):
     monkeypatch.setenv("MTDIRAC_THREADS", "4")
     threaded = normalization_integral(packet, flat(0.3), QuadratureSpec(panels=48))
     assert serial == threaded
+
+
+def test_thread_count_never_changes_bits_at_128_panels(rich, monkeypatch):
+    # 1024 axis nodes on 3 threads: row blocks of 341, 341 and 342
+    q = QuadratureSpec(panels=128)
+    surf = bump_surface(0.0, 0.3, 5.0)
+    monkeypatch.setenv("MTDIRAC_THREADS", "1")
+    serial = _integrate(rich, surf, q)
+    monkeypatch.setenv("MTDIRAC_THREADS", "3")
+    threaded = _integrate(rich, surf, q)
+    assert np.array_equal(serial[0], threaded[0]) and serial[1:] == threaded[1:]
+    assert serial[3] == 1_056_768
+    rep = normalization_report(rich, surf, q)
+    assert rep.value == math.fsum(serial[0]) and rep.node_count == serial[3]
+
+
+def pointwise_integrate(s, surf, q):
+    """_integrate assembled point by point: evaluate_fields on the flattened
+    off-diagonal panel blocks, one-sided traces on the shared Simpson edges,
+    and the collapsed triangles of the diagonal panels."""
+    box = q.box if q.box is not None else truncation_box(s, surf)
+    edges = np.linspace(box[0], box[1], q.panels + 1)
+    nodes, weights = _axis_nodes(edges, q)
+    p, m = nodes.shape
+    shape = (p, m, p, m)
+    z1 = np.broadcast_to(nodes[:, :, None, None], shape)
+    z2 = np.broadcast_to(nodes[None, None, :, :], shape)
+    rel = np.sign(np.arange(p)[:, None] - np.arange(p)[None, :])
+    off = np.broadcast_to((rel != 0)[:, None, :, None], shape)
+    side = np.broadcast_to(np.where(rel < 0, 1, 2)[:, None, :, None], shape)[off]
+    z1f, z2f = z1[off], z2[off]
+    t1f, t2f = surf.f(z1f), surf.f(z2f)
+    edge = z1f == z2f
+    psi = np.zeros((4, z1f.size), dtype=complex)
+    inner = ~edge
+    psi[:, inner] = evaluate_fields(s, t1f[inner], z1f[inner], t2f[inner], z2f[inner])
+    for k in (1, 2):
+        sel = edge & (side == k)
+        psi[:, sel] = boundary_trace_fields(s, t1f[sel], z1f[sel], k).values
+    vals = np.zeros((4,) + shape)
+    vals[:, off] = _component_densities(psi, surf.fprime(z1f), surf.fprime(z2f))
+    parts = [np.einsum("io,jp,kiojp->kij", weights, weights, vals).reshape(4, -1)]
+    x, w = np.polynomial.legendre.leggauss(max(q.order, 4))
+    u = 0.5 * (x + 1.0)
+    wuv = (0.5 * w[:, None] * (0.5 * w)[None, :]) * u[:, None]
+    a, width = edges[:-1], edges[1:] - edges[:-1]
+    zu = a[:, None, None] + width[:, None, None] * np.broadcast_to(u[:, None], wuv.shape)
+    zv = a[:, None, None] + width[:, None, None] * (u[:, None] * u[None, :])
+    zu, zv = zu.reshape(-1), zv.reshape(-1)
+    for z1t, z2t in ((zv, zu), (zu, zv)):
+        psi_t = evaluate_fields(s, surf.f(z1t), z1t, surf.f(z2t), z2t)
+        red = _component_densities(psi_t, surf.fprime(z1t), surf.fprime(z2t))
+        tri = np.einsum("uv,kpuv->kp", wuv, red.reshape(4, p, u.size, u.size))
+        parts.append(tri * (width * width)[None, :])
+    parts = np.concatenate(parts, axis=1)
+    return np.array([math.fsum(row) for row in parts]), box
+
+
+@pytest.mark.parametrize("rule", ["gauss", "simpson"])
+@pytest.mark.parametrize("name", ["packet", "rich", "antisym"])
+def test_integrate_equals_pointwise_assembly(name, rule, request):
+    s = request.getfixturevalue(name)
+    for surf in (bump_surface(0.2, 0.3, 4.0), boosted_flat(-0.4), flat(1.1)):
+        q = QuadratureSpec(rule=rule, panels=12)
+        totals, excluded, box, nodes = _integrate(s, surf, q)
+        expected, expected_box = pointwise_integrate(s, surf, q)
+        assert np.array_equal(totals, expected) and totals.any()
+        assert box == expected_box and excluded == 0
+        m = 3 if rule == "simpson" else q.order
+        assert nodes == (12 * m) ** 2 - 12 * m * m + 2 * 12 * q.order**2
 
 
 def test_absorbing_boundary_breaks_conservation(leaky):

@@ -16,6 +16,7 @@ from mtdirac.scenario import (
     antisymmetric_extension,
     boundary_maps,
     check_compatibility,
+    custom2,
     exchanged_component,
     load_scenario,
     phase_mirrored,
@@ -249,3 +250,102 @@ def test_full_config_support_override():
     cfg["initial"]["g2"]["omega1"]["support"] = [[0, 1]]
     with pytest.raises(ScenarioConfigError):
         scenario_from_dict(cfg)
+
+
+# ---------------------------------------------------------------------------
+# factored data: each builder against the closure it used to return
+# ---------------------------------------------------------------------------
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _axes():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.uniform(-3.0, 3.0, 37), np.arange(-12, 13) / 4])
+    y = np.concatenate([rng.uniform(-3.0, 3.0, 29), np.arange(-12, 13) / 4])
+    return x, y
+
+
+def assert_factors_reproduce(g, old):
+    """g (a factored component) equals the closure old bit for bit, at
+    points and as an outer product on the axes."""
+    assert g.factors is not None and g.fn is None
+    x, y = _axes()
+    xx, yy = np.repeat(x, y.size), np.tile(y, x.size)
+    expected = np.asarray(old(xx, yy), dtype=complex)
+    assert expected.any()
+    assert np.array_equal(bits(g(xx, yy)), bits(expected))
+    outer = g.factors.at(x[:, None], y[None, :])
+    assert np.array_equal(bits(outer.reshape(-1)), bits(expected))
+
+
+def test_product_factors_reproduce_the_closure():
+    px, py = _bump_pair()
+    assert_factors_reproduce(product2(px, py), lambda x, y: px(x) * py(y))
+
+
+def test_exchanged_factors_reproduce_the_closure():
+    px, py = _bump_pair()
+    g = product2(px, py)
+    for sign in (-1.0, 1.0):
+        ex = exchanged_component(g, sign)
+        assert_factors_reproduce(ex, lambda x, y: sign * g(y, x))
+        # exchanging twice keeps the operand order of the first product
+        assert_factors_reproduce(
+            exchanged_component(ex, sign), lambda x, y: sign * ex(y, x)
+        )
+
+
+@pytest.mark.parametrize("kind", ["constant", "plus_i", "minus_i"])
+def test_mirrored_factors_reproduce_the_closure(kind):
+    theta = Phase(kind, 0.9 if kind == "constant" else 0.0)
+    px, py = _bump_pair()
+    g2 = product2(px, py)
+    g3 = phase_mirrored(g2, theta, target=3)
+    assert_factors_reproduce(
+        g3,
+        lambda x, y: np.exp(1j * theta(0.5 * (x - y), 0.5 * (x + y))) * g2(y, x),
+    )
+    back = phase_mirrored(g3, theta, target=2)
+    assert_factors_reproduce(
+        back,
+        lambda x, y: np.exp(-1j * theta(0.5 * (y - x), 0.5 * (x + y))) * g3(y, x),
+    )
+    assert_factors_reproduce(exchanged_component(g3), lambda x, y: -1.0 * g3(y, x))
+
+
+def test_support_override_keeps_the_factors():
+    cfg = {
+        "initial": {
+            "g2": {
+                "omega1": {
+                    "preset": "product",
+                    "params": {"x": {"lo": -2, "hi": 0}, "y": {"lo": 0, "hi": 2}},
+                    "support": [[-3, 1], [-1, 3]],
+                }
+            },
+            "g3": {"omega1": {"preset": "mirror_of_g2", "support": [[-1, 3], [-3, 1]]}},
+        }
+    }
+    s = scenario_from_dict(cfg)
+    g2 = s.initial.component(2, 1)
+    g3 = s.initial.component(3, 1)
+    assert g2.box == ((-3.0, 1.0), (-1.0, 3.0)) and g3.box == ((-1.0, 3.0), (-3.0, 1.0))
+    px, py = g2.factors.px, g2.factors.py
+    assert_factors_reproduce(g2, lambda x, y: px(x) * py(y))
+    assert_factors_reproduce(g3, lambda x, y: np.exp(0j) * g2(y, x))
+
+
+def test_custom_data_and_custom_phases_have_no_factors():
+    g = custom2(lambda x, y: x + 1j * y, ((-1.0, 1.0), (-1.0, 1.0)))
+    assert g.factors is None and not g.is_zero
+    assert g(2.0, 3.0) == 2.0 + 3.0j
+    wavy = Phase("custom", fn=lambda t, z: t + z)
+    px, py = _bump_pair()
+    for src in (g, product2(px, py)):
+        assert phase_mirrored(src, wavy, target=3).factors is None
+    assert phase_mirrored(g, Phase("constant", 0.3), target=3).factors is None
+    assert exchanged_component(g).factors is None
+    assert ZERO2.factors is None and ZERO2.is_zero

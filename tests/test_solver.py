@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,8 +12,10 @@ from mtdirac.geometry import (
     DomainError,
     Region,
     classify,
+    region_masks,
     sample_spacelike,
 )
+from mtdirac.interaction import wavepacket_scenario
 from mtdirac.profiles import smooth_bump
 from mtdirac.scenario import (
     BoundaryPhase,
@@ -19,8 +23,13 @@ from mtdirac.scenario import (
     Phase,
     Scenario,
     ZERO2,
+    absorbing_override,
+    antisymmetric_extension,
     check_compatibility,
+    custom2,
+    load_scenario,
     null_pair,
+    phase_mirrored,
     product2,
 )
 from mtdirac.solver import (
@@ -31,6 +40,7 @@ from mtdirac.solver import (
     characteristic_curve,
     evaluate,
     evaluate_fields,
+    evaluate_grid,
     pde_residual,
     require_stencil_room,
     seam_mismatch,
@@ -261,3 +271,121 @@ def test_seam_mismatch_validates_arguments(packet):
         seam_mismatch(packet, 2, 3, 0.0)
     with pytest.raises(ValueError):
         seam_mismatch(packet, 2, 1, 0.0, order=5)
+
+
+# ---------------------------------------------------------------------------
+# tensor grids
+# ---------------------------------------------------------------------------
+
+
+def wave(lo, hi, momentum):
+    return smooth_bump(lo, hi, momentum=momentum)
+
+
+def _mirrored_pair(kind1: str, kind2: str) -> Scenario:
+    """Both halves populated; g3 mirrored from g2 on half 1, g2 from g3 on half 2."""
+    th1, th2 = Phase(kind1), Phase(kind2)
+    g2 = product2(wave(-2.5, 0.5, 0.9), wave(-0.5, 2.5, 0.2))
+    g3 = product2(smooth_bump(-0.5, 2.5, amplitude=0.5j), wave(-2.5, 0.5, 1.3))
+    g1 = product2(wave(-2.0, 1.0, 0.6), wave(-1.0, 2.0, -0.7))
+    return Scenario(
+        initial=InitialData(
+            half1=(g1, g2, phase_mirrored(g2, th1, target=3), ZERO2),
+            half2=(ZERO2, phase_mirrored(g3, th2, target=2), g3, g1),
+        ),
+        phase=BoundaryPhase(th1, th2),
+    )
+
+
+@functools.cache
+def grid_scenarios() -> dict[str, Scenario]:
+    """Every kind of datum: factored products, exchanges and mirrors under
+    each preset phase, and the pointwise-only ones (custom2, a custom
+    phase, an overridden boundary map)."""
+    theta = Phase("constant", 0.8)
+    wavy = Phase("custom", fn=lambda t, z: 0.3 * t - 0.5 * z)
+    # complex factors on both axes: a product of two real profiles would hide
+    # a swapped operand order
+    g2 = product2(wave(-2.5, 0.5, 1.1), wave(-0.5, 2.5, -0.6))
+    g1 = product2(wave(-2.0, 0.0, 0.3), wave(0.0, 2.0, 0.4))
+
+    def gauss(x, y):
+        return np.exp(-x * x - 0.5j * y * y) * ((np.abs(x) < 2.5) & (np.abs(y) < 2.5))
+
+    bumpy = custom2(gauss, ((-2.5, 2.5), (-2.5, 2.5)))
+    with open("configs/mirror_bump.json") as fh:
+        rich, _ = load_scenario(fh.read())
+    packet = wavepacket_scenario(-3.0, -1.0, 1.0, 3.0, theta1=Phase("constant", 0.7))
+    return {
+        "product": packet,
+        "mirrored_constant": rich,
+        "mirrored_plus_i": _mirrored_pair("plus_i", "minus_i"),
+        "mirrored_minus_i": _mirrored_pair("minus_i", "plus_i"),
+        "antisymmetric": antisymmetric_extension(
+            (g1, g2, phase_mirrored(g2, theta, target=3), ZERO2), theta
+        ),
+        "custom2": Scenario(
+            initial=InitialData(
+                half1=(bumpy, bumpy, phase_mirrored(bumpy, theta, target=3), ZERO2),
+                half2=(ZERO2, ZERO2, bumpy, bumpy),
+            ),
+            phase=BoundaryPhase(theta, theta),
+        ),
+        "custom_phase": antisymmetric_extension(
+            (g1, g2, phase_mirrored(g2, wavy, target=3), ZERO2), wavy
+        ),
+        "absorbing": absorbing_override(packet, "h1_plus"),
+    }
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def assert_grid_is_pointwise(s, t1, z1, t2, z2):
+    """evaluate_grid equals evaluate_fields on the flattened grid, signed zeros
+    included, and is +0 on every entry that is not space-like, which its mask
+    marks."""
+    grid, grid_bad = evaluate_grid(s, t1, z1, t2, z2)
+    assert grid.shape == (4, t1.size, t2.size)
+    n1, n2 = t1.size, t2.size
+    pts = (np.repeat(t1, n2), np.repeat(z1, n2), np.tile(t2, n1), np.tile(z2, n1))
+    _, _, bad = region_masks(*pts)
+    assert np.array_equal(grid_bad.reshape(-1), bad)
+    flat = grid.reshape(4, -1)
+    assert not bits(flat[:, bad]).any()
+    ok = ~bad
+    ref = evaluate_fields(s, *(a[ok] for a in pts))
+    assert np.array_equal(bits(flat[:, ok]), bits(ref))
+    return pts, ok
+
+
+dyadic = st.integers(-24, 24).map(lambda k: k / 8)
+legs = st.lists(st.tuples(dyadic, dyadic), min_size=1, max_size=10)
+
+
+@given(st.sampled_from(sorted(grid_scenarios())), legs, legs)
+def test_grid_equals_pointwise_bit_for_bit(name, leg1, leg2):
+    t1, z1 = np.array(leg1).T
+    t2, z2 = np.array(leg2).T
+    assert_grid_is_pointwise(grid_scenarios()[name], t1, z1, t2, z2)
+
+
+@pytest.mark.parametrize("name", sorted(grid_scenarios()))
+def test_grid_on_dyadic_legs_with_ties(name):
+    # 1/8-spaced times and positions: exact diagonals, light-like pairs and
+    # seam ties x == y of every component occur on this grid
+    k = np.arange(-20, 21)
+    t = (k % 5 - 2) / 4
+    z = k / 8
+    (t1, z1, t2, z2), ok = assert_grid_is_pointwise(grid_scenarios()[name], t, z, t, z)
+    assert (~ok).any() and ((t1 == t2) & (z1 == z2)).any()
+    for comp in (2, 3):
+        x, y = null_pair(comp, t1, z1, t2, z2)
+        assert (ok & (x == y) & (z1 < z2)).any() and (ok & (x == y) & (z1 > z2)).any()
+    assert evaluate_grid(grid_scenarios()[name], t, z, t, z)[0].any()
+
+
+def test_grid_validates_legs(packet):
+    with pytest.raises(ValueError):
+        evaluate_grid(packet, [0.0, 0.1], [0.0], [0.0], [1.0])
