@@ -9,7 +9,9 @@ of a fixed number of repeats (time.perf_counter, statistics.median) on
 inputs drawn from fixed seeds, after one untimed warm-up call.  The layers:
 
   evaluate_fields     2^18 space-like points on mirror_bump (points/s too)
-  tensor_current      the 2^18 spinors of that call
+  tensor_current      the 2^18 spinors of that call tiled 4x (2^20 spinors),
+                      25 repeats: a 2^18 call takes 3-8 ms, too short for
+                      its repeats to agree from run to run
   normalization_64    normalization_report, mirror_bump, bump surface, 64 panels
   normalization_128   the same at 128 panels
   slice_svd           a 256-point equal-time slice at t = 1.5 and its SVD
@@ -84,7 +86,8 @@ def measure() -> dict:
     pts = sample_spacelike(np.random.default_rng(1), 2**18, T_SPAN, Z_SPAN)
     layers["evaluate_fields"], psi = timed(lambda: evaluate_fields(s, *pts), 9)
     layers["evaluate_fields"]["points_per_s"] = 2**18 / layers["evaluate_fields"]["median_s"]
-    layers["tensor_current"], _ = timed(lambda: tensor_current(psi), 15)
+    spinors = np.tile(psi, 4)
+    layers["tensor_current"], _ = timed(lambda: tensor_current(spinors), 25)
 
     surf = bump_surface(0.0, 0.3, 5.0)
     for panels, repeats in ((64, 7), (128, 5)):

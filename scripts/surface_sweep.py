@@ -5,11 +5,7 @@ with an absorbing boundary override leaks mass and the sweep exposes it.
 """
 import argparse
 
-from mtdirac.conservation import (
-    QuadratureSpec,
-    acceptance_family,
-    normalization_integral,
-)
+from mtdirac.conservation import QuadratureSpec, acceptance_family, normalization_report
 from mtdirac.scenario import Phase, absorbing_override
 from mtdirac.interaction import wavepacket_scenario
 
@@ -21,7 +17,7 @@ def leaky_packet():
 
 def sweep(label, s, q):
     print(f"\n{label} (panels={q.panels})")
-    vals = [normalization_integral(s, f, q) for f in acceptance_family()]
+    vals = [normalization_report(s, f, q).value for f in acceptance_family()]
     for f, v in zip(acceptance_family(), vals):
         print(f"  {f.label:<18} {v:.12f}")
     print(f"  spread {max(vals) - min(vals):.3e}")

@@ -25,24 +25,21 @@ from .scenario import (
 )
 from .solver import (
     bc_defect,
-    boundary_trace,
-    characteristic_curve,
     evaluate,
     evaluate_fields,
     evaluate_grid,
     pde_residual,
 )
-from .current import coincidence_flux, current_at, tensor_current
+from .current import coincidence_flux, tensor_current
 from .conservation import (
     Hypersurface,
     QuadratureSpec,
     boosted_flat,
     bump_surface,
     flat,
-    normalization_integral,
     normalization_report,
 )
-from .lorentz import Boost, covariance_report, transform_solution
+from .lorentz import Boost, TransformedSolution, covariance_report
 from .interaction import (
     closed_form_packet,
     is_interacting,
@@ -62,25 +59,22 @@ __all__ = [
     "QuadratureSpec",
     "Region",
     "Scenario",
+    "TransformedSolution",
     "antisymmetric_extension",
     "bc_defect",
     "boosted_flat",
-    "boundary_trace",
     "bump_surface",
-    "characteristic_curve",
     "check_compatibility",
     "classify",
     "closed_form_packet",
     "coincidence_flux",
     "covariance_report",
-    "current_at",
     "evaluate",
     "evaluate_fields",
     "evaluate_grid",
     "flat",
     "is_interacting",
     "load_scenario",
-    "normalization_integral",
     "normalization_report",
     "pde_residual",
     "scenario_from_dict",
@@ -88,7 +82,6 @@ __all__ = [
     "single_time_slice",
     "spin_product_scenario",
     "tensor_current",
-    "transform_solution",
     "wavepacket_scenario",
 ]
 

@@ -374,13 +374,6 @@ def normalization_report(
     )
 
 
-def normalization_integral(
-    s: Scenario, surf: Hypersurface, q: QuadratureSpec = QuadratureSpec()
-) -> float:
-    """Integral of the current form over off-diagonal pairs on the surface."""
-    return normalization_report(s, surf, q).value
-
-
 def component_masses(
     s: Scenario, t: float, q: QuadratureSpec = QuadratureSpec()
 ) -> np.ndarray:
@@ -391,37 +384,6 @@ def component_masses(
     """
     totals, _, _, _ = _integrate(s, flat(t), q)
     return totals
-
-
-def pullback_integrand(s: Scenario, surf: Hypersurface, z1, z2) -> np.ndarray:
-    """F(z1, z2) as the coordinate pullback of the current form."""
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    psi = evaluate_fields(s, surf.f(z1), z1, surf.f(z2), z2)
-    return _component_densities(psi, surf.fprime(z1), surf.fprime(z2)).sum(axis=0)
-
-
-@dataclass(frozen=True)
-class SurfaceComparison:
-    value_a: float
-    value_b: float
-
-    @property
-    def difference(self) -> float:
-        return abs(self.value_a - self.value_b)
-
-
-def compare_surfaces(
-    s: Scenario,
-    surf_a: Hypersurface,
-    surf_b: Hypersurface,
-    q: QuadratureSpec = QuadratureSpec(),
-) -> SurfaceComparison:
-    """Normalization integrals of one scenario on two surfaces, same spec."""
-    return SurfaceComparison(
-        value_a=normalization_integral(s, surf_a, q),
-        value_b=normalization_integral(s, surf_b, q),
-    )
 
 
 def acceptance_family() -> list[Hypersurface]:

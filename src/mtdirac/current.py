@@ -56,10 +56,6 @@ def tensor_current(psi: np.ndarray) -> TensorCurrent:
     return TensorCurrent(j00=j[0], j01=j[1], j10=j[2], j11=j[3])
 
 
-def current_at(s, t1, z1, t2, z2) -> TensorCurrent:
-    return tensor_current(evaluate_fields(s, t1, z1, t2, z2))
-
-
 def levi_civita_contraction(j: TensorCurrent) -> np.ndarray:
     """eps_{mu nu} j^{mu nu} with eps_{01} = +1; equals 2(|psi3|^2 - |psi2|^2)."""
     return j.j01 - j.j10
@@ -79,7 +75,7 @@ def continuity_residual(
     stencil as the field residual probe.
     """
     d_t1, d_z1, d_t2, d_z2 = stencil_derivatives(  # each indexed [mu, nu]
-        lambda *p: current_at(s, *p).as_matrix(), c, h
+        lambda *p: tensor_current(evaluate_fields(s, *p)).as_matrix(), c, h
     )
     d1 = d_t1[0] + d_z1[1]  # indexed by nu
     d2 = d_t2[:, 0] + d_z2[:, 1]  # indexed by mu

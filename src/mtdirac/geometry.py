@@ -48,10 +48,6 @@ class Configuration:
             if not math.isfinite(v):
                 raise ValueError(f"non-finite coordinate {name}={v!r}")
 
-    def swapped(self) -> "Configuration":
-        """The configuration with particle labels exchanged."""
-        return Configuration(self.t2, self.z2, self.t1, self.z1)
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.t1, self.z1, self.t2, self.z2)
 

@@ -28,6 +28,7 @@ from .scenario import (
     Phase,
     Scenario,
     ZERO_HALF,
+    ScenarioConfigError,
     parse_phase,
     parse_profile,
     product2,
@@ -67,8 +68,6 @@ def wavepacket_scenario(
 
 
 def wavepacket_scenario_from_config(params: dict) -> Scenario:
-    from .scenario import ScenarioConfigError
-
     try:
         a, b, c, d = (float(params[k]) for k in ("a", "b", "c", "d"))
     except KeyError as err:
@@ -131,8 +130,6 @@ def spin_product_scenario(
 
 
 def spin_product_scenario_from_config(params: dict) -> Scenario:
-    from .scenario import ScenarioConfigError
-
     try:
         a, b, c, d = (float(params[k]) for k in ("a", "b", "c", "d"))
     except KeyError as err:
@@ -229,10 +226,6 @@ class SliceGrid:
         if self.n < 2 or not self.lo < self.hi:
             raise ValueError("need n >= 2 and lo < hi")
 
-    @property
-    def dz(self) -> float:
-        return (self.hi - self.lo) / (self.n - 1)
-
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.n)
 
@@ -255,44 +248,12 @@ class SingleTimeSlice:
 
     Row index s1 * n + i with s1 = 0 for spin -1 and 1 for spin +1; columns
     likewise for particle 2.  Diagonal pairs z_i = z_j are not space-like
-    and their entries are zero; the mask records them.
+    and their entries are zero.
     """
 
     t: float
     grid: SliceGrid
     matrix: np.ndarray
-    diagonal_mask: np.ndarray
-
-    def component_block(self, index: int) -> np.ndarray:
-        """n x n block of psi_index, index in 1..4."""
-        n = self.grid.n
-        r, c = divmod(index - 1, 2)
-        return self.matrix[r * n : (r + 1) * n, c * n : (c + 1) * n]
-
-    def component_mass_estimate(self, s: Scenario | None = None) -> np.ndarray:
-        """Riemann-sum component masses dz^2 sum |psi_i|^2.
-
-        The excluded diagonal cells are refilled with the mean of the two
-        one-sided trace values when the scenario is supplied; without it
-        they count as zero, which biases low by O(dz) during epochs with
-        mass at the diagonal.
-        """
-        from .solver import boundary_trace_fields
-
-        n = self.grid.n
-        masses = np.empty(4)
-        corr = np.zeros((4, n))
-        if s is not None:
-            z = self.grid.points()
-            tr1 = boundary_trace_fields(s, np.full(n, self.t), z, 1).values
-            tr2 = boundary_trace_fields(s, np.full(n, self.t), z, 2).values
-            corr = 0.5 * (np.abs(tr1) ** 2 + np.abs(tr2) ** 2)
-        for i in range(1, 5):
-            block = self.component_block(i)
-            masses[i - 1] = (np.sum(np.abs(block) ** 2) + np.sum(corr[i - 1])) * (
-                self.grid.dz**2
-            )
-        return masses
 
 
 def single_time_slice(s: Scenario, t: float, grid: SliceGrid) -> SingleTimeSlice:
@@ -300,9 +261,7 @@ def single_time_slice(s: Scenario, t: float, grid: SliceGrid) -> SingleTimeSlice
     tz = np.full(grid.n, float(t))
     vals, _ = evaluate_grid(s, tz, z, tz, z)  # the diagonal is not space-like: zero
     matrix = np.block([[vals[0], vals[1]], [vals[2], vals[3]]])
-    return SingleTimeSlice(
-        t=float(t), grid=grid, matrix=matrix, diagonal_mask=np.eye(grid.n, dtype=bool)
-    )
+    return SingleTimeSlice(t=float(t), grid=grid, matrix=matrix)
 
 
 @dataclass(frozen=True)
@@ -322,11 +281,6 @@ class SchmidtSpectrum:
     @property
     def ratio(self) -> float:
         return self.sigma2 / self.sigma1
-
-    def entropy(self) -> float:
-        p = self.values**2
-        p = p[p > 0]
-        return float(-np.sum(p * np.log(p)))
 
 
 def schmidt_spectrum(sl: SingleTimeSlice) -> SchmidtSpectrum:

@@ -27,8 +27,8 @@ import numpy as np
 from .current import tensor_current
 from .geometry import Configuration, sample_spacelike, spacelike_margin
 from .scenario import Phase, Scenario
-from .solver import boundary_trace_fields, evaluate_fields, stencil_derivatives
-from .spin import SIGMA3, chiral_pair_projector, embed, epsilon_gamma_pair, gamma
+from .solver import boundary_trace_fields, evaluate_fields, field_residual
+from .spin import chiral_pair_projector, epsilon_gamma_pair, gamma
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,6 @@ class Boost:
 
     def inverse(self) -> "Boost":
         return Boost(-self.beta)
-
-    def compose(self, other: "Boost") -> "Boost":
-        return Boost(self.beta + other.beta)
 
     def point(self, t, z) -> tuple[np.ndarray, np.ndarray]:
         t = np.asarray(t, dtype=float)
@@ -69,10 +66,7 @@ def generator(particle: int) -> np.ndarray:
 
 def spinor_factor(b: Boost, particle: int) -> np.ndarray:
     """exp(beta * generator), computed exactly on the diagonal."""
-    g = generator(particle)
-    if np.any(g != np.diag(np.diag(g))):
-        raise ArithmeticError("boost generator is not diagonal in this basis")
-    return np.diag(np.exp(b.beta * np.diag(g)))
+    return np.diag(np.exp(b.beta * np.diag(generator(particle))))
 
 
 def pair_factor(b: Boost) -> np.ndarray:
@@ -90,15 +84,6 @@ def commutation_defect(b: Boost) -> float:
             lhs = gamma(mu, particle) @ s
             rhs = s @ (lam[mu, 0] * gamma(0, particle) + lam[mu, 1] * gamma(1, particle))
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
-
-def manifest_commutant_defect(b: Boost) -> float:
-    """S1 S2 must commute with the two matrices of the manifest jump condition."""
-    s12 = pair_factor(b)
-    worst = 0.0
-    for m in (epsilon_gamma_pair(), chiral_pair_projector()):
-        worst = max(worst, float(np.max(np.abs(s12 @ m - m @ s12))))
     return worst
 
 
@@ -143,9 +128,6 @@ class TransformedSolution:
         psi = evaluate_fields(self.base, it1, iz1, it2, iz2)
         return np.einsum("ij,j...->i...", pair_factor(self.boost), psi)
 
-    def evaluate(self, c: Configuration) -> np.ndarray:
-        return self.evaluate_fields(c.t1, c.z1, c.t2, c.z2)
-
     def theta(self, side: int) -> Phase:
         base_phase = self.base.phase.theta1 if side == 1 else self.base.phase.theta2
         inv = self.boost.inverse()
@@ -176,23 +158,6 @@ class TransformedSolution:
         return values[1] - np.exp(-1j * theta(t, z)) * values[2]
 
 
-def transform_solution(s: Scenario, b: Boost) -> TransformedSolution:
-    return TransformedSolution(base=s, boost=b)
-
-
-def field_residual_of(evaluate_fn, c: Configuration, h: float) -> float:
-    """Max-norm central-difference residual of both evolution equations for
-    an arbitrary field evaluator (no scenario needed).
-
-    Same stencil as the scenario-level residual probe, from
-    solver.stencil_derivatives.
-    """
-    d_t1, d_z1, d_t2, d_z2 = stencil_derivatives(evaluate_fn, c, h)
-    r1 = 1j * d_t1 + 1j * (embed(SIGMA3, 1) @ d_z1)
-    r2 = 1j * d_t2 + 1j * (embed(SIGMA3, 2) @ d_z2)
-    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
-
-
 @dataclass(frozen=True)
 class CovarianceReport:
     pde_max: float
@@ -220,7 +185,7 @@ def covariance_report(
     hull = s.initial.support_hull() or (-1.0, 1.0)
     t_half = 0.5 * (hull[1] - hull[0]) + span / 6.0
     rng = np.random.default_rng(seed)
-    trans = transform_solution(s, b)
+    trans = TransformedSolution(s, b)
     pde_max = 0.0
     kept = 0
     attempts = 0
@@ -235,7 +200,8 @@ def covariance_report(
         if spacelike_margin(*c.as_tuple()) <= 4.0 * h:
             continue
         kept += 1
-        pde_max = max(pde_max, field_residual_of(trans.evaluate_fields, c, h))
+        r1, r2 = field_residual(trans.evaluate_fields, c, h)
+        pde_max = max(pde_max, float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
     scale = float(np.exp(abs(b.beta)))
     halfwidth = scale * (max(abs(hull[0]), abs(hull[1])) + span / 2.0)
     tt = rng.uniform(-halfwidth, halfwidth, samples)
@@ -249,7 +215,7 @@ def covariance_report(
 def current_covariance_defect(s: Scenario, b: Boost, t1, z1, t2, z2) -> float:
     """Max difference between the current of the transformed solution and the
     tensor transform Lambda Lambda j(L^-1 c) of the original current."""
-    trans = transform_solution(s, b)
+    trans = TransformedSolution(s, b)
     j_prime = tensor_current(trans.evaluate_fields(t1, z1, t2, z2)).as_matrix()
     inv = b.inverse()
     it1, iz1 = inv.point(t1, z1)

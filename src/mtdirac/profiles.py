@@ -15,7 +15,7 @@ amplitude, and can be L2-normalized by quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,9 +30,6 @@ class Profile1D:
     fn: Complex1D
     lo: float
     hi: float
-    smoothness: int | None = None  # None means C-infinity
-    shape: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
@@ -57,14 +54,7 @@ class Profile1D:
 
     def scaled(self, factor: complex) -> "Profile1D":
         fn = self.fn
-        return Profile1D(
-            fn=lambda x: factor * fn(x),
-            lo=self.lo,
-            hi=self.hi,
-            smoothness=self.smoothness,
-            shape=self.shape,
-            params={**self.params, "scaled_by": complex(factor)},
-        )
+        return Profile1D(fn=lambda x: factor * fn(x), lo=self.lo, hi=self.hi)
 
     def normalized(self) -> "Profile1D":
         n = self.l2_norm()
@@ -104,14 +94,7 @@ def smooth_bump(
             out[inner] *= np.exp(1j * momentum * x[inner])
         return amplitude * out
 
-    p = Profile1D(
-        fn=fn,
-        lo=lo,
-        hi=hi,
-        smoothness=None,
-        shape="smooth_bump",
-        params={"amplitude": complex(amplitude), "momentum": momentum},
-    )
+    p = Profile1D(fn=fn, lo=lo, hi=hi)
     return p.normalized() if normalize else p
 
 
@@ -137,16 +120,5 @@ def poly_bump(
             out = out * np.exp(1j * momentum * x)
         return amplitude * out
 
-    p = Profile1D(
-        fn=fn,
-        lo=lo,
-        hi=hi,
-        smoothness=smoothness,
-        shape="poly_bump",
-        params={
-            "amplitude": complex(amplitude),
-            "momentum": momentum,
-            "smoothness": smoothness,
-        },
-    )
+    p = Profile1D(fn=fn, lo=lo, hi=hi)
     return p.normalized() if normalize else p

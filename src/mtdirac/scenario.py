@@ -82,8 +82,6 @@ class Component2D:
 
     fn: Fn2 | None = None
     box: Box | None = None
-    smoothness: int | None = None
-    label: str = "zero"
     factors: Factors | None = None
 
     def __call__(self, x, y) -> np.ndarray:
@@ -110,27 +108,7 @@ ZERO2 = Component2D()
 
 def product2(px: Profile1D, py: Profile1D) -> Component2D:
     """Separable component g(x, y) = px(x) * py(y)."""
-    sm = _min_smoothness(px.smoothness, py.smoothness)
-    return Component2D(
-        box=(px.support(), py.support()),
-        smoothness=sm,
-        label="product",
-        factors=Factors(px, py),
-    )
-
-
-def custom2(
-    fn: Fn2, box: Box | None, smoothness: int | None = None, label: str = "custom"
-) -> Component2D:
-    return Component2D(fn=fn, box=box, smoothness=smoothness, label=label)
-
-
-def _min_smoothness(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    return Component2D(box=(px.support(), py.support()), factors=Factors(px, py))
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,13 +188,6 @@ class InitialData:
         if lo > hi:
             return None
         return (lo, hi)
-
-    def smoothness(self) -> int | None:
-        out: int | None = None
-        for comp in (*self.half1, *self.half2):
-            if not comp.is_zero:
-                out = _min_smoothness(out, comp.smoothness)
-        return out
 
 
 ZERO_HALF = (ZERO2, ZERO2, ZERO2, ZERO2)
@@ -316,12 +287,10 @@ def exchanged_component(comp: Component2D, sign: float = -1.0) -> Component2D:
     if comp.is_zero:
         return ZERO2
     box = (comp.box[1], comp.box[0]) if comp.box is not None else None
-    label = f"exchanged({comp.label})"
     if comp.factors is not None:
-        factors = comp.factors.exchanged(sign)
-        return Component2D(None, box, comp.smoothness, label, factors=factors)
+        return Component2D(box=box, factors=comp.factors.exchanged(sign))
     fn = comp.fn
-    return Component2D(lambda x, y: sign * fn(y, x), box, comp.smoothness, label)
+    return Component2D(lambda x, y: sign * fn(y, x), box)
 
 
 def antisymmetric_extension(
@@ -366,12 +335,11 @@ def phase_mirrored(source: Component2D, theta: Phase, target: int) -> Component2
     if source.is_zero:
         return ZERO2
     box = (source.box[1], source.box[0]) if source.box is not None else None
-    label = f"phase_mirror(g{5 - target})"
     sign = 1j if target == 3 else -1j
     if source.factors is not None and theta.kind != "custom":
         # a preset phase is one constant; the same expression as the closure
         factors = source.factors.exchanged(np.exp(sign * theta(0.0, 0.0)))
-        return Component2D(None, box, source.smoothness, label, factors=factors)
+        return Component2D(box=box, factors=factors)
     fn = source._pointwise
     if target == 3:
 
@@ -383,7 +351,7 @@ def phase_mirrored(source: Component2D, theta: Phase, target: int) -> Component2
         def mirrored(x, y):
             return np.exp(-1j * theta(0.5 * (y - x), 0.5 * (x + y))) * fn(y, x)
 
-    return Component2D(mirrored, box, source.smoothness, label)
+    return Component2D(mirrored, box)
 
 
 @dataclass(frozen=True)
@@ -515,8 +483,31 @@ def _parse_component(spec, theta: Phase, parsed: dict, where: str) -> Component2
             raise ScenarioConfigError(
                 f"{where}: support must be [[xlo, xhi], [ylo, yhi]]"
             ) from err
+        _check_support(box, comp.factors, where)
         comp = replace(comp, box=box)
     return comp
+
+
+def _check_support(box: Box, factors: Factors, where: str) -> None:
+    """A support override must be a finite box that holds the data.
+
+    The box feeds the quadrature's truncation, so one narrower than the
+    data would cut them off silently.  Config data are always factored (the
+    phases are presets), and the profiles know their supports: the x axis
+    carries px, or py when the arguments are swapped.
+    """
+    for lo, hi in box:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ScenarioConfigError(
+                f"{where}: support {box} must be finite with lo < hi on both axes"
+            )
+    held = (factors.py, factors.px) if factors.swapped else (factors.px, factors.py)
+    for (lo, hi), p, axis in zip(box, held, "xy"):
+        if lo > p.lo or hi < p.hi:
+            raise ScenarioConfigError(
+                f"{where}: support {box} does not contain the data, which reach "
+                f"[{p.lo}, {p.hi}] on the {axis} axis"
+            )
 
 
 def _scenario_from_full_config(cfg: dict) -> Scenario:
@@ -579,10 +570,39 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     return _scenario_from_full_config(cfg)
 
 
+def _reject_nonfinite(literal: str):
+    raise ScenarioConfigError(f"config number {literal} is not a finite float")
+
+
+def _finite(parse):
+    """A JSON number parser that rejects a literal beyond the float range."""
+
+    def finite(literal: str):
+        x = parse(literal)
+        try:
+            if math.isfinite(x):  # an int too large for a float raises here
+                return x
+        except OverflowError:
+            pass
+        _reject_nonfinite(literal)
+
+    return finite
+
+
 def load_scenario(text: str) -> tuple[Scenario, str]:
-    """Parse a JSON scenario config; returns the scenario and the raw text."""
+    """Parse a JSON scenario config; returns the scenario and the raw text.
+
+    NaN, Infinity and a number literal that overflows a float (1e999) are
+    rejected here, so that no non-finite number reaches the data, the
+    phases or the boxes.
+    """
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(
+            text,
+            parse_constant=_reject_nonfinite,
+            parse_float=_finite(float),
+            parse_int=_finite(int),
+        )
     except json.JSONDecodeError as err:
         raise ScenarioConfigError(f"config is not valid JSON: {err}") from err
     return scenario_from_dict(cfg), text

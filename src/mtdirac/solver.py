@@ -37,14 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    Configuration,
-    DomainError,
-    Region,
-    classify,
-    region_masks,
-    spacelike_margin,
-)
+from .geometry import Configuration, DomainError, region_masks, spacelike_margin
 from .scenario import (
     BRANCH_MAPS,
     NULL_SIGNS,
@@ -104,7 +97,7 @@ def evaluate_fields(s: Scenario, t1, z1, t2, z2) -> np.ndarray:
 
     Raises DomainError if any configuration is not space-like (light-like
     and time-like pairs, including coincidence points, are outside the
-    domain; one-sided coincidence values come from boundary_trace).
+    domain; one-sided coincidence values come from boundary_trace_fields).
     """
     t1, z1, t2, z2 = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (t1, z1, t2, z2))
@@ -175,86 +168,11 @@ def boundary_trace_fields(s: Scenario, t, z, side: int) -> BoundaryTrace:
     return BoundaryTrace(side=side, t=t, z=z, values=values.reshape((4,) + t.shape))
 
 
-def boundary_trace(s: Scenario, t: float, z: float, side: int) -> BoundaryTrace:
-    return boundary_trace_fields(s, float(t), float(z), side)
-
-
 def bc_defect(s: Scenario, t, z, side: int) -> np.ndarray:
     """Residual psi2 - exp(-i theta_side) psi3 of the jump condition on a trace."""
     tr = boundary_trace_fields(s, t, z, side)
     theta = s.phase.theta1 if side == 1 else s.phase.theta2
     return tr.values[1] - np.exp(-1j * theta(tr.t, tr.z)) * tr.values[2]
-
-
-# ---------------------------------------------------------------------------
-# Characteristic curves
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CharacteristicCurve:
-    """Line tau -> (1-tau) * start + tau * anchor inside one branch.
-
-    The anchored component of psi is constant along it.  case is "initial"
-    when the curve begins on the t1 = t2 = 0 surface and "boundary" when it
-    begins on the coincidence set.
-    """
-
-    component: int
-    anchor: Configuration
-    start: Configuration
-    case: str
-
-    def __call__(self, tau: float) -> Configuration:
-        return Configuration(*(float(p) for p in self.points(tau)))
-
-    def points(self, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        tau = np.asarray(tau, dtype=float)
-        a, s = self.anchor, self.start
-        return (
-            s.t1 + tau * (a.t1 - s.t1),
-            s.z1 + tau * (a.z1 - s.z1),
-            s.t2 + tau * (a.t2 - s.t2),
-            s.z2 + tau * (a.z2 - s.z2),
-        )
-
-
-def characteristic_anchor(
-    component: int, t1, z1, t2, z2, region_sign
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized start points of the characteristic through each configuration.
-
-    region_sign is -1 on Omega1 and +1 on Omega2 (the sign of z1 - z2).
-    Returns (s_t1, s_z1, s_t2, s_z2, boundary_case).
-    """
-    if component not in NULL_SIGNS:
-        raise ValueError("component must be in 1..4")
-    half = 1 if region_sign < 0 else 2
-    x, y = null_pair(component, *(np.asarray(a, dtype=float) for a in (t1, z1, t2, z2)))
-    if (component, half) not in BRANCH_MAPS:
-        zero = np.zeros_like(x)
-        return zero, x, zero, y, np.zeros(x.shape, dtype=bool)
-    boundary = ~initial_branch(half, x, y)
-    ts, zs = coincidence_point(component, x, y)
-    s_t = np.where(boundary, ts, 0.0)
-    return s_t, np.where(boundary, zs, x), s_t, np.where(boundary, zs, y), boundary
-
-
-def characteristic_curve(c: Configuration, component: int) -> CharacteristicCurve:
-    """The characteristic plane section through c on which psi_component is constant."""
-    region = classify(c)
-    if region not in (Region.OMEGA1, Region.OMEGA2):
-        raise DomainError(f"configuration is {region.value}, not space-like")
-    sign = -1.0 if region is Region.OMEGA1 else 1.0
-    s_t1, s_z1, s_t2, s_z2, boundary = characteristic_anchor(
-        component, c.t1, c.z1, c.t2, c.z2, sign
-    )
-    return CharacteristicCurve(
-        component=component,
-        anchor=c,
-        start=Configuration(float(s_t1), float(s_z1), float(s_t2), float(s_z2)),
-        case="boundary" if bool(boundary) else "initial",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +222,30 @@ def stencil_derivatives(
     )
 
 
-def pde_residual(
-    s: Scenario, c: Configuration, h: float = 1e-4
+def field_residual(
+    evaluate_fn, c: Configuration, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference residuals of the two evolution equations at c.
 
-    Returns (r1, r2) with
+    evaluate_fn is a field evaluator as in stencil_derivatives, so the same
+    probe serves a scenario and a boosted solution.  Returns (r1, r2) with
 
         r1 = i D_t1 psi + i (sigma3 (x) Id) D_z1 psi
         r2 = i D_t2 psi + i (Id (x) sigma3) D_z2 psi
 
     where D is the symmetric difference of stencil_derivatives.
     """
-    d_t1, d_z1, d_t2, d_z2 = stencil_derivatives(
-        lambda *p: evaluate_fields(s, *p), c, h
-    )
+    d_t1, d_z1, d_t2, d_z2 = stencil_derivatives(evaluate_fn, c, h)
     r1 = 1j * d_t1 + 1j * (_SIGMA3_SLOT1 @ d_z1)
     r2 = 1j * d_t2 + 1j * (_SIGMA3_SLOT2 @ d_z2)
     return r1, r2
+
+
+def pde_residual(
+    s: Scenario, c: Configuration, h: float = 1e-4
+) -> tuple[np.ndarray, np.ndarray]:
+    """field_residual of the scenario's field at c."""
+    return field_residual(lambda *p: evaluate_fields(s, *p), c, h)
 
 
 def seam_mismatch(

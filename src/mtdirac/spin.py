@@ -27,12 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
-
-METRIC = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 GAMMA0 = SIGMA1
 GAMMA1 = SIGMA1 @ SIGMA3
@@ -61,38 +58,10 @@ def gamma5(particle: int) -> np.ndarray:
     return embed(1j * GAMMA0 @ GAMMA1, particle)
 
 
-def clifford_defect(particle: int) -> float:
-    """Max norm of gamma^mu gamma^nu + gamma^nu gamma^mu - 2 g^{mu nu} Id."""
-    worst = 0.0
-    for mu in range(2):
-        for nu in range(2):
-            g_mu = gamma(mu, particle)
-            g_nu = gamma(nu, particle)
-            d = g_mu @ g_nu + g_nu @ g_mu - 2.0 * METRIC[mu, nu] * ID4
-            worst = max(worst, float(np.max(np.abs(d))))
-    return worst
-
-
-def slot_commutator_defect() -> float:
-    """Max norm of [A(x)Id, Id(x)B] over the generating sigma set; must be 0."""
-    worst = 0.0
-    for a in (SIGMA1, SIGMA2, SIGMA3):
-        for b in (SIGMA1, SIGMA2, SIGMA3):
-            c = embed(a, 1) @ embed(b, 2) - embed(b, 2) @ embed(a, 1)
-            worst = max(worst, float(np.max(np.abs(c))))
-    return worst
-
-
 # gamma_1^0 gamma_2^0 = sigma1 (x) sigma1, the pairing that makes bilinears real.
 ADJOINT_METRIC = np.kron(SIGMA1, SIGMA1)
 
 EXCHANGE_INDEX = np.array([0, 2, 1, 3])
-
-
-def dirac_adjoint(psi: np.ndarray) -> np.ndarray:
-    """Row spinor psi^dagger gamma_1^0 gamma_2^0; supports batched (4, ...) input."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.einsum("i...,ij->j...", psi.conj(), ADJOINT_METRIC)
 
 
 def exchange(psi: np.ndarray) -> np.ndarray:

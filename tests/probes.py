@@ -1,0 +1,81 @@
+"""Identity probes that only the test suite calls.
+
+The acceptance lines "characteristic constancy", "spinor algebra" and
+"boost covariance" check the paper's structure with these: the start point
+of the characteristic through a configuration, the Clifford relations and
+slot commutation of the two-particle gamma matrices, and the commutation of
+the boost pair factor with the matrices of the manifest jump condition.
+"""
+
+import numpy as np
+
+from mtdirac.lorentz import pair_factor
+from mtdirac.scenario import (
+    BRANCH_MAPS,
+    NULL_SIGNS,
+    coincidence_point,
+    initial_branch,
+    null_pair,
+)
+from mtdirac.spin import (
+    ID4,
+    SIGMA1,
+    SIGMA3,
+    chiral_pair_projector,
+    embed,
+    epsilon_gamma_pair,
+    gamma,
+)
+
+SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+METRIC = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+
+def characteristic_anchor(component, t1, z1, t2, z2, region_sign):
+    """Vectorized start points of the characteristic through each configuration.
+
+    region_sign is -1 on Omega1 and +1 on Omega2 (the sign of z1 - z2).
+    Returns (s_t1, s_z1, s_t2, s_z2, boundary_case).
+    """
+    if component not in NULL_SIGNS:
+        raise ValueError("component must be in 1..4")
+    half = 1 if region_sign < 0 else 2
+    x, y = null_pair(component, *(np.asarray(a, dtype=float) for a in (t1, z1, t2, z2)))
+    if (component, half) not in BRANCH_MAPS:
+        zero = np.zeros_like(x)
+        return zero, x, zero, y, np.zeros(x.shape, dtype=bool)
+    boundary = ~initial_branch(half, x, y)
+    ts, zs = coincidence_point(component, x, y)
+    s_t = np.where(boundary, ts, 0.0)
+    return s_t, np.where(boundary, zs, x), s_t, np.where(boundary, zs, y), boundary
+
+
+def clifford_defect(particle):
+    """Max norm of gamma^mu gamma^nu + gamma^nu gamma^mu - 2 g^{mu nu} Id."""
+    worst = 0.0
+    for mu in range(2):
+        for nu in range(2):
+            g_mu = gamma(mu, particle)
+            g_nu = gamma(nu, particle)
+            d = g_mu @ g_nu + g_nu @ g_mu - 2.0 * METRIC[mu, nu] * ID4
+            worst = max(worst, float(np.max(np.abs(d))))
+    return worst
+
+
+def slot_commutator_defect():
+    """Max norm of [A(x)Id, Id(x)B] over the generating sigma set; must be 0."""
+    worst = 0.0
+    for a in (SIGMA1, SIGMA2, SIGMA3):
+        for b in (SIGMA1, SIGMA2, SIGMA3):
+            c = embed(a, 1) @ embed(b, 2) - embed(b, 2) @ embed(a, 1)
+            worst = max(worst, float(np.max(np.abs(c))))
+    return worst
+
+
+def manifest_commutant_defect(b):
+    """S1 S2 must commute with the two matrices of the manifest jump condition."""
+    s12 = pair_factor(b)
+    worst = 0.0
+    for m in (epsilon_gamma_pair(), chiral_pair_projector()):
+        worst = max(worst, float(np.max(np.abs(s12 @ m - m @ s12))))
+    return worst

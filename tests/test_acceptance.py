@@ -7,12 +7,7 @@ import time
 
 import numpy as np
 
-from mtdirac.conservation import (
-    QuadratureSpec,
-    acceptance_family,
-    compare_surfaces,
-    normalization_integral,
-)
+from mtdirac.conservation import QuadratureSpec, acceptance_family, normalization_report
 from mtdirac.current import coincidence_flux, levi_civita_contraction, tensor_current
 from mtdirac.geometry import Configuration, Region, region_masks, sample_spacelike
 from mtdirac.interaction import closed_form_packet, is_interacting, mass_series
@@ -21,15 +16,15 @@ from mtdirac.lorentz import (
     commutation_defect,
     covariance_report,
     current_covariance_defect,
-    manifest_commutant_defect,
 )
-from mtdirac.solver import (
-    bc_defect,
+from mtdirac.solver import bc_defect, evaluate_fields, pde_residual
+from mtdirac.spin import exchange
+from probes import (
     characteristic_anchor,
-    evaluate_fields,
-    pde_residual,
+    clifford_defect,
+    manifest_commutant_defect,
+    slot_commutator_defect,
 )
-from mtdirac.spin import clifford_defect, exchange, slot_commutator_defect
 
 
 def _verdict(ok: bool, name: str, detail: str) -> bool:
@@ -126,13 +121,12 @@ def test_coincidence_jump_and_flux(packet, rich):
 def test_normalization_is_surface_independent(packet, leaky):
     family = acceptance_family()
     q = QuadratureSpec(panels=64)
-    vals = [normalization_integral(packet, f, q) for f in family]
+    vals = [normalization_report(packet, f, q).value for f in family]
     drift = max(vals) - min(vals)
-    fine = [normalization_integral(packet, f, q.doubled()) for f in family]
+    fine = [normalization_report(packet, f, q.doubled()).value for f in family]
     drift_fine = max(fine) - min(fine)
-    control = max(
-        compare_surfaces(leaky, family[0], f, q).difference for f in family[1:]
-    )
+    leaky_vals = [normalization_report(leaky, f, q).value for f in family]
+    control = max(abs(v - leaky_vals[0]) for v in leaky_vals[1:])
     ok = drift < 1e-6 and drift_fine < 1e-8 and control > 1e-3
     assert _verdict(
         ok,

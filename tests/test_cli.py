@@ -1,5 +1,4 @@
 import json
-import shutil
 import warnings
 
 import numpy as np
@@ -439,3 +438,54 @@ def test_verify_records_every_check_of_a_raising_probe(tmp_path, monkeypatch, ca
         assert checks[name] == {"pass": False, "error": "RuntimeError: probe broke"}
     assert checks["boundary_condition"]["pass"] and checks["schmidt"]["pass"]
     assert "FAIL seam_c2: RuntimeError: probe broke" in capsys.readouterr().out
+
+
+MIRROR_CFG = "configs/mirror_bump.json"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "verify", "scatter"])
+@pytest.mark.parametrize(
+    "old, new, literal",
+    [
+        ('"lo": -1.5', '"lo": -Infinity', "-Infinity"),
+        ('"value": 0.9', '"value": NaN', "NaN"),
+        ('"hi": 2.5', '"hi": 1e999', "1e999"),
+        ('"hi": 2.5', '"hi": 1' + "0" * 400, "1" + "0" * 400),
+    ],
+    ids=["profile_lo", "phase_value", "overflow", "int_overflow"],
+)
+def test_nonfinite_config_numbers_rejected_at_load(
+    tmp_path, capsys, command, old, new, literal
+):
+    text = _read(MIRROR_CFG)
+    assert text.count(old) == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: config number {literal} is not a finite float" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "verify", "scatter"])
+@pytest.mark.parametrize(
+    "box, cause",
+    [
+        ([[-1, -0.5], [1.5, 2]], "does not contain the data"),
+        ([[0, -1.5], [1, 2.5]], "must be finite with lo < hi"),
+    ],
+    ids=["narrowed", "reversed"],
+)
+def test_dishonest_support_override_rejected(tmp_path, capsys, command, box, cause):
+    # at the parent a narrowed g4 box passed compatibility and failed
+    # conservation_diffs, and a reversed one was accepted silently
+    cfg = json.loads(_read(MIRROR_CFG))
+    cfg["initial"]["g4"]["omega1"]["support"] = box
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: initial.g4.omega1: support" in err and cause in err
+    assert not out.exists()

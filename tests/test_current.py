@@ -7,7 +7,6 @@ from mtdirac.current import (
     SIGN_TABLE,
     coincidence_flux,
     continuity_residual,
-    current_at,
     levi_civita_contraction,
     tensor_current,
 )
@@ -138,13 +137,3 @@ def test_coincidence_flux_detects_absorbing_boundary(leaky):
     flux = coincidence_flux(leaky, 0.7, z, 1)
     assert flux.max() <= 1e-15
     assert flux.min() < -1e-3
-
-
-def test_current_at_matches_tensor_current_of_fields(packet):
-    rng = np.random.default_rng(3)
-    t1, z1, t2, z2 = sample_spacelike(rng, 50, (-1, 1), (-3, 3))
-    from mtdirac.solver import evaluate_fields
-
-    j = current_at(packet, t1, z1, t2, z2)
-    jj = tensor_current(evaluate_fields(packet, t1, z1, t2, z2))
-    assert np.array_equal(j.j00, jj.j00) and np.array_equal(j.j11, jj.j11)

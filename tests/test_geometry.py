@@ -66,12 +66,6 @@ def test_nonfinite_coordinates_rejected():
         Configuration(0.0, math.inf, 0.0, 1.0)
 
 
-def test_swapped_exchanges_labels():
-    c = Configuration(0.1, -0.4, 0.2, 0.9)
-    assert c.swapped() == Configuration(0.2, 0.9, 0.1, -0.4)
-    assert c.swapped().swapped() == c
-
-
 @given(coord, coord, coord, coord)
 def test_region_masks_agree_with_classify(t1, z1, t2, z2):
     m1, m2, bad = region_masks(t1, z1, t2, z2)

@@ -9,6 +9,7 @@ from mtdirac.profiles import smooth_bump
 from mtdirac.scenario import (
     ZERO2,
     BoundaryPhase,
+    Component2D,
     InitialData,
     Phase,
     Scenario,
@@ -16,7 +17,6 @@ from mtdirac.scenario import (
     antisymmetric_extension,
     boundary_maps,
     check_compatibility,
-    custom2,
     exchanged_component,
     load_scenario,
     phase_mirrored,
@@ -250,6 +250,25 @@ def test_full_config_support_override():
     cfg["initial"]["g2"]["omega1"]["support"] = [[0, 1]]
     with pytest.raises(ScenarioConfigError):
         scenario_from_dict(cfg)
+    # a wider box is accepted, also on a mirror, whose x axis carries the
+    # data of g2's y axis; a narrower, reversed or infinite one names its
+    # component
+    cfg["initial"]["g3"] = {"omega1": {"preset": "mirror_of_g2"}}
+    for g2_box, g3_box, bad in (
+        ([[-1.5, 0], [0, 1]], [[0, 1], [-1, 0.5]], None),
+        ([[-0.5, 0], [0, 1]], [[0, 1], [-1, 0]], "g2"),
+        ([[-1, 0], [0, 1]], [[-1, 0], [0, 1]], "g3"),
+        ([[0, -1], [0, 1]], [[0, 1], [-1, 0]], "g2"),
+        ([[-1, 0], [0, math.inf]], [[0, 1], [-1, 0]], "g2"),
+    ):
+        cfg["initial"]["g2"]["omega1"]["support"] = g2_box
+        cfg["initial"]["g3"]["omega1"]["support"] = g3_box
+        if bad is None:
+            s = scenario_from_dict(cfg)
+            assert s.initial.component(3, 1).box == ((0.0, 1.0), (-1.0, 0.5))
+        else:
+            with pytest.raises(ScenarioConfigError, match=f"initial.{bad}.omega1: "):
+                scenario_from_dict(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +358,7 @@ def test_support_override_keeps_the_factors():
 
 
 def test_custom_data_and_custom_phases_have_no_factors():
-    g = custom2(lambda x, y: x + 1j * y, ((-1.0, 1.0), (-1.0, 1.0)))
+    g = Component2D(fn=lambda x, y: x + 1j * y, box=((-1.0, 1.0), (-1.0, 1.0)))
     assert g.factors is None and not g.is_zero
     assert g(2.0, 3.0) == 2.0 + 3.0j
     wavy = Phase("custom", fn=lambda t, z: t + z)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from probes import characteristic_anchor
 from tracing import reference_value
 
 from mtdirac.geometry import (
@@ -19,6 +20,7 @@ from mtdirac.interaction import wavepacket_scenario
 from mtdirac.profiles import smooth_bump
 from mtdirac.scenario import (
     BoundaryPhase,
+    Component2D,
     InitialData,
     Phase,
     Scenario,
@@ -26,7 +28,6 @@ from mtdirac.scenario import (
     absorbing_override,
     antisymmetric_extension,
     check_compatibility,
-    custom2,
     load_scenario,
     null_pair,
     phase_mirrored,
@@ -35,9 +36,7 @@ from mtdirac.scenario import (
 from mtdirac.solver import (
     StencilError,
     bc_defect,
-    boundary_trace,
     boundary_trace_fields,
-    characteristic_curve,
     evaluate,
     evaluate_fields,
     evaluate_grid,
@@ -182,7 +181,7 @@ def test_boundary_trace_jump_condition(packet, rich):
 def test_boundary_trace_is_one_sided_limit(rich):
     eps = 1e-9
     for side, sgn in ((1, -1.0), (2, 1.0)):
-        tr = boundary_trace(rich, 0.35, 0.6, side)
+        tr = boundary_trace_fields(rich, 0.35, 0.6, side)
         assert tr.values.shape == (4,)
         near = evaluate_fields(rich, 0.35, 0.6 + sgn * eps, 0.35, 0.6 - sgn * eps)
         assert np.abs(tr.values - near).max() < 1e-6
@@ -199,54 +198,49 @@ def test_one_sided_scenario_is_silent_on_the_empty_half(packet):
     assert not tr.values.any()
 
 
+def _start(component, c, region_sign):
+    """Start of the characteristic through c, and whether it is on the boundary."""
+    *start, boundary = characteristic_anchor(component, *c.as_tuple(), region_sign)
+    return Configuration(*map(float, start)), bool(boundary)
+
+
+def _along(c, start, taus):
+    """Points (1 - tau) * start + tau * c of the characteristic segment."""
+    for tau in taus:
+        yield Configuration(
+            *(s + tau * (a - s) for s, a in zip(start.as_tuple(), c.as_tuple()))
+        )
+
+
 def test_characteristic_curve_initial_case(packet):
     c = Configuration(0.25, -1.75, 0.5, 1.25)  # x1m = -2.0 < x2p = 1.75
-    cur = characteristic_curve(c, 2)
-    assert cur.case == "initial"
-    assert cur.start == Configuration(0.0, -2.0, 0.0, 1.75)
-    assert cur(0.0) == cur.start and cur(1.0) == c
+    start, boundary = _start(2, c, -1.0)
+    assert start == Configuration(0.0, -2.0, 0.0, 1.75) and not boundary
     ref = evaluate(packet, c)[1]
-    for tau in (0.15, 0.5, 0.85, 1.0):
-        assert evaluate(packet, cur(tau))[1] == pytest.approx(ref, abs=1e-14)
+    for p in _along(c, start, (0.15, 0.5, 0.85, 1.0)):
+        assert evaluate(packet, p)[1] == pytest.approx(ref, abs=1e-14)
 
 
 def test_characteristic_curve_boundary_case(packet):
     c = Configuration(3.0, 1.0, 3.0, -1.0)  # Omega2, x1m = -2 <= x2p = 2
-    cur = characteristic_curve(c, 2)
-    assert cur.case == "boundary"
-    assert cur.start == Configuration(2.0, 0.0, 2.0, 0.0)
-    assert classify(cur.start) is Region.COINCIDENCE
+    start, boundary = _start(2, c, 1.0)
+    assert start == Configuration(2.0, 0.0, 2.0, 0.0) and boundary
+    assert classify(start) is Region.COINCIDENCE
     ref = evaluate(packet, c)[1]
-    for tau in (0.2, 0.6, 1.0):
-        p = cur(tau)
+    for p in _along(c, start, (0.2, 0.6, 1.0)):
         assert classify(p) is Region.OMEGA2
         assert evaluate(packet, p)[1] == pytest.approx(ref, abs=1e-14)
 
 
 def test_characteristic_curve_components_1_and_4_start_at_time_zero():
     c = Configuration(0.4, -1.0, 0.7, 1.2)
-    c1 = characteristic_curve(c, 1)
-    c4 = characteristic_curve(c, 4)
-    assert c1.start == Configuration(0.0, -1.4, 0.0, 0.5)
-    assert c4.start == Configuration(0.0, -0.6, 0.0, 1.9)
-    assert c1.case == c4.case == "initial"
+    assert _start(1, c, -1.0) == (Configuration(0.0, -1.4, 0.0, 0.5), False)
+    assert _start(4, c, -1.0) == (Configuration(0.0, -0.6, 0.0, 1.9), False)
 
 
 def test_characteristic_curve_rejections():
-    with pytest.raises(DomainError):
-        characteristic_curve(Configuration(0.0, 0.0, 1.0, 1.0), 2)
     with pytest.raises(ValueError):
-        characteristic_curve(Configuration(0.0, 0.0, 0.0, 1.0), 5)
-
-
-def test_curve_points_matches_call():
-    c = Configuration(0.3, -1.6, 0.2, 1.4)
-    cur = characteristic_curve(c, 3)
-    taus = np.array([0.0, 0.25, 1.0])
-    t1, z1, t2, z2 = cur.points(taus)
-    for k, tau in enumerate(taus):
-        p = cur(float(tau))
-        assert (t1[k], z1[k], t2[k], z2[k]) == p.as_tuple()
+        characteristic_anchor(5, 0.0, 0.0, 0.0, 1.0, -1.0)
 
 
 @given(st.integers(2, 3), st.integers(1, 2))
@@ -300,8 +294,8 @@ def _mirrored_pair(kind1: str, kind2: str) -> Scenario:
 @functools.cache
 def grid_scenarios() -> dict[str, Scenario]:
     """Every kind of datum: factored products, exchanges and mirrors under
-    each preset phase, and the pointwise-only ones (custom2, a custom
-    phase, an overridden boundary map)."""
+    each preset phase, and the pointwise-only ones (a datum given by its
+    function, a custom phase, an overridden boundary map)."""
     theta = Phase("constant", 0.8)
     wavy = Phase("custom", fn=lambda t, z: 0.3 * t - 0.5 * z)
     # complex factors on both axes: a product of two real profiles would hide
@@ -312,7 +306,7 @@ def grid_scenarios() -> dict[str, Scenario]:
     def gauss(x, y):
         return np.exp(-x * x - 0.5j * y * y) * ((np.abs(x) < 2.5) & (np.abs(y) < 2.5))
 
-    bumpy = custom2(gauss, ((-2.5, 2.5), (-2.5, 2.5)))
+    bumpy = Component2D(fn=gauss, box=((-2.5, 2.5), (-2.5, 2.5)))
     with open("configs/mirror_bump.json") as fh:
         rich, _ = load_scenario(fh.read())
     packet = wavepacket_scenario(-3.0, -1.0, 1.0, 3.0, theta1=Phase("constant", 0.7))
