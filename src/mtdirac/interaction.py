@@ -29,6 +29,7 @@ from .scenario import (
     Scenario,
     ZERO_HALF,
     ScenarioConfigError,
+    config_float,
     parse_phase,
     parse_profile,
     product2,
@@ -69,7 +70,7 @@ def wavepacket_scenario(
 
 def wavepacket_scenario_from_config(params: dict) -> Scenario:
     try:
-        a, b, c, d = (float(params[k]) for k in ("a", "b", "c", "d"))
+        a, b, c, d = (config_float(params[k], f"params.{k}") for k in "abcd")
     except KeyError as err:
         raise ScenarioConfigError("wavepacket preset needs a, b, c, d") from err
     phi = parse_profile(params["phi"], "params.phi") if "phi" in params else None
@@ -131,7 +132,7 @@ def spin_product_scenario(
 
 def spin_product_scenario_from_config(params: dict) -> Scenario:
     try:
-        a, b, c, d = (float(params[k]) for k in ("a", "b", "c", "d"))
+        a, b, c, d = (config_float(params[k], f"params.{k}") for k in "abcd")
     except KeyError as err:
         raise ScenarioConfigError("spin_product preset needs a, b, c, d") from err
     phi = chi = None

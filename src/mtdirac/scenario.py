@@ -405,16 +405,28 @@ def check_compatibility(s: Scenario, samples: int = 512) -> CompatibilityReport:
 # ---------------------------------------------------------------------------
 
 
-def _parse_amplitude(raw) -> complex:
-    if isinstance(raw, (int, float)):
-        return complex(raw)
-    if (
-        isinstance(raw, (list, tuple))
-        and len(raw) == 2
-        and all(isinstance(v, (int, float)) for v in raw)
-    ):
-        return complex(raw[0], raw[1])
-    raise ScenarioConfigError(f"amplitude must be a number or [re, im], got {raw!r}")
+def config_float(raw, where: str) -> float:
+    """A config value as a float; it must be a finite JSON number.
+
+    Every number of a config becomes a float here, so a string, a boolean,
+    NaN, Infinity or a number beyond the float range (1e999, a 400-digit
+    integer) is refused before it reaches the data, the phases or the boxes.
+    """
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            if math.isfinite(raw):
+                return float(raw)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ScenarioConfigError(f"{where} must be a finite number, got {raw!r}")
+
+
+def _parse_amplitude(raw, where: str) -> complex:
+    if not isinstance(raw, (list, tuple)):
+        return complex(config_float(raw, where))
+    if len(raw) != 2:
+        raise ScenarioConfigError(f"{where} must be a number or [re, im], got {raw!r}")
+    return complex(config_float(raw[0], where), config_float(raw[1], where))
 
 
 def parse_profile(spec: dict, where: str) -> Profile1D:
@@ -422,17 +434,17 @@ def parse_profile(spec: dict, where: str) -> Profile1D:
         raise ScenarioConfigError(f"{where}: profile spec must be an object")
     shape = spec.get("shape", "smooth_bump")
     try:
-        lo = float(spec["lo"])
-        hi = float(spec["hi"])
+        lo = config_float(spec["lo"], f"{where}.lo")
+        hi = config_float(spec["hi"], f"{where}.hi")
     except KeyError as err:
         raise ScenarioConfigError(f"{where}: profile needs lo and hi") from err
-    amp = _parse_amplitude(spec.get("amplitude", 1.0))
-    momentum = float(spec.get("momentum", 0.0))
+    amp = _parse_amplitude(spec.get("amplitude", 1.0), f"{where}.amplitude")
+    momentum = config_float(spec.get("momentum", 0.0), f"{where}.momentum")
     normalize = bool(spec.get("normalize", False))
     if shape == "smooth_bump":
         return smooth_bump(lo, hi, amplitude=amp, momentum=momentum, normalize=normalize)
     if shape == "poly_bump":
-        k = int(spec.get("smoothness", 2))
+        k = int(config_float(spec.get("smoothness", 2), f"{where}.smoothness"))
         return poly_bump(
             lo, hi, smoothness=k, amplitude=amp, momentum=momentum, normalize=normalize
         )
@@ -446,7 +458,7 @@ def parse_phase(spec, where: str) -> Phase:
         raise ScenarioConfigError(f"{where}: phase spec must be an object")
     preset = spec.get("preset", "constant")
     if preset == "constant":
-        return Phase("constant", float(spec.get("value", 0.0)))
+        return Phase("constant", config_float(spec.get("value", 0.0), f"{where}.value"))
     if preset in ("plus_i", "minus_i"):
         return Phase(preset)
     raise ScenarioConfigError(f"{where}: unknown phase preset {preset!r}")
@@ -476,38 +488,21 @@ def _parse_component(spec, theta: Phase, parsed: dict, where: str) -> Component2
     else:
         raise ScenarioConfigError(f"{where}: unknown component preset {preset!r}")
     if "support" in spec:
-        raw = spec["support"]
         try:
-            box = ((float(raw[0][0]), float(raw[0][1])), (float(raw[1][0]), float(raw[1][1])))
-        except (TypeError, IndexError, ValueError) as err:
+            (xlo, xhi), (ylo, yhi) = spec["support"]
+        except (TypeError, ValueError) as err:
             raise ScenarioConfigError(
                 f"{where}: support must be [[xlo, xhi], [ylo, yhi]]"
             ) from err
-        _check_support(box, comp.factors, where)
+        w = f"{where}.support"
+        box = (
+            (config_float(xlo, w), config_float(xhi, w)),
+            (config_float(ylo, w), config_float(yhi, w)),
+        )
+        if not all(lo < hi for lo, hi in box):
+            raise ScenarioConfigError(f"{where}: support {box} must have lo < hi")
         comp = replace(comp, box=box)
     return comp
-
-
-def _check_support(box: Box, factors: Factors, where: str) -> None:
-    """A support override must be a finite box that holds the data.
-
-    The box feeds the quadrature's truncation, so one narrower than the
-    data would cut them off silently.  Config data are always factored (the
-    phases are presets), and the profiles know their supports: the x axis
-    carries px, or py when the arguments are swapped.
-    """
-    for lo, hi in box:
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ScenarioConfigError(
-                f"{where}: support {box} must be finite with lo < hi on both axes"
-            )
-    held = (factors.py, factors.px) if factors.swapped else (factors.px, factors.py)
-    for (lo, hi), p, axis in zip(box, held, "xy"):
-        if lo > p.lo or hi < p.hi:
-            raise ScenarioConfigError(
-                f"{where}: support {box} does not contain the data, which reach "
-                f"[{p.lo}, {p.hi}] on the {axis} axis"
-            )
 
 
 def _scenario_from_full_config(cfg: dict) -> Scenario:
@@ -570,39 +565,10 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     return _scenario_from_full_config(cfg)
 
 
-def _reject_nonfinite(literal: str):
-    raise ScenarioConfigError(f"config number {literal} is not a finite float")
-
-
-def _finite(parse):
-    """A JSON number parser that rejects a literal beyond the float range."""
-
-    def finite(literal: str):
-        x = parse(literal)
-        try:
-            if math.isfinite(x):  # an int too large for a float raises here
-                return x
-        except OverflowError:
-            pass
-        _reject_nonfinite(literal)
-
-    return finite
-
-
 def load_scenario(text: str) -> tuple[Scenario, str]:
-    """Parse a JSON scenario config; returns the scenario and the raw text.
-
-    NaN, Infinity and a number literal that overflows a float (1e999) are
-    rejected here, so that no non-finite number reaches the data, the
-    phases or the boxes.
-    """
+    """Parse a JSON scenario config; returns the scenario and the raw text."""
     try:
-        cfg = json.loads(
-            text,
-            parse_constant=_reject_nonfinite,
-            parse_float=_finite(float),
-            parse_int=_finite(int),
-        )
+        cfg = json.loads(text)
     except json.JSONDecodeError as err:
         raise ScenarioConfigError(f"config is not valid JSON: {err}") from err
     return scenario_from_dict(cfg), text

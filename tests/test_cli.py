@@ -441,30 +441,44 @@ def test_verify_records_every_check_of_a_raising_probe(tmp_path, monkeypatch, ca
 
 
 MIRROR_CFG = "configs/mirror_bump.json"
+G4_X = "initial.g4.omega1.params.x"
+G4_Y = "initial.g4.omega1.params.y"
 
 
 @pytest.mark.parametrize("command", ["evaluate", "verify", "scatter"])
 @pytest.mark.parametrize(
-    "old, new, literal",
+    "path, old, new, where",
     [
-        ('"lo": -1.5', '"lo": -Infinity', "-Infinity"),
-        ('"value": 0.9', '"value": NaN', "NaN"),
-        ('"hi": 2.5', '"hi": 1e999', "1e999"),
-        ('"hi": 2.5', '"hi": 1' + "0" * 400, "1" + "0" * 400),
+        (MIRROR_CFG, '"lo": -1.5', '"lo": -Infinity', f"{G4_X}.lo"),
+        (MIRROR_CFG, '"value": 0.9', '"value": NaN', "phase.theta1.value"),
+        (MIRROR_CFG, '"hi": 2.5', '"hi": 1e999', f"{G4_Y}.hi"),
+        (MIRROR_CFG, '"hi": 2.5', '"hi": 1' + "0" * 400, f"{G4_Y}.hi"),
+        (MIRROR_CFG, '"lo": -1.5', '"lo": "-Infinity"', f"{G4_X}.lo"),
+        (MIRROR_CFG, '"value": 0.9', '"value": "nan"', "phase.theta1.value"),
+        (MIRROR_CFG, '"amplitude": 0.7', '"amplitude": NaN', f"{G4_X}.amplitude"),
+        (PACKET_CFG, '"d": 3.0', '"d": "1e999"', "params.d"),
     ],
-    ids=["profile_lo", "phase_value", "overflow", "int_overflow"],
+    ids=[
+        "profile_lo",
+        "phase_value",
+        "overflow",
+        "int_overflow",
+        "quoted_lo",
+        "quoted_value",
+        "amplitude",
+        "quoted_preset_param",
+    ],
 )
 def test_nonfinite_config_numbers_rejected_at_load(
-    tmp_path, capsys, command, old, new, literal
+    tmp_path, capsys, command, path, old, new, where
 ):
-    text = _read(MIRROR_CFG)
+    text = _read(path)
     assert text.count(old) == 1
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text.replace(old, new))
     out = tmp_path / "out"
     assert main([command, "--scenario", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"error: config number {literal} is not a finite float" in err
+    assert f"error: {where} must be a finite number, got " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -472,20 +486,17 @@ def test_nonfinite_config_numbers_rejected_at_load(
 @pytest.mark.parametrize(
     "box, cause",
     [
-        ([[-1, -0.5], [1.5, 2]], "does not contain the data"),
-        ([[0, -1.5], [1, 2.5]], "must be finite with lo < hi"),
+        ([[0, -1.5], [1, 2.5]], "omega1: support ((0.0, -1.5), (1.0, 2.5)) must have"),
+        ([[-1.5, 0], [1, "2.5"]], "omega1.support must be a finite number, got '2.5'"),
     ],
-    ids=["narrowed", "reversed"],
+    ids=["reversed", "quoted"],
 )
-def test_dishonest_support_override_rejected(tmp_path, capsys, command, box, cause):
-    # at the parent a narrowed g4 box passed compatibility and failed
-    # conservation_diffs, and a reversed one was accepted silently
+def test_bad_support_override_rejected(tmp_path, capsys, command, box, cause):
     cfg = json.loads(_read(MIRROR_CFG))
     cfg["initial"]["g4"]["omega1"]["support"] = box
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "error: initial.g4.omega1: support" in err and cause in err
+    assert f"error: initial.g4.{cause}" in capsys.readouterr().err
     assert not out.exists()

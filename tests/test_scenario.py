@@ -250,16 +250,15 @@ def test_full_config_support_override():
     cfg["initial"]["g2"]["omega1"]["support"] = [[0, 1]]
     with pytest.raises(ScenarioConfigError):
         scenario_from_dict(cfg)
-    # a wider box is accepted, also on a mirror, whose x axis carries the
-    # data of g2's y axis; a narrower, reversed or infinite one names its
-    # component
+    # any finite box with lo < hi is accepted, also on a mirror; a reversed,
+    # infinite or quoted one names its component
     cfg["initial"]["g3"] = {"omega1": {"preset": "mirror_of_g2"}}
     for g2_box, g3_box, bad in (
         ([[-1.5, 0], [0, 1]], [[0, 1], [-1, 0.5]], None),
-        ([[-0.5, 0], [0, 1]], [[0, 1], [-1, 0]], "g2"),
-        ([[-1, 0], [0, 1]], [[-1, 0], [0, 1]], "g3"),
         ([[0, -1], [0, 1]], [[0, 1], [-1, 0]], "g2"),
+        ([[-1, 0], [0, 1]], [[0, 1], [0, -1]], "g3"),
         ([[-1, 0], [0, math.inf]], [[0, 1], [-1, 0]], "g2"),
+        ([[-1, 0], [0, 1]], [["0", 1], [-1, 0]], "g3"),
     ):
         cfg["initial"]["g2"]["omega1"]["support"] = g2_box
         cfg["initial"]["g3"]["omega1"]["support"] = g3_box
@@ -267,7 +266,7 @@ def test_full_config_support_override():
             s = scenario_from_dict(cfg)
             assert s.initial.component(3, 1).box == ((0.0, 1.0), (-1.0, 0.5))
         else:
-            with pytest.raises(ScenarioConfigError, match=f"initial.{bad}.omega1: "):
+            with pytest.raises(ScenarioConfigError, match=f"initial.{bad}.omega1"):
                 scenario_from_dict(cfg)
 
 
