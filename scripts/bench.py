@@ -6,7 +6,10 @@
 The script uses only long-standing public functions, so it measures any
 checkout whose `src` is put first on PYTHONPATH.  Each timing is the median
 of a fixed number of repeats (time.perf_counter, statistics.median) on
-inputs drawn from fixed seeds, after one untimed warm-up call.  The layers:
+inputs drawn from fixed seeds.  Before its repeats each layer runs untimed
+for at least WARM_UP_S seconds of wall time (at least one call): with a
+single warm-up call, the layer timed first after the machine sat idle
+read up to ~3x slow.  The layers:
 
   evaluate_fields     2^18 space-like points on mirror_bump (points/s too)
   tensor_current      the 2^18 spinors of that call tiled 4x (2^20 spinors),
@@ -58,11 +61,15 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # the sampling box of `verify` on mirror_bump: support hull (-2, 2.5) padded
 T_SPAN, Z_SPAN = (-3.25, 3.25), (-3.0, 3.5)
 H = 1e-4
+WARM_UP_S = 0.5
 
 
 def timed(fn, repeats: int) -> tuple[dict, object]:
     """Median and samples of repeats calls of fn after a warm-up; its last result."""
+    start = time.perf_counter()
     out = fn()
+    while time.perf_counter() - start < WARM_UP_S:
+        out = fn()
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()

@@ -25,7 +25,6 @@ from .scenario import (
 )
 from .solver import (
     bc_defect,
-    evaluate,
     evaluate_fields,
     evaluate_grid,
     pde_residual,
@@ -69,7 +68,6 @@ __all__ = [
     "closed_form_packet",
     "coincidence_flux",
     "covariance_report",
-    "evaluate",
     "evaluate_fields",
     "evaluate_grid",
     "flat",

@@ -16,10 +16,12 @@ least one verification failure, 2 usage or config errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import operator
+import os
 import sys
 from pathlib import Path
 
@@ -49,6 +51,26 @@ def _echo_lines(command: str, raw: str, seed: int) -> list[str]:
         f"# config: {json.dumps(raw)}",
         f"# seed: {seed}",
     ]
+
+
+@contextlib.contextmanager
+def _replacing(dest: Path):
+    """A text file that becomes dest only if the block finishes.
+
+    It is written as a hidden temporary file next to dest (the directory is
+    made if needed) and renamed onto dest by os.replace; if the block
+    raises, the temporary file is removed, so a failing command leaves no
+    partial output.
+    """
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    tmp = dest.with_name(f".{dest.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, dest)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_points(path: Path) -> np.ndarray:
@@ -98,10 +120,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         + (",%.17g" if r in _SPACELIKE else ",%.0s") * 8 + "\n"
         for r in REGIONS
     ]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dest = out / "fields.csv"
-    with open(dest, "w", newline="\n") as fh:
+    dest = Path(args.out) / "fields.csv"
+    with _replacing(dest) as fh:
         for line in _echo_lines("evaluate", raw, args.seed):
             fh.write(line + "\n")
         header = ["t1", "z1", "t2", "z2", "region"]
@@ -305,10 +325,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "checks": checks,
         "all_pass": all_pass,
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dest = out / "verify.json"
-    with open(dest, "w", newline="\n") as fh:
+    dest = Path(args.out) / "verify.json"
+    with _replacing(dest) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for name, entry in checks.items():
@@ -361,10 +379,8 @@ def cmd_scatter(args: argparse.Namespace) -> int:
             sigma = np.zeros(4)
         rows.append((float(t), masses, np.asarray(sigma)))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dest = out / "scatter.csv"
-    with open(dest, "w", newline="\n") as fh:
+    dest = Path(args.out) / "scatter.csv"
+    with _replacing(dest) as fh:
         for line in _echo_lines("scatter", raw, args.seed):
             fh.write(line + "\n")
         header = (

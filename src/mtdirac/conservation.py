@@ -17,17 +17,31 @@ split into two triangles, each mapped to a square by a collapsing (Duffy)
 transform whose nodes stay strictly off the diagonal.
 
 The off-diagonal panel blocks are one tensor grid of the axis nodes:
-surf.f and surf.fprime are evaluated on those N nodes, psi on the N x N
-pairs by solver.evaluate_grid, and the shared panel edges of the Simpson
-rule, which lie on the diagonal, take the one-sided trace of their half.
-The triangles of the diagonal panels are evaluated point by point.
+surf.f and surf.fprime are evaluated on those N nodes and the region masks
+on the N x N pairs.  psi and its densities are evaluated per (component,
+half, branch) on one index rectangle of that grid only
+(solver._branch_values); every other density stays +0.  The shared panel
+edges of the Simpson rule, which lie on the diagonal, take the one-sided
+trace of their half.  The triangles of the diagonal panels are evaluated
+point by point.
 
-Truncation is lossless: data vanish exactly outside their support boxes,
-and the two null coordinates z -+ f(z) of a graph point are strictly
-increasing in z, so inverting them at the support hull endpoints yields a
-box outside which the integrand is exactly zero.  Panel contributions are
-accumulated with math.fsum, so the result is independent of chunking and
-thread count (MTDIRAC_THREADS splits the grid by row blocks).
+Truncation is lossless.  Data vanish exactly outside the open supports of
+their profiles, and the two null coordinates z -+ f(z) of a graph point
+are strictly increasing in z, so inverting them at the support hull
+endpoints yields a box outside which the integrand is exactly zero.  Inside
+it, a factored initial branch px(a) py(b) is nonzero only on the rows and
+columns whose axis null coordinates pass each profile's own test
+lo < a < hi.  The boundary branch of psi2/psi3 reads the partner datum at
+z* -+ t*, z* +- t*, which is (y, x) in exact arithmetic and within one ulp
+of the largest null coordinate of the grid after rounding (the proof is in
+solver._branch_rectangle): it lives on the partner's rectangle,
+transposed and widened by that ulp.  Data given by a function, custom
+phases and overridden boundary maps get the whole grid.  A density is
+|psi_i|^2 times positive Jacobians, so a signed zero squares to +0 and the
+densities outside the rectangles are +0 on the full grid too: the totals
+are the same bits.  Panel contributions are accumulated with math.fsum, so
+the result is independent of chunking and thread count (MTDIRAC_THREADS
+splits the grid by row blocks).
 """
 
 from __future__ import annotations
@@ -43,7 +57,7 @@ import numpy as np
 
 from .geometry import region_masks
 from .scenario import NULL_SIGNS, Scenario
-from .solver import boundary_trace_fields, evaluate_fields, evaluate_grid
+from .solver import _branch_values, boundary_trace_fields, evaluate_fields
 
 MAX_SLOPE = 1.0 - 1e-6
 
@@ -272,14 +286,17 @@ def _values_on_surface(
 
 
 def _component_densities(
-    psi: np.ndarray, fp1: np.ndarray, fp2: np.ndarray
+    psi: np.ndarray, fp1: np.ndarray, fp2: np.ndarray, comps=(1, 2, 3, 4)
 ) -> np.ndarray:
-    """The terms |psi_i|^2 (1 + s1_i f'(z1)) (1 + s2_i f'(z2)) of F, axis 0 = i."""
+    """The terms |psi_i|^2 (1 + s1_i f'(z1)) (1 + s2_i f'(z2)) of F.
+
+    Axis 0 of psi and of the result runs over the components comps.
+    """
     dens = np.empty(psi.shape)
-    for i, (s1, s2) in enumerate(NULL_SIGNS[k] for k in (1, 2, 3, 4)):
-        d = dens[i]  # one component at a time: no (4, n) temporaries
-        np.square(psi[i].real, out=d)
-        d += np.square(psi[i].imag)
+    for d, v, comp in zip(dens, psi, comps):  # one at a time: no (4, n) temporaries
+        s1, s2 = NULL_SIGNS[comp]
+        np.square(v.real, out=d)
+        d += np.square(v.imag)
         d *= 1.0 + s1 * fp1
         d *= 1.0 + s2 * fp2
     return dens
@@ -302,15 +319,27 @@ def _integrate(
     p, m = nodes.shape
 
     # off-diagonal panel blocks: one tensor grid of the axis nodes, split by
-    # row blocks; the diagonal panel blocks are computed and dropped
+    # row blocks; each branch is evaluated and reduced on its support
+    # rectangle only, and every other density stays +0
     z = nodes.reshape(-1)
     t = surf.f(z)
     fp = surf.fprime(z)
     panel = np.repeat(np.arange(p), m)
+    vals = np.zeros((4, z.size, z.size))
 
     def grid_rows(rows):
-        psi, bad = evaluate_grid(s, t[rows], z[rows], t, z)
+        col, row = (t[rows, None], z[rows, None]), (t[None, :], z[None, :])
+        m1, m2, bad = region_masks(*col, *row)
         offdiag = panel[rows, None] != panel[None, :]
+        dens = vals[:, rows]
+        fp1, fp2 = fp[rows, None], fp[None, :]
+        halves = ((1, m1 & offdiag), (2, m2 & offdiag))
+        blocks = _branch_values(s, halves, *col, *row, rectangles=True)
+        for comp, (r, c), mask, values in blocks:
+            fp_at = (np.broadcast_to(f, mask.shape)[mask] for f in (fp1[r], fp2[:, c]))
+            dens[comp - 1, r, c][mask] = _component_densities(
+                values[None], *fp_at, (comp,)
+            )[0]
         # shared edges of the Simpson rule put nodes on the diagonal: not
         # excluded pairs, they take the trace of the half their panel lies
         # in (z1 below z2: half 1)
@@ -319,14 +348,12 @@ def _integrate(
         for side, sel in ((1, i + rows.start < j), (2, i + rows.start > j)):
             if sel.any():
                 trace = boundary_trace_fields(s, t[j[sel]], z[j[sel]], side)
-                psi[:, i[sel], j[sel]] = trace.values
-        dens = _component_densities(psi, fp[rows, None], fp[None, :])
-        dens[:, ~offdiag] = 0.0
-        return dens, np.count_nonzero(bad & offdiag & ~edge)
+                dens[:, i[sel], j[sel]] = _component_densities(
+                    trace.values, fp1[i[sel], 0], fp2[0, j[sel]]
+                )
+        return np.count_nonzero(bad & offdiag & ~edge)
 
-    parts = _threaded(grid_rows, z.size, z.size * z.size)
-    vals = np.concatenate([dens for dens, _ in parts], axis=1)
-    excluded = sum(int(count) for _, count in parts)
+    excluded = sum(int(n) for n in _threaded(grid_rows, z.size, z.size * z.size))
     block = np.einsum("io,jp,kiojp->kij", weights, weights, vals.reshape(4, p, m, p, m))
 
     # diagonal panels: two collapsed triangles each, Gauss nodes only

@@ -51,11 +51,6 @@ class Boost:
         sh = np.sinh(self.beta)
         return t * ch + z * sh, t * sh + z * ch
 
-    def config(self, c: Configuration) -> Configuration:
-        t1, z1 = self.point(c.t1, c.z1)
-        t2, z2 = self.point(c.t2, c.z2)
-        return Configuration(float(t1), float(z1), float(t2), float(z2))
-
 
 def generator(particle: int) -> np.ndarray:
     """Boost generator [gamma^0, gamma^1]/4 in one slot; diagonal sigma3/2."""

@@ -38,10 +38,14 @@ class Profile1D:
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=complex)
-        inside = (x > self.lo) & (x < self.hi)
+        inside = self.inside(x)
         if np.any(inside):
             out[inside] = self.fn(x[inside])
         return out
+
+    def inside(self, x: np.ndarray) -> np.ndarray:
+        """Where the profile may be nonzero: the open support lo < x < hi."""
+        return (x > self.lo) & (x < self.hi)
 
     def support(self) -> tuple[float, float]:
         return (self.lo, self.hi)

@@ -1,15 +1,17 @@
-"""Identity probes that only the test suite calls.
+"""Identity probes and conveniences that only the test suite calls.
 
 The acceptance lines "characteristic constancy", "spinor algebra" and
 "boost covariance" check the paper's structure with these: the start point
 of the characteristic through a configuration, the Clifford relations and
 slot commutation of the two-particle gamma matrices, and the commutation of
 the boost pair factor with the matrices of the manifest jump condition.
+The tests also evaluate and boost single configurations through here.
 """
 
 import numpy as np
 
-from mtdirac.lorentz import pair_factor
+from mtdirac.geometry import Configuration
+from mtdirac.lorentz import Boost, pair_factor
 from mtdirac.scenario import (
     BRANCH_MAPS,
     NULL_SIGNS,
@@ -17,6 +19,7 @@ from mtdirac.scenario import (
     initial_branch,
     null_pair,
 )
+from mtdirac.solver import evaluate_fields
 from mtdirac.spin import (
     ID4,
     SIGMA1,
@@ -26,6 +29,18 @@ from mtdirac.spin import (
     epsilon_gamma_pair,
     gamma,
 )
+
+def evaluate(s, c: Configuration) -> np.ndarray:
+    """Spinor psi(c) as a shape-(4,) complex array."""
+    return evaluate_fields(s, c.t1, c.z1, c.t2, c.z2)
+
+
+def boosted_config(b: Boost, c: Configuration) -> Configuration:
+    """The configuration c with both points boosted by b."""
+    t1, z1 = b.point(c.t1, c.z1)
+    t2, z2 = b.point(c.t2, c.z2)
+    return Configuration(float(t1), float(z1), float(t2), float(z2))
+
 
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 METRIC = np.array([[1.0, 0.0], [0.0, -1.0]])

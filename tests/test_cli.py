@@ -500,3 +500,56 @@ def test_bad_support_override_rejected(tmp_path, capsys, command, box, cause):
     assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
     assert f"error: initial.g4.{cause}" in capsys.readouterr().err
     assert not out.exists()
+
+
+class _FailingWrites:
+    """A text file whose third write raises, as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError("no space left on device")
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["evaluate", "--grid", "16"], "fields.csv"),
+        (["verify", "--grid", "16", "--panels", "4"], "verify.json"),
+        (["scatter", "--grid", "16", "--panels", "4", "--times", "0:1:1"], "scatter.csv"),
+    ],
+    ids=["evaluate", "verify", "scatter"],
+)
+def test_failing_write_leaves_no_partial_output(tmp_path, monkeypatch, argv, name):
+    import builtins
+
+    import mtdirac.cli
+
+    def failing_open(*args, **kwargs):
+        return _FailingWrites(builtins.open(*args, **kwargs))
+
+    out = tmp_path / "out"
+    cmd = argv + ["--scenario", PACKET_CFG, "--out", str(out)]
+    monkeypatch.setattr(mtdirac.cli, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="no space left"):
+        main(cmd)
+    assert list(out.iterdir()) == []  # neither the output nor a temporary file
+    # a finished output is replaced whole or not at all
+    monkeypatch.undo()
+    assert main(cmd) in (0, 1)  # verify fails at 4 panels and still writes its report
+    before = _read(out / name)
+    monkeypatch.setattr(mtdirac.cli, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="no space left"):
+        main(cmd)
+    assert _read(out / name) == before and [p.name for p in out.iterdir()] == [name]

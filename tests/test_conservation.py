@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mtdirac.conservation import (
 from mtdirac.scenario import InitialData, Scenario, ZERO2
 from mtdirac.solver import boundary_trace_fields, evaluate_fields
 from test_current import gamma_current
+from test_solver import grid_scenarios
 
 
 def normal_covector(surf, z):
@@ -289,17 +291,27 @@ def pointwise_integrate(s, surf, q):
 
 
 @pytest.mark.parametrize("rule", ["gauss", "simpson"])
-@pytest.mark.parametrize("name", ["packet", "rich", "antisym"])
-def test_integrate_equals_pointwise_assembly(name, rule, request):
-    s = request.getfixturevalue(name)
-    for surf in (bump_surface(0.2, 0.3, 4.0), boosted_flat(-0.4), flat(1.1)):
-        q = QuadratureSpec(rule=rule, panels=12)
-        totals, excluded, box, nodes = _integrate(s, surf, q)
-        expected, expected_box = pointwise_integrate(s, surf, q)
-        assert np.array_equal(totals, expected) and totals.any()
-        assert box == expected_box and excluded == 0
-        m = 3 if rule == "simpson" else q.order
-        assert nodes == (12 * m) ** 2 - 12 * m * m + 2 * 12 * q.order**2
+@pytest.mark.parametrize("name", ["packet", "rich", "antisym", *grid_scenarios()])
+def test_integrate_equals_pointwise_assembly(name, rule, request, monkeypatch):
+    # _integrate evaluates each branch on its support rectangle only; the
+    # oracle evaluates every node.  Both grids have at least 4096 nodes, so
+    # MTDIRAC_THREADS=3 splits them into row blocks.  On flat(0) with the
+    # box (-2, 2) null coordinates are the nodes themselves, and Simpson
+    # nodes sit exactly on the ends of the "touching" supports.
+    s = grid_scenarios().get(name) or request.getfixturevalue(name)
+    q = QuadratureSpec(rule=rule, panels=12 if rule == "gauss" else 24)
+    m = 3 if rule == "simpson" else q.order
+    cases = [(bump_surface(0.2, 0.3, 4.0), q), (boosted_flat(-0.4), q), (flat(1.1), q)]
+    cases.append((flat(0.0), replace(q, box=(-2.0, 2.0))))
+    for surf, qs in cases:
+        expected, expected_box = pointwise_integrate(s, surf, qs)
+        for threads in ("1", "3"):
+            monkeypatch.setenv("MTDIRAC_THREADS", threads)
+            totals, excluded, box, nodes = _integrate(s, surf, qs)
+            assert np.array_equal(totals, expected) and totals.any()
+            assert box == expected_box and excluded == 0
+            n = qs.panels
+            assert nodes == (n * m) ** 2 - n * m * m + 2 * n * q.order**2
 
 
 def test_absorbing_boundary_breaks_conservation(leaky):

@@ -21,7 +21,7 @@ from mtdirac.interaction import wavepacket_scenario
 from mtdirac.scenario import BoundaryPhase, Phase, boundary_maps
 from mtdirac.solver import StencilError, evaluate_fields, field_residual
 from mtdirac.spin import SIGMA3, embed
-from probes import manifest_commutant_defect
+from probes import boosted_config, manifest_commutant_defect
 
 BETAS = (0.3, -0.3, 1.0, -1.0)
 
@@ -41,7 +41,7 @@ def test_boost_group_law():
     assert np.allclose(Boost(a.beta + b.beta).matrix, a.matrix @ b.matrix)
     assert np.allclose(a.matrix @ a.inverse().matrix, np.eye(2), atol=1e-15)
     c = Configuration(0.1, -0.5, 0.2, 0.8)
-    roundtrip = a.inverse().config(a.config(c))
+    roundtrip = boosted_config(a.inverse(), boosted_config(a, c))
     assert np.allclose(roundtrip.as_tuple(), c.as_tuple(), atol=1e-15)
 
 

@@ -1,11 +1,12 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from probes import characteristic_anchor
+from probes import characteristic_anchor, evaluate
 from tracing import reference_value
 
 from mtdirac.geometry import (
@@ -17,7 +18,7 @@ from mtdirac.geometry import (
     sample_spacelike,
 )
 from mtdirac.interaction import wavepacket_scenario
-from mtdirac.profiles import smooth_bump
+from mtdirac.profiles import Profile1D, poly_bump, smooth_bump
 from mtdirac.scenario import (
     BoundaryPhase,
     Component2D,
@@ -27,6 +28,7 @@ from mtdirac.scenario import (
     ZERO2,
     absorbing_override,
     antisymmetric_extension,
+    boundary_maps,
     check_compatibility,
     load_scenario,
     null_pair,
@@ -35,9 +37,9 @@ from mtdirac.scenario import (
 )
 from mtdirac.solver import (
     StencilError,
+    _branch_values,
     bc_defect,
     boundary_trace_fields,
-    evaluate,
     evaluate_fields,
     evaluate_grid,
     pde_residual,
@@ -276,6 +278,11 @@ def wave(lo, hi, momentum):
     return smooth_bump(lo, hi, momentum=momentum)
 
 
+def sharp(lo, hi, momentum):
+    """A profile whose first value inside either end is not rounded to 0."""
+    return poly_bump(lo, hi, smoothness=0, momentum=momentum)
+
+
 def _mirrored_pair(kind1: str, kind2: str) -> Scenario:
     """Both halves populated; g3 mirrored from g2 on half 1, g2 from g3 on half 2."""
     th1, th2 = Phase(kind1), Phase(kind2)
@@ -295,7 +302,11 @@ def _mirrored_pair(kind1: str, kind2: str) -> Scenario:
 def grid_scenarios() -> dict[str, Scenario]:
     """Every kind of datum: factored products, exchanges and mirrors under
     each preset phase, and the pointwise-only ones (a datum given by its
-    function, a custom phase, an overridden boundary map)."""
+    function, a custom phase, an overridden boundary map).  Also data whose
+    supports end on the diagonal x = y = 0 and on the hull (-2, 2), with
+    profiles that stay nonzero up to their ends, and mirror_bump with
+    support boxes narrower than the profiles of g4 and of the partner g2 on
+    half 2."""
     theta = Phase("constant", 0.8)
     wavy = Phase("custom", fn=lambda t, z: 0.3 * t - 0.5 * z)
     # complex factors on both axes: a product of two real profiles would hide
@@ -310,6 +321,14 @@ def grid_scenarios() -> dict[str, Scenario]:
     with open("configs/mirror_bump.json") as fh:
         rich, _ = load_scenario(fh.read())
     packet = wavepacket_scenario(-3.0, -1.0, 1.0, 3.0, theta1=Phase("constant", 0.7))
+    edge2 = product2(sharp(-2.0, 0.0, 0.7), sharp(0.0, 2.0, -0.3))
+    edge1 = product2(sharp(-2.0, 2.0, 0.2), sharp(0.0, 2.0, 0.5))
+    g4, g2_2 = rich.initial.half1[3], rich.initial.half2[1]
+    narrowed = InitialData(
+        half1=(*rich.initial.half1[:3], replace(g4, box=((-1.0, -0.5), (1.5, 2.0)))),
+        half2=(rich.initial.half2[0], replace(g2_2, box=((1.0, 1.5), (-1.5, -1.0))),
+               *rich.initial.half2[2:]),
+    )
     return {
         "product": packet,
         "mirrored_constant": rich,
@@ -329,6 +348,10 @@ def grid_scenarios() -> dict[str, Scenario]:
             (g1, g2, phase_mirrored(g2, wavy, target=3), ZERO2), wavy
         ),
         "absorbing": absorbing_override(packet, "h1_plus"),
+        "touching": antisymmetric_extension(
+            (edge1, edge2, phase_mirrored(edge2, theta, target=3), ZERO2), theta
+        ),
+        "narrowed": replace(rich, initial=narrowed),
     }
 
 
@@ -383,3 +406,103 @@ def test_grid_on_dyadic_legs_with_ties(name):
 def test_grid_validates_legs(packet):
     with pytest.raises(ValueError):
         evaluate_grid(packet, [0.0, 0.1], [0.0], [0.0], [1.0])
+
+
+def assert_rectangles_reproduce_the_grid(s, t1, z1, t2, z2):
+    """psi assembled from the support rectangles _branch_values yields equals
+    evaluate_grid bit for bit wherever the grid is not zero, and is zero
+    wherever it is: no branch is nonzero outside its rectangle."""
+    psi, _ = evaluate_grid(s, t1, z1, t2, z2)
+    col = (t1[:, None], z1[:, None])
+    row = (t2[None, :], z2[None, :])
+    m1, m2, _ = region_masks(*col, *row)
+    rect = np.zeros_like(psi)
+    blocks = _branch_values(s, ((1, m1), (2, m2)), *col, *row, rectangles=True)
+    for comp, (r, c), mask, values in blocks:
+        rect[comp - 1][r, c][mask] = values
+    nonzero = psi != 0
+    assert np.array_equal(bits(rect[nonzero]), bits(psi[nonzero]))
+    assert not rect[~nonzero].any()
+    return nonzero
+
+
+@functools.cache
+def hostile_scenarios() -> dict[str, Scenario]:
+    """Factored data whose boundary maps are nonzero off the partner's
+    support: a map overridden by one nonzero everywhere, and phases that are
+    not finite (NaN times a zero read is NaN)."""
+    g2 = product2(wave(-2.5, 0.5, 1.1), wave(-0.5, 2.5, -0.6))
+
+    def mirrored(theta):
+        half = (ZERO2, g2, phase_mirrored(g2, theta, target=3), ZERO2)
+        return Scenario(InitialData(half, half), BoundaryPhase(theta, theta))
+
+    def everywhere(t, z):
+        return np.exp(-0.1 * z * z + 0.5j * t)
+
+    def holed(t, z):  # finite at the origin, NaN from |t| = 1/2 on
+        return np.where(np.abs(t) < 0.5, 0.3 * t, np.nan)
+
+    plain = mirrored(Phase("constant", 0.8))
+    maps = replace(boundary_maps(plain), h1_plus=everywhere, h2_minus=everywhere)
+    with np.errstate(invalid="ignore"):  # exp(1j * inf) is NaN
+        infinite = mirrored(Phase("constant", np.inf))
+    return {
+        "map_everywhere": replace(plain, boundary_override=maps),
+        "nan_custom_phase": mirrored(Phase("custom", fn=holed)),
+        "inf_constant_phase": infinite,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(grid_scenarios()) + sorted(hostile_scenarios()))
+def test_rectangles_reproduce_the_grid(name):
+    # every pair of a time in [-3/4, 3/4] and a position in [-3, 3], 1/4 apart
+    s = {**grid_scenarios(), **hostile_scenarios()}[name]
+    t = np.repeat(np.arange(-3, 4) / 4, 25)
+    z = np.tile(np.arange(-12, 13) / 4, 7)
+    with np.errstate(invalid="ignore"):
+        assert assert_rectangles_reproduce_the_grid(s, t, z, t, z).any()
+
+
+def _ulp_neighbours(e):
+    """e and the floats 1 and 2 ulps on either side of it."""
+    below = [np.nextafter(e, -np.inf)]
+    below.append(np.nextafter(below[0], -np.inf))
+    above = [np.nextafter(e, np.inf)]
+    above.append(np.nextafter(above[0], np.inf))
+    return [*below[::-1], e, *above]
+
+
+def test_boundary_rectangles_cover_the_rounded_reads():
+    # psi3's boundary branch reads the partner g2 at z* -+ t*, z* +- t*,
+    # which is (y, x) only up to rounding.  Null coordinates 0-2 ulps on
+    # either side of the ends of a box profile (nonzero up to its ends),
+    # against null coordinates in [2, 2.1) on the other axis: the rounded
+    # read crosses an end of the support for some pairs.  Half 1 tests the
+    # rows (y), half 2 the columns (x).
+    lo, hi = -0.8125 + 3 * 2.0**-53, -0.5625 - 5 * 2.0**-53
+    fine = np.array(_ulp_neighbours(lo) + _ulp_neighbours(hi))
+    big = np.sort(np.random.default_rng(5).uniform(0.5, 0.6, 300))
+    box = Profile1D(lambda v: np.full(v.shape, 1.0 + 0.5j), lo, hi)
+    wide = Profile1D(lambda v: np.exp(0.3j * v), 1.0, 3.0)
+    s = Scenario(
+        initial=InitialData(
+            half1=(ZERO2, product2(box, wide), ZERO2, ZERO2),
+            half2=(ZERO2, product2(wide, box), ZERO2, ZERO2),
+        ),
+        phase=BoundaryPhase(Phase("constant", 0.4), Phase("constant", -0.9)),
+    )
+    # x = z1 + t1 and y = z2 - t2 recover the fine values exactly
+    t1 = np.concatenate([np.full(big.size, 1.5), np.full(fine.size, -1.5)])
+    z1 = np.concatenate([big, fine + 1.5])
+    t2 = np.concatenate([np.full(fine.size, 1.5), np.full(big.size, -1.5)])
+    z2 = np.concatenate([fine + 1.5, big])
+    x, y = null_pair(3, t1, z1, t2, z2)
+    assert np.array_equal(y[: fine.size], fine) and np.array_equal(x[big.size :], fine)
+
+    nonzero = assert_rectangles_reproduce_the_grid(s, t1, z1, t2, z2)[2]
+    # reads of null coordinates outside the open support (lo, hi), on either
+    # axis, are nonzero: rectangles without the margin would drop them
+    outside = (fine <= lo) | (fine >= hi)
+    assert nonzero[: big.size, : fine.size][:, outside].any()
+    assert nonzero[big.size :, fine.size :][outside].any()
