@@ -10,7 +10,8 @@ Outputs are deterministic: a fixed scenario file, options and --seed yield
 byte-identical files (floats printed with %.17g, LF line endings, raw
 config echoed in headers).  MTDIRAC_THREADS caps evaluation threads and
 never changes results.  Exit codes: 0 success / all checks pass, 1 at
-least one verification failure, 2 usage or config errors.
+least one verification failure, 2 usage or config errors or an output
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -477,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as err:  # ScenarioConfigError among them
+    except (OSError, ValueError) as err:  # ScenarioConfigError among them
         print(f"error: {err}", file=sys.stderr)
         return 2
 

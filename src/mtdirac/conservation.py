@@ -16,14 +16,15 @@ diagonal, so panels are never allowed to straddle it: diagonal panels are
 split into two triangles, each mapped to a square by a collapsing (Duffy)
 transform whose nodes stay strictly off the diagonal.
 
-The off-diagonal panel blocks are one tensor grid of the axis nodes:
-surf.f and surf.fprime are evaluated on those N nodes and the region masks
-on the N x N pairs.  psi and its densities are evaluated per (component,
-half, branch) on one index rectangle of that grid only
-(solver._branch_values); every other density stays +0.  The shared panel
-edges of the Simpson rule, which lie on the diagonal, take the one-sided
-trace of their half.  The triangles of the diagonal panels are evaluated
-point by point.
+Every panel uses Gauss-Legendre nodes of order GAUSS_ORDER, on each axis
+and on the collapsed triangles.  The off-diagonal panel blocks are one
+tensor grid of the axis nodes: surf.f and surf.fprime are evaluated on
+those N nodes and the region masks on the N x N pairs.  One reducer
+(_add_densities) turns field values into densities, on that grid and on
+the flat point lists of the triangles alike: psi is evaluated per
+(component, half, branch) (solver._branch_values), on the grid on one
+index rectangle only, and each value is written as its density into a
+zeroed array; every other density stays +0.
 
 Truncation is lossless.  Data vanish exactly outside the open supports of
 their profiles, and the two null coordinates z -+ f(z) of a graph point
@@ -41,7 +42,7 @@ phases and overridden boundary maps get the whole grid.  A density is
 densities outside the rectangles are +0 on the full grid too: the totals
 are the same bits.  Panel contributions are accumulated with math.fsum, so
 the result is independent of chunking and thread count (MTDIRAC_THREADS
-splits the grid by row blocks).
+splits the grid by row blocks and the triangles by point ranges).
 """
 
 from __future__ import annotations
@@ -57,9 +58,11 @@ import numpy as np
 
 from .geometry import region_masks
 from .scenario import NULL_SIGNS, Scenario
-from .solver import _branch_values, boundary_trace_fields, evaluate_fields
+from .solver import _branch_values
 
 MAX_SLOPE = 1.0 - 1e-6
+GAUSS_ORDER = 8
+_GAUSS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,24 +153,18 @@ def bump_surface(center: float, height: float, width: float) -> Hypersurface:
 class QuadratureSpec:
     """Panelized product quadrature on the truncation box.
 
-    rule "gauss" uses Gauss-Legendre nodes of the given order per panel and
-    axis; "simpson" uses the 3-node Simpson rule per panel.  Diagonal panels
-    always use Gauss nodes under the triangle-collapsing map regardless of
-    rule, because Simpson nodes would land exactly on the diagonal.  box
-    overrides the automatic support truncation; it must be finite with
-    lo < hi.
+    Each of the panels per axis carries GAUSS_ORDER Gauss-Legendre nodes;
+    the diagonal panels are split into two triangles under the collapsing
+    map.  box overrides the automatic support truncation; it must be finite
+    with lo < hi.
     """
 
-    rule: str = "gauss"
-    order: int = 8
     panels: int = 64
     box: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.rule not in ("gauss", "simpson"):
-            raise ValueError(f"unknown rule {self.rule!r}")
-        if self.order < 2 or self.panels < 1:
-            raise ValueError("need order >= 2 and panels >= 1")
+        if self.panels < 1:
+            raise ValueError("need panels >= 1")
         if self.box is not None:
             lo, hi = self.box
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -175,7 +172,7 @@ class QuadratureSpec:
                 raise ValueError(msg)
 
     def doubled(self) -> "QuadratureSpec":
-        return QuadratureSpec(self.rule, self.order, 2 * self.panels, self.box)
+        return QuadratureSpec(2 * self.panels, self.box)
 
 
 def _invert_increasing(u: Callable, target: float) -> float:
@@ -238,18 +235,12 @@ def worker_count() -> int:
     return 1
 
 
-def _axis_nodes(edges: np.ndarray, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-panel nodes and weights, shapes (panels, m)."""
+def _axis_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-panel Gauss nodes and weights, shapes (panels, GAUSS_ORDER)."""
     a = edges[:-1, None]
     b = edges[1:, None]
-    if q.rule == "gauss":
-        x, w = np.polynomial.legendre.leggauss(q.order)
-        nodes = 0.5 * (a + b) + 0.5 * (b - a) * x[None, :]
-        weights = 0.5 * (b - a) * w[None, :]
-    else:
-        nodes = np.concatenate([a, 0.5 * (a + b), b], axis=1)
-        weights = (b - a) / 6.0 * np.array([1.0, 4.0, 1.0])[None, :]
-    return nodes, weights
+    x, w = _GAUSS
+    return 0.5 * (a + b) + 0.5 * (b - a) * x[None, :], 0.5 * (b - a) * w[None, :]
 
 
 def _threaded(evaluate, n: int, points: int) -> list:
@@ -263,101 +254,77 @@ def _threaded(evaluate, n: int, points: int) -> list:
         return list(pool.map(evaluate, pieces))
 
 
-def _values_on_surface(
-    s: Scenario, surf: Hypersurface, z1: np.ndarray, z2: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """psi at graph pairs, shape (4, n), and the count of non-space-like pairs.
+def _density(comp: int, v: np.ndarray, fp1, fp2) -> np.ndarray:
+    """The term |psi_comp|^2 (1 + s1 f'(z1)) (1 + s2 f'(z2)) of F at values v."""
+    s1, s2 = NULL_SIGNS[comp]
+    d = np.square(v.real)
+    d += np.square(v.imag)
+    d *= 1.0 + s1 * fp1
+    d *= 1.0 + s2 * fp2
+    return d
 
-    Those pairs, which the slope bound rules out off the diagonal, stay zero.
+
+def _component_densities(psi: np.ndarray, fp1, fp2) -> np.ndarray:
+    """The four terms of F at field values psi of shape (4, ...), psi1..psi4."""
+    return np.stack([_density(comp, v, fp1, fp2) for comp, v in zip(NULL_SIGNS, psi)])
+
+
+def _on_surface(surf: Hypersurface, z: np.ndarray) -> np.ndarray:
+    """The rows t = f(z), z and f'(z) of the graph points over z."""
+    return np.stack([surf.f(z), z, surf.fprime(z)])
+
+
+def _add_densities(s: Scenario, dens, where, leg1, leg2, rectangles=False) -> int:
+    """Write the terms of F at the pairs where into dens; return the excluded count.
+
+    leg1 and leg2 hold the rows t, z, f'(z) (_on_surface) of the two points
+    of each pair: flat rows are a list of pairs, a column and a row a tensor
+    grid, on which rectangles evaluates each branch on its support rectangle
+    only.  where is a mask of the pairs, or True for all.  dens has shape
+    (4,) + the shape of the pairs and holds zeros; a term is written only
+    where its branch is evaluated.  Excluded pairs are those of where that
+    are not space-like; they stay zero.
     """
-    t1 = surf.f(z1)
-    t2 = surf.f(z2)
+    (t1, z1, fp1), (t2, z2, fp2) = leg1, leg2
     m1, m2, bad = region_masks(t1, z1, t2, z2)
-    ok = m1 | m2
-    t1, z1, t2, z2 = (a[ok] for a in (t1, z1, t2, z2))
-    parts = _threaded(
-        lambda sl: evaluate_fields(s, t1[sl], z1[sl], t2[sl], z2[sl]),
-        t1.size,
-        t1.size,
-    )
-    psi = np.zeros((4, ok.size), dtype=complex)
-    psi[:, ok] = np.concatenate(parts, axis=1)
-    return psi, int(np.count_nonzero(bad))
-
-
-def _component_densities(
-    psi: np.ndarray, fp1: np.ndarray, fp2: np.ndarray, comps=(1, 2, 3, 4)
-) -> np.ndarray:
-    """The terms |psi_i|^2 (1 + s1_i f'(z1)) (1 + s2_i f'(z2)) of F.
-
-    Axis 0 of psi and of the result runs over the components comps.
-    """
-    dens = np.empty(psi.shape)
-    for d, v, comp in zip(dens, psi, comps):  # one at a time: no (4, n) temporaries
-        s1, s2 = NULL_SIGNS[comp]
-        np.square(v.real, out=d)
-        d += np.square(v.imag)
-        d *= 1.0 + s1 * fp1
-        d *= 1.0 + s2 * fp2
-    return dens
+    halves = ((1, m1 & where), (2, m2 & where))
+    for comp, win, mask, values in _branch_values(s, halves, t1, z1, t2, z2, rectangles):
+        f1, f2 = (fp1[win[0]], fp2[:, win[1]]) if win else (fp1, fp2)
+        fp_at = (np.broadcast_to(f, mask.shape)[mask] for f in (f1, f2))
+        dens[comp - 1][win][mask] = _density(comp, values, *fp_at)
+    return int(np.count_nonzero(bad & where))
 
 
 def _integrate(
     s: Scenario, surf: Hypersurface, q: QuadratureSpec
 ) -> tuple[np.ndarray, int, tuple[float, float] | None, int]:
-    """Per-component integrals of _component_densities over off-diagonal pairs.
-
-    Returns the four totals, the count of excluded (non-space-like,
-    off-diagonal) pairs, which the slope bound makes provably zero, the box
-    and the number of nodes.
-    """
+    """The four per-component integrals of F over off-diagonal pairs, the
+    count of excluded pairs (zero by the slope bound), the box and the
+    number of nodes."""
     box = q.box if q.box is not None else truncation_box(s, surf)
     if box is None:
         return np.zeros(4), 0, None, 0
     edges = np.linspace(box[0], box[1], q.panels + 1)
-    nodes, weights = _axis_nodes(edges, q)  # (panels, m)
+    nodes, weights = _axis_nodes(edges)  # (panels, m)
     p, m = nodes.shape
 
-    # off-diagonal panel blocks: one tensor grid of the axis nodes, split by
-    # row blocks; each branch is evaluated and reduced on its support
-    # rectangle only, and every other density stays +0
-    z = nodes.reshape(-1)
-    t = surf.f(z)
-    fp = surf.fprime(z)
+    # off-diagonal panel blocks: one tensor grid of the axis nodes, reduced
+    # by row blocks straight into vals
+    axis = _on_surface(surf, nodes.reshape(-1))
+    n = axis.shape[1]
     panel = np.repeat(np.arange(p), m)
-    vals = np.zeros((4, z.size, z.size))
+    vals = np.zeros((4, n, n))
 
     def grid_rows(rows):
-        col, row = (t[rows, None], z[rows, None]), (t[None, :], z[None, :])
-        m1, m2, bad = region_masks(*col, *row)
         offdiag = panel[rows, None] != panel[None, :]
-        dens = vals[:, rows]
-        fp1, fp2 = fp[rows, None], fp[None, :]
-        halves = ((1, m1 & offdiag), (2, m2 & offdiag))
-        blocks = _branch_values(s, halves, *col, *row, rectangles=True)
-        for comp, (r, c), mask, values in blocks:
-            fp_at = (np.broadcast_to(f, mask.shape)[mask] for f in (fp1[r], fp2[:, c]))
-            dens[comp - 1, r, c][mask] = _component_densities(
-                values[None], *fp_at, (comp,)
-            )[0]
-        # shared edges of the Simpson rule put nodes on the diagonal: not
-        # excluded pairs, they take the trace of the half their panel lies
-        # in (z1 below z2: half 1)
-        edge = offdiag & (z[rows, None] == z[None, :])
-        i, j = np.nonzero(edge)
-        for side, sel in ((1, i + rows.start < j), (2, i + rows.start > j)):
-            if sel.any():
-                trace = boundary_trace_fields(s, t[j[sel]], z[j[sel]], side)
-                dens[:, i[sel], j[sel]] = _component_densities(
-                    trace.values, fp1[i[sel], 0], fp2[0, j[sel]]
-                )
-        return np.count_nonzero(bad & offdiag & ~edge)
+        column, row = axis[:, rows, None], axis[:, None, :]
+        return _add_densities(s, vals[:, rows], offdiag, column, row, rectangles=True)
 
-    excluded = sum(int(n) for n in _threaded(grid_rows, z.size, z.size * z.size))
+    excluded = sum(_threaded(grid_rows, n, n * n))
     block = np.einsum("io,jp,kiojp->kij", weights, weights, vals.reshape(4, p, m, p, m))
 
-    # diagonal panels: two collapsed triangles each, Gauss nodes only
-    x, w = np.polynomial.legendre.leggauss(max(q.order, 4))
+    # diagonal panels: two collapsed triangles each
+    x, w = _GAUSS
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
     U = u[:, None]
@@ -365,23 +332,26 @@ def _integrate(
     WUV = (wu[:, None] * wu[None, :]) * U  # collapse jacobian factor u
     a = edges[:-1]
     width = edges[1:] - edges[:-1]
+    corner = a[:, None, None]
+    span = width[:, None, None]
+    zu = (corner + span * np.broadcast_to(U, (m, m))).reshape(-1)
+    zv = (corner + span * (U * V)).reshape(-1)
     tri = []
-    uu = np.broadcast_to(U, (u.size, u.size))
-    for lower in (False, True):
-        # lower triangle: z2 <= z1 (half 2); upper: z1 <= z2 (half 1)
-        zu = a[:, None, None] + width[:, None, None] * uu[None, :, :]
-        zv = a[:, None, None] + width[:, None, None] * (U * V)[None, :, :]
-        z1t = (zu if lower else zv).reshape(-1)
-        z2t = (zv if lower else zu).reshape(-1)
-        psi_t, exc_t = _values_on_surface(s, surf, z1t, z2t)
-        excluded += exc_t
-        red = _component_densities(psi_t, surf.fprime(z1t), surf.fprime(z2t))
-        red = red.reshape(4, p, u.size, u.size)
+    # upper triangle: z1 <= z2 (half 1); lower: z2 <= z1 (half 2)
+    for z1t, z2t in ((zv, zu), (zu, zv)):
+        on1, on2 = _on_surface(surf, z1t), _on_surface(surf, z2t)
+        red = np.zeros((4, z1t.size))
+
+        def triangle(sl):
+            return _add_densities(s, red[:, sl], True, on1[:, sl], on2[:, sl])
+
+        excluded += sum(_threaded(triangle, z1t.size, z1t.size))
+        red = red.reshape(4, p, m, m)
         tri.append(np.einsum("uv,kpuv->kp", WUV, red) * (width * width)[None, :])
 
     parts = np.concatenate([block.reshape(4, -1), *tri], axis=1)
     totals = np.array([math.fsum(row) for row in parts])
-    return totals, excluded, box, z.size**2 - p * m * m + 2 * p * u.size * u.size
+    return totals, excluded, box, n * n - p * m * m + 2 * p * m * m
 
 
 @dataclass(frozen=True)

@@ -54,11 +54,18 @@ class Configuration:
 
 def region_masks(t1, z1, t2, z2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized exact classification into (in_omega1, in_omega2, not_spacelike)."""
-    dt = np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float)
-    dz = np.asarray(z1, dtype=float) - np.asarray(z2, dtype=float)
-    spacelike = dt * dt - dz * dz < 0.0
-    m1 = spacelike & (dz < 0.0)
-    m2 = spacelike & (dz > 0.0)
+    dt = np.subtract(t1, t2, dtype=float)
+    dz = np.subtract(z1, z2, dtype=float)
+    m1 = dz < 0.0
+    m2 = dz > 0.0
+    # the interval dt^2 - dz^2 is formed in place: on an N x N grid of pairs
+    # (the surface quadrature) no further N x N float array is allocated
+    dt *= dt
+    dz *= dz
+    dt -= dz
+    spacelike = dt < 0.0
+    m1 &= spacelike
+    m2 &= spacelike
     return m1, m2, ~spacelike
 
 

@@ -58,9 +58,6 @@ def gamma5(particle: int) -> np.ndarray:
     return embed(1j * GAMMA0 @ GAMMA1, particle)
 
 
-# gamma_1^0 gamma_2^0 = sigma1 (x) sigma1, the pairing that makes bilinears real.
-ADJOINT_METRIC = np.kron(SIGMA1, SIGMA1)
-
 EXCHANGE_INDEX = np.array([0, 2, 1, 3])
 
 

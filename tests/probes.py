@@ -5,7 +5,8 @@ The acceptance lines "characteristic constancy", "spinor algebra" and
 of the characteristic through a configuration, the Clifford relations and
 slot commutation of the two-particle gamma matrices, and the commutation of
 the boost pair factor with the matrices of the manifest jump condition.
-The tests also evaluate and boost single configurations through here.
+The tests also evaluate and boost single configurations through here, and
+the gamma-bilinear oracle of the current takes its adjoint pairing from here.
 """
 
 import numpy as np
@@ -42,6 +43,8 @@ def boosted_config(b: Boost, c: Configuration) -> Configuration:
     return Configuration(float(t1), float(z1), float(t2), float(z2))
 
 
+# gamma_1^0 gamma_2^0 = sigma1 (x) sigma1, the pairing that makes bilinears real.
+ADJOINT_METRIC = np.kron(SIGMA1, SIGMA1)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 METRIC = np.array([[1.0, 0.0], [0.0, -1.0]])
 

@@ -92,6 +92,26 @@ def test_evaluate_rejects_header_only_points_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evaluate_reads_quoted_cells_and_skips_blank_lines(tmp_path):
+    lines = ["t1,z1,t2,z2", "", '"0.25",-1.5,0.125,"1.5"', "", "0.5,-2.0,0.5,2.0"]
+    rc, out = _evaluate_points(tmp_path, "quoted", lines)
+    assert rc == 0
+    plain = ["t1,z1,t2,z2", "0.25,-1.5,0.125,1.5", "0.5,-2.0,0.5,2.0"]
+    rc, clean = _evaluate_points(tmp_path, "plain", plain)
+    assert rc == 0
+    assert _rows(out) == _rows(clean) and len(_rows(out)) == 2
+
+
+@pytest.mark.parametrize(
+    "row", ["0.25,-1.5,0.125", "0.25,abc,0.125,1.5"], ids=["short_row", "bad_cell"]
+)
+def test_evaluate_rejects_a_bad_points_row(tmp_path, capsys, row):
+    rc, out = _evaluate_points(tmp_path, "bad", ["t1,z1,t2,z2", "0.5,-2.0,0.5,2.0", row])
+    assert rc == 2
+    assert "error: bad points file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_regions_match_the_per_row_rule(tmp_path):
     rng = np.random.default_rng(5)
     pts = rng.uniform(-2.0, 2.0, (200, 4))
@@ -502,6 +522,16 @@ def test_bad_support_override_rejected(tmp_path, capsys, command, box, cause):
     assert not out.exists()
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    argv = ["evaluate", "--scenario", PACKET_CFG, "--grid", "8"]
+    assert main(argv + ["--out", str(blocker / "out")]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert blocker.read_text() == "not a directory\n"
+
+
 class _FailingWrites:
     """A text file whose third write raises, as a full disk would."""
 
@@ -531,7 +561,9 @@ class _FailingWrites:
     ],
     ids=["evaluate", "verify", "scatter"],
 )
-def test_failing_write_leaves_no_partial_output(tmp_path, monkeypatch, argv, name):
+def test_failing_write_leaves_no_partial_output(
+    tmp_path, monkeypatch, capsys, argv, name
+):
     import builtins
 
     import mtdirac.cli
@@ -542,14 +574,14 @@ def test_failing_write_leaves_no_partial_output(tmp_path, monkeypatch, argv, nam
     out = tmp_path / "out"
     cmd = argv + ["--scenario", PACKET_CFG, "--out", str(out)]
     monkeypatch.setattr(mtdirac.cli, "open", failing_open, raising=False)
-    with pytest.raises(OSError, match="no space left"):
-        main(cmd)
+    assert main(cmd) == 2
+    assert "error: no space left" in capsys.readouterr().err
     assert list(out.iterdir()) == []  # neither the output nor a temporary file
     # a finished output is replaced whole or not at all
     monkeypatch.undo()
     assert main(cmd) in (0, 1)  # verify fails at 4 panels and still writes its report
     before = _read(out / name)
     monkeypatch.setattr(mtdirac.cli, "open", failing_open, raising=False)
-    with pytest.raises(OSError, match="no space left"):
-        main(cmd)
+    assert main(cmd) == 2
+    assert "error: no space left" in capsys.readouterr().err
     assert _read(out / name) == before and [p.name for p in out.iterdir()] == [name]

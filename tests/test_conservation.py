@@ -1,11 +1,12 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from mtdirac.conservation import (
+    GAUSS_ORDER,
     Hypersurface,
     QuadratureSpec,
     _axis_nodes,
@@ -21,7 +22,7 @@ from mtdirac.conservation import (
     worker_count,
 )
 from mtdirac.scenario import InitialData, Scenario, ZERO2
-from mtdirac.solver import boundary_trace_fields, evaluate_fields
+from mtdirac.solver import evaluate_fields
 from test_current import gamma_current
 from test_solver import grid_scenarios
 
@@ -108,12 +109,11 @@ def test_slope_bound_enforced():
 
 
 def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rule="monte_carlo")
-    with pytest.raises(ValueError):
-        QuadratureSpec(order=1)
-    q = QuadratureSpec(panels=32)
-    assert q.doubled().panels == 64 and q.doubled().rule == q.rule
+    assert [f.name for f in fields(QuadratureSpec)] == ["panels", "box"]
+    with pytest.raises(ValueError, match="panels >= 1"):
+        QuadratureSpec(panels=0)
+    q = QuadratureSpec(panels=32, box=(-1.0, 1.0))
+    assert q.doubled() == QuadratureSpec(panels=64, box=(-1.0, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -191,15 +191,6 @@ def test_conserved_across_surface_pair(packet):
     assert a == pytest.approx(1.0, abs=1e-6)
 
 
-def test_simpson_rule_agrees(packet):
-    q_gauss = QuadratureSpec(panels=48)
-    q_simpson = QuadratureSpec(rule="simpson", panels=48)
-    a = normalization_report(packet, flat(0.4), q_gauss).value
-    b = normalization_report(packet, flat(0.4), q_simpson).value
-    assert math.isfinite(b)
-    assert abs(a - b) < 1e-3
-
-
 def test_pullback_equals_covector_density(packet):
     rng = np.random.default_rng(8)
     surf = boosted_flat(0.4)
@@ -250,31 +241,22 @@ def test_thread_count_never_changes_bits_at_128_panels(rich, monkeypatch):
 
 def pointwise_integrate(s, surf, q):
     """_integrate assembled point by point: evaluate_fields on the flattened
-    off-diagonal panel blocks, one-sided traces on the shared Simpson edges,
-    and the collapsed triangles of the diagonal panels."""
+    off-diagonal panel blocks and on the collapsed triangles of the diagonal
+    panels, each with the Gauss order of the axis nodes."""
     box = q.box if q.box is not None else truncation_box(s, surf)
     edges = np.linspace(box[0], box[1], q.panels + 1)
-    nodes, weights = _axis_nodes(edges, q)
+    nodes, weights = _axis_nodes(edges)
     p, m = nodes.shape
     shape = (p, m, p, m)
     z1 = np.broadcast_to(nodes[:, :, None, None], shape)
     z2 = np.broadcast_to(nodes[None, None, :, :], shape)
-    rel = np.sign(np.arange(p)[:, None] - np.arange(p)[None, :])
-    off = np.broadcast_to((rel != 0)[:, None, :, None], shape)
-    side = np.broadcast_to(np.where(rel < 0, 1, 2)[:, None, :, None], shape)[off]
+    off = np.broadcast_to(~np.eye(p, dtype=bool)[:, None, :, None], shape)
     z1f, z2f = z1[off], z2[off]
-    t1f, t2f = surf.f(z1f), surf.f(z2f)
-    edge = z1f == z2f
-    psi = np.zeros((4, z1f.size), dtype=complex)
-    inner = ~edge
-    psi[:, inner] = evaluate_fields(s, t1f[inner], z1f[inner], t2f[inner], z2f[inner])
-    for k in (1, 2):
-        sel = edge & (side == k)
-        psi[:, sel] = boundary_trace_fields(s, t1f[sel], z1f[sel], k).values
+    psi = evaluate_fields(s, surf.f(z1f), z1f, surf.f(z2f), z2f)
     vals = np.zeros((4,) + shape)
     vals[:, off] = _component_densities(psi, surf.fprime(z1f), surf.fprime(z2f))
     parts = [np.einsum("io,jp,kiojp->kij", weights, weights, vals).reshape(4, -1)]
-    x, w = np.polynomial.legendre.leggauss(max(q.order, 4))
+    x, w = np.polynomial.legendre.leggauss(m)
     u = 0.5 * (x + 1.0)
     wuv = (0.5 * w[:, None] * (0.5 * w)[None, :]) * u[:, None]
     a, width = edges[:-1], edges[1:] - edges[:-1]
@@ -290,17 +272,17 @@ def pointwise_integrate(s, surf, q):
     return np.array([math.fsum(row) for row in parts]), box
 
 
-@pytest.mark.parametrize("rule", ["gauss", "simpson"])
+@pytest.mark.parametrize("panels", [12, 25], ids=["gauss", "gauss25"])
 @pytest.mark.parametrize("name", ["packet", "rich", "antisym", *grid_scenarios()])
-def test_integrate_equals_pointwise_assembly(name, rule, request, monkeypatch):
+def test_integrate_equals_pointwise_assembly(name, panels, request, monkeypatch):
     # _integrate evaluates each branch on its support rectangle only; the
     # oracle evaluates every node.  Both grids have at least 4096 nodes, so
     # MTDIRAC_THREADS=3 splits them into row blocks.  On flat(0) with the
-    # box (-2, 2) null coordinates are the nodes themselves, and Simpson
-    # nodes sit exactly on the ends of the "touching" supports.
+    # box (-2, 2) null coordinates are the nodes themselves; nodes exactly
+    # on the ends of the "touching" supports are covered by
+    # test_solver::test_rectangles_reproduce_the_grid[touching].
     s = grid_scenarios().get(name) or request.getfixturevalue(name)
-    q = QuadratureSpec(rule=rule, panels=12 if rule == "gauss" else 24)
-    m = 3 if rule == "simpson" else q.order
+    q = QuadratureSpec(panels=panels)
     cases = [(bump_surface(0.2, 0.3, 4.0), q), (boosted_flat(-0.4), q), (flat(1.1), q)]
     cases.append((flat(0.0), replace(q, box=(-2.0, 2.0))))
     for surf, qs in cases:
@@ -310,8 +292,7 @@ def test_integrate_equals_pointwise_assembly(name, rule, request, monkeypatch):
             totals, excluded, box, nodes = _integrate(s, surf, qs)
             assert np.array_equal(totals, expected) and totals.any()
             assert box == expected_box and excluded == 0
-            n = qs.panels
-            assert nodes == (n * m) ** 2 - n * m * m + 2 * n * q.order**2
+            assert nodes == (panels * GAUSS_ORDER) ** 2 + panels * GAUSS_ORDER**2
 
 
 def test_absorbing_boundary_breaks_conservation(leaky):

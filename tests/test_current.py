@@ -13,7 +13,8 @@ from mtdirac.current import (
 from mtdirac.geometry import Configuration, sample_spacelike
 from mtdirac.scenario import NULL_SIGNS
 from mtdirac.solver import StencilError
-from mtdirac.spin import ADJOINT_METRIC, gamma
+from mtdirac.spin import gamma
+from probes import ADJOINT_METRIC
 
 cvals = st.tuples(
     st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False)

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mtdirac.spin import (
-    ADJOINT_METRIC,
     chiral_pair_projector,
     embed,
     epsilon_gamma_pair,
@@ -12,7 +11,7 @@ from mtdirac.spin import (
     gamma,
     gamma5,
 )
-from probes import clifford_defect, slot_commutator_defect
+from probes import ADJOINT_METRIC, clifford_defect, slot_commutator_defect
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
