@@ -19,6 +19,10 @@ read up to ~3x slow.  The layers:
   normalization_128   the same at 128 panels
   slice_svd           a 256-point equal-time slice at t = 1.5 and its SVD
   residual_probes     pde_residual and continuity_residual at 64 configurations
+  evaluate_points     `mtdirac evaluate --points` on mirror_bump through
+                      cli.main: reading a 2^18-row points file (space-like
+                      rows, every tenth a coincidence point, written once to
+                      a temporary directory), evaluation, writing fields.csv
 
 The accuracy block (computed once) holds the normalization values on the
 five acceptance surfaces at 64 and 128 panels with their drift, the largest
@@ -28,16 +32,20 @@ PDE residual, so that a speed-up cannot hide a change in the numbers.  With
 layer, the speed-up: baseline median seconds over this median.
 """
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
+from mtdirac.cli import main as mtdirac_main
 from mtdirac.conservation import (
     QuadratureSpec,
     acceptance_family,
@@ -86,6 +94,22 @@ def residuals(s, pts) -> float:
     return worst
 
 
+def write_points(path: Path) -> None:
+    """2^18 seeded space-like rows on the verify box, every tenth a coincidence."""
+    rng = np.random.default_rng(4)
+    pts = np.stack(sample_spacelike(rng, 2**18, T_SPAN, Z_SPAN), axis=1)
+    pts[::10, 2:] = pts[::10, :2]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("t1,z1,t2,z2\n")
+        fh.writelines("%r,%r,%r,%r\n" % tuple(row) for row in pts.tolist())
+
+
+def run_cli(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        if mtdirac_main(argv) != 0:
+            raise RuntimeError(f"mtdirac {' '.join(argv)} failed")
+
+
 def measure() -> dict:
     s, _ = load_scenario((CONFIGS / "mirror_bump.json").read_text())
     layers = {}
@@ -111,6 +135,13 @@ def measure() -> dict:
     probe = sample_spacelike(np.random.default_rng(2), 64, T_SPAN, Z_SPAN, margin=4 * H)
     configs = [Configuration(*map(float, c)) for c in zip(*probe)]
     layers["residual_probes"], worst_residual = timed(lambda: residuals(s, configs), 5)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        points = Path(tmp) / "points.csv"
+        write_points(points)
+        argv = ["evaluate", "--scenario", str(CONFIGS / "mirror_bump.json"),
+                "--points", str(points), "--out", str(Path(tmp) / "out")]
+        layers["evaluate_points"], _ = timed(lambda: run_cli(argv), 5)
 
     accuracy = {"max_pde_residual": worst_residual}
     for panels in (64, 128):

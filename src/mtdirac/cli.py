@@ -21,9 +21,9 @@ import contextlib
 import csv
 import json
 import math
-import operator
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,18 +75,32 @@ def _replacing(dest: Path):
 
 
 def _read_points(path: Path) -> np.ndarray:
-    """The (4, n) coordinates t1, z1, t2, z2 of a CSV file, columns found by name."""
+    """The (4, n) coordinates t1, z1, t2, z2 of a CSV file, columns found by name.
+
+    The header is one csv row; a repeated name means its last column.  The
+    rows are parsed by np.loadtxt on the same handle: blank lines and extra
+    columns are skipped, quoted cells accepted, and a short row, a "#" or an
+    unparsable cell is a "bad points file".
+    """
     cols = ("t1", "z1", "t2", "z2")
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or any(c not in reader.fieldnames for c in cols):
+        index = {name: k for k, name in enumerate(next(csv.reader(fh), []))}
+        if any(c not in index for c in cols):
             raise ScenarioConfigError(f"points file needs columns {cols}")
-        cells = operator.itemgetter(*cols)
         try:
-            pts = np.fromiter(
-                (tuple(map(float, cells(row))) for row in reader), dtype=(float, 4)
-            )
-        except (TypeError, ValueError) as err:
+            with warnings.catch_warnings():  # a header-only file is reported below
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning
+                )
+                pts = np.loadtxt(
+                    fh,
+                    delimiter=",",
+                    usecols=[index[c] for c in cols],
+                    ndmin=2,
+                    quotechar='"',
+                    comments=None,  # "#" is not a comment: such a line is an error
+                )
+        except ValueError as err:
             raise ScenarioConfigError(f"bad points file: {err}") from err
     if pts.shape[0] == 0:
         raise ScenarioConfigError("points file has no rows")
@@ -114,13 +128,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         pts = np.stack([t, np.repeat(z, z.size), t, np.tile(z, z.size)])
         label = regions(*pts)
 
-    # one %-template of 12 fields per region: "%.0s" takes a value and prints
-    # nothing, and "%.17g" % x is byte-identical to format(x, ".17g")
-    templates = [
-        "%.17g,%.17g,%.17g,%.17g," + r.value
-        + (",%.17g" if r in _SPACELIKE else ",%.0s") * 8 + "\n"
-        for r in REGIONS
-    ]
+    # two %-templates per region, at 2k (full) and 2k + 1 (short), with the
+    # number of values each takes.  "%.17g" % x is byte-identical to
+    # format(x, ".17g"), but each conversion costs ~1 us, so the short one
+    # prints only the coordinates: a flagged row has empty psi cells, and a
+    # space-like row whose psi words are all +0.0 (compact support makes that
+    # most of them) prints "0" for each; -0.0 keeps the full one, for "-0".
+    templates = []
+    for r in REGIONS:
+        head = "%.17g,%.17g,%.17g,%.17g," + r.value
+        if r in _SPACELIKE:
+            templates += [(head + ",%.17g" * 8 + "\n", 12), (head + ",0" * 8 + "\n", 4)]
+        else:
+            templates += [(head + "," * 8 + "\n", 4)] * 2
     dest = Path(args.out) / "fields.csv"
     with _replacing(dest) as fh:
         for line in _echo_lines("evaluate", raw, args.seed):
@@ -132,9 +152,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for start in range(0, label.size, 4096):  # bounded text, bounded peak memory
             part = slice(start, start + 4096)
             values = np.ascontiguousarray(psi[:, part].T).view(float)
+            zero = ~values.view(np.uint64).any(axis=1)
+            keys = (2 * label[part] + zero).tolist()
             table = np.concatenate([pts[:, part].T, values], axis=1).tolist()
-            rows = zip(label[part].tolist(), table)
-            fh.write("".join(templates[k] % tuple(row) for k, row in rows))
+            rows = zip((templates[k] for k in keys), table)
+            fh.write("".join(t % tuple(row[:n]) for (t, n), row in rows))
     flagged = int((~ok).sum())
     print(f"wrote {dest} ({label.size} rows, {flagged} outside the space-like domain)")
     return 0
@@ -458,7 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="field values at configurations")
     common(p_eval)
-    p_eval.add_argument("--points", help="CSV file with columns t1,z1,t2,z2")
+    p_eval.add_argument(
+        "--points",
+        help="CSV file with a header naming columns t1,z1,t2,z2 (other columns"
+        " ignored); no comment lines",
+    )
     p_eval.add_argument("--time", type=_finite, default=0.0, help="grid slice time")
     p_eval.set_defaults(fn=cmd_evaluate)
 

@@ -6,11 +6,13 @@ import pytest
 
 from mtdirac.cli import main
 from mtdirac.conservation import QuadratureSpec, component_masses
-from mtdirac.geometry import Configuration, classify
+from mtdirac.geometry import REGIONS, Configuration, Region, classify, regions
+from mtdirac.interaction import default_slice_grid
 from mtdirac.scenario import load_scenario
 from mtdirac.solver import evaluate_fields
 
 PACKET_CFG = "configs/wavepacket.json"
+MIRROR_CFG = "configs/mirror_bump.json"
 
 
 def _read(path):
@@ -85,25 +87,53 @@ def test_evaluate_flags_nonfinite_rows(tmp_path, capsys):
     assert [rows[k] for k in (1, 3, 4)] == _rows(clean)
 
 
+@pytest.mark.filterwarnings("error")
 def test_evaluate_rejects_header_only_points_file(tmp_path, capsys):
     rc, out = _evaluate_points(tmp_path, "empty", ["t1,z1,t2,z2"])
     assert rc == 2
-    assert "points file has no rows" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: points file has no rows\n"
     assert not out.exists()
 
 
 def test_evaluate_reads_quoted_cells_and_skips_blank_lines(tmp_path):
-    lines = ["t1,z1,t2,z2", "", '"0.25",-1.5,0.125,"1.5"', "", "0.5,-2.0,0.5,2.0"]
-    rc, out = _evaluate_points(tmp_path, "quoted", lines)
-    assert rc == 0
     plain = ["t1,z1,t2,z2", "0.25,-1.5,0.125,1.5", "0.5,-2.0,0.5,2.0"]
     rc, clean = _evaluate_points(tmp_path, "plain", plain)
-    assert rc == 0
-    assert _rows(out) == _rows(clean) and len(_rows(out)) == 2
+    assert rc == 0 and len(_rows(clean)) == 2
+    variants = {
+        "quoted": ["t1,z1,t2,z2", "", '"0.25",-1.5,0.125,"1.5"', "", "0.5,-2.0,0.5,2.0"],
+        "crlf": [line + "\r" for line in plain[:2] + [""] + plain[2:]],
+        "repeated": ["t1,z1,t2,t1,z2", "9,-1.5,0.125,0.25,1.5", "9,-2.0,0.5,0.5,2.0"],
+        "ragged": ["t1,z1,t2,z2,note", "0.25,-1.5,0.125,1.5,a", "0.5,-2.0,0.5,2.0"],
+    }
+    for name, lines in variants.items():
+        rc, out = _evaluate_points(tmp_path, name, lines)
+        assert rc == 0, name
+        assert _rows(out) == _rows(clean), name
 
 
+# "1_0" and a non-ASCII digit are floats to Python's float(), not to the reader
 @pytest.mark.parametrize(
-    "row", ["0.25,-1.5,0.125", "0.25,abc,0.125,1.5"], ids=["short_row", "bad_cell"]
+    "row",
+    [
+        "0.25,-1.5,0.125",
+        "0.25,abc,0.125,1.5",
+        "#x",
+        "1,2,3,4#c",
+        "   ",
+        "0.25,,0.125,1.5",
+        "1_0,-1.5,0.125,1.5",
+        "0.25,-1.5,0.125,\u0663",
+    ],
+    ids=[
+        "short_row",
+        "bad_cell",
+        "hash_line",
+        "hash_in_cell",
+        "whitespace_line",
+        "empty_cell",
+        "underscore",
+        "non_ascii_digit",
+    ],
 )
 def test_evaluate_rejects_a_bad_points_row(tmp_path, capsys, row):
     rc, out = _evaluate_points(tmp_path, "bad", ["t1,z1,t2,z2", "0.5,-2.0,0.5,2.0", row])
@@ -132,6 +162,58 @@ def test_evaluate_regions_match_the_per_row_rule(tmp_path):
     assert [r[4] for r in rows] == want
     assert {"Omega1", "Omega2", "Coincidence", "LightLike", "TimeLike"} <= set(want)
     assert [[float(c) for c in r[:4]] for r in rows] == pts.tolist()
+
+
+def _oracle_lines(s, pts):
+    """fields.csv data lines built cell by cell from regions and evaluate_fields."""
+    label = regions(*pts)
+    spacelike = np.isin(label, [REGIONS.index(r) for r in (Region.OMEGA1, Region.OMEGA2)])
+    psi = np.zeros((4, label.size), dtype=complex)
+    psi[:, spacelike] = evaluate_fields(s, *(p[spacelike] for p in pts))
+    lines = []
+    for k in range(label.size):
+        cells = [format(x, ".17g") for x in pts[:, k]] + [REGIONS[label[k]].value]
+        if spacelike[k]:
+            cells += [format(x, ".17g") for v in psi[:, k] for x in (v.real, v.imag)]
+        else:
+            cells += [""] * 8
+        lines.append(",".join(cells) + "\n")
+    return lines, label, psi[:, spacelike]
+
+
+@pytest.mark.parametrize("source", ["points", "grid"])
+def test_evaluate_writes_every_cell_as_format_17g(tmp_path, source):
+    s, _ = load_scenario(_read(MIRROR_CFG))
+    out = tmp_path / "out"
+    argv = ["evaluate", "--scenario", MIRROR_CFG, "--out", str(out)]
+    if source == "points":
+        rng = np.random.default_rng(11)
+        pts = rng.uniform([-3.25, -3.0, -3.25, -3.0], [3.25, 3.5, 3.25, 3.5], (600, 4))
+        pts[::50, 2:] = pts[::50, :2]  # coincidence
+        pts[7::50] = [0.5, 0.25, 0.0, 0.75]  # light-like, exact in binary
+        pts[9::50, 1] = np.nan
+        path = tmp_path / "points.csv"
+        rows = ("%r,%r,%r,%r\n" % tuple(p) for p in pts.tolist())
+        path.write_text("t1,z1,t2,z2\n" + "".join(rows))
+        argv += ["--points", str(path)]
+        pts = pts.T
+    else:
+        z = default_slice_grid(s, [1.5], n=8).points()
+        t = np.full(z.size**2, 1.5)
+        pts = np.stack([t, np.repeat(z, z.size), t, np.tile(z, z.size)])
+        argv += ["--grid", "8", "--time", "1.5"]
+    assert main(argv) == 0
+    want, label, psi = _oracle_lines(s, pts)
+    with open(out / "fields.csv", newline="") as fh:
+        assert fh.readlines()[4:] == want
+    # every kind of row: all +0.0, zero but with a -0.0 cell, nonzero, each flagged region
+    words = np.ascontiguousarray(psi.T).view(float)
+    plus_zero = ~words.view(np.uint64).any(axis=1)
+    zero = (words == 0).all(axis=1)
+    assert plus_zero.any() and (zero & ~plus_zero).any() and (~zero).any()
+    spacelike = {Region.OMEGA1, Region.OMEGA2}
+    flagged = {Region.COINCIDENCE} if source == "grid" else set(REGIONS) - spacelike
+    assert {REGIONS[k] for k in label} == flagged | spacelike
 
 
 def test_evaluate_grid(tmp_path):
@@ -460,7 +542,6 @@ def test_verify_records_every_check_of_a_raising_probe(tmp_path, monkeypatch, ca
     assert "FAIL seam_c2: RuntimeError: probe broke" in capsys.readouterr().out
 
 
-MIRROR_CFG = "configs/mirror_bump.json"
 G4_X = "initial.g4.omega1.params.x"
 G4_Y = "initial.g4.omega1.params.y"
 
