@@ -77,16 +77,19 @@ def _replacing(dest: Path):
 def _read_points(path: Path) -> np.ndarray:
     """The (4, n) coordinates t1, z1, t2, z2 of a CSV file, columns found by name.
 
-    The header is one csv row; a repeated name means its last column.  The
+    The file is UTF-8, with or without a byte-order mark.  The header is one
+    csv row; a repeated name means its last column.  The
     rows are parsed by np.loadtxt on the same handle: blank lines and extra
     columns are skipped, quoted cells accepted, and a short row, a "#" or an
     unparsable cell is a "bad points file".
     """
     cols = ("t1", "z1", "t2", "z2")
-    with open(path, newline="") as fh:
-        index = {name: k for k, name in enumerate(next(csv.reader(fh), []))}
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = next(csv.reader(fh), [])
+        index = {name: k for k, name in enumerate(header)}
         if any(c not in index for c in cols):
-            raise ScenarioConfigError(f"points file needs columns {cols}")
+            msg = f"points file needs columns {cols}, its header has {tuple(header)}"
+            raise ScenarioConfigError(msg)
         try:
             with warnings.catch_warnings():  # a header-only file is reported below
                 warnings.filterwarnings(

@@ -17,32 +17,38 @@ split into two triangles, each mapped to a square by a collapsing (Duffy)
 transform whose nodes stay strictly off the diagonal.
 
 Every panel uses Gauss-Legendre nodes of order GAUSS_ORDER, on each axis
-and on the collapsed triangles.  The off-diagonal panel blocks are one
-tensor grid of the axis nodes: surf.f and surf.fprime are evaluated on
-those N nodes and the region masks on the N x N pairs.  One reducer
-(_add_densities) turns field values into densities, on that grid and on
-the flat point lists of the triangles alike: psi is evaluated per
-(component, half, branch) (solver._branch_values), on the grid on one
-index rectangle only, and each value is written as its density into a
-zeroed array; every other density stays +0.
+and on the collapsed triangles.  The off-diagonal panel blocks pair the N
+axis nodes; surf.f and surf.fprime are evaluated on those N nodes only.
+
+Off the diagonal panels the method of characteristics makes the integral
+separable.  psi_i is constant along one null coordinate of each particle,
+so for factored data each branch has |psi_i|^2 = c a(x) b(y), x read at the
+particle-1 node and y at the particle-2 node (solver._branch_factors), and
+its term of F is a product A_i B_j of one number per node of each axis.
+The pairs of half 1 are the nodes of the later panels and those of half 2
+the earlier ones; on psi2/psi3 the seam x < y (x > y on half 2) is a
+staircase that a binary search in the sorted y finds.  So each row sums B
+over one index interval of a prefix or suffix sum: O(N log N) for the
+whole block instead of N^2 pairs (_moment_terms).  This needs a
+certificate, checked exactly on the stored axis floats (_certified): both
+null coordinates z -+ f(z) strictly increase over the nodes, with a margin
+that makes every off-diagonal pair space-like as computed.  Branches that
+do not factor (data given by a function, custom phases, overridden
+boundary maps), and every branch where the certificate fails, are reduced
+on the whole N x N grid of node pairs, which counts excluded pairs.
 
 Truncation is lossless.  Data vanish exactly outside the open supports of
 their profiles, and the two null coordinates z -+ f(z) of a graph point
 are strictly increasing in z, so inverting them at the support hull
-endpoints yields a box outside which the integrand is exactly zero.  Inside
-it, a factored initial branch px(a) py(b) is nonzero only on the rows and
-columns whose axis null coordinates pass each profile's own test
-lo < a < hi.  The boundary branch of psi2/psi3 reads the partner datum at
-z* -+ t*, z* +- t*, which is (y, x) in exact arithmetic and within one ulp
-of the largest null coordinate of the grid after rounding (the proof is in
-solver._branch_rectangle): it lives on the partner's rectangle,
-transposed and widened by that ulp.  Data given by a function, custom
-phases and overridden boundary maps get the whole grid.  A density is
-|psi_i|^2 times positive Jacobians, so a signed zero squares to +0 and the
-densities outside the rectangles are +0 on the full grid too: the totals
-are the same bits.  Panel contributions are accumulated with math.fsum, so
-the result is independent of chunking and thread count (MTDIRAC_THREADS
-splits the grid by row blocks and the triangles by point ranges).
+endpoints yields a box outside which the integrand is exactly zero; the
+moments of nodes outside it are exact zeros.  One reducer (_add_densities) turns field values into densities, on the grid
+and on the flat point lists of the diagonal triangles alike.  All parts
+(grid blocks, triangle panels and moment rows) are accumulated per
+component with math.fsum, so the result is independent of chunking and
+thread count (MTDIRAC_THREADS splits the grid by row blocks and the
+triangles by point ranges).  The moments change the summation order of the
+off-diagonal terms, not their set: they differ from the grid by rounding
+of the prefix sums, at most ~2 N u (sum A)(sum B) per branch.
 """
 
 from __future__ import annotations
@@ -57,8 +63,8 @@ from typing import Callable
 import numpy as np
 
 from .geometry import region_masks
-from .scenario import NULL_SIGNS, Scenario
-from .solver import _branch_values
+from .scenario import BRANCH_MAPS, NULL_SIGNS, Scenario, null_pair
+from .solver import _branch_factors, _branch_values
 
 MAX_SLOPE = 1.0 - 1e-6
 GAUSS_ORDER = 8
@@ -254,11 +260,17 @@ def _threaded(evaluate, n: int, points: int) -> list:
         return list(pool.map(evaluate, pieces))
 
 
+def _abs2(v: np.ndarray) -> np.ndarray:
+    """|v|^2 of complex values v."""
+    d = np.square(v.real)
+    d += np.square(v.imag)
+    return d
+
+
 def _density(comp: int, v: np.ndarray, fp1, fp2) -> np.ndarray:
     """The term |psi_comp|^2 (1 + s1 f'(z1)) (1 + s2 f'(z2)) of F at values v."""
     s1, s2 = NULL_SIGNS[comp]
-    d = np.square(v.real)
-    d += np.square(v.imag)
+    d = _abs2(v)
     d *= 1.0 + s1 * fp1
     d *= 1.0 + s2 * fp2
     return d
@@ -274,54 +286,150 @@ def _on_surface(surf: Hypersurface, z: np.ndarray) -> np.ndarray:
     return np.stack([surf.f(z), z, surf.fprime(z)])
 
 
-def _add_densities(s: Scenario, dens, where, leg1, leg2, rectangles=False) -> int:
+def _add_densities(s: Scenario, dens, where, leg1, leg2, branches=None) -> int:
     """Write the terms of F at the pairs where into dens; return the excluded count.
 
     leg1 and leg2 hold the rows t, z, f'(z) (_on_surface) of the two points
     of each pair: flat rows are a list of pairs, a column and a row a tensor
-    grid, on which rectangles evaluates each branch on its support rectangle
-    only.  where is a mask of the pairs, or True for all.  dens has shape
+    grid.  where is a mask of the pairs, or True for all.  dens has shape
     (4,) + the shape of the pairs and holds zeros; a term is written only
-    where its branch is evaluated.  Excluded pairs are those of where that
-    are not space-like; they stay zero.
+    where its branch is evaluated, and only the branches named in branches
+    (all if None) are.  Excluded pairs are those of where that are not
+    space-like; they stay zero.
     """
     (t1, z1, fp1), (t2, z2, fp2) = leg1, leg2
     m1, m2, bad = region_masks(t1, z1, t2, z2)
     halves = ((1, m1 & where), (2, m2 & where))
-    for comp, win, mask, values in _branch_values(s, halves, t1, z1, t2, z2, rectangles):
-        f1, f2 = (fp1[win[0]], fp2[:, win[1]]) if win else (fp1, fp2)
-        fp_at = (np.broadcast_to(f, mask.shape)[mask] for f in (f1, f2))
-        dens[comp - 1][win][mask] = _density(comp, values, *fp_at)
+    for comp, mask, values in _branch_values(s, halves, t1, z1, t2, z2, branches):
+        fp_at = (np.broadcast_to(f, mask.shape)[mask] for f in (fp1, fp2))
+        dens[comp - 1][mask] = _density(comp, values, *fp_at)
     return int(np.count_nonzero(bad & where))
+
+
+# every (component, half, initial) branch of the solver's branch table
+_BRANCHES = tuple(
+    (comp, half, initial)
+    for comp in NULL_SIGNS
+    for half in (1, 2)
+    for initial in ((True, False) if (comp, half) in BRANCH_MAPS else (True,))
+)
+_MARGIN = 1.0 - 2.0**-40
+
+
+def _certified(t: np.ndarray, z: np.ndarray) -> bool:
+    """Whether the sorted axis nodes z, t = f(z), admit the moments.
+
+    Checked in floats on the stored values: z increases in steps
+    dz >= 2^-500 over a span <= 2^500, and each step of t is at most
+    (1 - 2^-40) dz.  With the rounding of the check (a factor
+    (1 + u)^2 / (1 - u), u = 2^-53) the exact steps obey
+    |dt| <= (1 - 2^-41) dz, so by the triangle inequality every pair i < j
+    has |t_j - t_i| <= (1 - 2^-41) (z_j - z_i).  Rounded differences and
+    squares (normal numbers: dz^2 lies in [2^-1001, 2^1001]) keep dt^2 < dz^2
+    as computed, so every pair of distinct nodes is space-like under
+    geometry.region_masks, in half 1 exactly when i < j.  Both null
+    coordinates z -+ t strictly increase, and rounding is monotone, so their
+    computed values are sorted.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        dz = np.diff(z)
+        return bool(
+            np.all(dz >= 2.0**-500)
+            and z[-1] - z[0] <= 2.0**500
+            and np.all(np.abs(np.diff(t)) <= _MARGIN * dz)
+        )
+
+
+def _moment_terms(key, factors, axis, w, m) -> np.ndarray:
+    """The off-diagonal integral of one factored branch, as N row terms A_i S_i.
+
+    With |psi|^2 = c |pa(x)|^2 |pb(y)|^2 (solver._branch_factors), the term
+    of F is A_i B_j with A_i = c w_i J1_i |pa(x_i)|^2 and
+    B_j = w_j J2_j |pb(y_j)|^2 on the nodes (J the null Jacobians 1 + s f').
+    Row i pairs with the nodes of the later panels on half 1 and of the
+    earlier ones on half 2 (_certified makes the half the node order), and
+    on psi2/psi3 its initial branch takes the y_j past x_i (initial_branch:
+    x < y on half 1, x > y on half 2; a tie goes to the boundary branch),
+    found by binary search in the sorted y.  S_i sums B over that index
+    interval: a plain prefix or suffix sum where the interval reaches an
+    end, else the difference of the prefix or the suffix sums, whichever has
+    the smaller operands.
+    """
+    comp, half, initial = key
+    c, pa, pb = factors
+    t, z, fp = axis
+    s1, s2 = NULL_SIGNS[comp]
+    x, y = null_pair(comp, t, z, t, z)
+    a = c * (w * (1.0 + s1 * fp)) * _abs2(pa(x))
+    b = w * (1.0 + s2 * fp) * _abs2(pb(y))
+    prefix = np.concatenate(([0.0], np.cumsum(b)))  # prefix[k] = sum of b[:k]
+    suffix = np.concatenate((np.cumsum(b[::-1])[::-1], [0.0]))  # sum of b[k:]
+    first = np.arange(x.size) // m * m  # the first node of the row's panel
+    lo, hi = (first + m, x.size) if half == 1 else (0, first)
+    if (comp, half) in BRANCH_MAPS:
+        k = np.searchsorted(y, x, side="right" if half == 1 else "left")
+        if half == 1:
+            lo, hi = (np.maximum(lo, k), hi) if initial else (lo, np.maximum(lo, k))
+        else:
+            lo, hi = (lo, np.minimum(hi, k)) if initial else (np.minimum(hi, k), hi)
+    if np.isscalar(hi):  # the interval reaches an end of the axis
+        return a * suffix[lo]
+    if np.isscalar(lo):
+        return a * prefix[hi]
+    inner = np.where(
+        prefix[hi] <= suffix[lo], prefix[hi] - prefix[lo], suffix[lo] - suffix[hi]
+    )
+    return a * inner
 
 
 def _integrate(
     s: Scenario, surf: Hypersurface, q: QuadratureSpec
 ) -> tuple[np.ndarray, int, tuple[float, float] | None, int]:
     """The four per-component integrals of F over off-diagonal pairs, the
-    count of excluded pairs (zero by the slope bound), the box and the
-    number of nodes."""
+    count of excluded pairs, the box and the number of nodes.
+
+    Off the diagonal panels each factored branch is integrated from moments
+    on the N axis nodes (_moment_terms) when _certified holds; then no
+    off-diagonal pair is excluded, by its proof.  The other branches, and
+    all of them where the certificate fails, are reduced on the N x N grid
+    of node pairs, whose excluded pairs region_masks counts.
+    """
     box = q.box if q.box is not None else truncation_box(s, surf)
     if box is None:
         return np.zeros(4), 0, None, 0
     edges = np.linspace(box[0], box[1], q.panels + 1)
     nodes, weights = _axis_nodes(edges)  # (panels, m)
     p, m = nodes.shape
-
-    # off-diagonal panel blocks: one tensor grid of the axis nodes, reduced
-    # by row blocks straight into vals
     axis = _on_surface(surf, nodes.reshape(-1))
     n = axis.shape[1]
-    panel = np.repeat(np.arange(p), m)
-    vals = np.zeros((4, n, n))
+    pieces = [[] for _ in NULL_SIGNS]  # per component, arrays of terms to fsum
 
-    def grid_rows(rows):
-        offdiag = panel[rows, None] != panel[None, :]
-        column, row = axis[:, rows, None], axis[:, None, :]
-        return _add_densities(s, vals[:, rows], offdiag, column, row, rectangles=True)
+    factored = {}
+    if _certified(axis[0], axis[1]):
+        factored = {key: _branch_factors(s, *key) for key in _BRANCHES}
+    for key, factors in factored.items():
+        if factors is not None and factors[0] != 0.0:
+            terms = _moment_terms(key, factors, axis, weights.reshape(-1), m)
+            pieces[key[0] - 1].append(terms)
 
-    excluded = sum(_threaded(grid_rows, n, n * n))
-    block = np.einsum("io,jp,kiojp->kij", weights, weights, vals.reshape(4, p, m, p, m))
+    # the other branches: one tensor grid of the axis nodes, reduced by row
+    # blocks straight into vals
+    grid = {key for key in _BRANCHES if factored.get(key) is None}
+    excluded = 0
+    if grid:
+        panel = np.repeat(np.arange(p), m)
+        vals = np.zeros((4, n, n))
+
+        def grid_rows(rows):
+            offdiag = panel[rows, None] != panel[None, :]
+            column, row = axis[:, rows, None], axis[:, None, :]
+            return _add_densities(s, vals[:, rows], offdiag, column, row, grid)
+
+        excluded = sum(_threaded(grid_rows, n, n * n))
+        blocks = vals.reshape(4, p, m, p, m)
+        block = np.einsum("io,jp,kiojp->kij", weights, weights, blocks)
+        for k in range(4):
+            pieces[k].append(block[k].reshape(-1))
 
     # diagonal panels: two collapsed triangles each
     x, w = _GAUSS
@@ -336,7 +444,6 @@ def _integrate(
     span = width[:, None, None]
     zu = (corner + span * np.broadcast_to(U, (m, m))).reshape(-1)
     zv = (corner + span * (U * V)).reshape(-1)
-    tri = []
     # upper triangle: z1 <= z2 (half 1); lower: z2 <= z1 (half 2)
     for z1t, z2t in ((zv, zu), (zu, zv)):
         on1, on2 = _on_surface(surf, z1t), _on_surface(surf, z2t)
@@ -347,10 +454,11 @@ def _integrate(
 
         excluded += sum(_threaded(triangle, z1t.size, z1t.size))
         red = red.reshape(4, p, m, m)
-        tri.append(np.einsum("uv,kpuv->kp", WUV, red) * (width * width)[None, :])
+        tri = np.einsum("uv,kpuv->kp", WUV, red) * (width * width)[None, :]
+        for k in range(4):
+            pieces[k].append(tri[k])
 
-    parts = np.concatenate([block.reshape(4, -1), *tri], axis=1)
-    totals = np.array([math.fsum(row) for row in parts])
+    totals = np.array([math.fsum(np.concatenate(row).tolist()) for row in pieces])
     return totals, excluded, box, n * n - p * m * m + 2 * p * m * m
 
 

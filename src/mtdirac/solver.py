@@ -28,13 +28,16 @@ indexed psi1..psi4.  evaluate_grid takes the points of each particle and
 fills the tensor grid of their pairs.  There each null coordinate is a
 vector along one axis, so a separable datum (scenario.Factors) is
 evaluated on the axis points only; both read the branch table in one loop
-and agree bit for bit.  On a grid that loop can also skip everything
-outside the index rectangle where a branch can be nonzero; the surface
-quadrature reduces the branches that way.
+and agree bit for bit.  The loop can skip branches: the surface
+quadrature integrates the branches whose |psi|^2 is a product of one
+function of x and one of y (_branch_factors) from their axis values alone
+and evaluates only the others on its grid.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +46,6 @@ from .geometry import Configuration, DomainError, region_masks, spacelike_margin
 from .scenario import (
     BRANCH_MAPS,
     NULL_SIGNS,
-    Component2D,
     Scenario,
     boundary_maps,
     coincidence_point,
@@ -57,80 +59,45 @@ class StencilError(ValueError):
     """A finite-difference stencil would cross a branch seam or leave the domain."""
 
 
-def _index_range(inside: np.ndarray) -> slice | None:
-    """The slice from the first to the last True of a 1-D mask; None if none."""
-    k = np.flatnonzero(inside)
-    return slice(int(k[0]), int(k[-1]) + 1) if k.size else None
+def _branch_factors(s: Scenario, comp: int, half: int, initial: bool):
+    """(c, pa, pb) with |psi_comp|^2 = c |pa(x)|^2 |pb(y)|^2 on a branch of a half.
 
-
-_WHOLE_GRID = (slice(None), slice(None))
-
-
-def _datum_rectangle(g: Component2D, a: np.ndarray, b: np.ndarray, margin: float):
-    """Index ranges of the vectors a, b outside which g(a_i, b_j) is exactly 0.
-
-    A factored datum with finite constants is zero wherever one profile
-    reads a point outside its open support, so each range covers the points
-    of its vector inside the support of the profile that reads it
-    (Profile1D.inside when margin is 0, else the support widened by margin
-    and closed).  Unfactored data give the whole grid, the zero datum None.
+    (x, y) is the null pair of the component.  The initial branch is the
+    datum g(x, y) itself; the boundary branch of psi2/psi3 is the half's
+    derived boundary map, exp(-+ i theta) times the partner datum (the other
+    component of the half in BRANCH_MAPS) read at z* -+ t*, z* +- t*, which
+    is (y, x) in exact arithmetic.  So a branch factors when its datum does
+    (Factors with finite constants, c = |pre|^2) and, on the boundary
+    branch, the phase is one finite constant (c also carries
+    |exp(-+ i theta)|^2).  c = 0 means the branch is zero.  None means it does
+    not factor: a datum given by its function, an overridden boundary map,
+    a custom phase, or a non-finite constant (NaN times a zero read is NaN).
     """
-    if g.is_zero:
-        return None
-    f = g.factors
-    if f is None or not np.isfinite(f.pre).all():
-        return _WHOLE_GRID
-    pa, pb = (f.py, f.px) if f.swapped else (f.px, f.py)
-    ranges = []
-    for v, p in ((a, pa), (b, pb)):
-        if margin == 0.0:
-            inside = p.inside(v)
-        else:
-            inside = (v - p.lo >= -margin) & (v - p.hi <= margin)
-        ranges.append(_index_range(inside))
-    return None if None in ranges else tuple(ranges)
-
-
-def _branch_rectangle(s: Scenario, comp: int, half: int, initial: bool, x, y):
-    """Index rectangle of the grid (column x, row y) holding a branch's support.
-
-    psi_comp on that branch of the half is exactly zero outside the rows and
-    columns returned; None means it is zero on the whole grid.  The initial
-    branch is the datum g(x, y) itself.  The boundary branch of psi2/psi3
-    is the half's derived boundary map, which reads the partner datum (the
-    other component of the half in BRANCH_MAPS) at z* -+ t*, z* +- t*: at
-    (y, x) in exact arithmetic.
-
-    Rounded, each read argument is within u = ulp(max(|x|, |y|)) of y or x.
-    Of x + y and y - x at most one reaches the binade above that maximum,
-    so they round by at most u and u/2, and the exact halvings leave at most
-    3u/4 on z* -+ t*.  The last rounding keeps that within u: where floats
-    are spaced by u/2 or less it adds at most u/4; where they are spaced by
-    u, the result and y (or x), multiples of u/2 there, are at most 5u/4 and
-    so at most u apart; past the top of the binade the sum rounds down to
-    the power of two, within 3u/4.  So the partner's rectangle is transposed
-    and its supports widened to closed intervals by U, the ulp of the
-    largest null coordinate of the grid: if fl(v - lo) < -U then v < lo - U
-    and the read point is below lo (likewise at hi).  U is floored at the
-    ulp of 2^-1020, 2^-1072; below that, halvings round by at most 2^-1075
-    each, which the floor covers.  An overridden boundary map, or a custom or
-    non-finite phase, may be nonzero anywhere (NaN times a zero read is NaN):
-    the whole grid.
-    """
+    c = 1.0
     if initial:
-        return _datum_rectangle(s.initial.component(comp, half), x[:, 0], y[0], 0.0)
-    theta = s.phase.theta1 if half == 1 else s.phase.theta2
-    if (
-        s.boundary_override is not None
-        or theta.kind == "custom"
-        or not np.isfinite(theta(0.0, 0.0))
-    ):
-        return _WHOLE_GRID
-    (partner,) = (c for c, h in BRANCH_MAPS if h == half and c != comp)
-    scale = max(float(np.abs(x).max()), float(np.abs(y).max()), 2.0**-1020)
-    g = s.initial.component(partner, half)
-    cols_rows = _datum_rectangle(g, y[0], x[:, 0], float(np.spacing(scale)))
-    return None if cols_rows is None else cols_rows[::-1]
+        g = s.initial.component(comp, half)
+    else:
+        theta = s.phase.theta1 if half == 1 else s.phase.theta2
+        if s.boundary_override is not None or theta.kind == "custom":
+            return None
+        phase = float(theta(0.0, 0.0))
+        if not math.isfinite(phase):
+            return None
+        c = abs(cmath.exp(1j * phase)) ** 2
+        (partner,) = (k for k, h in BRANCH_MAPS if h == half and k != comp)
+        g = s.initial.component(partner, half)
+    if g.is_zero:
+        return 0.0, None, None
+    f = g.factors
+    if f is None:
+        return None
+    for k in f.pre:
+        c *= abs(k) * abs(k)  # overflows to inf, not to an exception
+    if not math.isfinite(c):
+        return None
+    # g(a, b) = pre px(a) py(b) with (a, b) = (x, y), or (y, x) when swapped;
+    # the boundary branch reads g at (y, x)
+    return (c, f.py, f.px) if f.swapped == initial else (c, f.px, f.py)
 
 
 def _on_mask(mask: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -138,19 +105,18 @@ def _on_mask(mask: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.broadcast_to(a, mask.shape)[mask] for a in (x, y))
 
 
-def _branch_values(s: Scenario, halves, t1, z1, t2, z2, rectangles=False):
-    """Yield (comp, win, mask, values): psi_comp on one branch of one half.
+def _branch_values(s: Scenario, halves, t1, z1, t2, z2, branches=None):
+    """Yield (comp, mask, values): psi_comp on one branch of one half.
 
     halves holds (half, where) pairs, where masking the points of that half.
     The coordinates broadcast to the shape of the masks; flat arrays are a
     list of points, a column (t1, z1) and a row (t2, z2) a tensor grid.
-    values holds psi_comp at the points mask of the window win of the
-    arrays; psi is zero off every yielded mask.  win is () (the whole
-    arrays), or with rectangles on a grid the (rows, columns) slices of
-    _branch_rectangle, so that each branch is evaluated only where it can
-    be nonzero.  On a grid a factored datum fills its initial branch from
-    its profiles on the axes; every other value (unfactored data, the
-    boundary branch of psi2/psi3) is evaluated pointwise on its mask.
+    values holds psi_comp at the points mask; psi is zero off every yielded
+    mask.  branches, if given, holds the (comp, half, initial) keys to
+    evaluate; the others are skipped.  On a grid a factored datum fills its
+    initial branch from its profiles on the axes; every other value
+    (unfactored data, the boundary branch of psi2/psi3) is evaluated
+    pointwise on its mask.
     """
     maps = boundary_maps(s)
     for half, where in halves:
@@ -163,29 +129,22 @@ def _branch_values(s: Scenario, halves, t1, z1, t2, z2, rectangles=False):
             for initial in (True, False) if seam else (True,):
                 if initial and g.is_zero:
                     continue
-                win = ()
-                if rectangles:
-                    win = _branch_rectangle(s, comp, half, initial, x, y)
-                if win is None:
+                if branches is not None and (comp, half, initial) not in branches:
                     continue
-                xw, yw, mask = x, y, where
-                if win:
-                    xw, yw, mask = x[win[0]], y[:, win[1]], where[win]
+                mask = where
                 if seam:
-                    on_initial = initial_branch(half, xw, yw)
+                    on_initial = initial_branch(half, x, y)
                     mask = mask & (on_initial if initial else ~on_initial)
                 if not mask.any():
                     continue
                 # values are yielded, not kept: no branch's arrays outlive it
-                if initial and g.factors is not None and xw.shape != yw.shape:
-                    yield comp, win, mask, g.factors.at(xw, yw)[mask]  # a column, a row
+                if initial and g.factors is not None and x.shape != y.shape:
+                    yield comp, mask, g.factors.at(x, y)[mask]  # a column, a row
                 elif initial:
-                    yield comp, win, mask, g(*_on_mask(mask, xw, yw))
+                    yield comp, mask, g(*_on_mask(mask, x, y))
                 else:
                     hmap = getattr(maps, BRANCH_MAPS[(comp, half)])
-                    yield comp, win, mask, hmap(
-                        *coincidence_point(comp, *_on_mask(mask, xw, yw))
-                    )
+                    yield comp, mask, hmap(*coincidence_point(comp, *_on_mask(mask, x, y)))
 
 
 def _eval_halves(s: Scenario, halves, t1, z1, t2, z2) -> np.ndarray:
@@ -195,8 +154,8 @@ def _eval_halves(s: Scenario, halves, t1, z1, t2, z2) -> np.ndarray:
     """
     shape = np.broadcast_shapes(t1.shape, t2.shape)
     out = np.zeros((4,) + shape, dtype=complex)
-    for comp, win, mask, values in _branch_values(s, halves, t1, z1, t2, z2):
-        out[comp - 1][win][mask] = values
+    for comp, mask, values in _branch_values(s, halves, t1, z1, t2, z2):
+        out[comp - 1][mask] = values
         del values  # not held while the next branch is evaluated
     return out
 

@@ -58,7 +58,7 @@ def test_evaluate_points_roundtrip(tmp_path):
 
 def _evaluate_points(tmp_path, name, lines):
     pts = tmp_path / f"{name}.csv"
-    pts.write_text("".join(line + "\n" for line in lines))
+    pts.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     out = tmp_path / name
     argv = ["evaluate", "--scenario", PACKET_CFG, "--out", str(out), "--points"]
     return main(argv + [str(pts)]), out
@@ -104,11 +104,22 @@ def test_evaluate_reads_quoted_cells_and_skips_blank_lines(tmp_path):
         "crlf": [line + "\r" for line in plain[:2] + [""] + plain[2:]],
         "repeated": ["t1,z1,t2,t1,z2", "9,-1.5,0.125,0.25,1.5", "9,-2.0,0.5,0.5,2.0"],
         "ragged": ["t1,z1,t2,z2,note", "0.25,-1.5,0.125,1.5,a", "0.5,-2.0,0.5,2.0"],
+        "bom": ["\ufeff" + plain[0], *plain[1:]],  # as spreadsheet exports write it
     }
     for name, lines in variants.items():
         rc, out = _evaluate_points(tmp_path, name, lines)
         assert rc == 0, name
         assert _rows(out) == _rows(clean), name
+
+
+def test_evaluate_names_the_header_it_read(tmp_path, capsys):
+    rc, out = _evaluate_points(tmp_path, "names", ["t1,z1,t2,Z2", "0.5,-2.0,0.5,2.0"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: points file needs columns ('t1', 'z1', 't2', 'z2'), "
+        "its header has ('t1', 'z1', 't2', 'Z2')\n"
+    )
+    assert not out.exists()
 
 
 # "1_0" and a non-ASCII digit are floats to Python's float(), not to the reader

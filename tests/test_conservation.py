@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mtdirac.conservation import (
     GAUSS_ORDER,
     Hypersurface,
     QuadratureSpec,
     _axis_nodes,
+    _certified,
     _component_densities,
     _integrate,
     acceptance_family,
@@ -21,7 +25,18 @@ from mtdirac.conservation import (
     truncation_box,
     worker_count,
 )
-from mtdirac.scenario import InitialData, Scenario, ZERO2
+from mtdirac.geometry import region_masks
+from mtdirac.profiles import smooth_bump
+from mtdirac.scenario import (
+    BoundaryPhase,
+    InitialData,
+    Phase,
+    Scenario,
+    ZERO2,
+    antisymmetric_extension,
+    phase_mirrored,
+    product2,
+)
 from mtdirac.solver import evaluate_fields
 from test_current import gamma_current
 from test_solver import grid_scenarios
@@ -239,10 +254,21 @@ def test_thread_count_never_changes_bits_at_128_panels(rich, monkeypatch):
     assert rep.value == math.fsum(serial[0]) and rep.node_count == serial[3]
 
 
+def spacelike_fields(s, t1, z1, t2, z2):
+    """evaluate_fields on the space-like pairs, zero on the others, and the
+    count of the others."""
+    _, _, bad = region_masks(t1, z1, t2, z2)
+    psi = np.zeros((4, t1.size), dtype=complex)
+    ok = ~bad
+    psi[:, ok] = evaluate_fields(s, t1[ok], z1[ok], t2[ok], z2[ok])
+    return psi, int(bad.sum())
+
+
 def pointwise_integrate(s, surf, q):
     """_integrate assembled point by point: evaluate_fields on the flattened
     off-diagonal panel blocks and on the collapsed triangles of the diagonal
-    panels, each with the Gauss order of the axis nodes."""
+    panels, each with the Gauss order of the axis nodes.  Returns the
+    totals, the box and the count of pairs that are not space-like."""
     box = q.box if q.box is not None else truncation_box(s, surf)
     edges = np.linspace(box[0], box[1], q.panels + 1)
     nodes, weights = _axis_nodes(edges)
@@ -252,7 +278,7 @@ def pointwise_integrate(s, surf, q):
     z2 = np.broadcast_to(nodes[None, None, :, :], shape)
     off = np.broadcast_to(~np.eye(p, dtype=bool)[:, None, :, None], shape)
     z1f, z2f = z1[off], z2[off]
-    psi = evaluate_fields(s, surf.f(z1f), z1f, surf.f(z2f), z2f)
+    psi, excluded = spacelike_fields(s, surf.f(z1f), z1f, surf.f(z2f), z2f)
     vals = np.zeros((4,) + shape)
     vals[:, off] = _component_densities(psi, surf.fprime(z1f), surf.fprime(z2f))
     parts = [np.einsum("io,jp,kiojp->kij", weights, weights, vals).reshape(4, -1)]
@@ -264,35 +290,181 @@ def pointwise_integrate(s, surf, q):
     zv = a[:, None, None] + width[:, None, None] * (u[:, None] * u[None, :])
     zu, zv = zu.reshape(-1), zv.reshape(-1)
     for z1t, z2t in ((zv, zu), (zu, zv)):
-        psi_t = evaluate_fields(s, surf.f(z1t), z1t, surf.f(z2t), z2t)
+        psi_t, bad = spacelike_fields(s, surf.f(z1t), z1t, surf.f(z2t), z2t)
+        excluded += bad
         red = _component_densities(psi_t, surf.fprime(z1t), surf.fprime(z2t))
         tri = np.einsum("uv,kpuv->kp", wuv, red.reshape(4, p, u.size, u.size))
         parts.append(tri * (width * width)[None, :])
     parts = np.concatenate(parts, axis=1)
-    return np.array([math.fsum(row) for row in parts]), box
+    return np.array([math.fsum(row) for row in parts]), box, excluded
+
+
+def moment_scale(s, surf, q):
+    """An upper bound M on the sum, over the branches _integrate takes from
+    moments, of (sum_i A_i)(sum_j B_j), plus the oracle's scale.
+
+    A factored datum c px(a) py(b) feeds two branches: its own initial one
+    and the boundary branch of its partner (|exp(-+ i theta)|^2 = 1).  Each
+    profile is read at one null coordinate z -+ f(z) of every node, and the
+    Jacobians 1 +- f' are below 2, so sum_i A_i <= c sum_i 2 w_i
+    max(|px(z_i - f_i)|^2, |px(z_i + f_i)|^2), and likewise for B."""
+    box = q.box if q.box is not None else truncation_box(s, surf)
+    nodes, weights = _axis_nodes(np.linspace(box[0], box[1], q.panels + 1))
+    z = nodes.reshape(-1)
+    t, w = surf.f(z), 2.0 * weights.reshape(-1)
+
+    def mass(profile):
+        return np.sum(w * np.maximum(np.abs(profile(z - t)), np.abs(profile(z + t))) ** 2)
+
+    scale = 0.0
+    for half in (1, 2):
+        for comp in (1, 2, 3, 4):
+            f = s.initial.component(comp, half).factors
+            if f is not None:
+                c = math.prod(abs(k) ** 2 for k in f.pre)
+                scale += 2.0 * c * mass(f.px) * mass(f.py)
+    return scale
+
+
+def assert_within_moment_bound(totals, expected, s, surf, q):
+    """|totals - expected| <= 5 N u (M + sum of |expected|) per component.
+
+    Per factored branch the moments differ from the grid by the rounding of
+    the prefix and suffix sums, at most 2 N u sum_j B_j for each S_i (an
+    inner interval subtracts two of them), and by at most ~16 u per term in
+    forming A_i B_j instead of the grid's |psi|^2 J1 J2 w_i w_j; the oracle's
+    Gauss blocks add at most (m^2 + 16) u of its total, m = GAUSS_ORDER.  With
+    N = panels * m >= 32 nodes per axis, 2 N + m^2 + 32 <= 5 N."""
+    n = q.panels * GAUSS_ORDER
+    scale = moment_scale(s, surf, q) + np.abs(expected).sum()
+    bound = 5 * n * np.finfo(float).eps / 2 * scale
+    assert np.abs(totals - expected).max() <= bound
 
 
 @pytest.mark.parametrize("panels", [12, 25], ids=["gauss", "gauss25"])
 @pytest.mark.parametrize("name", ["packet", "rich", "antisym", *grid_scenarios()])
 def test_integrate_equals_pointwise_assembly(name, panels, request, monkeypatch):
-    # _integrate evaluates each branch on its support rectangle only; the
-    # oracle evaluates every node.  Both grids have at least 4096 nodes, so
-    # MTDIRAC_THREADS=3 splits them into row blocks.  On flat(0) with the
-    # box (-2, 2) null coordinates are the nodes themselves; nodes exactly
-    # on the ends of the "touching" supports are covered by
-    # test_solver::test_rectangles_reproduce_the_grid[touching].
+    # custom2's data are all functions, so every branch takes the grid path:
+    # the same bits as the oracle.  Every other scenario has factored
+    # branches, which _integrate takes from moments: within the bound.
+    # Both grids have at least 4096 nodes, so MTDIRAC_THREADS=3 splits them
+    # into row blocks.  On flat(0) with the box (-2, 2) null coordinates are
+    # the nodes themselves.
     s = grid_scenarios().get(name) or request.getfixturevalue(name)
     q = QuadratureSpec(panels=panels)
     cases = [(bump_surface(0.2, 0.3, 4.0), q), (boosted_flat(-0.4), q), (flat(1.1), q)]
     cases.append((flat(0.0), replace(q, box=(-2.0, 2.0))))
     for surf, qs in cases:
-        expected, expected_box = pointwise_integrate(s, surf, qs)
+        expected, expected_box, expected_excluded = pointwise_integrate(s, surf, qs)
         for threads in ("1", "3"):
             monkeypatch.setenv("MTDIRAC_THREADS", threads)
             totals, excluded, box, nodes = _integrate(s, surf, qs)
-            assert np.array_equal(totals, expected) and totals.any()
-            assert box == expected_box and excluded == 0
+            if name == "custom2":
+                assert np.array_equal(totals, expected)
+            else:
+                assert_within_moment_bound(totals, expected, s, surf, qs)
+            assert totals.any() and box == expected_box
+            assert excluded == expected_excluded == 0
             assert nodes == (panels * GAUSS_ORDER) ** 2 + panels * GAUSS_ORDER**2
+
+
+def test_moments_send_seam_ties_to_the_boundary_branch():
+    # on t = -1/2 the Gauss nodes of the 4 panels of (-2, 2) give ties
+    # x == y off the diagonal panels: psi2's x = z_i + 1/2 and y = z_j - 1/2
+    # on half 1, psi3's on half 2.  g2 and g3 are not mirrored, so the two
+    # branches differ on the seam, and a tie on the initial branch would
+    # move the totals far past the bound
+    g2 = product2(smooth_bump(-1.5, 1.5, momentum=0.7), smooth_bump(-1.5, 1.5))
+    g3 = product2(smooth_bump(-1.5, 1.5, amplitude=0.3), smooth_bump(-1.5, 1.5))
+    half = (ZERO2, g2, g3, ZERO2)
+    s = Scenario(InitialData(half, half), BoundaryPhase(Phase("constant", 0.4)))
+    q = QuadratureSpec(panels=4, box=(-2.0, 2.0))
+    nodes, _ = _axis_nodes(np.linspace(-2.0, 2.0, 5))
+    z = nodes.reshape(-1)
+    i, j = np.nonzero((z + 0.5)[:, None] == (z - 0.5)[None, :])
+    assert (i // GAUSS_ORDER < j // GAUSS_ORDER).sum() >= 10
+    expected, _, _ = pointwise_integrate(s, flat(-0.5), q)
+    totals, _, _, _ = _integrate(s, flat(-0.5), q)
+    assert_within_moment_bound(totals, expected, s, flat(-0.5), q)
+
+
+def test_certificate_failure_takes_the_grid_path(rich):
+    # 32 Gauss nodes in a box 48 ulps wide: nodes collide in float, so the
+    # moments are not certified and every branch takes the grid path, which
+    # counts the pairs of equal nodes in different panels as excluded.  On
+    # t = 1 psi2 reads g2 at (z - 1, z + 1), inside its support at z = 1/4
+    lo = 0.25
+    box = (lo, lo + 48 * float(np.spacing(lo)))
+    q = QuadratureSpec(panels=4, box=box)
+    nodes, _ = _axis_nodes(np.linspace(*box, 5))
+    assert not _certified(np.ones(nodes.size), nodes.reshape(-1))
+    expected, _, expected_excluded = pointwise_integrate(rich, flat(1.0), q)
+    totals, excluded, _, _ = _integrate(rich, flat(1.0), q)
+    assert np.array_equal(totals, expected) and totals.any()
+    assert excluded == expected_excluded > 0
+
+
+profiles = st.builds(
+    lambda lo, width, momentum: smooth_bump(lo, lo + width, momentum=momentum),
+    st.floats(-3.0, 2.0),
+    st.floats(0.5, 3.0),
+    st.floats(-4.0, 4.0),
+)
+products = st.builds(product2, profiles, profiles)
+phases = st.one_of(
+    st.builds(lambda v: Phase("constant", v), st.floats(-4.0, 4.0)),
+    st.sampled_from([Phase("plus_i"), Phase("minus_i")]),
+)
+surfaces = st.one_of(
+    st.builds(flat, st.floats(-1.5, 1.5)),
+    st.builds(boosted_flat, st.floats(-0.8, 0.8), st.floats(-1.0, 1.0)),
+    st.builds(
+        lambda c, h, w: bump_surface(c, h * w, w),
+        st.floats(-1.0, 1.0),
+        st.floats(-0.2, 0.2),
+        st.floats(2.0, 6.0),
+    ),
+)
+
+
+@st.composite
+def separable_scenarios(draw):
+    """Factored data on both halves under preset phases: products, mirrors
+    (which join the boundary branch smoothly) and antisymmetric extensions."""
+    optional = st.one_of(st.just(ZERO2), products)
+    th1, th2 = draw(phases), draw(phases)
+    g2 = draw(products)
+    g3 = draw(st.one_of(st.just(phase_mirrored(g2, th1, target=3)), products))
+    half1 = (draw(optional), g2, g3, draw(optional))
+    if draw(st.booleans()):
+        return antisymmetric_extension(half1, th1)
+    g3 = draw(products)
+    g2 = draw(st.one_of(st.just(phase_mirrored(g3, th2, target=2)), products))
+    half2 = (draw(optional), g2, g3, draw(optional))
+    return Scenario(InitialData(half1, half2), BoundaryPhase(th1, th2))
+
+
+@given(separable_scenarios(), surfaces, st.integers(4, 40))
+def test_moments_match_the_pointwise_assembly(s, surf, panels):
+    q = QuadratureSpec(panels=panels)
+    expected, _, expected_excluded = pointwise_integrate(s, surf, q)
+    totals, excluded, _, _ = _integrate(s, surf, q)
+    assert_within_moment_bound(totals, expected, s, surf, q)
+    assert excluded == expected_excluded == 0
+
+
+def test_quadrature_memory_is_linear_in_the_nodes(rich):
+    # 2048 nodes per axis: a (4, N, N) float grid would be 134 MB
+    q = QuadratureSpec(panels=256)
+    surf = bump_surface(0.0, 0.3, 5.0)
+    tracemalloc.start()
+    try:
+        report = normalization_report(rich, surf, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.excluded_pairs == 0 and report.value > 0.0
+    assert peak < 32e6
 
 
 def test_absorbing_boundary_breaks_conservation(leaky):

@@ -18,8 +18,9 @@ from mtdirac.geometry import (
     sample_spacelike,
 )
 from mtdirac.interaction import wavepacket_scenario
-from mtdirac.profiles import Profile1D, poly_bump, smooth_bump
+from mtdirac.profiles import poly_bump, smooth_bump
 from mtdirac.scenario import (
+    BRANCH_MAPS,
     BoundaryPhase,
     Component2D,
     InitialData,
@@ -30,6 +31,7 @@ from mtdirac.scenario import (
     antisymmetric_extension,
     boundary_maps,
     check_compatibility,
+    initial_branch,
     load_scenario,
     null_pair,
     phase_mirrored,
@@ -37,7 +39,7 @@ from mtdirac.scenario import (
 )
 from mtdirac.solver import (
     StencilError,
-    _branch_values,
+    _branch_factors,
     bc_defect,
     boundary_trace_fields,
     evaluate_fields,
@@ -408,29 +410,11 @@ def test_grid_validates_legs(packet):
         evaluate_grid(packet, [0.0, 0.1], [0.0], [0.0], [1.0])
 
 
-def assert_rectangles_reproduce_the_grid(s, t1, z1, t2, z2):
-    """psi assembled from the support rectangles _branch_values yields equals
-    evaluate_grid bit for bit wherever the grid is not zero, and is zero
-    wherever it is: no branch is nonzero outside its rectangle."""
-    psi, _ = evaluate_grid(s, t1, z1, t2, z2)
-    col = (t1[:, None], z1[:, None])
-    row = (t2[None, :], z2[None, :])
-    m1, m2, _ = region_masks(*col, *row)
-    rect = np.zeros_like(psi)
-    blocks = _branch_values(s, ((1, m1), (2, m2)), *col, *row, rectangles=True)
-    for comp, (r, c), mask, values in blocks:
-        rect[comp - 1][r, c][mask] = values
-    nonzero = psi != 0
-    assert np.array_equal(bits(rect[nonzero]), bits(psi[nonzero]))
-    assert not rect[~nonzero].any()
-    return nonzero
-
-
 @functools.cache
 def hostile_scenarios() -> dict[str, Scenario]:
-    """Factored data whose boundary maps are nonzero off the partner's
-    support: a map overridden by one nonzero everywhere, and phases that are
-    not finite (NaN times a zero read is NaN)."""
+    """Factored data whose boundary branches do not factor: a map overridden
+    by one nonzero everywhere, and phases that are not finite (NaN times a
+    zero read is NaN)."""
     g2 = product2(wave(-2.5, 0.5, 1.1), wave(-0.5, 2.5, -0.6))
 
     def mirrored(theta):
@@ -455,54 +439,40 @@ def hostile_scenarios() -> dict[str, Scenario]:
 
 
 @pytest.mark.parametrize("name", sorted(grid_scenarios()) + sorted(hostile_scenarios()))
-def test_rectangles_reproduce_the_grid(name):
-    # every pair of a time in [-3/4, 3/4] and a position in [-3, 3], 1/4 apart
+def test_branch_factors_reproduce_the_grid(name):
+    # every pair of a time in [-3/4, 3/4] and a position in [-3, 3], 1/4
+    # apart: dyadic, so the boundary branch reads the partner at (y, x)
+    # exactly.  Each branch with factors c, pa, pb has |psi|^2 =
+    # c |pa(x)|^2 |pb(y)|^2 on its part of the grid, to rounding; a branch
+    # with a non-finite value has none
     s = {**grid_scenarios(), **hostile_scenarios()}[name]
     t = np.repeat(np.arange(-3, 4) / 4, 25)
     z = np.tile(np.arange(-12, 13) / 4, 7)
+    col, row = (t[:, None], z[:, None]), (t[None, :], z[None, :])
     with np.errstate(invalid="ignore"):
-        assert assert_rectangles_reproduce_the_grid(s, t, z, t, z).any()
-
-
-def _ulp_neighbours(e):
-    """e and the floats 1 and 2 ulps on either side of it."""
-    below = [np.nextafter(e, -np.inf)]
-    below.append(np.nextafter(below[0], -np.inf))
-    above = [np.nextafter(e, np.inf)]
-    above.append(np.nextafter(above[0], np.inf))
-    return [*below[::-1], e, *above]
-
-
-def test_boundary_rectangles_cover_the_rounded_reads():
-    # psi3's boundary branch reads the partner g2 at z* -+ t*, z* +- t*,
-    # which is (y, x) only up to rounding.  Null coordinates 0-2 ulps on
-    # either side of the ends of a box profile (nonzero up to its ends),
-    # against null coordinates in [2, 2.1) on the other axis: the rounded
-    # read crosses an end of the support for some pairs.  Half 1 tests the
-    # rows (y), half 2 the columns (x).
-    lo, hi = -0.8125 + 3 * 2.0**-53, -0.5625 - 5 * 2.0**-53
-    fine = np.array(_ulp_neighbours(lo) + _ulp_neighbours(hi))
-    big = np.sort(np.random.default_rng(5).uniform(0.5, 0.6, 300))
-    box = Profile1D(lambda v: np.full(v.shape, 1.0 + 0.5j), lo, hi)
-    wide = Profile1D(lambda v: np.exp(0.3j * v), 1.0, 3.0)
-    s = Scenario(
-        initial=InitialData(
-            half1=(ZERO2, product2(box, wide), ZERO2, ZERO2),
-            half2=(ZERO2, product2(wide, box), ZERO2, ZERO2),
-        ),
-        phase=BoundaryPhase(Phase("constant", 0.4), Phase("constant", -0.9)),
-    )
-    # x = z1 + t1 and y = z2 - t2 recover the fine values exactly
-    t1 = np.concatenate([np.full(big.size, 1.5), np.full(fine.size, -1.5)])
-    z1 = np.concatenate([big, fine + 1.5])
-    t2 = np.concatenate([np.full(fine.size, 1.5), np.full(big.size, -1.5)])
-    z2 = np.concatenate([fine + 1.5, big])
-    x, y = null_pair(3, t1, z1, t2, z2)
-    assert np.array_equal(y[: fine.size], fine) and np.array_equal(x[big.size :], fine)
-
-    nonzero = assert_rectangles_reproduce_the_grid(s, t1, z1, t2, z2)[2]
-    # reads of null coordinates outside the open support (lo, hi), on either
-    # axis, are nonzero: rectangles without the margin would drop them
-    outside = (fine <= lo) | (fine >= hi)
-    assert nonzero[: big.size, : fine.size][:, outside].any()
-    assert nonzero[big.size :, fine.size :][outside].any()
+        psi, _ = evaluate_grid(s, *col, *row)
+    m1, m2, _ = region_masks(*col, *row)
+    factored = 0
+    for comp in (1, 2, 3, 4):
+        x, y = null_pair(comp, *col, *row)
+        for half, where in ((1, m1), (2, m2)):
+            seam = (comp, half) in BRANCH_MAPS
+            for initial in (True, False) if seam else (True,):
+                mask = where
+                if seam:
+                    on_initial = initial_branch(half, x, y)
+                    mask = where & (on_initial if initial else ~on_initial)
+                dens = np.abs(psi[comp - 1][mask]) ** 2
+                factors = _branch_factors(s, comp, half, initial)
+                if factors is None:
+                    continue
+                assert np.isfinite(dens).all()
+                c, pa, pb = factors
+                if c == 0.0:
+                    assert not dens.any()
+                    continue
+                got = c * (np.abs(pa(x)) ** 2 * np.abs(pb(y)) ** 2)[mask]
+                assert np.allclose(got, dens, rtol=1e-14, atol=0.0)
+                factored += dens.any()
+    # only data given by their functions leave no nonzero branch factored
+    assert (factored == 0) == (name == "custom2")
