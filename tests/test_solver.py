@@ -439,12 +439,12 @@ def hostile_scenarios() -> dict[str, Scenario]:
 
 
 @pytest.mark.parametrize("name", sorted(grid_scenarios()) + sorted(hostile_scenarios()))
-def test_branch_factors_reproduce_the_grid(name):
+def test_rectangles_reproduce_the_grid(name):
     # every pair of a time in [-3/4, 3/4] and a position in [-3, 3], 1/4
     # apart: dyadic, so the boundary branch reads the partner at (y, x)
-    # exactly.  Each branch with factors c, pa, pb has |psi|^2 =
-    # c |pa(x)|^2 |pb(y)|^2 on its part of the grid, to rounding; a branch
-    # with a non-finite value has none
+    # exactly.  Each branch with factors c, pa, pb is a rectangle in the null
+    # coordinates, |psi|^2 = c |pa(x)|^2 |pb(y)|^2 on its part of the grid,
+    # to rounding; a branch with a non-finite value has none
     s = {**grid_scenarios(), **hostile_scenarios()}[name]
     t = np.repeat(np.arange(-3, 4) / 4, 25)
     z = np.tile(np.arange(-12, 13) / 4, 7)
