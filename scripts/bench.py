@@ -1,15 +1,17 @@
 """Layer timings and accuracy figures of the mtdirac library, as one JSON file.
 
-    PYTHONPATH=<parent checkout>/src python scripts/bench.py --label parent --out base.json
+    cd <parent checkout> && PYTHONPATH=src python scripts/bench.py --label parent --out base.json
     PYTHONPATH=src python scripts/bench.py --label change --baseline base.json --out BENCH.json
 
-The script uses only long-standing public functions, so it measures any
-checkout whose `src` is put first on PYTHONPATH.  Each timing is the median
-of a fixed number of repeats (time.perf_counter, statistics.median) on
-inputs drawn from fixed seeds.  Before its repeats each layer runs untimed
-for at least WARM_UP_S seconds of wall time (at least one call): with a
-single warm-up call, the layer timed first after the machine sat idle
-read up to ~3x slow.  The layers:
+Each checkout is measured with its own copy of the script, on its own
+`src`: the layers call public functions only, but their signatures can
+change (residual_probes passes arrays of configurations, which a checkout
+whose probes take one `Configuration` does not accept).  Each timing is
+the median of a fixed number of repeats (time.perf_counter,
+statistics.median) on inputs drawn from fixed seeds.  Before its repeats
+each layer runs untimed for at least WARM_UP_S seconds of wall time (at
+least one call): with a single warm-up call, the layer timed first after
+the machine sat idle read up to ~3x slow.  The layers:
 
   evaluate_fields     2^18 space-like points on mirror_bump (points/s too)
   tensor_current      the 2^18 spinors of that call tiled 4x (2^20 spinors),
@@ -18,7 +20,8 @@ read up to ~3x slow.  The layers:
   normalization_64    normalization_report, mirror_bump, bump surface, 64 panels
   normalization_128   the same at 128 panels
   slice_svd           a 256-point equal-time slice at t = 1.5 and its SVD
-  residual_probes     pde_residual and continuity_residual at 64 configurations
+  residual_probes     pde_residual and continuity_residual on 64 configurations,
+                      passed as arrays: one call each
   evaluate_points     `mtdirac evaluate --points` on mirror_bump through
                       cli.main: reading a 2^18-row points file (space-like
                       rows, every tenth a coincidence point, written once to
@@ -53,7 +56,7 @@ from mtdirac.conservation import (
     normalization_report,
 )
 from mtdirac.current import continuity_residual, tensor_current
-from mtdirac.geometry import Configuration, sample_spacelike
+from mtdirac.geometry import sample_spacelike
 from mtdirac.interaction import (
     closed_form_packet,
     default_slice_grid,
@@ -87,11 +90,8 @@ def timed(fn, repeats: int) -> tuple[dict, object]:
 
 
 def residuals(s, pts) -> float:
-    worst = 0.0
-    for c in pts:
-        for r in (*pde_residual(s, c, H), *continuity_residual(s, c, H)):
-            worst = max(worst, float(np.max(np.abs(r))))
-    return worst
+    probes = (*pde_residual(s, *pts, H), *continuity_residual(s, *pts, H))
+    return max(float(np.max(np.abs(r))) for r in probes)
 
 
 def write_points(path: Path) -> None:
@@ -133,8 +133,7 @@ def measure() -> dict:
     )
 
     probe = sample_spacelike(np.random.default_rng(2), 64, T_SPAN, Z_SPAN, margin=4 * H)
-    configs = [Configuration(*map(float, c)) for c in zip(*probe)]
-    layers["residual_probes"], worst_residual = timed(lambda: residuals(s, configs), 5)
+    layers["residual_probes"], worst_residual = timed(lambda: residuals(s, probe), 5)
 
     with tempfile.TemporaryDirectory() as tmp:
         points = Path(tmp) / "points.csv"

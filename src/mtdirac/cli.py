@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import conservation, interaction, lorentz
-from .geometry import REGIONS, Configuration, Region, regions, sample_spacelike
+from .geometry import REGIONS, Region, regions, sample_spacelike
 from .scenario import Scenario, ScenarioConfigError, check_compatibility, load_scenario
 from .solver import (
     bc_defect,
@@ -222,18 +222,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     t1, z1, t2, z2 = sample_spacelike(rng, 64, t_span, z_span, margin=4 * h)
 
     def residuals() -> list[dict]:
-        pde_max = 0.0
-        cont_max = 0.0
-        for k in range(t1.size):
-            c = Configuration(t1[k], z1[k], t2[k], z2[k])
-            r1, r2 = pde_residual(s, c, h)
-            pde_max = max(
-                pde_max, float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))
-            )
-            d1, d2 = continuity_residual(s, c, h)
-            cont_max = max(
-                cont_max, float(np.max(np.abs(d1))), float(np.max(np.abs(d2)))
-            )
+        pde_max, cont_max = (
+            float(np.max(np.abs(probe(s, t1, z1, t2, z2, h))))
+            for probe in (pde_residual, continuity_residual)
+        )
         return [
             _check(pde_max, 1e-6, h=h, samples=int(t1.size)),
             _check(cont_max, 1e-5, h=h, samples=int(t1.size)),

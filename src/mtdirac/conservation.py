@@ -276,11 +276,6 @@ def _density(comp: int, v: np.ndarray, fp1, fp2) -> np.ndarray:
     return d
 
 
-def _component_densities(psi: np.ndarray, fp1, fp2) -> np.ndarray:
-    """The four terms of F at field values psi of shape (4, ...), psi1..psi4."""
-    return np.stack([_density(comp, v, fp1, fp2) for comp, v in zip(NULL_SIGNS, psi)])
-
-
 def _on_surface(surf: Hypersurface, z: np.ndarray) -> np.ndarray:
     """The rows t = f(z), z and f'(z) of the graph points over z."""
     return np.stack([surf.f(z), z, surf.fprime(z)])

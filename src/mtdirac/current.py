@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Configuration
 from .scenario import NULL_SIGNS
 from .solver import boundary_trace_fields, evaluate_fields, stencil_derivatives
 
@@ -62,11 +61,11 @@ def levi_civita_contraction(j: TensorCurrent) -> np.ndarray:
 
 
 def continuity_residual(
-    s, c: Configuration, h: float = 1e-4
+    s, t1, z1, t2, z2, h: float = 1e-4
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference residuals of the two continuity equations at c.
+    """Central-difference residuals of the two continuity equations, elementwise.
 
-    Returns (d1, d2), each of shape (2,):
+    Returns (d1, d2), each of shape (2,) + the broadcast coordinate shape:
 
         d1[nu] = D_t1 j^{0 nu} + D_z1 j^{1 nu}
         d2[mu] = D_t2 j^{mu 0} + D_z2 j^{mu 1}
@@ -75,7 +74,7 @@ def continuity_residual(
     stencil as the field residual probe.
     """
     d_t1, d_z1, d_t2, d_z2 = stencil_derivatives(  # each indexed [mu, nu]
-        lambda *p: tensor_current(evaluate_fields(s, *p)).as_matrix(), c, h
+        lambda *p: tensor_current(evaluate_fields(s, *p)).as_matrix(), t1, z1, t2, z2, h
     )
     d1 = d_t1[0] + d_z1[1]  # indexed by nu
     d2 = d_t2[:, 0] + d_z2[:, 1]  # indexed by mu

@@ -35,7 +35,7 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class Configuration:
-    """One configuration (t1, z1, t2, z2) of the two-particle system."""
+    """One finite configuration (t1, z1, t2, z2): the argument of `classify`."""
 
     t1: float
     z1: float
@@ -47,9 +47,6 @@ class Configuration:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"non-finite coordinate {name}={v!r}")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.t1, self.z1, self.t2, self.z2)
 
 
 def region_masks(t1, z1, t2, z2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

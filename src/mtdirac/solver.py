@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Configuration, DomainError, region_masks, spacelike_margin
+from .geometry import DomainError, region_masks, spacelike_margin
 from .scenario import (
     BRANCH_MAPS,
     NULL_SIGNS,
@@ -160,6 +160,13 @@ def _eval_halves(s: Scenario, halves, t1, z1, t2, z2) -> np.ndarray:
     return out
 
 
+def _first_at(bad: np.ndarray, t1, z1, t2, z2, what: str) -> str:
+    """'n of m configurations <what>, first at (...)' for the flat mask bad."""
+    k = int(np.argmax(bad))
+    first = f"first at (t1={t1[k]}, z1={z1[k]}, t2={t2[k]}, z2={z2[k]})"
+    return f"{int(bad.sum())} of {bad.size} configurations {what}, {first}"
+
+
 def evaluate_fields(s: Scenario, t1, z1, t2, z2) -> np.ndarray:
     """Field values at space-like configurations, shape (4,) + broadcast shape.
 
@@ -174,11 +181,7 @@ def evaluate_fields(s: Scenario, t1, z1, t2, z2) -> np.ndarray:
     t1f, z1f, t2f, z2f = (a.reshape(-1) for a in (t1, z1, t2, z2))
     m1, m2, bad = region_masks(t1f, z1f, t2f, z2f)
     if bad.any():
-        k = int(np.argmax(bad))
-        raise DomainError(
-            f"{int(bad.sum())} of {bad.size} configurations are not space-like, "
-            f"first at (t1={t1f[k]}, z1={z1f[k]}, t2={t2f[k]}, z2={z2f[k]})"
-        )
+        raise DomainError(_first_at(bad, t1f, z1f, t2f, z2f, "are not space-like"))
     out = _eval_halves(s, ((1, m1), (2, m2)), t1f, z1f, t2f, z2f)
     return out.reshape((4,) + shape)
 
@@ -246,22 +249,35 @@ _SIGMA3_SLOT1 = embed(SIGMA3, 1)
 _SIGMA3_SLOT2 = embed(SIGMA3, 2)
 
 
-def require_stencil_room(c: Configuration, h: float) -> None:
-    """Reject configurations whose 2h-neighborhood crosses a seam or leaves the domain."""
-    m = spacelike_margin(*c.as_tuple())
-    if m <= 2.0 * h:
-        raise StencilError(f"margin {m:.3e} too small for stencil step {h:.3e}")
+def require_stencil_room(t1, z1, t2, z2, h: float) -> None:
+    """Reject configurations whose 2h-neighborhood crosses a seam or leaves the domain.
+
+    Elementwise; the error counts the rejected configurations and names the
+    first.  A non-finite coordinate is named as such, not left to a NaN margin.
+    """
+    t1, z1, t2, z2 = (a.reshape(-1) for a in np.broadcast_arrays(t1, z1, t2, z2))
+    bad = ~np.isfinite([t1, z1, t2, z2]).all(axis=0)
+    if bad.any():
+        first = _first_at(bad, t1, z1, t2, z2, "have a non-finite coordinate")
+        raise StencilError(first)
+    m = spacelike_margin(t1, z1, t2, z2)
+    bad = m <= 2.0 * h
+    if bad.any():
+        first = _first_at(bad, t1, z1, t2, z2, f"lack room for stencil step {h:.3e}")
+        raise StencilError(f"{first} with margin {m[bad][0]:.3e}")
 
 
 def stencil_derivatives(
-    evaluate_fn, c: Configuration, h: float
+    evaluate_fn, t1, z1, t2, z2, h: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetric differences (D_t1, D_z1, D_t2, D_z2) of a field at c.
+    """Symmetric differences (D_t1, D_z1, D_t2, D_z2) of a field, elementwise.
 
-    evaluate_fn maps the (t1, z1, t2, z2) arrays of the 8 stencil points to
-    values with the stencil on the last axis.  Steps are h/4 on the time
-    axes and h/8 on the space axes.  Equal steps would make the two
-    truncation terms cancel identically along the null directions every
+    The coordinates broadcast to a shape S.  evaluate_fn maps the four
+    arrays of shape S + (8,) that hold each configuration's stencil points
+    on the last axis to values of shape V + S + (8,), so one call serves
+    every configuration; each difference has shape V + S.  Steps are h/4
+    on the time axes and h/8 on the space axes.  Equal steps would make the
+    two truncation terms cancel identically along the null directions every
     exact field follows, collapsing a residual to rounding noise that grows
     as h shrinks; unequal steps keep the estimator consistent while its
     value on exact solutions shows the genuine O(h^2) third-derivative
@@ -270,14 +286,14 @@ def stencil_derivatives(
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    require_stencil_room(c, h)
+    require_stencil_room(t1, z1, t2, z2, h)
     ht = 0.25 * h
     hz = 0.125 * h
     f = evaluate_fn(
-        c.t1 + np.array([ht, -ht, 0, 0, 0, 0, 0, 0]),
-        c.z1 + np.array([0, 0, hz, -hz, 0, 0, 0, 0]),
-        c.t2 + np.array([0, 0, 0, 0, ht, -ht, 0, 0]),
-        c.z2 + np.array([0, 0, 0, 0, 0, 0, hz, -hz]),
+        np.expand_dims(t1, -1) + np.array([ht, -ht, 0, 0, 0, 0, 0, 0]),
+        np.expand_dims(z1, -1) + np.array([0, 0, hz, -hz, 0, 0, 0, 0]),
+        np.expand_dims(t2, -1) + np.array([0, 0, 0, 0, ht, -ht, 0, 0]),
+        np.expand_dims(z2, -1) + np.array([0, 0, 0, 0, 0, 0, hz, -hz]),
     )
     return tuple(
         (f[..., 2 * k] - f[..., 2 * k + 1]) / (2 * step)
@@ -286,29 +302,30 @@ def stencil_derivatives(
 
 
 def field_residual(
-    evaluate_fn, c: Configuration, h: float
+    evaluate_fn, t1, z1, t2, z2, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference residuals of the two evolution equations at c.
+    """Central-difference residuals of the two evolution equations, elementwise.
 
     evaluate_fn is a field evaluator as in stencil_derivatives, so the same
-    probe serves a scenario and a boosted solution.  Returns (r1, r2) with
+    probe serves a scenario and a boosted solution.  Returns (r1, r2), each
+    of shape (4,) + the broadcast shape of the coordinates, with
 
         r1 = i D_t1 psi + i (sigma3 (x) Id) D_z1 psi
         r2 = i D_t2 psi + i (Id (x) sigma3) D_z2 psi
 
     where D is the symmetric difference of stencil_derivatives.
     """
-    d_t1, d_z1, d_t2, d_z2 = stencil_derivatives(evaluate_fn, c, h)
-    r1 = 1j * d_t1 + 1j * (_SIGMA3_SLOT1 @ d_z1)
-    r2 = 1j * d_t2 + 1j * (_SIGMA3_SLOT2 @ d_z2)
+    d_t1, d_z1, d_t2, d_z2 = stencil_derivatives(evaluate_fn, t1, z1, t2, z2, h)
+    r1 = 1j * d_t1 + 1j * np.tensordot(_SIGMA3_SLOT1, d_z1, axes=1)
+    r2 = 1j * d_t2 + 1j * np.tensordot(_SIGMA3_SLOT2, d_z2, axes=1)
     return r1, r2
 
 
 def pde_residual(
-    s: Scenario, c: Configuration, h: float = 1e-4
+    s: Scenario, t1, z1, t2, z2, h: float = 1e-4
 ) -> tuple[np.ndarray, np.ndarray]:
-    """field_residual of the scenario's field at c."""
-    return field_residual(lambda *p: evaluate_fields(s, *p), c, h)
+    """field_residual of the scenario's field at the configurations (t1, z1, t2, z2)."""
+    return field_residual(lambda *p: evaluate_fields(s, *p), t1, z1, t2, z2, h)
 
 
 def seam_mismatch(

@@ -9,7 +9,7 @@ import numpy as np
 
 from mtdirac.conservation import QuadratureSpec, acceptance_family, normalization_report
 from mtdirac.current import coincidence_flux, levi_civita_contraction, tensor_current
-from mtdirac.geometry import Configuration, Region, region_masks, sample_spacelike
+from mtdirac.geometry import Region, region_masks, sample_spacelike
 from mtdirac.interaction import closed_form_packet, is_interacting, mass_series
 from mtdirac.lorentz import (
     Boost,
@@ -71,22 +71,16 @@ def test_components_constant_along_characteristics(rich):
 
 def test_field_satisfies_evolution_equations(rich):
     rng = np.random.default_rng(3)
-    pts = []
-    while len(pts) < 30:
-        t1, z1, t2, z2 = sample_spacelike(rng, 200, (-1.2, 1.2), (-2.6, 2.6), margin=0.2)
-        live = np.abs(evaluate_fields(rich, t1, z1, t2, z2)).max(axis=0) > 0.05
-        pts += [
-            Configuration(t1[i], z1[i], t2[i], z2[i]) for i in np.flatnonzero(live)
-        ]
-    pts = pts[:30]
+    pts = np.empty((4, 0))
+    while pts.shape[1] < 30:
+        p = np.stack(sample_spacelike(rng, 200, (-1.2, 1.2), (-2.6, 2.6), margin=0.2))
+        live = np.abs(evaluate_fields(rich, *p)).max(axis=0) > 0.05
+        pts = np.concatenate([pts, p[:, live]], axis=1)
+    pts = pts[:, :30]
     steps = (1e-2, 1e-3, 1e-4)
-    worst = []
-    for h in steps:
-        r = 0.0
-        for c in pts:
-            r1, r2 = pde_residual(rich, c, h)
-            r = max(r, float(np.abs(r1).max()), float(np.abs(r2).max()))
-        worst.append(r)
+    worst = [
+        max(float(np.abs(r).max()) for r in pde_residual(rich, *pts, h)) for h in steps
+    ]
     order = (np.log(worst[0]) - np.log(worst[-1])) / (
         np.log(steps[0]) - np.log(steps[-1])
     )

@@ -553,6 +553,30 @@ def test_verify_records_every_check_of_a_raising_probe(tmp_path, monkeypatch, ca
     assert "FAIL seam_c2: RuntimeError: probe broke" in capsys.readouterr().out
 
 
+def test_verify_evaluates_each_probe_in_one_call(tmp_path, monkeypatch):
+    # the residual probes stack every configuration's stencil into one call
+    import sys
+
+    import mtdirac.solver as solver
+
+    original = solver.evaluate_fields
+    points = []
+
+    def counted(s, *coords):
+        points.append(np.broadcast(*coords).size)
+        return original(s, *coords)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mtdirac") and getattr(module, "evaluate_fields", None) is original:
+            monkeypatch.setattr(module, "evaluate_fields", counted)
+    out = tmp_path / "out"
+    rc = main(["verify", "--scenario", MIRROR_CFG, "--out", str(out), "--panels", "128"])
+    assert rc == 0
+    # the pde and continuity probes (8 stencil points at each of 64
+    # configurations), the boosted probe and two current-covariance calls
+    assert len(points) <= 5 and points[:2] == [64 * 8, 64 * 8]
+
+
 G4_X = "initial.g4.omega1.params.x"
 G4_Y = "initial.g4.omega1.params.y"
 

@@ -14,7 +14,7 @@ from mtdirac.conservation import (
     QuadratureSpec,
     _axis_nodes,
     _certified,
-    _component_densities,
+    _density,
     _integrate,
     acceptance_family,
     boosted_flat,
@@ -206,6 +206,11 @@ def test_conserved_across_surface_pair(packet):
     assert a == pytest.approx(1.0, abs=1e-6)
 
 
+def densities(psi, fp1, fp2):
+    """The four terms of F (_density) at field values psi of shape (4, ...)."""
+    return np.stack([_density(comp, v, fp1, fp2) for comp, v in enumerate(psi, start=1)])
+
+
 def test_pullback_equals_covector_density(packet):
     rng = np.random.default_rng(8)
     surf = boosted_flat(0.4)
@@ -214,7 +219,7 @@ def test_pullback_equals_covector_density(packet):
     keep = np.abs(z1 - z2) > 1e-3
     z1, z2 = z1[keep], z2[keep]
     psi = evaluate_fields(packet, surf.f(z1), z1, surf.f(z2), z2)
-    a = _component_densities(psi, surf.fprime(z1), surf.fprime(z2)).sum(axis=0)
+    a = densities(psi, surf.fprime(z1), surf.fprime(z2)).sum(axis=0)
     b = covector_integrand(packet, surf, z1, z2)
     assert np.abs(a - b).max() <= 1e-12
 
@@ -280,7 +285,7 @@ def pointwise_integrate(s, surf, q):
     z1f, z2f = z1[off], z2[off]
     psi, excluded = spacelike_fields(s, surf.f(z1f), z1f, surf.f(z2f), z2f)
     vals = np.zeros((4,) + shape)
-    vals[:, off] = _component_densities(psi, surf.fprime(z1f), surf.fprime(z2f))
+    vals[:, off] = densities(psi, surf.fprime(z1f), surf.fprime(z2f))
     parts = [np.einsum("io,jp,kiojp->kij", weights, weights, vals).reshape(4, -1)]
     x, w = np.polynomial.legendre.leggauss(m)
     u = 0.5 * (x + 1.0)
@@ -292,7 +297,7 @@ def pointwise_integrate(s, surf, q):
     for z1t, z2t in ((zv, zu), (zu, zv)):
         psi_t, bad = spacelike_fields(s, surf.f(z1t), z1t, surf.f(z2t), z2t)
         excluded += bad
-        red = _component_densities(psi_t, surf.fprime(z1t), surf.fprime(z2t))
+        red = densities(psi_t, surf.fprime(z1t), surf.fprime(z2t))
         tri = np.einsum("uv,kpuv->kp", wuv, red.reshape(4, p, u.size, u.size))
         parts.append(tri * (width * width)[None, :])
     parts = np.concatenate(parts, axis=1)

@@ -10,7 +10,7 @@ from mtdirac.current import (
     levi_civita_contraction,
     tensor_current,
 )
-from mtdirac.geometry import Configuration, sample_spacelike
+from mtdirac.geometry import sample_spacelike
 from mtdirac.scenario import NULL_SIGNS
 from mtdirac.solver import StencilError
 from mtdirac.spin import gamma
@@ -105,21 +105,20 @@ def test_continuity_residual_small_on_smooth_data(packet, rich):
     h = 1e-4
     for s in (packet, rich):
         t1, z1, t2, z2 = sample_spacelike(rng, 25, (-1.5, 1.5), (-3.5, 3.5), margin=4 * h)
-        worst = 0.0
-        for k in range(t1.size):
-            d1, d2 = continuity_residual(s, Configuration(t1[k], z1[k], t2[k], z2[k]), h=h)
-            worst = max(worst, float(np.abs(d1).max()), float(np.abs(d2).max()))
-        assert worst < 1e-5
+        d1, d2 = continuity_residual(s, t1, z1, t2, z2, h=h)
+        assert max(float(np.abs(d1).max()), float(np.abs(d2).max())) < 1e-5
 
 
 def test_continuity_residual_guards():
     from mtdirac.scenario import InitialData, Scenario, ZERO2
 
     s = Scenario(initial=InitialData(half1=(ZERO2,) * 4, half2=(ZERO2,) * 4))
-    with pytest.raises(StencilError):
-        continuity_residual(s, Configuration(0.0, 0.0, 0.0, 1e-6))
+    with pytest.raises(StencilError, match=r"^1 of 1 configurations lack room"):
+        continuity_residual(s, 0.0, 0.0, 0.0, 1e-6)
     with pytest.raises(ValueError):
-        continuity_residual(s, Configuration(0.0, 0.0, 0.0, 1.0), h=-1.0)
+        continuity_residual(s, 0.0, 0.0, 0.0, 1.0, h=-1.0)
+    with pytest.raises(StencilError, match=r"^1 of 2 configurations have a non-finite"):
+        continuity_residual(s, [0.0, np.nan], 0.0, 0.0, 1.0)
 
 
 def test_coincidence_flux_cancels_for_phase_jump(packet, rich):

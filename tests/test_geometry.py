@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -89,7 +90,7 @@ def test_margin_bounds_perturbations():
     assert not bad.any()
     for k in range(t1.size):
         c = Configuration(t1[k], z1[k], t2[k], z2[k])
-        m = spacelike_margin(*c.as_tuple())
+        m = spacelike_margin(*astuple(c))
         assert isinstance(m, float) and m > 1e-3
         step = 0.9 * m
         for dt1, dz1 in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
@@ -113,7 +114,7 @@ def test_sample_spacelike_respects_region_and_margin():
     assert (spacelike_margin(t1, z1, t2, z2) > 0.05).all()
     for k in range(0, 500, 17):
         c = Configuration(t1[k], z1[k], t2[k], z2[k])
-        assert spacelike_margin(*c.as_tuple()) == spacelike_margin(t1, z1, t2, z2)[k]
+        assert spacelike_margin(*astuple(c)) == spacelike_margin(t1, z1, t2, z2)[k]
 
 
 def test_sample_spacelike_rejects_bad_region():

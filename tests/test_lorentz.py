@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,14 @@ from mtdirac.lorentz import (
     spinor_factor,
 )
 from mtdirac.interaction import wavepacket_scenario
-from mtdirac.scenario import BoundaryPhase, Phase, boundary_maps
+from mtdirac.scenario import (
+    BoundaryPhase,
+    Component2D,
+    InitialData,
+    Phase,
+    ZERO2,
+    boundary_maps,
+)
 from mtdirac.solver import StencilError, evaluate_fields, field_residual
 from mtdirac.spin import SIGMA3, embed
 from probes import boosted_config, manifest_commutant_defect
@@ -42,7 +49,7 @@ def test_boost_group_law():
     assert np.allclose(a.matrix @ a.inverse().matrix, np.eye(2), atol=1e-15)
     c = Configuration(0.1, -0.5, 0.2, 0.8)
     roundtrip = boosted_config(a.inverse(), boosted_config(a, c))
-    assert np.allclose(roundtrip.as_tuple(), c.as_tuple(), atol=1e-15)
+    assert np.allclose(astuple(roundtrip), astuple(c), atol=1e-15)
 
 
 def test_generator_is_half_sigma3_per_slot():
@@ -149,6 +156,11 @@ def test_covariance_report(packet):
     assert rep.samples == 80
     assert rep.pde_max < 1e-6
     assert rep.bc_max <= 1e-13
+    # a NaN field value fails the report instead of dropping out of the maximum
+    nan = Component2D(fn=lambda x, y: np.full(np.shape(x), np.nan), box=((-3, 3),) * 2)
+    data = InitialData(half1=(nan,) + (ZERO2,) * 3, half2=(ZERO2,) * 4)
+    broken = replace(packet, initial=data)
+    assert math.isnan(covariance_report(broken, Boost(0.5), samples=8).pde_max)
 
 
 def test_current_transforms_as_a_tensor(packet):
@@ -162,5 +174,7 @@ def test_current_transforms_as_a_tensor(packet):
 
 def test_field_residual_guards_stencil(packet):
     trans = TransformedSolution(packet, Boost(0.2))
-    with pytest.raises(StencilError):
-        field_residual(trans.evaluate_fields, Configuration(0, 0, 0, 1e-6), 1e-4)
+    with pytest.raises(StencilError, match=r"^1 of 1 configurations lack room"):
+        field_residual(trans.evaluate_fields, 0, 0, 0, 1e-6, 1e-4)
+    with pytest.raises(StencilError, match=r"^1 of 1 configurations have a non-finite"):
+        field_residual(trans.evaluate_fields, 0, 0, math.inf, 1.0, 1e-4)

@@ -1,5 +1,5 @@
 import functools
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from probes import characteristic_anchor, evaluate
 from tracing import reference_value
 
+from mtdirac.current import continuity_residual
 from mtdirac.geometry import (
     Configuration,
     DomainError,
@@ -18,6 +19,7 @@ from mtdirac.geometry import (
     sample_spacelike,
 )
 from mtdirac.interaction import wavepacket_scenario
+from mtdirac.lorentz import Boost, TransformedSolution
 from mtdirac.profiles import poly_bump, smooth_bump
 from mtdirac.scenario import (
     BRANCH_MAPS,
@@ -44,6 +46,7 @@ from mtdirac.solver import (
     boundary_trace_fields,
     evaluate_fields,
     evaluate_grid,
+    field_residual,
     pde_residual,
     require_stencil_room,
     seam_mismatch,
@@ -58,7 +61,7 @@ def test_general_solution_slots():
         3: lambda x, y: 100 * x + 1j * y,
         4: lambda x, y: 1000 * x + 1j * y,
     }
-    out = [f(*null_pair(i, *c.as_tuple())) for i, f in plane_data.items()]
+    out = [f(*null_pair(i, *astuple(c))) for i, f in plane_data.items()]
     # slot arguments: (z1-t1, z2-t2), (z1-t1, z2+t2), (z1+t1, z2-t2), (z1+t1, z2+t2)
     assert out[0] == 1.0 + 4.5j
     assert out[1] == 10.0 + 5.5j
@@ -145,7 +148,7 @@ def test_zero_scenario_evaluates_to_zero():
     rng = np.random.default_rng(1)
     pts = sample_spacelike(rng, 64, (-2, 2), (-3, 3))
     assert not evaluate_fields(s, *pts).any()
-    r1, r2 = pde_residual(s, Configuration(0.2, -1.0, 0.1, 1.0))
+    r1, r2 = pde_residual(s, 0.2, -1.0, 0.1, 1.0)
     assert not r1.any() and not r2.any()
 
 
@@ -154,23 +157,56 @@ def test_pde_residual_small_on_smooth_data(packet, rich):
     h = 1e-4
     for s in (packet, rich):
         t1, z1, t2, z2 = sample_spacelike(rng, 40, (-1.5, 1.5), (-3.5, 3.5), margin=4 * h)
-        worst = 0.0
-        for k in range(t1.size):
-            c = Configuration(t1[k], z1[k], t2[k], z2[k])
-            r1, r2 = pde_residual(s, c, h=h)
-            worst = max(worst, float(np.abs(r1).max()), float(np.abs(r2).max()))
-        assert worst < 1e-6
+        r1, r2 = pde_residual(s, t1, z1, t2, z2, h=h)
+        assert max(float(np.abs(r1).max()), float(np.abs(r2).max())) < 1e-6
 
 
 def test_stencil_guard():
-    c = Configuration(0.0, 0.0, 0.0, 1e-5)
+    c = (0.0, 0.0, 0.0, 1e-5)
     with pytest.raises(StencilError):
-        require_stencil_room(c, 1e-4)
+        require_stencil_room(*c, 1e-4)
     s = Scenario(initial=InitialData(half1=(ZERO2,) * 4, half2=(ZERO2,) * 4))
     with pytest.raises(StencilError):
-        pde_residual(s, c, h=1e-4)
+        pde_residual(s, *c, h=1e-4)
     with pytest.raises(ValueError):
-        pde_residual(s, Configuration(0.0, 0.0, 0.0, 1.0), h=0.0)
+        pde_residual(s, 0.0, 0.0, 0.0, 1.0, h=0.0)
+    # the error counts the configurations without room and names the first
+    z2 = np.array([1.0, 1e-5, 2.0, 1e-6])
+    with pytest.raises(StencilError) as err:
+        pde_residual(s, 0.0, 0.0, 0.0, z2, h=1e-4)
+    assert str(err.value) == (
+        "2 of 4 configurations lack room for stencil step 1.000e-04, "
+        "first at (t1=0.0, z1=0.0, t2=0.0, z2=1e-05) with margin 5.000e-06"
+    )
+    # a non-finite coordinate is named as such, not as a margin or the domain
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(StencilError) as err:
+            pde_residual(s, 0.0, np.array([0.5, bad, bad]), 0.0, 2.0, h=1e-4)
+        assert str(err.value) == (
+            "2 of 3 configurations have a non-finite coordinate, "
+            f"first at (t1=0.0, z1={bad}, t2=0.0, z2=2.0)"
+        )
+
+
+def test_batched_probes_equal_the_per_configuration_probes(rich):
+    # one stencil call over K configurations gives the numbers of K calls
+    rng = np.random.default_rng(21)
+    h = 1e-4
+    pts = sample_spacelike(rng, 12, (-1.5, 1.5), (-3.5, 3.5), margin=4 * h)
+    trans = TransformedSolution(rich, Boost(0.4))
+    probes = [
+        (4, lambda *c: pde_residual(rich, *c, h)),
+        (2, lambda *c: continuity_residual(rich, *c, h)),
+        (4, lambda *c: field_residual(trans.evaluate_fields, *c, h)),
+    ]
+    for rows, probe in probes:
+        single = [probe(*c) for c in zip(*pts)]
+        assert all(part.shape == (rows,) for parts in single for part in parts)
+        stacked = [np.stack(parts, axis=-1) for parts in zip(*single)]
+        batched = probe(*pts)
+        assert len(batched) == 2 and all(map(np.array_equal, batched, stacked))
+        grid = probe(*(a.reshape(3, 4) for a in pts))
+        assert all(np.array_equal(g, b.reshape(rows, 3, 4)) for g, b in zip(grid, batched))
 
 
 def test_boundary_trace_jump_condition(packet, rich):
@@ -204,7 +240,7 @@ def test_one_sided_scenario_is_silent_on_the_empty_half(packet):
 
 def _start(component, c, region_sign):
     """Start of the characteristic through c, and whether it is on the boundary."""
-    *start, boundary = characteristic_anchor(component, *c.as_tuple(), region_sign)
+    *start, boundary = characteristic_anchor(component, *astuple(c), region_sign)
     return Configuration(*map(float, start)), bool(boundary)
 
 
@@ -212,7 +248,7 @@ def _along(c, start, taus):
     """Points (1 - tau) * start + tau * c of the characteristic segment."""
     for tau in taus:
         yield Configuration(
-            *(s + tau * (a - s) for s, a in zip(start.as_tuple(), c.as_tuple()))
+            *(s + tau * (a - s) for s, a in zip(astuple(start), astuple(c)))
         )
 
 
