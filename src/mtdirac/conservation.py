@@ -29,7 +29,9 @@ The pairs of half 1 are the nodes of the later panels and those of half 2
 the earlier ones; on psi2/psi3 the seam x < y (x > y on half 2) is a
 staircase that a binary search in the sorted y finds.  So each row sums B
 over one index interval of a prefix or suffix sum: O(N log N) for the
-whole block instead of N^2 pairs (_moment_terms).  This needs a
+whole block instead of N^2 pairs (_moment_terms).  Branches share
+profiles (a boundary branch carries its partner's, a mirrored datum its
+source's), and each profile is read once per null coordinate.  This needs a
 certificate, checked exactly on the stored axis floats (_certified): both
 null coordinates z -+ f(z) strictly increase over the nodes, with a margin
 that makes every off-diagonal pair space-like as computed.  Branches that
@@ -41,14 +43,15 @@ Truncation is lossless.  Data vanish exactly outside the open supports of
 their profiles, and the two null coordinates z -+ f(z) of a graph point
 are strictly increasing in z, so inverting them at the support hull
 endpoints yields a box outside which the integrand is exactly zero; the
-moments of nodes outside it are exact zeros.  One reducer (_add_densities) turns field values into densities, on the grid
-and on the flat point lists of the diagonal triangles alike.  All parts
-(grid blocks, triangle panels and moment rows) are accumulated per
-component with math.fsum, so the result is independent of chunking and
-thread count (MTDIRAC_THREADS splits the grid by row blocks and the
-triangles by point ranges).  The moments change the summation order of the
-off-diagonal terms, not their set: they differ from the grid by rounding
-of the prefix sums, at most ~2 N u (sum A)(sum B) per branch.
+moments of nodes outside it are exact zeros.  One reducer (_add_densities)
+turns field values into densities, on the grid and on the flat point lists
+of the diagonal triangles alike.  All parts (grid blocks, triangle panels
+and moment rows) are accumulated per component with math.fsum, so the
+result is independent of chunking and thread count (MTDIRAC_THREADS splits
+the grid by row blocks; the triangles are one call each).  The moments
+change the summation order of the off-diagonal terms, not their set: they
+differ from the grid by rounding of the prefix sums, at most
+~2 N u (sum A)(sum B) per branch.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import region_masks
-from .scenario import BRANCH_MAPS, NULL_SIGNS, Scenario, null_pair
+from .scenario import BRANCH_MAPS, NULL_SIGNS, Scenario
 from .solver import _branch_factors, _branch_values
 
 MAX_SLOPE = 1.0 - 1e-6
@@ -249,10 +252,10 @@ def _axis_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (a + b) + 0.5 * (b - a) * x[None, :], 0.5 * (b - a) * w[None, :]
 
 
-def _threaded(evaluate, n: int, points: int) -> list:
-    """evaluate(sl) over slices of range(n); threaded from 4096 points to evaluate."""
+def _threaded(evaluate, n: int) -> list:
+    """evaluate(sl) over slices of range(n) rows; threaded from 64 rows on."""
     workers = worker_count()
-    if workers == 1 or points < 4096:
+    if workers == 1 or n < 64:
         return [evaluate(slice(0, n))]
     bounds = np.linspace(0, n, workers + 1).astype(int)
     pieces = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
@@ -335,28 +338,22 @@ def _certified(t: np.ndarray, z: np.ndarray) -> bool:
         )
 
 
-def _moment_terms(key, factors, axis, w, m) -> np.ndarray:
+def _moment_terms(key, a, b, x, y, m) -> np.ndarray:
     """The off-diagonal integral of one factored branch, as N row terms A_i S_i.
 
     With |psi|^2 = c |pa(x)|^2 |pb(y)|^2 (solver._branch_factors), the term
-    of F is A_i B_j with A_i = c w_i J1_i |pa(x_i)|^2 and
-    B_j = w_j J2_j |pb(y_j)|^2 on the nodes (J the null Jacobians 1 + s f').
-    Row i pairs with the nodes of the later panels on half 1 and of the
-    earlier ones on half 2 (_certified makes the half the node order), and
-    on psi2/psi3 its initial branch takes the y_j past x_i (initial_branch:
-    x < y on half 1, x > y on half 2; a tie goes to the boundary branch),
-    found by binary search in the sorted y.  S_i sums B over that index
-    interval: a plain prefix or suffix sum where the interval reaches an
-    end, else the difference of the prefix or the suffix sums, whichever has
-    the smaller operands.
+    of F is A_i B_j, where a holds A_i = c w_i J1_i |pa(x_i)|^2 and b holds
+    B_j = w_j J2_j |pb(y_j)|^2 on the nodes (J the null Jacobians 1 + s f';
+    x and y the null coordinates of the nodes).  Row i pairs with the nodes
+    of the later panels on half 1 and of the earlier ones on half 2
+    (_certified makes the half the node order), and on psi2/psi3 its initial
+    branch takes the y_j past x_i (initial_branch: x < y on half 1, x > y on
+    half 2; a tie goes to the boundary branch), found by binary search in
+    the sorted y.  S_i sums B over that index interval: a plain prefix or
+    suffix sum where the interval reaches an end, else the difference of the
+    prefix or the suffix sums, whichever has the smaller operands.
     """
     comp, half, initial = key
-    c, pa, pb = factors
-    t, z, fp = axis
-    s1, s2 = NULL_SIGNS[comp]
-    x, y = null_pair(comp, t, z, t, z)
-    a = c * (w * (1.0 + s1 * fp)) * _abs2(pa(x))
-    b = w * (1.0 + s2 * fp) * _abs2(pb(y))
     prefix = np.concatenate(([0.0], np.cumsum(b)))  # prefix[k] = sum of b[:k]
     suffix = np.concatenate((np.cumsum(b[::-1])[::-1], [0.0]))  # sum of b[k:]
     first = np.arange(x.size) // m * m  # the first node of the row's panel
@@ -402,9 +399,24 @@ def _integrate(
     factored = {}
     if _certified(axis[0], axis[1]):
         factored = {key: _branch_factors(s, *key) for key in _BRANCHES}
+    t, z, fp = axis
+    w = weights.reshape(-1)
+    null = {-1: z - t, 1: z + t}  # the null coordinates z + sign t of the nodes
+    reads = {}  # |p(z + sign t)|^2 per (profile, sign): each is read once
+
+    def read(profile, sign):
+        key = (id(profile), sign)
+        if key not in reads:
+            reads[key] = _abs2(profile(null[sign]))
+        return reads[key]
+
     for key, factors in factored.items():
         if factors is not None and factors[0] != 0.0:
-            terms = _moment_terms(key, factors, axis, weights.reshape(-1), m)
+            c, pa, pb = factors
+            s1, s2 = NULL_SIGNS[key[0]]
+            a = c * (w * (1.0 + s1 * fp)) * read(pa, s1)
+            b = w * (1.0 + s2 * fp) * read(pb, s2)
+            terms = _moment_terms(key, a, b, null[s1], null[s2], m)
             pieces[key[0] - 1].append(terms)
 
     # the other branches: one tensor grid of the axis nodes, reduced by row
@@ -420,7 +432,7 @@ def _integrate(
             column, row = axis[:, rows, None], axis[:, None, :]
             return _add_densities(s, vals[:, rows], offdiag, column, row, grid)
 
-        excluded = sum(_threaded(grid_rows, n, n * n))
+        excluded = sum(_threaded(grid_rows, n))
         blocks = vals.reshape(4, p, m, p, m)
         block = np.einsum("io,jp,kiojp->kij", weights, weights, blocks)
         for k in range(4):
@@ -441,13 +453,9 @@ def _integrate(
     zv = (corner + span * (U * V)).reshape(-1)
     # upper triangle: z1 <= z2 (half 1); lower: z2 <= z1 (half 2)
     for z1t, z2t in ((zv, zu), (zu, zv)):
-        on1, on2 = _on_surface(surf, z1t), _on_surface(surf, z2t)
         red = np.zeros((4, z1t.size))
-
-        def triangle(sl):
-            return _add_densities(s, red[:, sl], True, on1[:, sl], on2[:, sl])
-
-        excluded += sum(_threaded(triangle, z1t.size, z1t.size))
+        on1, on2 = _on_surface(surf, z1t), _on_surface(surf, z2t)
+        excluded += _add_densities(s, red, True, on1, on2)
         red = red.reshape(4, p, m, m)
         tri = np.einsum("uv,kpuv->kp", WUV, red) * (width * width)[None, :]
         for k in range(4):

@@ -160,13 +160,14 @@ class CovarianceReport:
     samples: int
 
 
+# the stencil step of covariance_report's residual probe, and the width by
+# which its sampling windows extend the support hull
+COVARIANCE_STEP = 1e-4
+COVARIANCE_SPAN = 6.0
+
+
 def covariance_report(
-    s: Scenario,
-    b: Boost,
-    samples: int = 200,
-    h: float = 1e-4,
-    seed: int = 0,
-    span: float = 6.0,
+    s: Scenario, b: Boost, samples: int = 200, seed: int = 0
 ) -> CovarianceReport:
     """Residuals of the transformed solution against the transformed system.
 
@@ -178,7 +179,7 @@ def covariance_report(
     window.
     """
     hull = s.initial.support_hull() or (-1.0, 1.0)
-    t_half = 0.5 * (hull[1] - hull[0]) + span / 6.0
+    t_half = 0.5 * (hull[1] - hull[0]) + COVARIANCE_SPAN / 6.0
     rng = np.random.default_rng(seed)
     trans = TransformedSolution(s, b)
     kept = []
@@ -189,13 +190,14 @@ def covariance_report(
             rng, 1, (-t_half, t_half), (hull[0] - 1.0, hull[1] + 1.0)
         )
         c = (*b.point(st1[0], sz1[0]), *b.point(st2[0], sz2[0]))
-        if spacelike_margin(*c) <= 4.0 * h:
+        if spacelike_margin(*c) <= 4.0 * COVARIANCE_STEP:
             continue
         kept.append(c)
-    r = field_residual(trans.evaluate_fields, *np.reshape(kept, (-1, 4)).T, h)
+    points = np.reshape(kept, (-1, 4)).T
+    r = field_residual(trans.evaluate_fields, *points, COVARIANCE_STEP)
     pde_max = float(np.max(np.abs(r), initial=0.0))  # a NaN residual stays NaN
     scale = float(np.exp(abs(b.beta)))
-    halfwidth = scale * (max(abs(hull[0]), abs(hull[1])) + span / 2.0)
+    halfwidth = scale * (max(abs(hull[0]), abs(hull[1])) + COVARIANCE_SPAN / 2.0)
     tt = rng.uniform(-halfwidth, halfwidth, samples)
     zz = rng.uniform(-halfwidth, halfwidth, samples)
     bc_max = 0.0

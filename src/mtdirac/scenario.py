@@ -12,6 +12,10 @@ A scenario bundles everything that determines a solution:
     for exercising the pure initial-boundary-value problem; compliant
     scenarios never set them.
 
+The boundary branch of psi2/psi3 is encoded once, as boundary_datum: the
+partner datum's phase mirror, a function of the component's own null pair.
+The derived boundary maps are that datum read at a coincidence point.
+
 The module also owns the JSON scenario-config format used by the CLI.
 """
 
@@ -219,33 +223,19 @@ class Scenario:
 def boundary_maps(s: Scenario) -> BoundaryMaps:
     """The boundary maps in force: the override if set, else derived ones.
 
-    The derived maps re-emit the datum arriving at the coincidence set on
-    the incoming characteristic, multiplied by the jump factor exp(-+ i theta):
-    on half 1 the pair (psi2, psi3) satisfies psi2 = exp(-i theta1) psi3, on
-    half 2 psi3 = exp(-i theta2) psi2.
+    A derived map is the boundary branch (boundary_datum) of the component
+    it feeds, read at the null pair of the coincidence point (t, z): the
+    datum arriving there on the incoming characteristic, multiplied by the
+    jump factor exp(-+ i theta).  On half 1 the pair (psi2, psi3) satisfies
+    psi2 = exp(-i theta1) psi3, on half 2 psi3 = exp(-i theta2) psi2.
     """
     if s.boundary_override is not None:
         return s.boundary_override
-    g2_1 = s.initial.component(2, 1)
-    g3_1 = s.initial.component(3, 1)
-    g2_2 = s.initial.component(2, 2)
-    g3_2 = s.initial.component(3, 2)
-    th1 = s.phase.theta1
-    th2 = s.phase.theta2
-
-    def h1_plus(t, z):
-        return np.exp(1j * th1(t, z)) * g2_1(z - t, z + t)
-
-    def h1_minus(t, z):
-        return np.exp(-1j * th1(t, z)) * g3_1(z + t, z - t)
-
-    def h2_plus(t, z):
-        return np.exp(-1j * th2(t, z)) * g3_2(z + t, z - t)
-
-    def h2_minus(t, z):
-        return np.exp(1j * th2(t, z)) * g2_2(z - t, z + t)
-
-    return BoundaryMaps(h1_plus, h1_minus, h2_plus, h2_minus)
+    maps = {}
+    for (comp, half), name in BRANCH_MAPS.items():
+        g = boundary_datum(s, comp, half)
+        maps[name] = lambda t, z, g=g, comp=comp: g(*null_pair(comp, t, z, t, z))
+    return BoundaryMaps(**maps)
 
 
 def absorbing_override(s: Scenario, map_name: str) -> Scenario:
@@ -259,10 +249,12 @@ def absorbing_override(s: Scenario, map_name: str) -> Scenario:
 
 
 # The branch table of the solver (its module docstring states the rule):
-# null signs (s1, s2) per component, and for psi2/psi3 the BoundaryMaps
-# field feeding the boundary branch per (component, half).
+# null signs (s1, s2) per component, for psi2/psi3 the BoundaryMaps field
+# feeding the boundary branch per (component, half), and the partner whose
+# datum that branch carries.
 NULL_SIGNS = {1: (-1, -1), 2: (-1, 1), 3: (1, -1), 4: (1, 1)}
 BRANCH_MAPS = {(2, 1): "h1_minus", (3, 1): "h1_plus", (2, 2): "h2_plus", (3, 2): "h2_minus"}
+PARTNER = {2: 3, 3: 2}
 
 
 def null_pair(component: int, t1, z1, t2, z2):
@@ -337,21 +329,36 @@ def phase_mirrored(source: Component2D, theta: Phase, target: int) -> Component2
     box = (source.box[1], source.box[0]) if source.box is not None else None
     sign = 1j if target == 3 else -1j
     if source.factors is not None and theta.kind != "custom":
-        # a preset phase is one constant; the same expression as the closure
-        factors = source.factors.exchanged(np.exp(sign * theta(0.0, 0.0)))
-        return Component2D(box=box, factors=factors)
+        # a preset phase is one constant: the closure's factor, NaN (quietly)
+        # when the phase is not finite
+        with np.errstate(invalid="ignore"):
+            factor = np.exp(sign * theta(0.0, 0.0))
+        return Component2D(box=box, factors=source.factors.exchanged(factor))
     fn = source._pointwise
-    if target == 3:
 
-        def mirrored(x, y):
-            return np.exp(1j * theta(0.5 * (x - y), 0.5 * (x + y))) * fn(y, x)
-
-    else:
-
-        def mirrored(x, y):
-            return np.exp(-1j * theta(0.5 * (y - x), 0.5 * (x + y))) * fn(y, x)
+    def mirrored(x, y):
+        return np.exp(sign * theta(*coincidence_point(target, x, y))) * fn(y, x)
 
     return Component2D(mirrored, box)
+
+
+def boundary_datum(s: Scenario, comp: int, half: int) -> Component2D:
+    """The boundary branch of psi_comp (2 or 3) on a half, as a datum of its
+    own null pair (x, y).
+
+    The branch carries the partner datum through the coincidence point
+    coincidence_point(comp, x, y) with the jump phase of the half, which is
+    the partner read at the swapped pair (y, x): phase_mirrored of it with
+    target comp.  Every reader of the boundary branch (evaluation, the
+    moments of the surface quadrature, the seam probe, the derived boundary
+    maps) takes it from here.  An overridden map is read at the coincidence
+    point instead.
+    """
+    if s.boundary_override is not None:
+        hmap = getattr(s.boundary_override, BRANCH_MAPS[(comp, half)])
+        return Component2D(fn=lambda x, y: hmap(*coincidence_point(comp, x, y)))
+    theta = s.phase.theta1 if half == 1 else s.phase.theta2
+    return phase_mirrored(s.initial.component(PARTNER[comp], half), theta, target=comp)
 
 
 @dataclass(frozen=True)

@@ -13,30 +13,32 @@ On the half h the characteristics of psi1 and psi4 always reach the initial
 surface t1 = t2 = 0 inside the same half, so psi1 = g1(x, y) and
 psi4 = g4(x, y).  psi2 and psi3 take the initial branch g_i(x, y) where
 x < y on half 1 (x > y on half 2); otherwise their characteristic hits the
-coincidence set first, at t* = s1 (x - y) / 2, z* = (x + y) / 2, and the
-boundary branch is the half's boundary map at (t*, z*), which carries the
-partner datum in with the jump phase: on half 1 the minus map (t* <= 0)
-for psi2 and the plus map (t* >= 0) for psi3, on half 2 the reverse.  The
-inequality is strict: a tie (x = y, on the seam) goes to the boundary
-branch, where compatible data agree anyway.  scenario.NULL_SIGNS and
-scenario.BRANCH_MAPS hold this table; every evaluator here reads it there.
+coincidence set first, at t* = s1 (x - y) / 2, z* = (x + y) / 2, where the
+jump condition hands it the partner datum (g3 for psi2, g2 for psi3) times
+the jump factor exp(-+ i theta(t*, z*)).  The partner's null pair at that
+point is (y, x), so the boundary branch is the partner's phase mirror read
+at the swapped pair: a datum of (x, y) like the initial one,
+scenario.boundary_datum, which every reader here takes (an overridden
+boundary map is read at (t*, z*) instead).  The inequality is strict: a tie
+(x = y, on the seam) goes to the boundary branch, where compatible data
+agree anyway.  scenario.NULL_SIGNS, scenario.BRANCH_MAPS and
+scenario.PARTNER hold this table; every evaluator here reads it there.
 
 Everything here is evaluated from the scenario data; there is no time
 stepping.  evaluate_fields takes points: array arguments broadcast, and
 field values come back as an array of shape (4,) + broadcast shape,
 indexed psi1..psi4.  evaluate_grid takes the points of each particle and
 fills the tensor grid of their pairs.  There each null coordinate is a
-vector along one axis, so a separable datum (scenario.Factors) is
-evaluated on the axis points only; both read the branch table in one loop
-and agree bit for bit.  The loop can skip branches: the surface
-quadrature integrates the branches whose |psi|^2 is a product of one
-function of x and one of y (_branch_factors) from their axis values alone
-and evaluates only the others on its grid.
+vector along one axis, so a separable datum (scenario.Factors), initial
+or boundary, is evaluated on the axis points only; both read the branch
+table in one loop and agree bit for bit.  The loop can skip branches: the
+surface quadrature integrates the branches whose |psi|^2 is a product of
+one function of x and one of y (_branch_factors) from their axis values
+alone and evaluates only the others on its grid.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -47,8 +49,7 @@ from .scenario import (
     BRANCH_MAPS,
     NULL_SIGNS,
     Scenario,
-    boundary_maps,
-    coincidence_point,
+    boundary_datum,
     initial_branch,
     null_pair,
 )
@@ -62,42 +63,26 @@ class StencilError(ValueError):
 def _branch_factors(s: Scenario, comp: int, half: int, initial: bool):
     """(c, pa, pb) with |psi_comp|^2 = c |pa(x)|^2 |pb(y)|^2 on a branch of a half.
 
-    (x, y) is the null pair of the component.  The initial branch is the
-    datum g(x, y) itself; the boundary branch of psi2/psi3 is the half's
-    derived boundary map, exp(-+ i theta) times the partner datum (the other
-    component of the half in BRANCH_MAPS) read at z* -+ t*, z* +- t*, which
-    is (y, x) in exact arithmetic.  So a branch factors when its datum does
-    (Factors with finite constants, c = |pre|^2) and, on the boundary
-    branch, the phase is one finite constant (c also carries
-    |exp(-+ i theta)|^2).  c = 0 means the branch is zero.  None means it does
-    not factor: a datum given by its function, an overridden boundary map,
-    a custom phase, or a non-finite constant (NaN times a zero read is NaN).
+    (x, y) is the null pair of the component, and the branch datum is g(x, y)
+    on the initial branch and scenario.boundary_datum on the boundary branch
+    of psi2/psi3.  It factors when the datum does, with finite constants:
+    c = |pre|^2.  c = 0 means the branch is zero.  None means it does not
+    factor: a datum given by its function (data, custom phases, overridden
+    boundary maps) or a non-finite constant (NaN times a zero read is NaN).
     """
-    c = 1.0
-    if initial:
-        g = s.initial.component(comp, half)
-    else:
-        theta = s.phase.theta1 if half == 1 else s.phase.theta2
-        if s.boundary_override is not None or theta.kind == "custom":
-            return None
-        phase = float(theta(0.0, 0.0))
-        if not math.isfinite(phase):
-            return None
-        c = abs(cmath.exp(1j * phase)) ** 2
-        (partner,) = (k for k, h in BRANCH_MAPS if h == half and k != comp)
-        g = s.initial.component(partner, half)
+    g = s.initial.component(comp, half) if initial else boundary_datum(s, comp, half)
     if g.is_zero:
         return 0.0, None, None
     f = g.factors
     if f is None:
         return None
+    c = 1.0
     for k in f.pre:
         c *= abs(k) * abs(k)  # overflows to inf, not to an exception
     if not math.isfinite(c):
         return None
-    # g(a, b) = pre px(a) py(b) with (a, b) = (x, y), or (y, x) when swapped;
-    # the boundary branch reads g at (y, x)
-    return (c, f.py, f.px) if f.swapped == initial else (c, f.px, f.py)
+    # g(a, b) = pre px(a) py(b) with (a, b) = (x, y), or (y, x) when swapped
+    return (c, f.py, f.px) if f.swapped else (c, f.px, f.py)
 
 
 def _on_mask(mask: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -113,23 +98,21 @@ def _branch_values(s: Scenario, halves, t1, z1, t2, z2, branches=None):
     list of points, a column (t1, z1) and a row (t2, z2) a tensor grid.
     values holds psi_comp at the points mask; psi is zero off every yielded
     mask.  branches, if given, holds the (comp, half, initial) keys to
-    evaluate; the others are skipped.  On a grid a factored datum fills its
-    initial branch from its profiles on the axes; every other value
-    (unfactored data, the boundary branch of psi2/psi3) is evaluated
-    pointwise on its mask.
+    evaluate; the others are skipped.  Each branch reads its datum at the
+    null pair: on a grid a factored datum is filled from its profiles on the
+    axes, every other one is evaluated pointwise on its mask.
     """
-    maps = boundary_maps(s)
     for half, where in halves:
         if not where.any():
             continue
         for comp in NULL_SIGNS:
             x, y = null_pair(comp, t1, z1, t2, z2)
-            g = s.initial.component(comp, half)
             seam = (comp, half) in BRANCH_MAPS
             for initial in (True, False) if seam else (True,):
-                if initial and g.is_zero:
-                    continue
                 if branches is not None and (comp, half, initial) not in branches:
+                    continue
+                g = s.initial.component(comp, half) if initial else boundary_datum(s, comp, half)
+                if g.is_zero:
                     continue
                 mask = where
                 if seam:
@@ -138,13 +121,10 @@ def _branch_values(s: Scenario, halves, t1, z1, t2, z2, branches=None):
                 if not mask.any():
                     continue
                 # values are yielded, not kept: no branch's arrays outlive it
-                if initial and g.factors is not None and x.shape != y.shape:
+                if g.factors is not None and x.shape != y.shape:
                     yield comp, mask, g.factors.at(x, y)[mask]  # a column, a row
-                elif initial:
-                    yield comp, mask, g(*_on_mask(mask, x, y))
                 else:
-                    hmap = getattr(maps, BRANCH_MAPS[(comp, half)])
-                    yield comp, mask, hmap(*coincidence_point(comp, *_on_mask(mask, x, y)))
+                    yield comp, mask, g(*_on_mask(mask, x, y))
 
 
 def _eval_halves(s: Scenario, halves, t1, z1, t2, z2) -> np.ndarray:
@@ -245,6 +225,7 @@ def bc_defect(s: Scenario, t, z, side: int) -> np.ndarray:
 # Finite-difference probes
 # ---------------------------------------------------------------------------
 
+SEAM_STEP = 1e-3  # the central-difference step of seam_mismatch
 _SIGMA3_SLOT1 = embed(SIGMA3, 1)
 _SIGMA3_SLOT2 = embed(SIGMA3, 2)
 
@@ -328,47 +309,36 @@ def pde_residual(
     return field_residual(lambda *p: evaluate_fields(s, *p), t1, z1, t2, z2, h)
 
 
-def seam_mismatch(
-    s: Scenario, component: int, half: int, v, order: int = 2, delta: float = 1e-3
-) -> np.ndarray:
-    """Finite-difference probe of branch matching across the seam, orders 0..order.
+def seam_mismatch(s: Scenario, component: int, half: int, v) -> np.ndarray:
+    """Finite-difference probe of branch matching across the seam, orders 0..2.
 
     For psi2/psi3 the initial and boundary branches are two closed-form
     functions of the pair of null coordinates that meet along the seam
     x = y.  Both extend smoothly past the seam, so the k-th derivative of
-    their difference across it can be probed by central differences at
-    seam points (v, v).  Returns an array of shape (order+1,) + shape(v)
-    with the absolute mismatch per derivative order.  Zero data give zero;
-    compatible smooth data give mismatches at finite-difference error level.
+    their difference across it can be probed by central differences of step
+    SEAM_STEP at seam points (v, v).  Returns an array of shape (3,) +
+    shape(v) with the absolute mismatch per derivative order.  Zero data
+    give zero; compatible smooth data give mismatches at finite-difference
+    error level.
     """
     if component not in (2, 3):
         raise ValueError("only psi2 and psi3 have a branch seam")
     if half not in (1, 2):
         raise ValueError("half must be 1 or 2")
-    if order < 0 or order > 4:
-        raise ValueError("order must be in 0..4")
     v = np.asarray(v, dtype=float)
     g = s.initial.component(component, half)
-    hmap = getattr(boundary_maps(s), BRANCH_MAPS[(component, half)])
+    boundary = boundary_datum(s, component, half)
 
-    def gap(shift):
-        x = v + shift
-        y = v - shift
-        return g(x, y) - hmap(*coincidence_point(component, x, y))
+    def gap(k):
+        x = v + k * SEAM_STEP
+        y = v - k * SEAM_STEP
+        return g(x, y) - boundary(x, y)
 
-    # central coefficients for d^k/ds^k on the 5-point stencil {-2h..2h}
-    stencils = {
-        0: ((0,), (1.0,)),
-        1: ((-1, 1), (-0.5, 0.5)),
-        2: ((-1, 0, 1), (1.0, -2.0, 1.0)),
-        3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5)),
-        4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0)),
-    }
-    rows = []
-    for k in range(order + 1):
-        offsets, coeffs = stencils[k]
-        acc = np.zeros(v.shape, dtype=complex)
-        for off, w in zip(offsets, coeffs):
-            acc += w * gap(off * delta)
-        rows.append(np.abs(acc) / delta**k)
-    return np.stack(rows)
+    below, at, above = gap(-1), gap(0), gap(1)
+    return np.stack(
+        [
+            np.abs(at),
+            np.abs(-0.5 * below + 0.5 * above) / SEAM_STEP,
+            np.abs(below - 2.0 * at + above) / SEAM_STEP**2,
+        ]
+    )

@@ -26,7 +26,7 @@ from mtdirac.conservation import (
     worker_count,
 )
 from mtdirac.geometry import region_masks
-from mtdirac.profiles import smooth_bump
+from mtdirac.profiles import Profile1D, smooth_bump
 from mtdirac.scenario import (
     BoundaryPhase,
     InitialData,
@@ -352,7 +352,7 @@ def test_integrate_equals_pointwise_assembly(name, panels, request, monkeypatch)
     # custom2's data are all functions, so every branch takes the grid path:
     # the same bits as the oracle.  Every other scenario has factored
     # branches, which _integrate takes from moments: within the bound.
-    # Both grids have at least 4096 nodes, so MTDIRAC_THREADS=3 splits them
+    # Both grids have at least 64 rows, so MTDIRAC_THREADS=3 splits them
     # into row blocks.  On flat(0) with the box (-2, 2) null coordinates are
     # the nodes themselves.
     s = grid_scenarios().get(name) or request.getfixturevalue(name)
@@ -391,6 +391,26 @@ def test_moments_send_seam_ties_to_the_boundary_branch():
     expected, _, _ = pointwise_integrate(s, flat(-0.5), q)
     totals, _, _, _ = _integrate(s, flat(-0.5), q)
     assert_within_moment_bound(totals, expected, s, flat(-0.5), q)
+
+
+def test_moments_read_each_profile_once_per_null_coordinate(rich, monkeypatch):
+    # a boundary branch carries its partner's profiles, and a mirrored datum
+    # its source's: each (profile, null coordinate) on the axis nodes is read
+    # once for all the branches that share it
+    q = QuadratureSpec(panels=16)
+    n = q.panels * GAUSS_ORDER
+    reads = []
+    call = Profile1D.__call__
+
+    def recorded(self, x):
+        if np.size(x) == n:
+            reads.append((id(self), np.asarray(x).tobytes()))
+        return call(self, x)
+
+    monkeypatch.setattr(Profile1D, "__call__", recorded)
+    totals, _, _, _ = _integrate(rich, bump_surface(0.0, 0.3, 5.0), q)
+    assert totals.any() and reads
+    assert len(set(reads)) == len(reads)
 
 
 def test_certificate_failure_takes_the_grid_path(rich):
