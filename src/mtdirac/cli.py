@@ -280,7 +280,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     b = lorentz.Boost(0.5)
 
     def covariance() -> dict:
-        cov = lorentz.covariance_report(s, b, samples=32, seed=args.seed)
+        cov = lorentz.covariance_report(s, b, (t1, z1, t2, z2), (tt, zz))
         tc1, zc1, tc2, zc2 = sample_spacelike(rng, 256, t_span, z_span)
         parts = {
             "pde": _check(cov.pde_max, 1e-6),

@@ -66,6 +66,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import region_masks
+from .profiles import gauss_panels
 from .scenario import BRANCH_MAPS, NULL_SIGNS, Scenario
 from .solver import _branch_factors, _branch_values
 
@@ -244,14 +245,6 @@ def worker_count() -> int:
     return 1
 
 
-def _axis_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-panel Gauss nodes and weights, shapes (panels, GAUSS_ORDER)."""
-    a = edges[:-1, None]
-    b = edges[1:, None]
-    x, w = _GAUSS
-    return 0.5 * (a + b) + 0.5 * (b - a) * x[None, :], 0.5 * (b - a) * w[None, :]
-
-
 def _threaded(evaluate, n: int) -> list:
     """evaluate(sl) over slices of range(n) rows; threaded from 64 rows on."""
     workers = worker_count()
@@ -390,7 +383,7 @@ def _integrate(
     if box is None:
         return np.zeros(4), 0, None, 0
     edges = np.linspace(box[0], box[1], q.panels + 1)
-    nodes, weights = _axis_nodes(edges)  # (panels, m)
+    nodes, weights = gauss_panels(edges, GAUSS_ORDER)  # (panels, m)
     p, m = nodes.shape
     axis = _on_surface(surf, nodes.reshape(-1))
     n = axis.shape[1]

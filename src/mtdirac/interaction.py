@@ -252,8 +252,6 @@ class SingleTimeSlice:
     and their entries are zero.
     """
 
-    t: float
-    grid: SliceGrid
     matrix: np.ndarray
 
 
@@ -262,7 +260,7 @@ def single_time_slice(s: Scenario, t: float, grid: SliceGrid) -> SingleTimeSlice
     tz = np.full(grid.n, float(t))
     vals, _ = evaluate_grid(s, tz, z, tz, z)  # the diagonal is not space-like: zero
     matrix = np.block([[vals[0], vals[1]], [vals[2], vals[3]]])
-    return SingleTimeSlice(t=float(t), grid=grid, matrix=matrix)
+    return SingleTimeSlice(matrix=matrix)
 
 
 @dataclass(frozen=True)

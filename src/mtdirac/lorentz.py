@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .current import tensor_current
-from .geometry import sample_spacelike, spacelike_margin
+from .geometry import spacelike_margin
 from .scenario import Phase, Scenario
 from .solver import boundary_trace_fields, evaluate_fields, field_residual
 from .spin import chiral_pair_projector, epsilon_gamma_pair, gamma
@@ -123,34 +123,19 @@ class TransformedSolution:
         psi = evaluate_fields(self.base, it1, iz1, it2, iz2)
         return np.einsum("ij,j...->i...", pair_factor(self.boost), psi)
 
-    def theta(self, side: int) -> Phase:
-        base_phase = self.base.phase.theta1 if side == 1 else self.base.phase.theta2
-        inv = self.boost.inverse()
-
-        def fn(t, z):
-            it, iz = inv.point(t, z)
-            return base_phase(it, iz)
-
-        return Phase("custom", fn=fn)
-
-    def trace_values(self, t, z, side: int) -> np.ndarray:
-        """One-sided coincidence limits of the transformed solution.
+    def bc_defect(self, t, z, side: int) -> np.ndarray:
+        """Jump-condition residual psi2' - exp(-i theta') psi3' on a trace.
 
         An orthochronous boost maps the coincidence set to itself and
-        preserves the spatial order of the one-sided limits, so the trace
-        is the boosted trace of the base solution.
+        preserves the spatial order of the one-sided limits, so the trace is
+        the boosted trace of the base solution, and the phase is transported
+        as a scalar: both are read at L^-1 (t, z), theta' = theta o L^-1.
         """
-        inv = self.boost.inverse()
-        it, iz = inv.point(t, z)
+        it, iz = self.boost.inverse().point(t, z)
         tr = boundary_trace_fields(self.base, it, iz, side)
-        return np.einsum("ij,j...->i...", pair_factor(self.boost), tr.values)
-
-    def bc_defect(self, t, z, side: int) -> np.ndarray:
-        values = self.trace_values(t, z, side)
-        theta = self.theta(side)
-        t = np.asarray(t, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return values[1] - np.exp(-1j * theta(t, z)) * values[2]
+        values = np.einsum("ij,j...->i...", pair_factor(self.boost), tr.values)
+        theta = self.base.phase.theta1 if side == 1 else self.base.phase.theta2
+        return values[1] - np.exp(-1j * theta(it, iz)) * values[2]
 
 
 @dataclass(frozen=True)
@@ -160,61 +145,41 @@ class CovarianceReport:
     samples: int
 
 
-# the stencil step of covariance_report's residual probe, and the width by
-# which its sampling windows extend the support hull
-COVARIANCE_STEP = 1e-4
-COVARIANCE_SPAN = 6.0
+COVARIANCE_STEP = 1e-4  # the stencil step of covariance_report's residual probe
 
 
 def covariance_report(
-    s: Scenario, b: Boost, samples: int = 200, seed: int = 0
+    s: Scenario, b: Boost, configurations, coincidences
 ) -> CovarianceReport:
     """Residuals of the transformed solution against the transformed system.
 
-    Interior points are sampled where the field can actually be nonzero:
-    drawn in the source frame over the evolving support, then mapped through
-    the boost so the probes land on live field in the boosted frame.  Points
-    whose boosted image lacks stencil room are redrawn.  Coincidence points
-    for the jump condition are sampled on the boosted image of the data
-    window.
+    configurations (t1, z1, t2, z2) and coincidences (t, z) are the caller's
+    source-frame points, mapped through the boost, so the probes land on the
+    boosted image of wherever the caller sampled the field.  Configurations
+    whose image lacks stencil room are dropped; samples counts those kept.
     """
-    hull = s.initial.support_hull() or (-1.0, 1.0)
-    t_half = 0.5 * (hull[1] - hull[0]) + COVARIANCE_SPAN / 6.0
-    rng = np.random.default_rng(seed)
+    t1, z1, t2, z2 = configurations
+    c = np.array([*b.point(t1, z1), *b.point(t2, z2)])
+    c = c[:, spacelike_margin(*c) > 4.0 * COVARIANCE_STEP]
     trans = TransformedSolution(s, b)
-    kept = []
-    attempts = 0
-    while len(kept) < samples and attempts < 50 * samples:
-        attempts += 1
-        st1, sz1, st2, sz2 = sample_spacelike(
-            rng, 1, (-t_half, t_half), (hull[0] - 1.0, hull[1] + 1.0)
-        )
-        c = (*b.point(st1[0], sz1[0]), *b.point(st2[0], sz2[0]))
-        if spacelike_margin(*c) <= 4.0 * COVARIANCE_STEP:
-            continue
-        kept.append(c)
-    points = np.reshape(kept, (-1, 4)).T
-    r = field_residual(trans.evaluate_fields, *points, COVARIANCE_STEP)
+    r = field_residual(trans.evaluate_fields, *c, COVARIANCE_STEP)
     pde_max = float(np.max(np.abs(r), initial=0.0))  # a NaN residual stays NaN
-    scale = float(np.exp(abs(b.beta)))
-    halfwidth = scale * (max(abs(hull[0]), abs(hull[1])) + COVARIANCE_SPAN / 2.0)
-    tt = rng.uniform(-halfwidth, halfwidth, samples)
-    zz = rng.uniform(-halfwidth, halfwidth, samples)
-    bc_max = 0.0
-    for side in (1, 2):
-        bc_max = max(bc_max, float(np.max(np.abs(trans.bc_defect(tt, zz, side)))))
-    return CovarianceReport(pde_max=pde_max, bc_max=bc_max, samples=len(kept))
+    bt, bz = b.point(*coincidences)
+    bc = [trans.bc_defect(bt, bz, side) for side in (1, 2)]
+    bc_max = float(np.max(np.abs(bc), initial=0.0))
+    return CovarianceReport(pde_max=pde_max, bc_max=bc_max, samples=c.shape[1])
 
 
 def current_covariance_defect(s: Scenario, b: Boost, t1, z1, t2, z2) -> float:
     """Max difference between the current of the transformed solution and the
     tensor transform Lambda Lambda j(L^-1 c) of the original current."""
-    trans = TransformedSolution(s, b)
-    j_prime = tensor_current(trans.evaluate_fields(t1, z1, t2, z2)).as_matrix()
     inv = b.inverse()
     it1, iz1 = inv.point(t1, z1)
     it2, iz2 = inv.point(t2, z2)
-    j_base = tensor_current(evaluate_fields(s, it1, iz1, it2, iz2)).as_matrix()
+    psi = evaluate_fields(s, it1, iz1, it2, iz2)
+    moved = np.einsum("ij,j...->i...", pair_factor(b), psi)
+    j_prime = tensor_current(moved).as_matrix()
+    j_base = tensor_current(psi).as_matrix()
     lam = b.matrix
     pushed = np.einsum("mr,ns,rs...->mn...", lam, lam, j_base)
     return float(np.max(np.abs(j_prime - pushed)))

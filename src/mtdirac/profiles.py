@@ -52,9 +52,9 @@ class Profile1D:
 
     def l2_norm(self) -> float:
         """L2 norm by composite Gauss-Legendre quadrature on the support."""
-        x, w = _panel_rule(self.lo, self.hi, panels=80, order=10)
-        v = self(x)
-        return float(np.sqrt(np.sum(w * (v.real**2 + v.imag**2))))
+        x, w = gauss_panels(np.linspace(self.lo, self.hi, 81), order=10)
+        v = self(x.ravel())
+        return float(np.sqrt(np.sum(w.ravel() * (v.real**2 + v.imag**2))))
 
     def scaled(self, factor: complex) -> "Profile1D":
         fn = self.fn
@@ -67,14 +67,13 @@ class Profile1D:
         return self.scaled(1.0 / n)
 
 
-def _panel_rule(lo: float, hi: float, panels: int, order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
+def gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on each panel between consecutive
+    edges, both of shape (panels, order)."""
+    x, w = np.polynomial.legendre.leggauss(order)
     a = edges[:-1, None]
     b = edges[1:, None]
-    x = 0.5 * (a + b) + 0.5 * (b - a) * nodes[None, :]
-    w = 0.5 * (b - a) * weights[None, :]
-    return x.ravel(), w.ravel()
+    return 0.5 * (a + b) + 0.5 * (b - a) * x[None, :], 0.5 * (b - a) * w[None, :]
 
 
 def smooth_bump(

@@ -226,8 +226,8 @@ def boundary_maps(s: Scenario) -> BoundaryMaps:
     A derived map is the boundary branch (boundary_datum) of the component
     it feeds, read at the null pair of the coincidence point (t, z): the
     datum arriving there on the incoming characteristic, multiplied by the
-    jump factor exp(-+ i theta).  On half 1 the pair (psi2, psi3) satisfies
-    psi2 = exp(-i theta1) psi3, on half 2 psi3 = exp(-i theta2) psi2.
+    jump factor exp(-+ i theta).  On each half h the pair (psi2, psi3)
+    satisfies psi2 = exp(-i theta_h) psi3, as solver.bc_defect checks.
     """
     if s.boundary_override is not None:
         return s.boundary_override

@@ -193,11 +193,10 @@ def evaluate_grid(s: Scenario, t1, z1, t2, z2) -> tuple[np.ndarray, np.ndarray]:
 class BoundaryTrace:
     """One-sided limit of psi at a coincidence point (t, z).
 
-    side = 1 is the limit from z1 < z2 (evaluation at (t, z - eps, t, z + eps)),
-    side = 2 from z1 > z2.  values has shape (4,) + shape(t).
+    Side 1 is the limit from z1 < z2 (evaluation at (t, z - eps, t, z + eps)),
+    side 2 from z1 > z2.  values has shape (4,) + shape(t).
     """
 
-    side: int
     t: np.ndarray
     z: np.ndarray
     values: np.ndarray
@@ -211,7 +210,7 @@ def boundary_trace_fields(s: Scenario, t, z, side: int) -> BoundaryTrace:
     tf = t.reshape(-1)
     zf = z.reshape(-1)
     values = _eval_halves(s, ((side, np.ones(tf.size, dtype=bool)),), tf, zf, tf, zf)
-    return BoundaryTrace(side=side, t=t, z=z, values=values.reshape((4,) + t.shape))
+    return BoundaryTrace(t=t, z=z, values=values.reshape((4,) + t.shape))
 
 
 def bc_defect(s: Scenario, t, z, side: int) -> np.ndarray:

@@ -131,11 +131,14 @@ def test_normalization_is_surface_independent(packet, leaky):
 
 
 def test_boost_covariance(packet):
+    # one source-frame draw over the packet's box, mapped through each boost
     rng = np.random.default_rng(5)
+    configurations = sample_spacelike(rng, 60, (-4.0, 4.0), (-4.0, 4.0), margin=4e-4)
+    coincidences = tuple(rng.uniform(-4.0, 4.0, (2, 1000)))
     pde = bc = algebra = current = 0.0
     for beta in (0.3, -0.3, 1.0, -1.0):
         b = Boost(beta)
-        rep = covariance_report(packet, b, samples=60)
+        rep = covariance_report(packet, b, configurations, coincidences)
         pde = max(pde, rep.pde_max)
         bc = max(bc, rep.bc_max)
         algebra = max(algebra, commutation_defect(b), manifest_commutant_defect(b))

@@ -573,8 +573,19 @@ def test_verify_evaluates_each_probe_in_one_call(tmp_path, monkeypatch):
     rc = main(["verify", "--scenario", MIRROR_CFG, "--out", str(out), "--panels", "128"])
     assert rc == 0
     # the pde and continuity probes (8 stencil points at each of 64
-    # configurations), the boosted probe and two current-covariance calls
-    assert len(points) <= 5 and points[:2] == [64 * 8, 64 * 8]
+    # configurations), the boosted probe and the current-covariance call
+    assert len(points) == 4 and points[:2] == [64 * 8, 64 * 8]
+
+
+@pytest.mark.parametrize("config", [PACKET_CFG, "configs/spin_product.json", MIRROR_CFG])
+def test_verify_boost_probes_read_live_field(tmp_path, config):
+    # the boosted probes read verify's own draw, mapped through the boost, so
+    # they land on live field: a probe that reads 0.0 checks nothing
+    out = tmp_path / "out"
+    assert main(["verify", "--scenario", config, "--out", str(out), "--seed", "0"]) == 0
+    parts = json.loads(_read(out / "verify.json"))["checks"]["covariance"]["parts"]
+    assert parts["pde"]["value"] > 0.0
+    assert parts["boundary"]["value"] > 0.0
 
 
 G4_X = "initial.g4.omega1.params.x"

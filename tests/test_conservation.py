@@ -12,7 +12,6 @@ from mtdirac.conservation import (
     GAUSS_ORDER,
     Hypersurface,
     QuadratureSpec,
-    _axis_nodes,
     _certified,
     _density,
     _integrate,
@@ -26,7 +25,7 @@ from mtdirac.conservation import (
     worker_count,
 )
 from mtdirac.geometry import region_masks
-from mtdirac.profiles import Profile1D, smooth_bump
+from mtdirac.profiles import Profile1D, gauss_panels, smooth_bump
 from mtdirac.scenario import (
     BoundaryPhase,
     InitialData,
@@ -276,7 +275,7 @@ def pointwise_integrate(s, surf, q):
     totals, the box and the count of pairs that are not space-like."""
     box = q.box if q.box is not None else truncation_box(s, surf)
     edges = np.linspace(box[0], box[1], q.panels + 1)
-    nodes, weights = _axis_nodes(edges)
+    nodes, weights = gauss_panels(edges, GAUSS_ORDER)
     p, m = nodes.shape
     shape = (p, m, p, m)
     z1 = np.broadcast_to(nodes[:, :, None, None], shape)
@@ -314,7 +313,8 @@ def moment_scale(s, surf, q):
     Jacobians 1 +- f' are below 2, so sum_i A_i <= c sum_i 2 w_i
     max(|px(z_i - f_i)|^2, |px(z_i + f_i)|^2), and likewise for B."""
     box = q.box if q.box is not None else truncation_box(s, surf)
-    nodes, weights = _axis_nodes(np.linspace(box[0], box[1], q.panels + 1))
+    edges = np.linspace(box[0], box[1], q.panels + 1)
+    nodes, weights = gauss_panels(edges, GAUSS_ORDER)
     z = nodes.reshape(-1)
     t, w = surf.f(z), 2.0 * weights.reshape(-1)
 
@@ -384,7 +384,7 @@ def test_moments_send_seam_ties_to_the_boundary_branch():
     half = (ZERO2, g2, g3, ZERO2)
     s = Scenario(InitialData(half, half), BoundaryPhase(Phase("constant", 0.4)))
     q = QuadratureSpec(panels=4, box=(-2.0, 2.0))
-    nodes, _ = _axis_nodes(np.linspace(-2.0, 2.0, 5))
+    nodes, _ = gauss_panels(np.linspace(-2.0, 2.0, 5), GAUSS_ORDER)
     z = nodes.reshape(-1)
     i, j = np.nonzero((z + 0.5)[:, None] == (z - 0.5)[None, :])
     assert (i // GAUSS_ORDER < j // GAUSS_ORDER).sum() >= 10
@@ -421,7 +421,7 @@ def test_certificate_failure_takes_the_grid_path(rich):
     lo = 0.25
     box = (lo, lo + 48 * float(np.spacing(lo)))
     q = QuadratureSpec(panels=4, box=box)
-    nodes, _ = _axis_nodes(np.linspace(*box, 5))
+    nodes, _ = gauss_panels(np.linspace(*box, 5), GAUSS_ORDER)
     assert not _certified(np.ones(nodes.size), nodes.reshape(-1))
     expected, _, expected_excluded = pointwise_integrate(rich, flat(1.0), q)
     totals, excluded, _, _ = _integrate(rich, flat(1.0), q)

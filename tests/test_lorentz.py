@@ -4,8 +4,9 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from mtdirac.geometry import Configuration, sample_spacelike
+from mtdirac.geometry import Configuration, sample_spacelike, spacelike_margin
 from mtdirac.lorentz import (
+    COVARIANCE_STEP,
     Boost,
     TransformedSolution,
     commutation_defect,
@@ -26,7 +27,12 @@ from mtdirac.scenario import (
     ZERO2,
     boundary_maps,
 )
-from mtdirac.solver import StencilError, evaluate_fields, field_residual
+from mtdirac.solver import (
+    StencilError,
+    boundary_trace_fields,
+    evaluate_fields,
+    field_residual,
+)
 from mtdirac.spin import SIGMA3, embed
 from probes import boosted_config, manifest_commutant_defect
 
@@ -140,27 +146,44 @@ def test_transformed_solution_is_pair_factor_times_base(packet):
     assert np.abs(moved - expected).max() <= 1e-12
 
 
-def test_theta_transport(packet):
+def test_theta_transport(rich):
+    # a phase that varies along the coincidence set: the boosted traces obey
+    # the jump condition with theta' = theta o L^-1 and fail it with theta
     base = Phase("custom", fn=lambda t, z: t + 2.0 * z)
     b = Boost(-0.4)
-    s = replace(packet, phase=BoundaryPhase(theta1=base, theta2=base))
+    s = replace(rich, phase=BoundaryPhase(theta1=base, theta2=base))
     trans = TransformedSolution(s, b)
-    moved = trans.theta(1)
-    t, z = 0.3, -1.1
-    bt, bz = b.point(t, z)
-    assert moved(bt, bz) == pytest.approx(base(t, z), abs=1e-12)
+    t, z = np.meshgrid(np.linspace(-4.0, 4.0, 81), np.linspace(-4.0, 4.0, 81))
+    it, iz = b.inverse().point(t, z)
+    for side in (1, 2):
+        traces = boundary_trace_fields(s, it, iz, side).values
+        values = np.einsum("ij,j...->i...", pair_factor(b), traces)
+        live = (np.abs(values[1]) > 1e-3) & (np.abs(values[2]) > 1e-3)
+        assert live.sum() >= 50
+        assert np.abs(trans.bc_defect(t, z, side)).max() <= 1e-13
+        untransported = values[1] - np.exp(-1j * base(t, z)) * values[2]
+        assert np.abs(untransported[live]).max() > 0.1
 
 
 def test_covariance_report(packet):
-    rep = covariance_report(packet, Boost(0.5), samples=80)
-    assert rep.samples == 80
-    assert rep.pde_max < 1e-6
-    assert rep.bc_max <= 1e-13
+    # source-frame configurations and coincidence points on the packet's box
+    rng = np.random.default_rng(0)
+    configurations = sample_spacelike(rng, 80, (-4.0, 4.0), (-4.0, 4.0), margin=4e-4)
+    coincidences = tuple(rng.uniform(-4.0, 4.0, (2, 1000)))
+    b = Boost(0.5)
+    rep = covariance_report(packet, b, configurations, coincidences)
+    t1, z1, t2, z2 = configurations
+    margin = spacelike_margin(*b.point(t1, z1), *b.point(t2, z2))
+    assert rep.samples == int((margin > 4 * COVARIANCE_STEP).sum()) > 0
+    # both probes read live field, and it obeys the boosted system
+    assert 0.0 < rep.pde_max < 1e-6
+    assert 0.0 < rep.bc_max <= 1e-13
     # a NaN field value fails the report instead of dropping out of the maximum
     nan = Component2D(fn=lambda x, y: np.full(np.shape(x), np.nan), box=((-3, 3),) * 2)
     data = InitialData(half1=(nan,) + (ZERO2,) * 3, half2=(ZERO2,) * 4)
     broken = replace(packet, initial=data)
-    assert math.isnan(covariance_report(broken, Boost(0.5), samples=8).pde_max)
+    rep = covariance_report(broken, b, configurations, coincidences)
+    assert math.isnan(rep.pde_max)
 
 
 def test_current_transforms_as_a_tensor(packet):
@@ -170,6 +193,23 @@ def test_current_transforms_as_a_tensor(packet):
     bt1, bz1 = b.point(t1, z1)
     bt2, bz2 = b.point(t2, z2)
     assert current_covariance_defect(packet, b, bt1, bz1, bt2, bz2) <= 1e-12
+
+
+def test_current_covariance_evaluates_the_field_once(packet, monkeypatch):
+    # the transformed current and the pushed base current share one field
+    import mtdirac.lorentz as lorentz
+
+    calls = []
+
+    def counted(s, *coords):
+        calls.append(np.broadcast(*coords).size)
+        return evaluate_fields(s, *coords)
+
+    monkeypatch.setattr(lorentz, "evaluate_fields", counted)
+    rng = np.random.default_rng(3)
+    t1, z1, t2, z2 = sample_spacelike(rng, 50, (-1.5, 1.5), (-3.5, 3.5))
+    assert current_covariance_defect(packet, Boost(0.7), t1, z1, t2, z2) <= 1e-12
+    assert calls == [50]
 
 
 def test_field_residual_guards_stencil(packet):
