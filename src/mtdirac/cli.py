@@ -391,9 +391,9 @@ def cmd_scatter(args: argparse.Namespace) -> int:
     for t in times:
         masses = conservation.component_masses(s, float(t), q)
         sl = interaction.single_time_slice(s, float(t), grid)
-        try:
+        if sl.matrix.any():  # an identically zero slice has no spectrum
             sigma = interaction.schmidt_spectrum(sl).values[:4]
-        except ValueError:
+        else:
             sigma = np.zeros(4)
         rows.append((float(t), masses, np.asarray(sigma)))
 

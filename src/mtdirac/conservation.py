@@ -57,6 +57,7 @@ differ from the grid by rounding of the prefix sums, at most
 from __future__ import annotations
 
 import math
+import operator
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -185,26 +186,39 @@ class QuadratureSpec:
         return QuadratureSpec(2 * self.panels, self.box)
 
 
-def _invert_increasing(u: Callable, target: float) -> float:
-    """Solve u(z) = target for a strictly increasing scalar map by bisection."""
-    lo, hi = -1.0, 1.0
-    span = 1.0
-    while u(lo) > target:
-        lo -= span
-        span *= 2.0
-    span = 1.0
-    while u(hi) < target:
-        hi += span
-        span *= 2.0
+def _invert_increasing(u: Callable, target: list[float]) -> list[float]:
+    """Solve u(z) = target entrywise for strictly increasing maps by bisection.
+
+    u maps an array of z to one value per entry of target.  Each entry has
+    its own bracket, grown from [-1, 1] by doubling steps, and its own stop
+    (a bracket within 1e-13 relative, or 200 halvings); all entries share
+    one call of u per step.  The brackets are Python floats: for a handful
+    of entries that is cheaper than a numpy call per update.
+    """
+    lo, hi = [-1.0] * len(target), [1.0] * len(target)
+    for end, step, outside in ((lo, -1.0, operator.gt), (hi, 1.0, operator.lt)):
+        span = [1.0] * len(target)
+        while out := [
+            k for k, v in enumerate(u(np.array(end)).tolist()) if outside(v, target[k])
+        ]:
+            for k in out:
+                end[k] += step * span[k]
+                span[k] *= 2.0
+    mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
+    live = set(range(len(target)))
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if u(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, abs(lo), abs(hi)):
+        for k, v in enumerate(u(np.array(mid)).tolist()):
+            if k in live:
+                if v < target[k]:
+                    lo[k] = mid[k]
+                else:
+                    hi[k] = mid[k]
+                if hi[k] - lo[k] <= 1e-13 * max(1.0, abs(lo[k]), abs(hi[k])):
+                    live.discard(k)
+                mid[k] = 0.5 * (lo[k] + hi[k])
+        if not live:
             break
-    return 0.5 * (lo + hi)
+    return mid
 
 
 def truncation_box(s: Scenario, surf: Hypersurface) -> tuple[float, float] | None:
@@ -218,15 +232,10 @@ def truncation_box(s: Scenario, surf: Hypersurface) -> tuple[float, float] | Non
     hull = s.initial.support_hull()
     if hull is None:
         return None
-
-    def u_minus(z: float) -> float:
-        return z - float(surf.f(np.asarray(z)))
-
-    def u_plus(z: float) -> float:
-        return z + float(surf.f(np.asarray(z)))
-
-    lo = min(_invert_increasing(u_minus, hull[0]), _invert_increasing(u_plus, hull[0]))
-    hi = max(_invert_increasing(u_minus, hull[1]), _invert_increasing(u_plus, hull[1]))
+    # the pairs (z - f(z), hull lo), (z + f(z), hull lo), then both at hull hi
+    sign = np.array([-1.0, 1.0, -1.0, 1.0])
+    ends = _invert_increasing(lambda z: z + sign * surf.f(z), [hull[0]] * 2 + [hull[1]] * 2)
+    lo, hi = min(ends[:2]), max(ends[2:])
     pad = 1e-9 * max(1.0, abs(lo), abs(hi))
     return (lo - pad, hi + pad)
 

@@ -283,11 +283,29 @@ class SchmidtSpectrum:
 
 
 def schmidt_spectrum(sl: SingleTimeSlice) -> SchmidtSpectrum:
-    norm = float(np.linalg.norm(sl.matrix))
+    """Singular values of the slice over its Frobenius norm, min(shape) of them.
+
+    Rows and columns that are all zero add only zero singular values, and
+    compactly supported data leave most of them so; the SVD runs on the
+    block of the others and the rest of the spectrum is exact zeros.
+    """
+    m = sl.matrix
+    finite = np.isfinite(m)
+    if not finite.all():
+        bad = np.argwhere(~finite)
+        row, col = bad[0]
+        raise ValueError(
+            f"slice has {len(bad)} non-finite entries (NaN or inf), "
+            f"the first at row {row}, column {col}; no Schmidt spectrum"
+        )
+    norm = float(np.linalg.norm(m))
     if norm == 0.0:
         raise ValueError("slice is identically zero; no Schmidt spectrum")
-    sigma = np.linalg.svd(sl.matrix / norm, compute_uv=False)
-    return SchmidtSpectrum(values=sigma)
+    block = m[np.ix_(m.any(axis=1), m.any(axis=0))]
+    values = np.zeros(min(m.shape))
+    sigma = np.linalg.svd(block / norm, compute_uv=False)
+    values[: sigma.size] = sigma
+    return SchmidtSpectrum(values=values)
 
 
 @dataclass(frozen=True)

@@ -530,6 +530,59 @@ def test_scatter_rejects_empty_time_list(tmp_path, capsys):
     assert not (out / "scatter.csv").exists()
 
 
+def test_scatter_zero_fills_only_an_all_zero_slice(tmp_path):
+    # two grid points sit outside the data, so every slice is zero
+    out = tmp_path / "out"
+    argv = ["scatter", "--scenario", PACKET_CFG, "--out", str(out), "--grid", "2"]
+    assert main(argv + ["--panels", "4", "--times", "0:1:2"]) == 0
+    rows = [line.split(",") for line in _read(out / "scatter.csv").splitlines()[4:]]
+    assert len(rows) == 2 and all(r[6:] == ["0", "0", "0", "0"] for r in rows)
+
+
+def test_scatter_fails_on_a_non_finite_slice(tmp_path, monkeypatch, capsys):
+    import mtdirac.cli as cli
+    from test_interaction import nan_data
+
+    monkeypatch.setattr(cli, "_load", lambda path: (nan_data(), "{}"))
+    out = tmp_path / "out"
+    argv = ["scatter", "--scenario", "nan.json", "--out", str(out), "--grid", "32"]
+    assert main(argv + ["--panels", "4", "--times", "0:1:3"]) == 2
+    assert "non-finite entries" in capsys.readouterr().err
+    assert not (out / "scatter.csv").exists()
+
+
+def test_scatter_does_not_hide_a_failing_svd(tmp_path, monkeypatch, capsys):
+    import mtdirac.interaction as interaction
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(interaction.np.linalg, "svd", no_convergence)
+    out = tmp_path / "out"
+    argv = ["scatter", "--scenario", PACKET_CFG, "--out", str(out), "--grid", "32"]
+    assert main(argv + ["--panels", "4", "--times", "0:1:2"]) == 2
+    assert "error: SVD did not converge" in capsys.readouterr().err
+    assert not (out / "scatter.csv").exists()
+
+
+def test_verify_takes_the_svd_of_the_nonzero_block(tmp_path, monkeypatch):
+    # mirror_bump's t = 0 slice is 512 x 512; 252 rows and 280 columns are
+    # not all zero, and only those reach the SVD
+    import mtdirac.interaction as interaction
+
+    svd = interaction.np.linalg.svd
+    shapes = []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(interaction.np.linalg, "svd", spy)
+    argv = ["verify", "--scenario", MIRROR_CFG, "--out", str(tmp_path / "o")]
+    assert main(argv + ["--panels", "128"]) == 0
+    assert shapes == [(252, 280)]
+
+
 def test_verify_records_every_check_of_a_raising_probe(tmp_path, monkeypatch, capsys):
     import mtdirac.cli as cli
 

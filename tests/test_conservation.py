@@ -33,11 +33,13 @@ from mtdirac.scenario import (
     Scenario,
     ZERO2,
     antisymmetric_extension,
+    load_scenario,
     phase_mirrored,
     product2,
 )
 from mtdirac.solver import evaluate_fields
 from test_current import gamma_current
+from test_solver import grid_scenarios
 from test_solver import grid_scenarios
 
 
@@ -153,6 +155,54 @@ def test_truncation_box_covers_support(packet):
         f_hi = float(surf.f(np.asarray(hi)))
         assert lo - abs(f_lo) <= hull[0] + 1e-6
         assert hi + abs(f_hi) >= hull[1] - 1e-6
+
+
+def _scalar_inversion(u, target):
+    """One bisection per (map, target) pair with 0-d calls of u: the reference."""
+    lo, hi = -1.0, 1.0
+    span = 1.0
+    while u(lo) > target:
+        lo -= span
+        span *= 2.0
+    span = 1.0
+    while u(hi) < target:
+        hi += span
+        span *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if u(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * max(1.0, abs(lo), abs(hi)):
+            break
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "config", ["wavepacket", "spin_product", "mirror_bump", "custom2"]
+)
+def test_truncation_box_equals_the_scalar_bisections(config):
+    """The four inversions, bisected together, give the boxes of four scalar
+    bisections bit for bit, on every acceptance surface and a few far off."""
+    if config == "custom2":
+        s = grid_scenarios()["custom2"]
+    else:
+        with open(f"configs/{config}.json") as fh:
+            s, _ = load_scenario(fh.read())
+    hull = s.initial.support_hull()
+    surfaces = acceptance_family() + [flat(-30.0), boosted_flat(2.0, 9.0)]
+    for surf in surfaces:
+        ends = [
+            _scalar_inversion(lambda z: z + sign * float(surf.f(np.asarray(z))), end)
+            for end in hull
+            for sign in (-1.0, 1.0)
+        ]
+        lo, hi = min(ends[:2]), max(ends[2:])
+        pad = 1e-9 * max(1.0, abs(lo), abs(hi))
+        got = truncation_box(s, surf)
+        assert all(type(v) is float for v in got)
+        assert got == (lo - pad, hi + pad), surf.label
 
 
 def test_truncation_box_none_for_zero_scenario():

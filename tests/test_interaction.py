@@ -4,6 +4,7 @@ import pytest
 from mtdirac.conservation import QuadratureSpec
 from mtdirac.geometry import sample_spacelike
 from mtdirac.interaction import (
+    SingleTimeSlice,
     SliceGrid,
     closed_form_packet,
     default_slice_grid,
@@ -16,7 +17,14 @@ from mtdirac.interaction import (
     wavepacket_scenario,
 )
 from mtdirac.profiles import smooth_bump
-from mtdirac.scenario import ScenarioConfigError, check_compatibility
+from mtdirac.scenario import (
+    ZERO2,
+    Component2D,
+    InitialData,
+    Scenario,
+    ScenarioConfigError,
+    check_compatibility,
+)
 from mtdirac.solver import evaluate_fields
 
 BOUNDS = (-3.0, -1.0, 1.0, 3.0)
@@ -140,11 +148,49 @@ def test_schmidt_spectrum_properties(spin_pair):
 
 
 def test_schmidt_needs_nonzero_slice():
-    from mtdirac.scenario import InitialData, Scenario, ZERO2
-
     z = Scenario(initial=InitialData(half1=(ZERO2,) * 4, half2=(ZERO2,) * 4))
     with pytest.raises(ValueError):
         schmidt_spectrum(single_time_slice(z, 0.0, SliceGrid(n=32)))
+
+
+def test_schmidt_spectrum_of_a_block_embedded_in_zeros():
+    # the spectrum is taken on the rows and columns that are not all zero
+    rng = np.random.default_rng(3)
+    block = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
+    m = np.zeros((40, 60), dtype=complex)
+    rows = np.sort(rng.choice(40, 7, replace=False))
+    cols = np.sort(rng.choice(60, 5, replace=False))
+    m[np.ix_(rows, cols)] = block
+    spec = schmidt_spectrum(SingleTimeSlice(matrix=m))
+    expected = np.linalg.svd(block, compute_uv=False) / np.linalg.norm(block)
+    assert spec.values.shape == (40,)
+    assert np.all(np.abs(spec.values[:5] - expected) <= 4 * np.spacing(expected[0]))
+    assert np.all(spec.values[5:] == 0.0)
+
+
+def test_schmidt_spectrum_of_a_single_row():
+    m = np.zeros((16, 16), dtype=complex)
+    m[3, 2:9] = np.arange(1.0, 8.0) * (1 - 2j)
+    spec = schmidt_spectrum(SingleTimeSlice(matrix=m))
+    assert spec.sigma1 == pytest.approx(1.0, abs=1e-15)
+    assert spec.sigma2 == 0.0 and spec.values.shape == (16,)
+
+
+def nan_data() -> Scenario:
+    """Function data for psi2 that read NaN inside their box."""
+
+    def nan_inside(x, y):
+        return np.where((x > -2) & (x < -1) & (y > 1) & (y < 2), np.nan, 0.0)
+
+    g = Component2D(fn=nan_inside, box=((-2.0, -1.0), (1.0, 2.0)))
+    return Scenario(initial=InitialData(half1=(ZERO2, g, ZERO2, ZERO2), half2=(ZERO2,) * 4))
+
+
+def test_schmidt_spectrum_rejects_a_non_finite_slice():
+    # 25 entries of this slice fall in the box
+    sl = single_time_slice(nan_data(), 0.0, SliceGrid(n=32, lo=-3.0, hi=3.0))
+    with pytest.raises(ValueError, match="slice has 25 non-finite entries"):
+        schmidt_spectrum(sl)  # and no RuntimeWarning from dividing by a NaN norm
 
 
 def test_interaction_verdict(spin_pair):
