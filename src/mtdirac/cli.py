@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import conservation, interaction, lorentz
+from . import conservation, fmt17, interaction, lorentz
 from .geometry import REGIONS, Region, regions, sample_spacelike
 from .scenario import Scenario, ScenarioConfigError, check_compatibility, load_scenario
 from .solver import (
@@ -40,10 +40,6 @@ from .solver import (
 )
 from .current import coincidence_flux, continuity_residual
 from .spin import exchange
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _echo_lines(command: str, raw: str, seed: int) -> list[str]:
@@ -118,32 +114,23 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.points is not None:
         pts = _read_points(Path(args.points))
         label = regions(*pts)
-        ok = np.isin(label, [REGIONS.index(r) for r in _SPACELIKE])
+        live = np.isin(label, [REGIONS.index(r) for r in _SPACELIKE])
         psi = np.zeros((4, label.size), dtype=complex)
-        if ok.any():
-            psi[:, ok] = evaluate_fields(s, *(p[ok] for p in pts))
+        if live.any():
+            psi[:, live] = evaluate_fields(s, *(p[live] for p in pts))
     else:  # the pairs (z_i, z_j), i-major
         z = interaction.default_slice_grid(s, [args.time], n=args.grid).points()
         tz = np.full(z.size, args.time)
         psi, bad = evaluate_grid(s, tz, z, tz, z)
-        psi, ok = psi.reshape(4, -1), ~bad.reshape(-1)
+        psi, live = psi.reshape(4, -1), ~bad.reshape(-1)
         t = np.full(z.size**2, args.time)
         pts = np.stack([t, np.repeat(z, z.size), t, np.tile(z, z.size)])
         label = regions(*pts)
 
-    # two %-templates per region, at 2k (full) and 2k + 1 (short), with the
-    # number of values each takes.  "%.17g" % x is byte-identical to
-    # format(x, ".17g"), but each conversion costs ~1 us, so the short one
-    # prints only the coordinates: a flagged row has empty psi cells, and a
-    # space-like row whose psi words are all +0.0 (compact support makes that
-    # most of them) prints "0" for each; -0.0 keeps the full one, for "-0".
-    templates = []
-    for r in REGIONS:
-        head = "%.17g,%.17g,%.17g,%.17g," + r.value
-        if r in _SPACELIKE:
-            templates += [(head + ",%.17g" * 8 + "\n", 12), (head + ",0" * 8 + "\n", 4)]
-        else:
-            templates += [(head + "," * 8 + "\n", 4)] * 2
+    names = [r.value.encode() for r in REGIONS]
+    name_pool = np.frombuffer(b"".join(names), dtype=np.uint8)
+    name_length = np.array([len(b) for b in names])
+    name_start = np.cumsum(name_length) - name_length
     dest = Path(args.out) / "fields.csv"
     with _replacing(dest) as fh:
         for line in _echo_lines("evaluate", raw, args.seed):
@@ -152,15 +139,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for i in range(1, 5):
             header += [f"re_psi{i}", f"im_psi{i}"]
         fh.write(",".join(header) + "\n")
-        for start in range(0, label.size, 4096):  # bounded text, bounded peak memory
-            part = slice(start, start + 4096)
-            values = np.ascontiguousarray(psi[:, part].T).view(float)
-            zero = ~values.view(np.uint64).any(axis=1)
-            keys = (2 * label[part] + zero).tolist()
-            table = np.concatenate([pts[:, part].T, values], axis=1).tolist()
-            rows = zip((templates[k] for k in keys), table)
-            fh.write("".join(t % tuple(row[:n]) for (t, n), row in rows))
-    flagged = int((~ok).sum())
+        for first in range(0, label.size, 4096):  # bounded text, bounded peak memory
+            part = slice(first, first + 4096)
+            rows, on = label[part], live[part]
+            coords = pts[:, part].T
+            words = psi[:, part].T[on].view(float)  # re, im of psi1..psi4
+            pool, start, length = fmt17.format17(
+                np.concatenate([coords.reshape(-1), words.reshape(-1)])
+            )
+            # (start, length) of each row's cells: four coordinates, the region
+            # name, eight psi words (empty on a flagged row)
+            cell = np.stack([start, length])
+            split = 4 * rows.size
+            cells = np.zeros((2, rows.size, 13), dtype=np.int64)
+            cells[:, :, :4] = cell[:, :split].reshape(2, -1, 4)
+            cells[:, :, 4] = pool.size + name_start[rows], name_length[rows]
+            cells[:, on, 5:] = cell[:, split:].reshape(2, -1, 8)
+            text = fmt17.join_rows(np.concatenate([pool, name_pool]), *cells)
+            fh.write(text.decode("ascii"))
+    flagged = int((~live).sum())
     print(f"wrote {dest} ({label.size} rows, {flagged} outside the space-like domain)")
     return 0
 
@@ -408,12 +405,11 @@ def cmd_scatter(args: argparse.Namespace) -> int:
             + [f"sigma{i}" for i in range(1, 5)]
         )
         fh.write(",".join(header) + "\n")
-        for t, masses, sigma in rows:
-            cells = [_fmt(t)]
-            cells += [_fmt(m) for m in masses]
-            cells += [_fmt(float(np.sum(masses)))]
-            cells += [_fmt(v) for v in np.pad(sigma, (0, max(0, 4 - sigma.size)))[:4]]
-            fh.write(",".join(cells) + "\n")
+        table = [
+            [t, *masses, float(np.sum(masses)), *np.pad(sigma, (0, 4 - sigma.size))]
+            for t, masses, sigma in rows
+        ]
+        fh.write(fmt17.join_rows(*fmt17.format17(table)).decode("ascii"))
 
     totals = [float(np.sum(m)) for _, m, _ in rows]
     print(f"wrote {dest} ({len(rows)} times)")

@@ -386,7 +386,8 @@ def _integrate(
     on the N axis nodes (_moment_terms) when _certified holds; then no
     off-diagonal pair is excluded, by its proof.  The other branches, and
     all of them where the certificate fails, are reduced on the N x N grid
-    of node pairs, whose excluded pairs region_masks counts.
+    of node pairs, whose excluded pairs region_masks counts.  A component
+    with a non-finite term (data that read NaN or inf) raises ValueError.
     """
     box = q.box if q.box is not None else truncation_box(s, surf)
     if box is None:
@@ -463,8 +464,15 @@ def _integrate(
         for k in range(4):
             pieces[k].append(tri[k])
 
-    totals = np.array([math.fsum(np.concatenate(row).tolist()) for row in pieces])
-    return totals, excluded, box, n * n - p * m * m + 2 * p * m * m
+    totals = [math.fsum(np.concatenate(row).tolist()) for row in pieces]
+    for k, total in enumerate(totals):
+        if not math.isfinite(total):  # fsum carried a NaN or inf term
+            bad = sum(np.count_nonzero(~np.isfinite(piece)) for piece in pieces[k])
+            raise ValueError(
+                f"psi{k + 1} has {bad} non-finite entries (NaN or inf) among its "
+                f"quadrature terms on surface {surf.label}; no integral"
+            )
+    return np.array(totals), excluded, box, n * n - p * m * m + 2 * p * m * m
 
 
 @dataclass(frozen=True)

@@ -192,17 +192,32 @@ def _oracle_lines(s, pts):
     return lines, label, psi[:, spacelike]
 
 
-@pytest.mark.parametrize("source", ["points", "grid"])
+# coordinates that the %.17g kernel leaves to Python (a tie, a subnormal, a
+# value past 1e280) or writes without digits (-0.0), and the ends of fixed
+# notation (1e16, 1e-5)
+FALLBACK_ROWS = [
+    [0.0, 123456789012345.625, 0.0, 0.5],
+    [5e-324, -1.0, 0.0, 1.0],
+    [1e300, 1e300, 0.5, -1.0],  # the interval overflows: NonFinite
+    [-0.0, -0.0, 0.5, 1.0],
+    [1e16, 0.0, 1e16, 1.0],
+    [1e-5, 0.3, -1e-5, -0.4],
+]
+
+
+@pytest.mark.parametrize("source", ["points", "grid", "fallback"])
 def test_evaluate_writes_every_cell_as_format_17g(tmp_path, source):
     s, _ = load_scenario(_read(MIRROR_CFG))
     out = tmp_path / "out"
     argv = ["evaluate", "--scenario", MIRROR_CFG, "--out", str(out)]
-    if source == "points":
+    if source in ("points", "fallback"):
         rng = np.random.default_rng(11)
         pts = rng.uniform([-3.25, -3.0, -3.25, -3.0], [3.25, 3.5, 3.25, 3.5], (600, 4))
         pts[::50, 2:] = pts[::50, :2]  # coincidence
         pts[7::50] = [0.5, 0.25, 0.0, 0.75]  # light-like, exact in binary
         pts[9::50, 1] = np.nan
+        if source == "fallback":
+            pts[20 : 20 + len(FALLBACK_ROWS)] = FALLBACK_ROWS
         path = tmp_path / "points.csv"
         rows = ("%r,%r,%r,%r\n" % tuple(p) for p in pts.tolist())
         path.write_text("t1,z1,t2,z2\n" + "".join(rows))
@@ -539,7 +554,8 @@ def test_scatter_zero_fills_only_an_all_zero_slice(tmp_path):
     assert len(rows) == 2 and all(r[6:] == ["0", "0", "0", "0"] for r in rows)
 
 
-def test_scatter_fails_on_a_non_finite_slice(tmp_path, monkeypatch, capsys):
+def test_scatter_fails_on_non_finite_data(tmp_path, monkeypatch, capsys):
+    # the masses of the first time reject the data, before its slice does
     import mtdirac.cli as cli
     from test_interaction import nan_data
 
@@ -547,8 +563,24 @@ def test_scatter_fails_on_a_non_finite_slice(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     argv = ["scatter", "--scenario", "nan.json", "--out", str(out), "--grid", "32"]
     assert main(argv + ["--panels", "4", "--times", "0:1:3"]) == 2
-    assert "non-finite entries" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: psi2 has ") and "on surface flat; no integral" in err
     assert not (out / "scatter.csv").exists()
+
+
+def test_verify_fails_conservation_on_non_finite_data(tmp_path, monkeypatch, capsys):
+    import mtdirac.cli as cli
+    from test_interaction import nan_data
+
+    monkeypatch.setattr(cli, "_load", lambda path: (nan_data(), "{}"))
+    out = tmp_path / "out"
+    argv = ["verify", "--scenario", "nan.json", "--out", str(out), "--grid", "32"]
+    assert main(argv + ["--panels", "4"]) == 1
+    checks = json.loads(_read(out / "verify.json"))["checks"]
+    entry = checks["conservation_diffs"]
+    assert entry["pass"] is False and entry["error"].startswith("ValueError: psi2 has ")
+    assert "on surface flat" in entry["error"]
+    assert "FAIL conservation_diffs: ValueError: psi2 has " in capsys.readouterr().out
 
 
 def test_scatter_does_not_hide_a_failing_svd(tmp_path, monkeypatch, capsys):

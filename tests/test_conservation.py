@@ -548,6 +548,18 @@ def test_absorbing_boundary_breaks_conservation(leaky):
     assert abs(a - b) > 1e-3
 
 
+@pytest.mark.filterwarnings("error")
+def test_quadrature_rejects_non_finite_field_values():
+    from test_interaction import nan_data
+
+    s = nan_data()  # NaN in a 1 x 1 box of psi2
+    named = r"psi2 has \d+ non-finite entries \(NaN or inf\) among its quadrature terms"
+    with pytest.raises(ValueError, match=named + " on surface flat"):
+        component_masses(s, 0.5, QuadratureSpec(panels=4))
+    with pytest.raises(ValueError, match=named + " on surface bump"):
+        normalization_report(s, bump_surface(0.0, 0.3, 5.0), QuadratureSpec(panels=4))
+
+
 def test_acceptance_family_contents():
     family = acceptance_family()
     assert len(family) == 5
