@@ -127,10 +127,8 @@ def measure() -> dict:
             lambda: normalization_report(s, surf, q), repeats
         )
 
-    grid = default_slice_grid(s, [1.5], n=256)
-    layers["slice_svd"], _ = timed(
-        lambda: schmidt_spectrum(single_time_slice(s, 1.5, grid)), 7
-    )
+    z = default_slice_grid(s, [1.5], n=256)
+    layers["slice_svd"], _ = timed(lambda: schmidt_spectrum(single_time_slice(s, 1.5, z)), 7)
 
     probe = sample_spacelike(np.random.default_rng(2), 64, T_SPAN, Z_SPAN, margin=4 * H)
     layers["residual_probes"], worst_residual = timed(lambda: residuals(s, probe), 5)

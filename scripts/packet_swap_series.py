@@ -8,10 +8,9 @@ import argparse
 
 import numpy as np
 
-from mtdirac.conservation import QuadratureSpec
+from mtdirac.conservation import QuadratureSpec, component_masses
 from mtdirac.interaction import (
     default_slice_grid,
-    mass_series,
     schmidt_spectrum,
     single_time_slice,
     wavepacket_scenario,
@@ -26,12 +25,13 @@ def main() -> None:
 
     s = wavepacket_scenario(-3.0, -1.0, 1.0, 3.0)
     times = np.linspace(0.0, 4.0, args.steps)
-    _, masses = mass_series(s, times, QuadratureSpec(panels=args.panels))
-    grid = default_slice_grid(s, times)
+    q = QuadratureSpec(panels=args.panels)
+    z = default_slice_grid(s, times)
 
     print(f"{'t':>6} {'mass2':>10} {'mass3':>10} {'total':>10} {'sigma2':>10}")
-    for t, row in zip(times, masses):
-        sigma2 = schmidt_spectrum(single_time_slice(s, float(t), grid)).sigma2
+    for t in times:
+        row = component_masses(s, float(t), q)
+        sigma2 = schmidt_spectrum(single_time_slice(s, float(t), z))[1]
         print(
             f"{t:6.2f} {row[1]:10.6f} {row[2]:10.6f} {row.sum():10.6f} {sigma2:10.3e}"
         )

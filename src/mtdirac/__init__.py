@@ -41,7 +41,6 @@ from .conservation import (
 from .lorentz import Boost, TransformedSolution, covariance_report
 from .interaction import (
     closed_form_packet,
-    is_interacting,
     schmidt_spectrum,
     single_time_slice,
     spin_product_scenario,
@@ -71,7 +70,6 @@ __all__ = [
     "evaluate_fields",
     "evaluate_grid",
     "flat",
-    "is_interacting",
     "load_scenario",
     "normalization_report",
     "pde_residual",

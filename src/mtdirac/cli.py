@@ -119,7 +119,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if live.any():
             psi[:, live] = evaluate_fields(s, *(p[live] for p in pts))
     else:  # the pairs (z_i, z_j), i-major
-        z = interaction.default_slice_grid(s, [args.time], n=args.grid).points()
+        z = interaction.default_slice_grid(s, [args.time], n=args.grid)
         tz = np.full(z.size, args.time)
         psi, bad = evaluate_grid(s, tz, z, tz, z)
         psi, live = psi.reshape(4, -1), ~bad.reshape(-1)
@@ -232,27 +232,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     tt = rng.uniform(t_span[0], t_span[1], 1000)
     zz = rng.uniform(z_span[0], z_span[1], 1000)
-    run(
-        "boundary_condition",
-        lambda: _check(
-            max(
-                float(np.max(np.abs(bc_defect(s, tt, zz, 1)))),
-                float(np.max(np.abs(bc_defect(s, tt, zz, 2)))),
-            ),
-            1e-13,
-            samples=1000,
-        ),
-    )
+
+    def both_sides(probe) -> float:
+        return max(float(np.max(np.abs(probe(s, tt, zz, side)))) for side in (1, 2))
+
+    run("boundary_condition", lambda: _check(both_sides(bc_defect), 1e-13, samples=1000))
     run(
         "coincidence_flux",
-        lambda: _check(
-            max(
-                float(np.max(np.abs(coincidence_flux(s, tt, zz, 1)))),
-                float(np.max(np.abs(coincidence_flux(s, tt, zz, 2)))),
-            ),
-            1e-12,
-            samples=1000,
-        ),
+        lambda: _check(both_sides(coincidence_flux), 1e-12, samples=1000),
     )
 
     def conservation_diffs() -> list[dict]:
@@ -298,8 +285,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     run("covariance", covariance)
 
-    for side, phase in ((1, s.phase.theta1), (2, s.phase.theta2)):
-        if phase.kind in ("plus_i", "minus_i"):
+    for side in (1, 2):
+        if s.phase.on(side).kind in ("plus_i", "minus_i"):
             run(
                 f"manifest_form_side{side}",
                 lambda side=side: _check(
@@ -320,14 +307,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if hull is not None:
         def schmidt() -> dict:
-            spec = interaction.schmidt_spectrum(sl)
-            top = [float(v) for v in spec.values[:4]]
-            return _check(
-                abs(float(np.sum(spec.values**2)) - 1.0), 1e-12, top_values=top
-            )
+            values = interaction.schmidt_spectrum(sl)
+            top = [float(v) for v in values[:4]]
+            return _check(abs(float(np.sum(values**2)) - 1.0), 1e-12, top_values=top)
 
-        grid = interaction.default_slice_grid(s, [0.0], n=args.grid)
-        sl = interaction.single_time_slice(s, 0.0, grid)
+        z = interaction.default_slice_grid(s, [0.0], n=args.grid)
+        sl = interaction.single_time_slice(s, 0.0, z)
         if sl.matrix.any():  # an identically zero slice has no spectrum
             run("schmidt", schmidt)
 
@@ -382,14 +367,14 @@ def cmd_scatter(args: argparse.Namespace) -> int:
         horizon = 0.5 * (hull[1] - hull[0]) + 1.0
         times = np.linspace(0.0, horizon, 17)
     q = conservation.QuadratureSpec(panels=args.panels)
-    grid = interaction.default_slice_grid(s, times, n=args.grid)
+    z = interaction.default_slice_grid(s, times, n=args.grid)
 
     rows = []
     for t in times:
         masses = conservation.component_masses(s, float(t), q)
-        sl = interaction.single_time_slice(s, float(t), grid)
+        sl = interaction.single_time_slice(s, float(t), z)
         if sl.matrix.any():  # an identically zero slice has no spectrum
-            sigma = interaction.schmidt_spectrum(sl).values[:4]
+            sigma = interaction.schmidt_spectrum(sl)[:4]
         else:
             sigma = np.zeros(4)
         rows.append((float(t), masses, np.asarray(sigma)))

@@ -324,9 +324,12 @@ def _certified(t: np.ndarray, z: np.ndarray) -> bool:
     (1 - 2^-40) dz.  With the rounding of the check (a factor
     (1 + u)^2 / (1 - u), u = 2^-53) the exact steps obey
     |dt| <= (1 - 2^-41) dz, so by the triangle inequality every pair i < j
-    has |t_j - t_i| <= (1 - 2^-41) (z_j - z_i).  Rounded differences and
-    squares (normal numbers: dz^2 lies in [2^-1001, 2^1001]) keep dt^2 < dz^2
-    as computed, so every pair of distinct nodes is space-like under
+    has |t_j - t_i| <= (1 - 2^-41) (z_j - z_i).  geometry.region_masks
+    compares the rounded differences, not their squares.  z_j - z_i lies
+    in [2^-500, 2^500], a normal number, so fl(z_j - z_i) >= (1 - u)
+    (z_j - z_i); and |fl(t_j - t_i)| <= (1 + u) |t_j - t_i| (a subnormal
+    difference is exact).  Since (1 + u) (1 - 2^-41) < 1 - u, the rounded
+    |dt| < dz: every pair of distinct nodes is space-like under
     geometry.region_masks, in half 1 exactly when i < j.  Both null
     coordinates z -+ t strictly increase, and rounding is monotone, so their
     computed values are sorted.

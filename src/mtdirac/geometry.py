@@ -50,17 +50,22 @@ class Configuration:
 
 
 def region_masks(t1, z1, t2, z2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized exact classification into (in_omega1, in_omega2, not_spacelike)."""
-    dt = np.subtract(t1, t2, dtype=float)
-    dz = np.subtract(z1, z2, dtype=float)
+    """Vectorized exact classification into (in_omega1, in_omega2, not_spacelike).
+
+    A configuration is space-like when |dt| < |dz| for its rounded coordinate
+    differences: the exact sign of their interval dt^2 - dz^2, with no
+    square that could overflow or underflow.
+    """
+    # 0-d arrays, not numpy scalars, for scalar input: np.abs below writes in place
+    dt = np.asarray(np.subtract(t1, t2, dtype=float))
+    dz = np.asarray(np.subtract(z1, z2, dtype=float))
     m1 = dz < 0.0
     m2 = dz > 0.0
-    # the interval dt^2 - dz^2 is formed in place: on an N x N grid of pairs
-    # (the surface quadrature) no further N x N float array is allocated
-    dt *= dt
-    dz *= dz
-    dt -= dz
-    spacelike = dt < 0.0
+    # |dt| and |dz| are taken in place: on an N x N grid of pairs (the
+    # surface quadrature) no further N x N float array is allocated
+    np.abs(dt, out=dt)
+    np.abs(dz, out=dz)
+    spacelike = dt < dz
     m1 &= spacelike
     m2 &= spacelike
     return m1, m2, ~spacelike
@@ -73,20 +78,19 @@ def regions(t1, z1, t2, z2) -> np.ndarray:
     """Exact region of each configuration, as an int array indexing REGIONS.
 
     Space-like points are those of `region_masks`; coincidence is dt = dz = 0,
-    light-like an interval of exactly 0.  NonFinite marks a NaN or infinite
-    coordinate, and an interval that overflows to NaN (inf - inf).
+    light-like |dt| = |dz| and time-like |dt| > |dz|.  NonFinite marks a
+    coordinate difference that is not finite: a NaN or infinite coordinate,
+    or a difference of finite coordinates that overflows.
     """
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: NonFinite below
         m1, m2, _ = region_masks(t1, z1, t2, z2)
-        t1, z1, t2, z2 = (np.asarray(a, dtype=float) for a in (t1, z1, t2, z2))
-        dt, dz = t1 - t2, z1 - z2
-        iv = dt * dt - dz * dz
-    finite = np.isfinite(t1) & np.isfinite(z1) & np.isfinite(t2) & np.isfinite(z2)
+        dt = np.abs(np.subtract(t1, t2, dtype=float))
+        dz = np.abs(np.subtract(z1, z2, dtype=float))
     # one condition per Region in declaration order; NonFinite takes the rest
-    conditions = [m1, m2, (dt == 0.0) & (dz == 0.0), iv == 0.0, iv > 0.0]
+    conditions = [m1, m2, (dt == 0.0) & (dz == 0.0), dt == dz, dt > dz]
     nonfinite = REGIONS.index(Region.NONFINITE)
     label = np.select(conditions, range(nonfinite), nonfinite)
-    return np.where(finite, label, nonfinite)
+    return np.where(np.isfinite(dt) & np.isfinite(dz), label, nonfinite)
 
 
 def classify(c: Configuration) -> Region:
@@ -118,16 +122,13 @@ def sample_spacelike(
     t_span: tuple[float, float],
     z_span: tuple[float, float],
     margin: float = 0.0,
-    region: Region | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw n configurations uniformly from a box, keeping space-like ones.
 
-    Optionally restrict to one of Omega1/Omega2 and to points at least
-    `margin` away from the branch seams and the light-like boundary.
-    Rejection sampling; raises RuntimeError if acceptance is hopeless.
+    Optionally keep only points at least `margin` away from the branch seams
+    and the light-like boundary.  Rejection sampling; raises RuntimeError if
+    acceptance is hopeless.
     """
-    if region not in (None, Region.OMEGA1, Region.OMEGA2):
-        raise ValueError("region must be None, OMEGA1 or OMEGA2")
     got = 0
     attempts = 0
     chunks: list[np.ndarray] = []
@@ -140,12 +141,7 @@ def sample_spacelike(
         t2 = rng.uniform(*t_span, m)
         z1 = rng.uniform(*z_span, m)
         z2 = rng.uniform(*z_span, m)
-        m1, m2, _ = region_masks(t1, z1, t2, z2)
-        keep = m1 | m2
-        if region is Region.OMEGA1:
-            keep = m1
-        elif region is Region.OMEGA2:
-            keep = m2
+        keep = ~region_masks(t1, z1, t2, z2)[2]
         if margin > 0.0:
             keep &= spacelike_margin(t1, z1, t2, z2) > margin
         chunks.append(np.stack([t1[keep], z1[keep], t2[keep], z2[keep]]))

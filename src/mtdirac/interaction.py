@@ -6,11 +6,11 @@ The packets meet at the coincidence set and reappear swapped in psi3 with
 the jump phase attached; the closed-form expression for the whole history
 is transcribed here independently of the solver for cross-checking.
 
-Equal-time slices collect psi at (t, z_i, t, z_j) over a grid into a
+Equal-time slices collect psi at (t, z_i, t, z_j) over grid points into a
 matrix indexed by (spin, position) per particle; its singular values are
 the Schmidt coefficients of the state at that time.  A scenario whose
-initial slice is a product but develops sigma_2 > 0 under evolution is
-certified as interacting; free dynamics preserve product form.
+initial slice is a product but develops sigma_2 > 0 under evolution
+interacts: free dynamics preserve product form.
 """
 
 from __future__ import annotations
@@ -215,32 +215,19 @@ def closed_form_packet(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SliceGrid:
-    """Uniform grid for equal-time slices; n points on [lo, hi]."""
+def default_slice_grid(s: Scenario, times, n: int = 256) -> np.ndarray:
+    """n uniform points covering the support propagated to the largest |t| requested.
 
-    n: int = 256
-    lo: float = -8.0
-    hi: float = 8.0
-
-    def __post_init__(self) -> None:
-        if self.n < 2 or not self.lo < self.hi:
-            raise ValueError("need n >= 2 and lo < hi")
-
-    def points(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.n)
-
-
-def default_slice_grid(s: Scenario, times, n: int = 256) -> SliceGrid:
-    """Grid covering the support propagated to the largest |t| requested."""
+    Without data (no support) the points cover [-8, 8].
+    """
     if n < 2:
         raise ValueError(f"need n >= 2 slice grid points, got {n}")
     hull = s.initial.support_hull()
     if hull is None:
-        return SliceGrid(n=n)
+        return np.linspace(-8.0, 8.0, n)
     reach = max((abs(float(t)) for t in np.atleast_1d(times)), default=0.0)
     pad = reach + (hull[1] - hull[0]) / (n - 1)
-    return SliceGrid(n=n, lo=hull[0] - pad, hi=hull[1] + pad)
+    return np.linspace(hull[0] - pad, hull[1] + pad, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,35 +242,17 @@ class SingleTimeSlice:
     matrix: np.ndarray
 
 
-def single_time_slice(s: Scenario, t: float, grid: SliceGrid) -> SingleTimeSlice:
-    z = grid.points()
-    tz = np.full(grid.n, float(t))
+def single_time_slice(s: Scenario, t: float, z) -> SingleTimeSlice:
+    """The slice at time t on the points z of each particle."""
+    tz = np.full(np.size(z), float(t))
     vals, _ = evaluate_grid(s, tz, z, tz, z)  # the diagonal is not space-like: zero
     matrix = np.block([[vals[0], vals[1]], [vals[2], vals[3]]])
     return SingleTimeSlice(matrix=matrix)
 
 
-@dataclass(frozen=True)
-class SchmidtSpectrum:
-    """Normalized singular values (descending, sum of squares 1)."""
-
-    values: np.ndarray
-
-    @property
-    def sigma1(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def sigma2(self) -> float:
-        return float(self.values[1])
-
-    @property
-    def ratio(self) -> float:
-        return self.sigma2 / self.sigma1
-
-
-def schmidt_spectrum(sl: SingleTimeSlice) -> SchmidtSpectrum:
-    """Singular values of the slice over its Frobenius norm, min(shape) of them.
+def schmidt_spectrum(sl: SingleTimeSlice) -> np.ndarray:
+    """Singular values of the slice over its Frobenius norm, min(shape) of them,
+    descending (their squares sum to 1).
 
     Rows and columns that are all zero add only zero singular values, and
     compactly supported data leave most of them so; the SVD runs on the
@@ -305,70 +274,4 @@ def schmidt_spectrum(sl: SingleTimeSlice) -> SchmidtSpectrum:
     values = np.zeros(min(m.shape))
     sigma = np.linalg.svd(block / norm, compute_uv=False)
     values[: sigma.size] = sigma
-    return SchmidtSpectrum(values=values)
-
-
-@dataclass(frozen=True)
-class InteractionVerdict:
-    interacting: bool
-    witness_time: float | None
-    initial_sigma2: float
-    max_sigma2: float
-    max_ratio: float
-
-
-def is_interacting(
-    s: Scenario,
-    times,
-    grid: SliceGrid | None = None,
-    tol: float = 1e-8,
-    initial_time: float = 0.0,
-) -> InteractionVerdict:
-    """Certify interaction: product initial slice, entangled later slice.
-
-    Requires the slice at initial_time to be a product within tol
-    (sigma2 <= tol), else the criterion does not apply and a ValueError is
-    raised.  The verdict is positive iff some sampled time has sigma2 > tol;
-    the first such time is reported together with the largest sigma2 and
-    sigma2/sigma1 encountered.
-    """
-    times = [float(t) for t in np.atleast_1d(times)]
-    if grid is None:
-        grid = default_slice_grid(s, [initial_time, *times])
-    first = schmidt_spectrum(single_time_slice(s, initial_time, grid))
-    if first.sigma2 > tol:
-        raise ValueError(
-            f"initial slice is not a product state (sigma2 = {first.sigma2:.3e})"
-        )
-    witness = None
-    max_sigma2 = 0.0
-    max_ratio = 0.0
-    for t in times:
-        spec = schmidt_spectrum(single_time_slice(s, t, grid))
-        if spec.sigma2 > max_sigma2:
-            max_sigma2 = spec.sigma2
-            max_ratio = spec.ratio
-        if witness is None and spec.sigma2 > tol:
-            witness = t
-    return InteractionVerdict(
-        interacting=witness is not None,
-        witness_time=witness,
-        initial_sigma2=first.sigma2,
-        max_sigma2=max_sigma2,
-        max_ratio=max_ratio,
-    )
-
-
-def mass_series(
-    s: Scenario, times, q=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Component masses over a list of times via the conserving quadrature.
-
-    Returns (times array, masses array of shape (len(times), 4)).
-    """
-    from .conservation import QuadratureSpec, component_masses
-
-    q = q if q is not None else QuadratureSpec()
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    masses = np.stack([component_masses(s, float(t), q) for t in times])
-    return times, masses
+    return values

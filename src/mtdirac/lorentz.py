@@ -27,7 +27,12 @@ import numpy as np
 from .current import tensor_current
 from .geometry import spacelike_margin
 from .scenario import Phase, Scenario
-from .solver import boundary_trace_fields, evaluate_fields, field_residual
+from .solver import (
+    boundary_trace_fields,
+    evaluate_fields,
+    field_residual,
+    jump_residual,
+)
 from .spin import chiral_pair_projector, epsilon_gamma_pair, gamma
 
 
@@ -99,8 +104,7 @@ def manifest_sign(phase: Phase) -> int:
 
 def manifest_defect(s: Scenario, t, z, side: int) -> np.ndarray:
     """Residual of the manifest (matrix) form of the jump condition on a trace."""
-    phase = s.phase.theta1 if side == 1 else s.phase.theta2
-    sign = manifest_sign(phase)
+    sign = manifest_sign(s.phase.on(side))
     tr = boundary_trace_fields(s, t, z, side)
     m = epsilon_gamma_pair()
     p = chiral_pair_projector()
@@ -134,8 +138,7 @@ class TransformedSolution:
         it, iz = self.boost.inverse().point(t, z)
         tr = boundary_trace_fields(self.base, it, iz, side)
         values = np.einsum("ij,j...->i...", pair_factor(self.boost), tr.values)
-        theta = self.base.phase.theta1 if side == 1 else self.base.phase.theta2
-        return values[1] - np.exp(-1j * theta(it, iz)) * values[2]
+        return jump_residual(self.base.phase.on(side), it, iz, values)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ from .geometry import DomainError, region_masks, spacelike_margin
 from .scenario import (
     BRANCH_MAPS,
     NULL_SIGNS,
+    Phase,
     Scenario,
     boundary_datum,
     initial_branch,
@@ -194,11 +195,9 @@ class BoundaryTrace:
     """One-sided limit of psi at a coincidence point (t, z).
 
     Side 1 is the limit from z1 < z2 (evaluation at (t, z - eps, t, z + eps)),
-    side 2 from z1 > z2.  values has shape (4,) + shape(t).
+    side 2 from z1 > z2.  values has shape (4,) + the broadcast shape of (t, z).
     """
 
-    t: np.ndarray
-    z: np.ndarray
     values: np.ndarray
 
 
@@ -210,14 +209,22 @@ def boundary_trace_fields(s: Scenario, t, z, side: int) -> BoundaryTrace:
     tf = t.reshape(-1)
     zf = z.reshape(-1)
     values = _eval_halves(s, ((side, np.ones(tf.size, dtype=bool)),), tf, zf, tf, zf)
-    return BoundaryTrace(t=t, z=z, values=values.reshape((4,) + t.shape))
+    return BoundaryTrace(values=values.reshape((4,) + t.shape))
+
+
+def jump_residual(theta: Phase, t, z, values) -> np.ndarray:
+    """Residual psi2 - exp(-i theta(t, z)) psi3 of the jump condition.
+
+    values holds the one-sided trace psi1..psi4 at the coincidence points
+    (t, z) on the side whose phase is theta.
+    """
+    return values[1] - np.exp(-1j * theta(t, z)) * values[2]
 
 
 def bc_defect(s: Scenario, t, z, side: int) -> np.ndarray:
-    """Residual psi2 - exp(-i theta_side) psi3 of the jump condition on a trace."""
+    """jump_residual of the scenario's trace on a side."""
     tr = boundary_trace_fields(s, t, z, side)
-    theta = s.phase.theta1 if side == 1 else s.phase.theta2
-    return tr.values[1] - np.exp(-1j * theta(tr.t, tr.z)) * tr.values[2]
+    return jump_residual(s.phase.on(side), t, z, tr.values)
 
 
 # ---------------------------------------------------------------------------

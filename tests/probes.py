@@ -7,11 +7,16 @@ slot commutation of the two-particle gamma matrices, and the commutation of
 the boost pair factor with the matrices of the manifest jump condition.
 The tests also evaluate and boost single configurations through here, and
 the gamma-bilinear oracle of the current takes its adjoint pairing from here.
+The acceptance line "interaction verdict" reads `is_interacting`: a product
+initial slice whose Schmidt spectrum gains a second value under evolution.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from mtdirac.geometry import Configuration
+from mtdirac.interaction import default_slice_grid, schmidt_spectrum, single_time_slice
 from mtdirac.lorentz import Boost, pair_factor
 from mtdirac.scenario import (
     BRANCH_MAPS,
@@ -97,3 +102,45 @@ def manifest_commutant_defect(b):
     for m in (epsilon_gamma_pair(), chiral_pair_projector()):
         worst = max(worst, float(np.max(np.abs(s12 @ m - m @ s12))))
     return worst
+
+
+@dataclass(frozen=True)
+class InteractionVerdict:
+    interacting: bool
+    witness_time: float | None
+    initial_sigma2: float
+    max_sigma2: float
+    max_ratio: float
+
+
+def is_interacting(s, times, tol=1e-8) -> InteractionVerdict:
+    """Certify interaction: product initial slice, entangled later slice.
+
+    Requires the slice at t = 0 to be a product within tol
+    (sigma2 <= tol), else the criterion does not apply and a ValueError is
+    raised.  The verdict is positive iff some sampled time has sigma2 > tol;
+    the first such time is reported together with the largest sigma2 and
+    sigma2/sigma1 encountered.  All slices share the default grid points.
+    """
+    times = [float(t) for t in np.atleast_1d(times)]
+    z = default_slice_grid(s, [0.0, *times])
+    first = schmidt_spectrum(single_time_slice(s, 0.0, z))
+    if first[1] > tol:
+        raise ValueError(f"initial slice is not a product state (sigma2 = {first[1]:.3e})")
+    witness = None
+    max_sigma2 = 0.0
+    max_ratio = 0.0
+    for t in times:
+        sigma = schmidt_spectrum(single_time_slice(s, t, z))
+        if sigma[1] > max_sigma2:
+            max_sigma2 = float(sigma[1])
+            max_ratio = float(sigma[1] / sigma[0])
+        if witness is None and sigma[1] > tol:
+            witness = t
+    return InteractionVerdict(
+        interacting=witness is not None,
+        witness_time=witness,
+        initial_sigma2=float(first[1]),
+        max_sigma2=max_sigma2,
+        max_ratio=max_ratio,
+    )

@@ -198,7 +198,7 @@ def _oracle_lines(s, pts):
 FALLBACK_ROWS = [
     [0.0, 123456789012345.625, 0.0, 0.5],
     [5e-324, -1.0, 0.0, 1.0],
-    [1e300, 1e300, 0.5, -1.0],  # the interval overflows: NonFinite
+    [1e300, 1e300, 0.5, -1.0],  # |dt| = |dz| = 1e300 once rounded: LightLike
     [-0.0, -0.0, 0.5, 1.0],
     [1e16, 0.0, 1e16, 1.0],
     [1e-5, 0.3, -1e-5, -0.4],
@@ -224,7 +224,7 @@ def test_evaluate_writes_every_cell_as_format_17g(tmp_path, source):
         argv += ["--points", str(path)]
         pts = pts.T
     else:
-        z = default_slice_grid(s, [1.5], n=8).points()
+        z = default_slice_grid(s, [1.5], n=8)
         t = np.full(z.size**2, 1.5)
         pts = np.stack([t, np.repeat(z, z.size), t, np.tile(z, z.size)])
         argv += ["--grid", "8", "--time", "1.5"]

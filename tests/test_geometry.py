@@ -1,9 +1,11 @@
 import math
+import warnings
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtdirac.geometry import (
@@ -51,13 +53,55 @@ def test_regions_on_exact_edge_rows():
 
 def test_regions_flags_nonfinite_coordinates():
     nan, inf = math.nan, math.inf
-    t1 = np.array([nan, 0.0, 0.0, -inf, 0.0, 1e200])
-    z1 = np.array([0.0, inf, 0.0, 0.0, 0.0, 1e200])
-    t2 = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1e200])
-    z2 = np.array([1.0, 0.0, nan, 2.0, 1.0, -1e200])
+    t1 = np.array([nan, 0.0, 0.0, -inf, 0.0, 1e200, 0.0])
+    z1 = np.array([0.0, inf, 0.0, 0.0, 0.0, 1e200, 1.5e308])
+    t2 = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1e200, 0.0])
+    z2 = np.array([1.0, 0.0, nan, 2.0, 1.0, -1e200, -1.5e308])
     labels = [REGIONS[k] for k in regions(t1, z1, t2, z2)]
-    # the last row is finite, but its interval is inf - inf
-    assert labels == [Region.NONFINITE] * 4 + [Region.OMEGA1, Region.NONFINITE]
+    # row 6 is finite and exactly light-like, though its squares overflow;
+    # row 7 has finite coordinates whose difference overflows
+    expected = [Region.NONFINITE] * 4 + [Region.OMEGA1, Region.LIGHTLIKE, Region.NONFINITE]
+    assert labels == expected
+
+
+def exact_region(t1, z1, t2, z2) -> Region:
+    """The region from the exact interval of the rounded coordinate differences."""
+    dt, dz = t1 - t2, z1 - z2
+    if not (math.isfinite(dt) and math.isfinite(dz)):
+        return Region.NONFINITE
+    if dt == 0.0 and dz == 0.0:
+        return Region.COINCIDENCE
+    interval = Fraction(dt) ** 2 - Fraction(dz) ** 2
+    if interval == 0:
+        return Region.LIGHTLIKE
+    if interval > 0:
+        return Region.TIMELIKE
+    return Region.OMEGA1 if dz < 0.0 else Region.OMEGA2
+
+
+# every finite magnitude: subnormal, around 1, and beyond 1e154, where squares overflow
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300)
+@given(any_finite, any_finite, any_finite, any_finite)
+@example(0.25, 1e300, 0.5, -1.0)  # squaring dz overflowed
+@example(0.0, 0.0, 1e-200, 2e-200)  # squares underflowed to a tie: Omega1
+@example(0.0, 0.0, 2e-200, 1e-200)  # likewise: time-like
+@example(0.0, 0.0, 1e200, 1e250)  # inf - inf of the squares: Omega1
+@example(5e-324, 0.0, 0.0, 5e-324)  # light-like at the smallest subnormal
+@example(1e308, 0.0, -1e308, 0.0)  # dt overflows
+def test_regions_match_exact_interval_at_every_magnitude(t1, z1, t2, z2):
+    expected = exact_region(t1, z1, t2, z2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        label = REGIONS[regions(t1, z1, t2, z2)]
+        assert label is expected
+        if expected is not Region.NONFINITE:
+            m1, m2, bad = region_masks(t1, z1, t2, z2)
+            assert bool(m1) == (expected is Region.OMEGA1)
+            assert bool(m2) == (expected is Region.OMEGA2)
+            assert bool(bad) == (expected not in (Region.OMEGA1, Region.OMEGA2))
 
 
 def test_nonfinite_coordinates_rejected():
@@ -105,22 +149,15 @@ def test_margin_is_zero_on_the_light_cone():
 
 def test_sample_spacelike_respects_region_and_margin():
     rng = np.random.default_rng(11)
-    t1, z1, t2, z2 = sample_spacelike(
-        rng, 500, (-1, 1), (-2, 2), margin=0.05, region=Region.OMEGA1
-    )
-    assert t1.shape == (500,)
-    m1, _, _ = region_masks(t1, z1, t2, z2)
-    assert m1.all()
+    draw = sample_spacelike(rng, 1000, (-1, 1), (-2, 2), margin=0.05)
+    m1, _, bad = region_masks(*draw)
+    assert draw[0].shape == (1000,) and not bad.any()
+    assert 400 < m1.sum() < 600  # both halves are drawn
+    t1, z1, t2, z2 = (a[m1] for a in draw)  # a caller keeps one half by its mask
     assert (spacelike_margin(t1, z1, t2, z2) > 0.05).all()
-    for k in range(0, 500, 17):
+    for k in range(0, t1.size, 17):
         c = Configuration(t1[k], z1[k], t2[k], z2[k])
         assert spacelike_margin(*astuple(c)) == spacelike_margin(t1, z1, t2, z2)[k]
-
-
-def test_sample_spacelike_rejects_bad_region():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_spacelike(rng, 10, (-1, 1), (-1, 1), region=Region.TIMELIKE)
 
 
 def test_sample_spacelike_gives_up_on_impossible_box():

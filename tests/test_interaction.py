@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from mtdirac.conservation import QuadratureSpec
+from mtdirac.conservation import QuadratureSpec, component_masses
 from mtdirac.geometry import sample_spacelike
 from mtdirac.interaction import (
     SingleTimeSlice,
-    SliceGrid,
     closed_form_packet,
     default_slice_grid,
-    is_interacting,
-    mass_series,
     schmidt_spectrum,
     single_time_slice,
     spin_product_scenario,
@@ -26,6 +23,7 @@ from mtdirac.scenario import (
     check_compatibility,
 )
 from mtdirac.solver import evaluate_fields
+from probes import is_interacting
 
 BOUNDS = (-3.0, -1.0, 1.0, 3.0)
 
@@ -82,7 +80,7 @@ def test_packet_epochs(packet):
     # psi3 appears only after the fronts meet at t = (c - b)/2 = 1; psi2 is
     # gone once the tails have crossed at t = (d - a)/2 = 3
     q = QuadratureSpec(panels=48)
-    times, masses = mass_series(packet, [0.0, 0.5, 2.0, 3.2], q)
+    masses = np.stack([component_masses(packet, t, q) for t in (0.0, 0.5, 2.0, 3.2)])
     assert masses.shape == (4, 4)
     assert masses[0, 1] == pytest.approx(1.0, abs=1e-6)
     assert masses[0, 2] == 0.0
@@ -94,23 +92,13 @@ def test_packet_epochs(packet):
     assert np.abs(totals - 1.0).max() < 1e-6
 
 
-def test_slice_grid_validation():
-    with pytest.raises(ValueError):
-        SliceGrid(n=1)
-    with pytest.raises(ValueError):
-        SliceGrid(lo=2.0, hi=-2.0)
-    g = SliceGrid(n=5, lo=0.0, hi=1.0)
-    assert np.array_equal(g.points(), np.linspace(0.0, 1.0, 5))
-
-
 def test_default_slice_grid_covers_propagated_support(packet):
-    g = default_slice_grid(packet, [2.5], n=128)
-    assert g.lo <= -3.0 - 2.5 and g.hi >= 3.0 + 2.5
+    z = default_slice_grid(packet, [2.5], n=128)
+    assert z.shape == (128,) and np.all(np.diff(z) > 0)
+    assert z[0] <= -3.0 - 2.5 and z[-1] >= 3.0 + 2.5
     # zero scenario falls back to a fixed window
-    from mtdirac.scenario import InitialData, Scenario, ZERO2
-
-    z = Scenario(initial=InitialData(half1=(ZERO2,) * 4, half2=(ZERO2,) * 4))
-    assert default_slice_grid(z, [1.0]).n == 256
+    zero = Scenario(initial=InitialData(half1=(ZERO2,) * 4, half2=(ZERO2,) * 4))
+    assert np.array_equal(default_slice_grid(zero, [1.0]), np.linspace(-8.0, 8.0, 256))
 
 
 def test_default_slice_grid_rejects_too_few_points(packet):
@@ -121,11 +109,10 @@ def test_default_slice_grid_rejects_too_few_points(packet):
 
 
 def test_single_time_slice_layout(packet):
-    grid = SliceGrid(n=48, lo=-5.0, hi=5.0)
-    sl = single_time_slice(packet, 1.5, grid)
-    n = grid.n
+    z = np.linspace(-5.0, 5.0, 48)
+    sl = single_time_slice(packet, 1.5, z)
+    n = z.size
     assert sl.matrix.shape == (2 * n, 2 * n)
-    z = grid.points()
     block2 = sl.matrix[:n, n:]  # psi2: spin -1 for particle 1, +1 for particle 2
     off = ~np.eye(n, dtype=bool)
     direct = np.zeros((n, n), dtype=complex)
@@ -137,20 +124,21 @@ def test_single_time_slice_layout(packet):
 
 
 def test_schmidt_spectrum_properties(spin_pair):
-    grid = default_slice_grid(spin_pair, [2.0])
-    spec = schmidt_spectrum(single_time_slice(spin_pair, 0.0, grid))
-    assert np.all(np.diff(spec.values) <= 1e-15)
-    assert np.sum(spec.values**2) == pytest.approx(1.0, abs=1e-12)
-    assert spec.sigma2 <= 1e-12  # exact product at t = 0
-    later = schmidt_spectrum(single_time_slice(spin_pair, 2.0, grid))
-    assert later.sigma2 > 0.1
-    assert later.ratio > 0.1
+    z = default_slice_grid(spin_pair, [2.0])
+    spec = schmidt_spectrum(single_time_slice(spin_pair, 0.0, z))
+    assert spec.shape == (2 * z.size,)
+    assert np.all(np.diff(spec) <= 1e-15)
+    assert np.sum(spec**2) == pytest.approx(1.0, abs=1e-12)
+    assert spec[1] <= 1e-12  # exact product at t = 0
+    later = schmidt_spectrum(single_time_slice(spin_pair, 2.0, z))
+    assert later[1] > 0.1
+    assert later[1] / later[0] > 0.1
 
 
 def test_schmidt_needs_nonzero_slice():
     z = Scenario(initial=InitialData(half1=(ZERO2,) * 4, half2=(ZERO2,) * 4))
     with pytest.raises(ValueError):
-        schmidt_spectrum(single_time_slice(z, 0.0, SliceGrid(n=32)))
+        schmidt_spectrum(single_time_slice(z, 0.0, np.linspace(-8.0, 8.0, 32)))
 
 
 def test_schmidt_spectrum_of_a_block_embedded_in_zeros():
@@ -163,17 +151,17 @@ def test_schmidt_spectrum_of_a_block_embedded_in_zeros():
     m[np.ix_(rows, cols)] = block
     spec = schmidt_spectrum(SingleTimeSlice(matrix=m))
     expected = np.linalg.svd(block, compute_uv=False) / np.linalg.norm(block)
-    assert spec.values.shape == (40,)
-    assert np.all(np.abs(spec.values[:5] - expected) <= 4 * np.spacing(expected[0]))
-    assert np.all(spec.values[5:] == 0.0)
+    assert spec.shape == (40,)
+    assert np.all(np.abs(spec[:5] - expected) <= 4 * np.spacing(expected[0]))
+    assert np.all(spec[5:] == 0.0)
 
 
 def test_schmidt_spectrum_of_a_single_row():
     m = np.zeros((16, 16), dtype=complex)
     m[3, 2:9] = np.arange(1.0, 8.0) * (1 - 2j)
     spec = schmidt_spectrum(SingleTimeSlice(matrix=m))
-    assert spec.sigma1 == pytest.approx(1.0, abs=1e-15)
-    assert spec.sigma2 == 0.0 and spec.values.shape == (16,)
+    assert spec[0] == pytest.approx(1.0, abs=1e-15)
+    assert spec[1] == 0.0 and spec.shape == (16,)
 
 
 def nan_data() -> Scenario:
@@ -188,7 +176,7 @@ def nan_data() -> Scenario:
 
 def test_schmidt_spectrum_rejects_a_non_finite_slice():
     # 25 entries of this slice fall in the box
-    sl = single_time_slice(nan_data(), 0.0, SliceGrid(n=32, lo=-3.0, hi=3.0))
+    sl = single_time_slice(nan_data(), 0.0, np.linspace(-3.0, 3.0, 32))
     with pytest.raises(ValueError, match="slice has 25 non-finite entries"):
         schmidt_spectrum(sl)  # and no RuntimeWarning from dividing by a NaN norm
 
@@ -209,7 +197,7 @@ def test_interaction_criterion_requires_product_start(rich):
 
 def test_spin_product_scenario_structure(spin_pair):
     assert spin_pair.label == "spin_product"
-    assert check_compatibility(spin_pair, samples=64).compatible
+    assert check_compatibility(spin_pair).max_violation <= 1e-12
     for idx in range(1, 5):
         assert not spin_pair.initial.component(idx, 1).is_zero
         assert spin_pair.initial.component(idx, 2).is_zero
