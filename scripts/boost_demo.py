@@ -2,9 +2,10 @@
 
 For each rapidity: residuals of the transformed solution against the
 transformed system, the spinor/coordinate commutation defect, and the
-tensor transformation defect of the current.  Every rapidity reads the same
-seeded source-frame draw (configurations and coincidence points on the
-packet's box), mapped through its boost.
+tensor transformation defect of the current on the four basis spinors.
+Every rapidity's residuals read the same seeded source-frame draw
+(configurations and coincidence points on the packet's box), mapped
+through its boost.
 """
 import argparse
 
@@ -43,7 +44,7 @@ def main() -> None:
     for beta in (-1.0, -0.3, 0.3, 1.0):
         b = Boost(beta)
         rep = covariance_report(s, b, configurations, coincidences)
-        cur = current_covariance_defect(s, b, *configurations)
+        cur = current_covariance_defect(b)
         print(
             f"{beta:6.2f} {rep.samples:5d} {rep.pde_max:10.3e} {rep.bc_max:10.3e} "
             f"{commutation_defect(b):10.3e} {cur:10.3e}"

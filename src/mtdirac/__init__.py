@@ -19,12 +19,12 @@ from .scenario import (
     Phase,
     Scenario,
     antisymmetric_extension,
-    check_compatibility,
     load_scenario,
     scenario_from_dict,
 )
 from .solver import (
     bc_defect,
+    check_compatibility,
     evaluate_fields,
     evaluate_grid,
     pde_residual,

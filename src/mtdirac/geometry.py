@@ -54,18 +54,23 @@ def region_masks(t1, z1, t2, z2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     A configuration is space-like when |dt| < |dz| for its rounded coordinate
     differences: the exact sign of their interval dt^2 - dz^2, with no
-    square that could overflow or underflow.
+    square that could overflow or underflow.  A difference that is not
+    finite (a NaN or infinite coordinate, or finite ones whose difference
+    overflows) puts the configuration outside the domain.
     """
     # 0-d arrays, not numpy scalars, for scalar input: np.abs below writes in place
-    dt = np.asarray(np.subtract(t1, t2, dtype=float))
-    dz = np.asarray(np.subtract(z1, z2, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: excluded below
+        dt = np.asarray(np.subtract(t1, t2, dtype=float))
+        dz = np.asarray(np.subtract(z1, z2, dtype=float))
     m1 = dz < 0.0
     m2 = dz > 0.0
     # |dt| and |dz| are taken in place: on an N x N grid of pairs (the
     # surface quadrature) no further N x N float array is allocated
     np.abs(dt, out=dt)
     np.abs(dz, out=dz)
-    spacelike = dt < dz
+    spacelike = dt < dz  # false where either is NaN
+    del dt  # freed before the mask below is allocated
+    spacelike &= dz < np.inf
     m1 &= spacelike
     m2 &= spacelike
     return m1, m2, ~spacelike

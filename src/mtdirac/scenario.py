@@ -365,41 +365,6 @@ def boundary_datum(s: Scenario, comp: int, half: int) -> Component2D:
     return phase_mirrored(s.initial.component(PARTNER[comp], half), theta, target=comp)
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    """Result of sampling the coincidence compatibility conditions."""
-
-    max_violation: float
-    condition_maxima: dict[str, float]
-
-
-def check_compatibility(s: Scenario) -> CompatibilityReport:
-    """Sample the four matching conditions between data and boundary maps at
-    512 points spanning the support hull, padded by 5% on each side.
-
-    On half 1 the outgoing boundary values at t = 0 must splice onto the
-    initial data: g3(z, z) = h1_plus(0, z) and g2(z, z) = h1_minus(0, z);
-    half 2 analogously with h2_plus/h2_minus and components 2/3 swapped.
-    Violations are reported, never raised: incompatible data still define
-    branchwise values and the flag is the caller's to act on.
-    """
-    hull = s.initial.support_hull()
-    if hull is None:
-        return CompatibilityReport(0.0, {})
-    pad = 0.05 * (hull[1] - hull[0])
-    z = np.linspace(hull[0] - pad, hull[1] + pad, 512)
-    t0 = np.zeros_like(z)
-    maps = boundary_maps(s)
-    maxima: dict[str, float] = {}
-    for (comp, half), map_name in BRANCH_MAPS.items():
-        name = f"g{comp}_half{half}_vs_{map_name}"
-        mag = np.abs(
-            s.initial.component(comp, half)(z, z) - getattr(maps, map_name)(t0, z)
-        )
-        maxima[name] = float(np.max(mag))
-    return CompatibilityReport(max_violation=max(maxima.values()), condition_maxima=maxima)
-
-
 # ---------------------------------------------------------------------------
 # JSON scenario configs
 # ---------------------------------------------------------------------------
@@ -464,7 +429,11 @@ def parse_phase(spec, where: str) -> Phase:
     raise ScenarioConfigError(f"{where}: unknown phase preset {preset!r}")
 
 
-def _parse_component(spec, theta: Phase, parsed: dict, where: str) -> Component2D:
+def _parse_component(
+    spec, where: str, theta: Phase, g2: Component2D | None = None
+) -> Component2D:
+    """The component of a config entry; g2 is given for g3 only, the one
+    component the mirror_of_g2 preset builds."""
     if spec is None:
         return ZERO2
     if not isinstance(spec, dict):
@@ -478,10 +447,11 @@ def _parse_component(spec, theta: Phase, parsed: dict, where: str) -> Component2
         py = parse_profile(params.get("y"), f"{where}.params.y")
         comp = product2(px, py)
     elif preset == "mirror_of_g2":
-        src = parsed.get("g2")
-        if src is None or src.is_zero:
-            raise ScenarioConfigError(f"{where}: {preset} needs a nonzero g2 parsed first")
-        comp = phase_mirrored(src, theta, target=3)
+        if g2 is None:
+            raise ScenarioConfigError(f"{where}: preset {preset} is for g3 only")
+        if g2.is_zero:
+            raise ScenarioConfigError(f"{where}: {preset} needs a nonzero g2")
+        comp = phase_mirrored(g2, theta, target=3)
     else:
         raise ScenarioConfigError(f"{where}: unknown component preset {preset!r}")
     if "support" in spec:
@@ -517,15 +487,15 @@ def _scenario_from_full_config(cfg: dict) -> Scenario:
     halves: dict[int, tuple] = {}
     for half, theta in ((1, theta1), (2, theta2)):
         key = f"omega{half}"
-        parsed: dict[str, Component2D] = {}
-        for name in ("g1", "g2", "g4", "g3"):  # g3 last so mirrors can see g2
+        parsed: list[Component2D] = []
+        for name in ("g1", "g2", "g3", "g4"):
             entry = initial_cfg.get(name, {})
             if not isinstance(entry, dict):
                 raise ScenarioConfigError(f"initial.{name} must be an object")
-            parsed[name] = _parse_component(
-                entry.get(key), theta, parsed, f"initial.{name}.{key}"
-            )
-        halves[half] = (parsed["g1"], parsed["g2"], parsed["g3"], parsed["g4"])
+            g2 = parsed[1] if name == "g3" else None  # the source of a mirror
+            where = f"initial.{name}.{key}"
+            parsed.append(_parse_component(entry.get(key), where, theta, g2))
+        halves[half] = tuple(parsed)
 
     if antisym:
         for comp in halves[2]:

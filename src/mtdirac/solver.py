@@ -153,7 +153,9 @@ def evaluate_fields(s: Scenario, t1, z1, t2, z2) -> np.ndarray:
 
     Raises DomainError if any configuration is not space-like (light-like
     and time-like pairs, including coincidence points, are outside the
-    domain; one-sided coincidence values come from boundary_trace_fields).
+    domain; one-sided coincidence values come from boundary_trace_fields)
+    or has a coordinate difference that is not finite; the error names
+    the latter cause first.
     """
     t1, z1, t2, z2 = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (t1, z1, t2, z2))
@@ -162,6 +164,11 @@ def evaluate_fields(s: Scenario, t1, z1, t2, z2) -> np.ndarray:
     t1f, z1f, t2f, z2f = (a.reshape(-1) for a in (t1, z1, t2, z2))
     m1, m2, bad = region_masks(t1f, z1f, t2f, z2f)
     if bad.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            nonfinite = ~(np.isfinite(t1f - t2f) & np.isfinite(z1f - z2f))
+        if nonfinite.any():
+            what = "have a coordinate difference that is not finite"
+            raise DomainError(_first_at(nonfinite, t1f, z1f, t2f, z2f, what))
         raise DomainError(_first_at(bad, t1f, z1f, t2f, z2f, "are not space-like"))
     out = _eval_halves(s, ((1, m1), (2, m2)), t1f, z1f, t2f, z2f)
     return out.reshape((4,) + shape)
@@ -348,3 +355,25 @@ def seam_mismatch(s: Scenario, component: int, half: int, v) -> np.ndarray:
             np.abs(below - 2.0 * at + above) / SEAM_STEP**2,
         ]
     )
+
+
+def check_compatibility(s: Scenario) -> dict[str, np.ndarray]:
+    """The compatibility conditions at t = 0, as seam_mismatch maxima.
+
+    At t = 0 the data of each (component, half) of BRANCH_MAPS must match
+    its boundary branch on the seam x = y, in value and in derivatives;
+    order 0 is g(z, z) = map(0, z).  Returns, per condition
+    "g<c>_half<h>_vs_<map>", the maxima of orders 0..2 over 512 seam points
+    spanning the support hull padded by 5%; zero data give {}.  Violations
+    are reported, never raised: incompatible data still define branchwise
+    values and the flag is the caller's to act on.
+    """
+    hull = s.initial.support_hull()
+    if hull is None:
+        return {}
+    pad = 0.05 * (hull[1] - hull[0])
+    v = np.linspace(hull[0] - pad, hull[1] + pad, 512)
+    return {
+        f"g{comp}_half{half}_vs_{name}": seam_mismatch(s, comp, half, v).max(axis=1)
+        for (comp, half), name in BRANCH_MAPS.items()
+    }

@@ -5,8 +5,8 @@ The acceptance lines "characteristic constancy", "spinor algebra" and
 of the characteristic through a configuration, the Clifford relations and
 slot commutation of the two-particle gamma matrices, and the commutation of
 the boost pair factor with the matrices of the manifest jump condition.
-The tests also evaluate and boost single configurations through here, and
-the gamma-bilinear oracle of the current takes its adjoint pairing from here.
+The tests also evaluate and boost single configurations and read the
+order-0 compatibility gap through here, and the gamma-bilinear oracle of the current takes its adjoint pairing from here.
 The acceptance line "interaction verdict" reads `is_interacting`: a product
 initial slice whose Schmidt spectrum gains a second value under evolution.
 """
@@ -25,7 +25,7 @@ from mtdirac.scenario import (
     initial_branch,
     null_pair,
 )
-from mtdirac.solver import evaluate_fields
+from mtdirac.solver import check_compatibility, evaluate_fields
 from mtdirac.spin import (
     ID4,
     SIGMA1,
@@ -39,6 +39,11 @@ from mtdirac.spin import (
 def evaluate(s, c: Configuration) -> np.ndarray:
     """Spinor psi(c) as a shape-(4,) complex array."""
     return evaluate_fields(s, c.t1, c.z1, c.t2, c.z2)
+
+
+def compatibility_gap(s) -> float:
+    """The largest order-0 gap of check_compatibility; 0.0 for zero data."""
+    return max((float(m[0]) for m in check_compatibility(s).values()), default=0.0)
 
 
 def boosted_config(b: Boost, c: Configuration) -> Configuration:

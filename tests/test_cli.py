@@ -308,7 +308,6 @@ def test_verify_passes_on_packet(tmp_path):
     checks = report["checks"]
     for name in (
         "compatibility",
-        "seam_c0",
         "seam_c1",
         "seam_c2",
         "pde_residuals",
@@ -323,7 +322,10 @@ def test_verify_passes_on_packet(tmp_path):
         assert name in checks, name
         assert checks[name]["pass"] is True, name
     assert "degenerate" not in checks["conservation_diffs"]
-    assert checks["conservation_diffs"]["excluded_pairs"] == 0
+    # excluded pairs are reported once, by their own check
+    assert "excluded_pairs" not in checks["conservation_diffs"]
+    assert checks["excluded_pairs"]["value"] == 0.0
+    assert "seam_c0" not in checks
     assert len(checks["conservation_diffs"]["values"]) == 5
     assert checks["covariance"]["parts"]["commutation"]["pass"] is True
 
@@ -340,7 +342,11 @@ def test_verify_zero_scenario_is_degenerate(tmp_path):
     assert report["all_pass"] is True
     assert report["checks"]["conservation_diffs"]["degenerate"] is True
     assert "schmidt" not in report["checks"]
-    assert "seam_c0" not in report["checks"]
+    # the compatibility conditions are checked, and trivially met
+    for name in ("compatibility", "seam_c1", "seam_c2"):
+        assert report["checks"][name]["value"] == 0.0, name
+        assert report["checks"][name]["pass"] is True, name
+    assert report["checks"]["compatibility"]["conditions"] == {}
 
 
 def test_verify_fails_on_incompatible_data(tmp_path, capsys):
@@ -621,7 +627,7 @@ def test_verify_records_every_check_of_a_raising_probe(tmp_path, monkeypatch, ca
     def broken(*args, **kwargs):
         raise RuntimeError("probe broke")
 
-    for name in ("seam_mismatch", "pde_residual", "continuity_residual"):
+    for name in ("check_compatibility", "pde_residual", "continuity_residual"):
         monkeypatch.setattr(cli, name, broken)
     monkeypatch.setattr(cli.conservation, "normalization_report", broken)
     out = tmp_path / "out"
@@ -630,7 +636,7 @@ def test_verify_records_every_check_of_a_raising_probe(tmp_path, monkeypatch, ca
     )
     assert rc == 1
     checks = json.loads(_read(out / "verify.json"))["checks"]
-    fed = ("seam_c0", "seam_c1", "seam_c2", "pde_residuals", "continuity",
+    fed = ("compatibility", "seam_c1", "seam_c2", "pde_residuals", "continuity",
            "conservation_diffs", "excluded_pairs")
     for name in fed:
         assert checks[name] == {"pass": False, "error": "RuntimeError: probe broke"}
@@ -658,8 +664,9 @@ def test_verify_evaluates_each_probe_in_one_call(tmp_path, monkeypatch):
     rc = main(["verify", "--scenario", MIRROR_CFG, "--out", str(out), "--panels", "128"])
     assert rc == 0
     # the pde and continuity probes (8 stencil points at each of 64
-    # configurations), the boosted probe and the current-covariance call
-    assert len(points) == 4 and points[:2] == [64 * 8, 64 * 8]
+    # configurations) and the boosted probe; the current covariance is
+    # decided on the basis spinors and evaluates no field
+    assert len(points) == 3 and points[:2] == [64 * 8, 64 * 8]
 
 
 @pytest.mark.parametrize("config", [PACKET_CFG, "configs/spin_product.json", MIRROR_CFG])

@@ -62,6 +62,10 @@ def test_regions_flags_nonfinite_coordinates():
     # row 7 has finite coordinates whose difference overflows
     expected = [Region.NONFINITE] * 4 + [Region.OMEGA1, Region.LIGHTLIKE, Region.NONFINITE]
     assert labels == expected
+    # region_masks puts each NonFinite row outside the domain, with no warning
+    m1, m2, bad = region_masks(t1, z1, t2, z2)
+    assert m1.tolist() == [r is Region.OMEGA1 for r in expected]
+    assert not m2.any() and bad.tolist() == [r is not Region.OMEGA1 for r in expected]
 
 
 def exact_region(t1, z1, t2, z2) -> Region:
@@ -91,17 +95,18 @@ any_finite = st.floats(allow_nan=False, allow_infinity=False)
 @example(0.0, 0.0, 1e200, 1e250)  # inf - inf of the squares: Omega1
 @example(5e-324, 0.0, 0.0, 5e-324)  # light-like at the smallest subnormal
 @example(1e308, 0.0, -1e308, 0.0)  # dt overflows
+@example(0.0, 1.5e308, 0.0, -1.5e308)  # dz overflows: not Omega2
 def test_regions_match_exact_interval_at_every_magnitude(t1, z1, t2, z2):
     expected = exact_region(t1, z1, t2, z2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         label = REGIONS[regions(t1, z1, t2, z2)]
         assert label is expected
-        if expected is not Region.NONFINITE:
-            m1, m2, bad = region_masks(t1, z1, t2, z2)
-            assert bool(m1) == (expected is Region.OMEGA1)
-            assert bool(m2) == (expected is Region.OMEGA2)
-            assert bool(bad) == (expected not in (Region.OMEGA1, Region.OMEGA2))
+        # an overflowing difference is outside the domain for region_masks too
+        m1, m2, bad = region_masks(t1, z1, t2, z2)
+        assert bool(m1) == (expected is Region.OMEGA1)
+        assert bool(m2) == (expected is Region.OMEGA2)
+        assert bool(bad) == (expected not in (Region.OMEGA1, Region.OMEGA2))
 
 
 def test_nonfinite_coordinates_rejected():

@@ -20,10 +20,9 @@ from mtdirac.scenario import (
     InitialData,
     Scenario,
     ScenarioConfigError,
-    check_compatibility,
 )
 from mtdirac.solver import evaluate_fields
-from probes import is_interacting
+from probes import compatibility_gap, is_interacting
 
 BOUNDS = (-3.0, -1.0, 1.0, 3.0)
 
@@ -197,7 +196,7 @@ def test_interaction_criterion_requires_product_start(rich):
 
 def test_spin_product_scenario_structure(spin_pair):
     assert spin_pair.label == "spin_product"
-    assert check_compatibility(spin_pair).max_violation <= 1e-12
+    assert compatibility_gap(spin_pair) <= 1e-12
     for idx in range(1, 5):
         assert not spin_pair.initial.component(idx, 1).is_zero
         assert spin_pair.initial.component(idx, 2).is_zero

@@ -4,6 +4,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+from mtdirac.current import tensor_current
 from mtdirac.geometry import Configuration, sample_spacelike, spacelike_margin
 from mtdirac.lorentz import (
     COVARIANCE_STEP,
@@ -186,17 +187,33 @@ def test_covariance_report(packet):
     assert math.isnan(rep.pde_max)
 
 
-def test_current_transforms_as_a_tensor(packet):
+def test_current_transforms_as_a_tensor():
     b = Boost(-0.8)
+    assert current_covariance_defect(b) <= 1e-12
+    # the basis-spinor check covers every spinor: the identity holds on a
+    # random batch, in the defect's own formula
     rng = np.random.default_rng(12)
-    t1, z1, t2, z2 = sample_spacelike(rng, 150, (-1.5, 1.5), (-3.5, 3.5))
-    bt1, bz1 = b.point(t1, z1)
-    bt2, bz2 = b.point(t2, z2)
-    assert current_covariance_defect(packet, b, bt1, bz1, bt2, bz2) <= 1e-12
+    psi = rng.normal(size=(4, 150)) + 1j * rng.normal(size=(4, 150))
+    j_prime = tensor_current(pair_factor(b) @ psi).as_matrix()
+    lam = b.matrix
+    pushed = np.einsum("mr,ns,rs...->mn...", lam, lam, tensor_current(psi).as_matrix())
+    assert np.max(np.abs(j_prime - pushed)) <= 1e-12
 
 
-def test_current_covariance_evaluates_the_field_once(packet, monkeypatch):
-    # the transformed current and the pushed base current share one field
+def test_current_covariance_catches_a_wrong_pair_factor(monkeypatch):
+    # e^(beta/2) in place of e^beta on psi1 and psi4
+    import mtdirac.lorentz as lorentz
+
+    def halved(b):
+        return np.diag(np.exp([0.5 * b.beta, 0.0, 0.0, -0.5 * b.beta]))
+
+    assert current_covariance_defect(Boost(0.5)) <= 1e-12
+    monkeypatch.setattr(lorentz, "pair_factor", halved)
+    assert current_covariance_defect(Boost(0.5)) > 0.1
+
+
+def test_current_covariance_evaluates_no_field(monkeypatch):
+    # the identity is decided on the basis spinors, not on a draw of the field
     import mtdirac.lorentz as lorentz
 
     calls = []
@@ -206,10 +223,8 @@ def test_current_covariance_evaluates_the_field_once(packet, monkeypatch):
         return evaluate_fields(s, *coords)
 
     monkeypatch.setattr(lorentz, "evaluate_fields", counted)
-    rng = np.random.default_rng(3)
-    t1, z1, t2, z2 = sample_spacelike(rng, 50, (-1.5, 1.5), (-3.5, 3.5))
-    assert current_covariance_defect(packet, Boost(0.7), t1, z1, t2, z2) <= 1e-12
-    assert calls == [50]
+    assert current_covariance_defect(Boost(0.7)) <= 1e-12
+    assert calls == []
 
 
 def test_field_residual_guards_stencil(packet):

@@ -16,13 +16,14 @@ from mtdirac.scenario import (
     ScenarioConfigError,
     antisymmetric_extension,
     boundary_maps,
-    check_compatibility,
     exchanged_component,
     load_scenario,
     phase_mirrored,
     product2,
     scenario_from_dict,
 )
+from mtdirac.solver import check_compatibility
+from probes import compatibility_gap
 
 
 def _bump_pair():
@@ -121,9 +122,15 @@ def test_boundary_maps_formulas():
 
 
 def test_mirrored_data_is_exactly_compatible():
-    report = check_compatibility(_one_sided())
-    assert report.max_violation <= 1e-15
-    assert max(report.condition_maxima.values()) == report.max_violation
+    maxima = check_compatibility(_one_sided())
+    assert sorted(maxima) == [
+        "g2_half1_vs_h1_minus",
+        "g2_half2_vs_h2_plus",
+        "g3_half1_vs_h1_plus",
+        "g3_half2_vs_h2_minus",
+    ]
+    assert all(m.shape == (3,) for m in maxima.values())
+    assert compatibility_gap(_one_sided()) <= 1e-15
 
 
 def test_incompatible_data_is_flagged_not_raised():
@@ -132,19 +139,15 @@ def test_incompatible_data_is_flagged_not_raised():
         smooth_bump(-1.0, 1.0, normalize=True), smooth_bump(-1.0, 1.0, normalize=True)
     )
     s = Scenario(initial=InitialData(half1=(ZERO2, g2, ZERO2, ZERO2), half2=(ZERO2,) * 4))
-    report = check_compatibility(s)
-    assert report.max_violation > 0.5
+    assert compatibility_gap(s) > 0.5
     # with g3 = 0 both half-1 splice conditions fail by |g2| on the diagonal
-    violated = {name for name, v in report.condition_maxima.items() if v > 1e-12}
+    violated = {name for name, m in check_compatibility(s).items() if m[0] > 1e-12}
     assert violated == {"g2_half1_vs_h1_minus", "g3_half1_vs_h1_plus"}
-    maxima = sorted(report.condition_maxima.values(), reverse=True)
-    assert report.max_violation == maxima[0]
 
 
 def test_zero_scenario_compatibility_is_trivial():
     s = Scenario(initial=InitialData(half1=(ZERO2,) * 4, half2=(ZERO2,) * 4))
-    report = check_compatibility(s)
-    assert report.max_violation == 0.0 and report.condition_maxima == {}
+    assert check_compatibility(s) == {}
     assert s.initial.support_hull() is None
 
 
@@ -187,8 +190,7 @@ def test_antisymmetric_extension_stays_compatible(value):
     g2 = product2(px, py)
     theta = Phase("constant", value)
     half1 = (ZERO2, g2, phase_mirrored(g2, theta, target=3), ZERO2)
-    report = check_compatibility(antisymmetric_extension(half1, theta))
-    assert report.max_violation <= 1e-12
+    assert compatibility_gap(antisymmetric_extension(half1, theta)) <= 1e-12
 
 
 def test_load_scenario_presets_and_full_config():
@@ -197,11 +199,11 @@ def test_load_scenario_presets_and_full_config():
             text = fh.read()
         s, raw = load_scenario(text)
         assert raw == text
-        assert check_compatibility(s).max_violation <= 1e-12
+        assert compatibility_gap(s) <= 1e-12
     with open("configs/mirror_bump.json") as fh:
         s, _ = load_scenario(fh.read())
     assert s.label != ""
-    assert check_compatibility(s).max_violation <= 1e-12
+    assert compatibility_gap(s) <= 1e-12
 
 
 def test_scenario_config_errors():
@@ -229,7 +231,21 @@ def test_scenario_config_errors():
             load_scenario(text)
     with pytest.raises(ScenarioConfigError):
         scenario_from_dict(["not", "an", "object"])
-    # g2 is parsed before g3, so a mirror of g3 is no preset
+    # the mirror of g2 builds g3 only: on g1 or g4 it names the component,
+    # also when g2 is nonzero
+    g2 = (
+        '"g2": {"omega1": {"preset": "product", "params": '
+        '{"x": {"lo": -1, "hi": 0}, "y": {"lo": 0, "hi": 1}}}}'
+    )
+    for name in ("g1", "g4"):
+        text = f'{{"initial": {{{g2}, "{name}": {{"omega1": {{"preset": "mirror_of_g2"}}}}}}}}'
+        with pytest.raises(ScenarioConfigError) as err:
+            load_scenario(text)
+        assert str(err.value) == f"initial.{name}.omega1: preset mirror_of_g2 is for g3 only"
+    g3 = '"g3": {"omega1": {"preset": "mirror_of_g2"}}'
+    s, _ = load_scenario(f'{{"initial": {{{g3}, {g2}}}}}')
+    assert s.initial.component(3, 1).box == ((0.0, 1.0), (-1.0, 0.0))
+    # a mirror of g3 is no preset
     with pytest.raises(ScenarioConfigError, match="unknown component preset 'mirror_of_g3'"):
         load_scenario('{"initial": {"g2": {"omega1": {"preset": "mirror_of_g3"}}}}')
 

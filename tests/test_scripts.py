@@ -1,4 +1,5 @@
-"""Each experiment script runs to exit 0 on a small input.
+"""Each experiment script runs to exit 0 on a small input, and every
+command call of output_digests.py succeeds.
 
 The scripts call the library's slice, spectrum, mass and covariance API the
 way a user would, so a change of that API that a script missed fails here.
@@ -20,8 +21,7 @@ CALLS = [
 ]
 
 
-@pytest.mark.parametrize("call", CALLS, ids=[c[0] for c in CALLS])
-def test_script_runs(call):
+def _run(call: list[str]) -> subprocess.CompletedProcess:
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     done = subprocess.run(
@@ -34,3 +34,17 @@ def test_script_runs(call):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+    return done
+
+
+@pytest.mark.parametrize("call", CALLS, ids=[c[0] for c in CALLS])
+def test_script_runs(call):
+    _run(call)
+
+
+def test_output_digests_every_call_succeeds():
+    # the script exits 0 when a verify fails (exit 1), so each line is read
+    lines = _run(["output_digests.py"]).stdout.splitlines()
+    assert len(lines) == 7
+    for line in lines:
+        assert line.endswith("(exit 0)"), line

@@ -1,4 +1,5 @@
 import functools
+import math
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from probes import characteristic_anchor, evaluate
+from probes import characteristic_anchor, compatibility_gap, evaluate
 from tracing import reference_value
 
 from mtdirac.current import continuity_residual
@@ -32,7 +33,6 @@ from mtdirac.scenario import (
     absorbing_override,
     antisymmetric_extension,
     boundary_maps,
-    check_compatibility,
     initial_branch,
     load_scenario,
     null_pair,
@@ -44,6 +44,7 @@ from mtdirac.solver import (
     _branch_factors,
     bc_defect,
     boundary_trace_fields,
+    check_compatibility,
     evaluate_fields,
     evaluate_grid,
     field_residual,
@@ -99,16 +100,21 @@ def test_boundary_branch_matches_the_oracle_near_support_edges(rich):
         assert np.all(np.abs(vals[i] - ref[i]) <= 1e-15 * np.abs(ref[i]))
 
 
-def test_seam_ties_take_the_boundary_branch():
-    # g2 overlaps the diagonal and g3 vanishes, so the two branches of psi2
-    # and psi3 differ on their seams; dyadic coordinates make the ties exact
+def _incompatible_pair():
+    # g2 overlaps the diagonal and g3 vanishes on both halves
     bump = smooth_bump(-2.0, 3.0)
     half = (ZERO2, product2(bump, bump), ZERO2, ZERO2)
-    s = Scenario(
+    return Scenario(
         initial=InitialData(half1=half, half2=half),
         phase=BoundaryPhase(Phase("constant", 0.7), Phase("constant", -0.3)),
     )
-    assert check_compatibility(s).max_violation > 1e-12
+
+
+def test_seam_ties_take_the_boundary_branch():
+    # the two branches of psi2 and psi3 differ on their seams; dyadic
+    # coordinates make the ties exact
+    s = _incompatible_pair()
+    assert compatibility_gap(s) > 1e-12
     # (t1, z1, t2, z2, component on its seam, half)
     ties = [
         (-0.5, 0.25, -0.25, 1.0, 2, 1),  # z1 - t1 == z2 + t2
@@ -146,6 +152,22 @@ def test_non_spacelike_configurations_rejected(packet):
     # one bad point poisons a batch
     with pytest.raises(DomainError):
         evaluate_fields(packet, [0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(0.0, 1.5e308, 0.0, -1.5e308), (0.0, math.inf, 0.0, 0.0)],
+    ids=["overflowing", "infinite"],
+)
+def test_nonfinite_coordinate_difference_is_named(packet, point):
+    # an overflowing or infinite difference is outside the domain, named as
+    # such, not evaluated as Omega2 and not blamed on the interval
+    with pytest.raises(DomainError) as err:
+        evaluate_fields(packet, *(np.array([0.0, p]) for p in point))
+    assert str(err.value) == (
+        "1 of 2 configurations have a coordinate difference that is not finite, "
+        f"first at (t1={point[0]}, z1={point[1]}, t2={point[2]}, z2={point[3]})"
+    )
 
 
 def test_time_zero_recovers_initial_data(packet):
@@ -312,6 +334,58 @@ def test_seam_branches_match_to_second_order(comp, half):
     assert m[0].max() <= 1e-14
     assert m[1].max() <= 1e-10
     assert m[2].max() <= 1e-7
+
+
+def _compatibility_oracle(s) -> dict[str, float]:
+    """|g(z, z) - map(0, z)| through boundary_maps, on 512 points spanning
+    the support hull padded by 5%: the matching conditions read off the maps."""
+    lo, hi = s.initial.support_hull()
+    pad = 0.05 * (hi - lo)
+    z = np.linspace(lo - pad, hi + pad, 512)
+    maps = boundary_maps(s)
+    return {
+        f"g{comp}_half{half}_vs_{name}": float(
+            np.max(
+                np.abs(
+                    s.initial.component(comp, half)(z, z)
+                    - getattr(maps, name)(np.zeros_like(z), z)
+                )
+            )
+        )
+        for (comp, half), name in BRANCH_MAPS.items()
+    }
+
+
+def _diagonal_pair(theta: Phase, compatible: bool):
+    # g2 overlaps the diagonal on [-0.5, 0.5]; g3 is its mirror, or zero
+    g2 = product2(smooth_bump(-2.0, 0.5, momentum=0.6), smooth_bump(-0.5, 2.0))
+    g3 = phase_mirrored(g2, theta, target=3) if compatible else ZERO2
+    half = (ZERO2, g2, g3, ZERO2)
+    return Scenario(InitialData(half, half), BoundaryPhase(theta, theta.negated()))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["incompatible", "absorbing_override", "custom_phase", "custom_phase_incompatible"],
+)
+def test_compatibility_order_zero_is_the_boundary_map_gap(name):
+    # the seam probe's order 0 is bit for bit the gap between the data and
+    # the boundary map feeding them at t = 0
+    custom = Phase("custom", fn=lambda t, z: 0.3 + 0.2 * z - 0.7 * t)
+    mirrored = _diagonal_pair(Phase("constant", 0.4), compatible=True)
+    s = {
+        "incompatible": _incompatible_pair(),
+        "absorbing_override": absorbing_override(mirrored, "h1_plus"),
+        "custom_phase": _diagonal_pair(custom, compatible=True),
+        "custom_phase_incompatible": _diagonal_pair(custom, compatible=False),
+    }[name]
+    maxima = check_compatibility(s)
+    oracle = _compatibility_oracle(s)
+    assert sorted(maxima) == sorted(oracle)
+    for key, gap in oracle.items():
+        assert maxima[key].shape == (3,)
+        assert maxima[key][0] == gap, key
+    assert max(oracle.values()) > 0.0
 
 
 def test_seam_mismatch_validates_arguments(packet):
