@@ -25,7 +25,9 @@ the machine sat idle read up to ~3x slow.  The layers:
   evaluate_points     `mtdirac evaluate --points` on mirror_bump through
                       cli.main: reading a 2^18-row points file (space-like
                       rows, every tenth a coincidence point, written once to
-                      a temporary directory), evaluation, writing fields.csv
+                      a temporary directory), evaluation, writing fields.csv;
+                      peak_mb is the tracemalloc peak of one more call, made
+                      after the timed repeats so that tracing slows none
 
 The accuracy block (computed once) holds the normalization values on the
 five acceptance surfaces at 64 and 128 panels with their drift, the largest
@@ -44,6 +46,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +142,12 @@ def measure() -> dict:
         argv = ["evaluate", "--scenario", str(CONFIGS / "mirror_bump.json"),
                 "--points", str(points), "--out", str(Path(tmp) / "out")]
         layers["evaluate_points"], _ = timed(lambda: run_cli(argv), 5)
+        tracemalloc.start()
+        try:
+            run_cli(argv)
+            layers["evaluate_points"]["peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
 
     accuracy = {"max_pde_residual": worst_residual}
     for panels in (64, 128):

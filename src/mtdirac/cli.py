@@ -106,31 +106,34 @@ def _read_points(path: Path) -> np.ndarray:
     return pts.T
 
 
-_SPACELIKE = (Region.OMEGA1, Region.OMEGA2)
+_SPACELIKE = [REGIONS.index(r) for r in (Region.OMEGA1, Region.OMEGA2)]
+_BLOCK = 4096  # rows classified, solved, formatted and written at a time
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     s, raw = _load(args.scenario)
     if args.points is not None:
         pts = _read_points(Path(args.points))
-        label = regions(*pts)
-        live = np.isin(label, [REGIONS.index(r) for r in _SPACELIKE])
-        psi = np.zeros((4, label.size), dtype=complex)
-        if live.any():
-            psi[:, live] = evaluate_fields(s, *(p[live] for p in pts))
+
+        def solve(part: slice, on: np.ndarray) -> np.ndarray:
+            return evaluate_fields(s, *pts[:, part][:, on])
+
     else:  # the pairs (z_i, z_j), i-major
         z = interaction.default_slice_grid(s, [args.time], n=args.grid)
         tz = np.full(z.size, args.time)
-        psi, bad = evaluate_grid(s, tz, z, tz, z)
-        psi, live = psi.reshape(4, -1), ~bad.reshape(-1)
+        psi = evaluate_grid(s, tz, z, tz, z)[0].reshape(4, -1)
         t = np.full(z.size**2, args.time)
         pts = np.stack([t, np.repeat(z, z.size), t, np.tile(z, z.size)])
-        label = regions(*pts)
+
+        def solve(part: slice, on: np.ndarray) -> np.ndarray:
+            return psi[:, part][:, on]
 
     names = [r.value.encode() for r in REGIONS]
     name_pool = np.frombuffer(b"".join(names), dtype=np.uint8)
     name_length = np.array([len(b) for b in names])
     name_start = np.cumsum(name_length) - name_length
+    n = pts.shape[1]
+    flagged = 0
     dest = Path(args.out) / "fields.csv"
     with _replacing(dest) as fh:
         for line in _echo_lines("evaluate", raw, args.seed):
@@ -139,13 +142,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for i in range(1, 5):
             header += [f"re_psi{i}", f"im_psi{i}"]
         fh.write(",".join(header) + "\n")
-        for first in range(0, label.size, 4096):  # bounded text, bounded peak memory
-            part = slice(first, first + 4096)
-            rows, on = label[part], live[part]
-            coords = pts[:, part].T
-            words = psi[:, part].T[on].view(float)  # re, im of psi1..psi4
+        # no row needs another row's value, so each block is classified,
+        # solved, formatted and written before the next: beyond the points
+        # (and a grid's psi) the memory does not grow with the rows
+        for first in range(0, n, _BLOCK):
+            part = slice(first, first + _BLOCK)
+            coords = pts[:, part]
+            rows = regions(*coords)
+            on = np.isin(rows, _SPACELIKE)
+            flagged += rows.size - int(np.count_nonzero(on))
+            # re, im of psi1..psi4 on each space-like row
+            words = np.ascontiguousarray(solve(part, on).T).view(float)
             pool, start, length = fmt17.format17(
-                np.concatenate([coords.reshape(-1), words.reshape(-1)])
+                np.concatenate([coords.T.reshape(-1), words.reshape(-1)])
             )
             # (start, length) of each row's cells: four coordinates, the region
             # name, eight psi words (empty on a flagged row)
@@ -157,8 +166,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             cells[:, on, 5:] = cell[:, split:].reshape(2, -1, 8)
             text = fmt17.join_rows(np.concatenate([pool, name_pool]), *cells)
             fh.write(text.decode("ascii"))
-    flagged = int((~live).sum())
-    print(f"wrote {dest} ({label.size} rows, {flagged} outside the space-like domain)")
+    print(f"wrote {dest} ({n} rows, {flagged} outside the space-like domain)")
     return 0
 
 

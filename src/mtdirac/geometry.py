@@ -49,14 +49,11 @@ class Configuration:
                 raise ValueError(f"non-finite coordinate {name}={v!r}")
 
 
-def region_masks(t1, z1, t2, z2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized exact classification into (in_omega1, in_omega2, not_spacelike).
+def _split(t1, z1, t2, z2) -> tuple[np.ndarray, ...]:
+    """(in_omega1, in_omega2, spacelike, |dt|, |dz|) from one subtraction per axis.
 
-    A configuration is space-like when |dt| < |dz| for its rounded coordinate
-    differences: the exact sign of their interval dt^2 - dz^2, with no
-    square that could overflow or underflow.  A difference that is not
-    finite (a NaN or infinite coordinate, or finite ones whose difference
-    overflows) puts the configuration outside the domain.
+    The space-like rule of `region_masks`, whose docstring states it; the
+    absolute differences are returned for `regions`, which labels the rest.
     """
     # 0-d arrays, not numpy scalars, for scalar input: np.abs below writes in place
     with np.errstate(over="ignore", invalid="ignore"):  # not finite: excluded below
@@ -69,10 +66,22 @@ def region_masks(t1, z1, t2, z2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.abs(dt, out=dt)
     np.abs(dz, out=dz)
     spacelike = dt < dz  # false where either is NaN
-    del dt  # freed before the mask below is allocated
     spacelike &= dz < np.inf
     m1 &= spacelike
     m2 &= spacelike
+    return m1, m2, spacelike, dt, dz
+
+
+def region_masks(t1, z1, t2, z2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized exact classification into (in_omega1, in_omega2, not_spacelike).
+
+    A configuration is space-like when |dt| < |dz| for its rounded coordinate
+    differences: the exact sign of their interval dt^2 - dz^2, with no
+    square that could overflow or underflow.  A difference that is not
+    finite (a NaN or infinite coordinate, or finite ones whose difference
+    overflows) puts the configuration outside the domain.
+    """
+    m1, m2, spacelike, _, _ = _split(t1, z1, t2, z2)
     return m1, m2, ~spacelike
 
 
@@ -87,10 +96,7 @@ def regions(t1, z1, t2, z2) -> np.ndarray:
     coordinate difference that is not finite: a NaN or infinite coordinate,
     or a difference of finite coordinates that overflows.
     """
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: NonFinite below
-        m1, m2, _ = region_masks(t1, z1, t2, z2)
-        dt = np.abs(np.subtract(t1, t2, dtype=float))
-        dz = np.abs(np.subtract(z1, z2, dtype=float))
+    m1, m2, _, dt, dz = _split(t1, z1, t2, z2)
     # one condition per Region in declaration order; NonFinite takes the rest
     conditions = [m1, m2, (dt == 0.0) & (dz == 0.0), dt == dz, dt > dz]
     nonfinite = REGIONS.index(Region.NONFINITE)

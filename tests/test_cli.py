@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 
 from mtdirac.cli import main
 from mtdirac.conservation import QuadratureSpec, component_masses
-from mtdirac.geometry import REGIONS, Configuration, Region, classify, regions
+from mtdirac.geometry import (
+    REGIONS,
+    Configuration,
+    Region,
+    classify,
+    regions,
+    sample_spacelike,
+)
 from mtdirac.interaction import default_slice_grid
 from mtdirac.scenario import load_scenario
 from mtdirac.solver import evaluate_fields
@@ -240,6 +248,94 @@ def test_evaluate_writes_every_cell_as_format_17g(tmp_path, source):
     spacelike = {Region.OMEGA1, Region.OMEGA2}
     flagged = {Region.COINCIDENCE} if source == "grid" else set(REGIONS) - spacelike
     assert {REGIONS[k] for k in label} == flagged | spacelike
+
+
+def _write_points(path, pts):
+    """A points file of the (n, 4) rows pts, each coordinate as repr."""
+    rows = ("%r,%r,%r,%r\n" % tuple(p) for p in np.asarray(pts).tolist())
+    path.write_text("t1,z1,t2,z2\n" + "".join(rows))
+    return path
+
+
+MIRROR_BOX = ((-3.25, 3.25), (-3.0, 3.5))  # verify's box on mirror_bump: its hull padded
+
+
+def test_evaluate_points_across_block_seams(tmp_path, capsys):
+    # a first block with non-finite rows, a whole block without a space-like
+    # row and a short last block
+    import mtdirac.cli as cli
+
+    block = cli._BLOCK
+    (t_lo, t_hi), (z_lo, z_hi) = MIRROR_BOX
+    rng = np.random.default_rng(12)
+    low, high = [t_lo, z_lo, t_lo, z_lo], [t_hi, z_hi, t_hi, z_hi]
+    pts = rng.uniform(low, high, (2 * block + 17, 4))
+    pts[9:block:50, 1] = np.nan
+    pts[block - 1, 2] = np.inf
+    pts[-5, 3] = -np.inf
+    flagged_block = pts[block : 2 * block]
+    dz = np.abs(flagged_block[:, 1] - flagged_block[:, 3])
+    flagged_block[:, 2] = flagged_block[:, 0] + dz + 0.5  # time-like
+    flagged_block[::3, 2:] = flagged_block[::3, :2]  # coincidence
+    s, _ = load_scenario(_read(MIRROR_CFG))
+    want, label, _ = _oracle_lines(s, pts.T)
+    halves = [REGIONS.index(r) for r in (Region.OMEGA1, Region.OMEGA2)]
+    spacelike = np.isin(label, halves)
+    assert not spacelike[block : 2 * block].any()
+    assert spacelike[:block].any() and spacelike[2 * block :].any()
+    assert np.count_nonzero(label == REGIONS.index(Region.NONFINITE)) > 2
+    out = tmp_path / "out"
+    argv = ["evaluate", "--scenario", MIRROR_CFG, "--out", str(out), "--points"]
+    assert main(argv + [str(_write_points(tmp_path / "points.csv", pts))]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {out / 'fields.csv'} ({pts.shape[0]} rows, "
+        f"{np.count_nonzero(~spacelike)} outside the space-like domain)\n"
+    )
+    with open(out / "fields.csv", newline="") as fh:
+        assert fh.readlines()[4:] == want
+
+
+def test_evaluate_points_memory_grows_with_the_points_only(tmp_path):
+    # each block of rows is solved, formatted and written before the next, so
+    # the peak grows by the (4, n) float points (32 bytes a row) and no more
+    peaks = []
+    for n in (2**13, 2**15):
+        pts = np.stack(sample_spacelike(np.random.default_rng(n), n, *MIRROR_BOX))
+        pts[2:, ::10] = pts[:2, ::10]  # coincidence
+        path = _write_points(tmp_path / f"points{n}.csv", pts.T)
+        argv = ["evaluate", "--scenario", MIRROR_CFG, "--out", str(tmp_path / "out")]
+        argv += ["--points", str(path)]
+        assert main(argv) == 0  # warm: imports and caches are not counted
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (2**15 - 2**13) < 48
+
+
+def test_evaluate_failing_mid_stream_leaves_no_output(tmp_path, monkeypatch, capsys):
+    # the first block is written before the second one fails
+    import mtdirac.cli as cli
+
+    calls = []
+
+    def fails_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("solver failed")
+        return evaluate_fields(*args)
+
+    monkeypatch.setattr(cli, "evaluate_fields", fails_second)
+    rng = np.random.default_rng(13)
+    pts = np.stack(sample_spacelike(rng, 2 * cli._BLOCK, *MIRROR_BOX))
+    out = tmp_path / "out"
+    argv = ["evaluate", "--scenario", MIRROR_CFG, "--out", str(out), "--points"]
+    assert main(argv + [str(_write_points(tmp_path / "points.csv", pts.T))]) == 2
+    assert capsys.readouterr().err == "error: solver failed\n"
+    assert len(calls) == 2
+    assert list(out.iterdir()) == []  # neither fields.csv nor a .fields.csv.*.tmp
 
 
 def test_evaluate_grid(tmp_path):
