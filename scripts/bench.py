@@ -34,7 +34,10 @@ five acceptance surfaces at 64 and 128 panels with their drift, the largest
 difference from the closed form of the crossing packet, and the largest
 PDE residual, so that a speed-up cannot hide a change in the numbers.  With
 --baseline, the file also holds the baseline's layers and accuracy and, per
-layer, the speed-up: baseline median seconds over this median.
+layer, the speed-up: baseline median seconds over this median.  A speed-up
+is "resolved" only when the two medians differ by more than the larger
+interquartile range of the two layers' samples_s; otherwise the layer's
+spread is too wide to tell the trees apart and it is printed "unresolved".
 """
 import argparse
 import contextlib
@@ -90,6 +93,17 @@ def timed(fn, repeats: int) -> tuple[dict, object]:
         out = fn()
         samples.append(time.perf_counter() - t0)
     return {"median_s": statistics.median(samples), "samples_s": samples}, out
+
+
+def interquartile_range(samples: list[float]) -> float:
+    q1, _, q3 = statistics.quantiles(samples, n=4)
+    return q3 - q1
+
+
+def resolved(base: dict, layer: dict) -> bool:
+    """Whether two timings of a layer differ by more than their spread."""
+    spread = max(interquartile_range(t["samples_s"]) for t in (base, layer))
+    return abs(base["median_s"] - layer["median_s"]) > spread
 
 
 def residuals(s, pts) -> float:
@@ -193,10 +207,17 @@ def main() -> int:
             name: base["layers"][name]["median_s"] / layer["median_s"]
             for name, layer in report["layers"].items()
         }
+        report["resolved"] = {
+            name: resolved(base["layers"][name], layer)
+            for name, layer in report["layers"].items()
+        }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for name, layer in report["layers"].items():
-        gain = report.get("speedup", {}).get(name)
-        extra = f"  x{gain:.2f} vs {report['baseline']['label']}" if gain else ""
+        extra = ""
+        if args.baseline:
+            gain = report["speedup"][name]
+            state = "resolved" if report["resolved"][name] else "unresolved"
+            extra = f"  x{gain:.2f} vs {report['baseline']['label']} ({state})"
         print(f"{name:<18} {layer['median_s']:.4f} s{extra}")
     return 0
 

@@ -1,11 +1,11 @@
 """Covariance of the solved field under boosts of the coordinate frame.
 
 For each rapidity: residuals of the transformed solution against the
-transformed system, the spinor/coordinate commutation defect, and the
-tensor transformation defect of the current on the four basis spinors.
-Every rapidity's residuals read the same seeded source-frame draw
-(configurations and coincidence points on the packet's box), mapped
-through its boost.
+transformed system, the jump condition's identity on the pair factor
+S1 S2, the spinor/coordinate commutation defect, and the tensor
+transformation defect of the current on the four basis spinors.  Every
+rapidity's residuals read the same seeded source-frame draw of
+configurations on the packet's box, mapped through its boost.
 """
 import argparse
 
@@ -19,6 +19,7 @@ from mtdirac.lorentz import (
     commutation_defect,
     covariance_report,
     current_covariance_defect,
+    jump_covariance_defect,
 )
 from mtdirac.scenario import Phase
 
@@ -28,26 +29,24 @@ def main() -> None:
     ap.add_argument("--samples", type=int, default=100)
     args = ap.parse_args()
 
-    # the bundled wavepacket config; with theta = 0 the jump residual psi2 -
-    # psi3 of equal traces is exactly 0 and bc_max would show nothing
+    # the bundled wavepacket config
     s = wavepacket_scenario(-3.0, -1.0, 1.0, 3.0, theta1=Phase("constant", 0.7))
     rng = np.random.default_rng(0)
     span = (-4.0, 4.0)  # the packet's support hull, padded by 1 in each direction
     configurations = sample_spacelike(
         rng, args.samples, span, span, margin=4 * COVARIANCE_STEP
     )
-    coincidences = tuple(rng.uniform(*span, (2, 10 * args.samples)))
     print(
-        f"{'beta':>6} {'kept':>5} {'pde_max':>10} {'bc_max':>10} "
+        f"{'beta':>6} {'kept':>5} {'pde_max':>10} {'jump':>10} "
         f"{'commut':>10} {'current':>10}"
     )
     for beta in (-1.0, -0.3, 0.3, 1.0):
         b = Boost(beta)
-        rep = covariance_report(s, b, configurations, coincidences)
+        rep = covariance_report(s, b, configurations)
         cur = current_covariance_defect(b)
         print(
-            f"{beta:6.2f} {rep.samples:5d} {rep.pde_max:10.3e} {rep.bc_max:10.3e} "
-            f"{commutation_defect(b):10.3e} {cur:10.3e}"
+            f"{beta:6.2f} {rep.samples:5d} {rep.pde_max:10.3e} "
+            f"{jump_covariance_defect(b):10.3e} {commutation_defect(b):10.3e} {cur:10.3e}"
         )
 
 

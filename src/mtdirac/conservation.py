@@ -73,7 +73,8 @@ from .solver import _branch_factors, _branch_values
 
 MAX_SLOPE = 1.0 - 1e-6
 GAUSS_ORDER = 8
-_GAUSS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+# the rule on [0, 1], for the collapsed triangles of the diagonal panels
+_UNIT_RULE = tuple(a[0] for a in gauss_panels(np.array([0.0, 1.0]), GAUSS_ORDER))
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,9 +446,7 @@ def _integrate(
             pieces[k].append(block[k].reshape(-1))
 
     # diagonal panels: two collapsed triangles each
-    x, w = _GAUSS
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * w
+    u, wu = _UNIT_RULE
     U = u[:, None]
     V = u[None, :]
     WUV = (wu[:, None] * wu[None, :]) * U  # collapse jacobian factor u

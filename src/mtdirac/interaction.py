@@ -135,24 +135,16 @@ def spin_product_scenario_from_config(params: dict) -> Scenario:
         a, b, c, d = (config_float(params[k], f"params.{k}") for k in "abcd")
     except KeyError as err:
         raise ScenarioConfigError("spin_product preset needs a, b, c, d") from err
-    phi = chi = None
-    if "phi1" in params or "phi2" in params:
-        if not ("phi1" in params and "phi2" in params):
-            raise ScenarioConfigError("spin_product preset needs both phi1 and phi2")
-        phi = (
-            parse_profile(params["phi1"], "params.phi1"),
-            parse_profile(params["phi2"], "params.phi2"),
-        )
-    if "chi1" in params or "chi2" in params:
-        if not ("chi1" in params and "chi2" in params):
-            raise ScenarioConfigError("spin_product preset needs both chi1 and chi2")
-        chi = (
-            parse_profile(params["chi1"], "params.chi1"),
-            parse_profile(params["chi2"], "params.chi2"),
-        )
+    pairs = {}  # phi and chi: both spin profiles, or neither for the default
+    for name in ("phi", "chi"):
+        keys = [f"{name}1", f"{name}2"]
+        given = [k for k in keys if k in params]
+        if given and given != keys:
+            raise ScenarioConfigError(f"spin_product preset needs both {' and '.join(keys)}")
+        pairs[name] = tuple(parse_profile(params[k], f"params.{k}") for k in given) or None
     theta1 = parse_phase(params.get("theta1"), "params.theta1")
     try:
-        return spin_product_scenario(a, b, c, d, phi, chi, theta1)
+        return spin_product_scenario(a, b, c, d, pairs["phi"], pairs["chi"], theta1)
     except (ValueError, KeyError) as err:
         raise ScenarioConfigError(str(err)) from err
 

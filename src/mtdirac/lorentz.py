@@ -1,4 +1,4 @@
-"""Boost covariance of solutions, currents and boundary conditions.
+"""Boost covariance of solutions, currents and the jump condition.
 
 A boost of rapidity beta acts on spacetime points by
 
@@ -15,7 +15,9 @@ is why the coincidence jump condition keeps its form with the scalar-
 transported phase theta' = theta o inverse-boost.
 
 A transformed solution psi'(x1, x2) = S1 S2 psi(L^-1 x1, L^-1 x2) is again
-a solution; the probes here verify that numerically rather than assume it.
+a solution; the probe here verifies that numerically rather than assume it.
+The jump condition's boost and manifest form are identities on 4x4 matrices
+(solver.bc_defect alone reads traces).
 """
 
 from __future__ import annotations
@@ -27,12 +29,7 @@ import numpy as np
 from .current import tensor_current
 from .geometry import spacelike_margin
 from .scenario import Phase, Scenario
-from .solver import (
-    boundary_trace_fields,
-    evaluate_fields,
-    field_residual,
-    jump_residual,
-)
+from .solver import evaluate_fields, field_residual, jump_residual
 from .spin import chiral_pair_projector, epsilon_gamma_pair, gamma
 
 
@@ -87,35 +84,36 @@ def commutation_defect(b: Boost) -> float:
     return worst
 
 
-def manifest_sign(phase: Phase) -> int:
+def manifest_sign(phase: Phase) -> int | None:
     """Sign s in the manifest condition eps_{mu nu} gamma1^mu gamma2^nu psi
-    = s * i * (Id + gamma1^5 gamma2^5) psi.
+    = s * i * (Id + gamma1^5 gamma2^5) psi; None if the phase has none.
 
     The jump factor exp(-i theta) = +i (preset plus_i) corresponds to
-    s = -1 and exp(-i theta) = -i to s = +1; expanding both sides in
-    components shows the manifest sign is opposite to the jump-factor sign.
+    s = -1 and exp(-i theta) = -i to s = +1; no other phase has this form.
     """
-    if phase.kind == "plus_i":
-        return -1
-    if phase.kind == "minus_i":
-        return +1
-    raise ValueError("manifest form needs a plus_i or minus_i phase")
+    return {"plus_i": -1, "minus_i": +1}.get(phase.kind)
 
 
-def manifest_defect(s: Scenario, t, z, side: int) -> np.ndarray:
-    """Residual of the manifest (matrix) form of the jump condition on a trace."""
-    sign = manifest_sign(s.phase.on(side))
-    tr = boundary_trace_fields(s, t, z, side)
-    m = epsilon_gamma_pair()
-    p = chiral_pair_projector()
-    lhs = np.einsum("ij,j...->i...", m, tr.values)
-    rhs = sign * 1j * np.einsum("ij,j...->i...", p, tr.values)
-    return np.max(np.abs(lhs - rhs), axis=0)
+def manifest_defect(phase: Phase) -> float:
+    """max |(M - s i P) - w (x) r| with M = epsilon_gamma_pair(), P =
+    chiral_pair_projector(), s = manifest_sign(phase), w = (0, -2 s i, -2, 0)
+    and r = (0, 1, -exp(-i theta), 0), the functional jump_residual applies.
+
+    At zero the manifest residual of every spinor is w times its jump
+    residual: on any trace the two forms hold together.
+    """
+    sign = manifest_sign(phase)
+    if sign is None:
+        raise ValueError("manifest form needs a plus_i or minus_i phase")
+    r = jump_residual(phase, 0.0, 0.0, np.eye(4, dtype=complex))
+    w = np.array([0.0, -2j * sign, -2.0, 0.0])
+    lhs = epsilon_gamma_pair() - sign * 1j * chiral_pair_projector()
+    return float(np.max(np.abs(lhs - np.outer(w, r))))
 
 
 @dataclass(frozen=True, eq=False)
 class TransformedSolution:
-    """psi'(x1, x2) = S1 S2 psi(L^-1 x1, L^-1 x2) with transported phases."""
+    """psi'(x1, x2) = S1 S2 psi(L^-1 x1, L^-1 x2)."""
 
     base: Scenario
     boost: Boost
@@ -127,39 +125,23 @@ class TransformedSolution:
         psi = evaluate_fields(self.base, it1, iz1, it2, iz2)
         return np.einsum("ij,j...->i...", pair_factor(self.boost), psi)
 
-    def bc_defect(self, t, z, side: int) -> np.ndarray:
-        """Jump-condition residual psi2' - exp(-i theta') psi3' on a trace.
-
-        An orthochronous boost maps the coincidence set to itself and
-        preserves the spatial order of the one-sided limits, so the trace is
-        the boosted trace of the base solution, and the phase is transported
-        as a scalar: both are read at L^-1 (t, z), theta' = theta o L^-1.
-        """
-        it, iz = self.boost.inverse().point(t, z)
-        tr = boundary_trace_fields(self.base, it, iz, side)
-        values = np.einsum("ij,j...->i...", pair_factor(self.boost), tr.values)
-        return jump_residual(self.base.phase.on(side), it, iz, values)
-
 
 @dataclass(frozen=True)
 class CovarianceReport:
     pde_max: float
-    bc_max: float
     samples: int
 
 
 COVARIANCE_STEP = 1e-4  # the stencil step of covariance_report's residual probe
 
 
-def covariance_report(
-    s: Scenario, b: Boost, configurations, coincidences
-) -> CovarianceReport:
+def covariance_report(s: Scenario, b: Boost, configurations) -> CovarianceReport:
     """Residuals of the transformed solution against the transformed system.
 
-    configurations (t1, z1, t2, z2) and coincidences (t, z) are the caller's
-    source-frame points, mapped through the boost, so the probes land on the
-    boosted image of wherever the caller sampled the field.  Configurations
-    whose image lacks stencil room are dropped; samples counts those kept.
+    configurations (t1, z1, t2, z2) are the caller's source-frame points,
+    mapped through the boost, so the probe lands on the boosted image of
+    wherever the caller sampled the field.  Configurations whose image lacks
+    stencil room are dropped; samples counts those kept.
     """
     t1, z1, t2, z2 = configurations
     c = np.array([*b.point(t1, z1), *b.point(t2, z2)])
@@ -167,10 +149,20 @@ def covariance_report(
     trans = TransformedSolution(s, b)
     r = field_residual(trans.evaluate_fields, *c, COVARIANCE_STEP)
     pde_max = float(np.max(np.abs(r), initial=0.0))  # a NaN residual stays NaN
-    bt, bz = b.point(*coincidences)
-    bc = [trans.bc_defect(bt, bz, side) for side in (1, 2)]
-    bc_max = float(np.max(np.abs(bc), initial=0.0))
-    return CovarianceReport(pde_max=pde_max, bc_max=bc_max, samples=c.shape[1])
+    return CovarianceReport(pde_max=pde_max, samples=c.shape[1])
+
+
+def jump_covariance_defect(b: Boost) -> float:
+    """Max distance of the psi2 and psi3 rows of S1 S2 from c times the
+    identity's, c = (S1 S2)_22.
+
+    An orthochronous boost keeps the coincidence set and the side of each
+    one-sided limit, and theta' = theta o L^-1, so at zero the jump residual
+    of S1 S2 psi at (t, z) is c times that of psi at L^-1 (t, z), for every
+    spinor and phase.
+    """
+    rows = pair_factor(b)[1:3]  # psi2', psi3' in terms of psi1..psi4
+    return float(np.max(np.abs(rows - rows[0, 1] * np.eye(4)[1:3])))
 
 
 def current_covariance_defect(b: Boost) -> float:

@@ -386,6 +386,20 @@ def config_float(raw, where: str) -> float:
     raise ScenarioConfigError(f"{where} must be a finite number, got {raw!r}")
 
 
+def config_bool(raw, where: str) -> bool:
+    """A config flag; it must be JSON true or false, not a string or number."""
+    if isinstance(raw, bool):
+        return raw
+    raise ScenarioConfigError(f"{where} must be true or false, got {raw!r}")
+
+
+def config_object(raw, where: str) -> dict:
+    """A config entry that must be a JSON object."""
+    if isinstance(raw, dict):
+        return raw
+    raise ScenarioConfigError(f"{where} must be an object, got {raw!r}")
+
+
 def _parse_amplitude(raw, where: str) -> complex:
     if not isinstance(raw, (list, tuple)):
         return complex(config_float(raw, where))
@@ -395,8 +409,7 @@ def _parse_amplitude(raw, where: str) -> complex:
 
 
 def parse_profile(spec: dict, where: str) -> Profile1D:
-    if not isinstance(spec, dict):
-        raise ScenarioConfigError(f"{where}: profile spec must be an object")
+    spec = config_object(spec, where)
     shape = spec.get("shape", "smooth_bump")
     try:
         lo = config_float(spec["lo"], f"{where}.lo")
@@ -405,13 +418,15 @@ def parse_profile(spec: dict, where: str) -> Profile1D:
         raise ScenarioConfigError(f"{where}: profile needs lo and hi") from err
     amp = _parse_amplitude(spec.get("amplitude", 1.0), f"{where}.amplitude")
     momentum = config_float(spec.get("momentum", 0.0), f"{where}.momentum")
-    normalize = bool(spec.get("normalize", False))
+    normalize = config_bool(spec.get("normalize", False), f"{where}.normalize")
     if shape == "smooth_bump":
         return smooth_bump(lo, hi, amplitude=amp, momentum=momentum, normalize=normalize)
     if shape == "poly_bump":
-        k = int(config_float(spec.get("smoothness", 2), f"{where}.smoothness"))
+        k = config_float(spec.get("smoothness", 2), f"{where}.smoothness")
+        if not (k.is_integer() and k >= 0):
+            raise ScenarioConfigError(f"{where}.smoothness must be a whole number >= 0, got {k}")
         return poly_bump(
-            lo, hi, smoothness=k, amplitude=amp, momentum=momentum, normalize=normalize
+            lo, hi, smoothness=int(k), amplitude=amp, momentum=momentum, normalize=normalize
         )
     raise ScenarioConfigError(f"{where}: unknown profile shape {shape!r}")
 
@@ -419,8 +434,7 @@ def parse_profile(spec: dict, where: str) -> Profile1D:
 def parse_phase(spec, where: str) -> Phase:
     if spec is None:
         return Phase("constant", 0.0)
-    if not isinstance(spec, dict):
-        raise ScenarioConfigError(f"{where}: phase spec must be an object")
+    spec = config_object(spec, where)
     preset = spec.get("preset", "constant")
     if preset == "constant":
         return Phase("constant", config_float(spec.get("value", 0.0), f"{where}.value"))
@@ -436,13 +450,12 @@ def _parse_component(
     component the mirror_of_g2 preset builds."""
     if spec is None:
         return ZERO2
-    if not isinstance(spec, dict):
-        raise ScenarioConfigError(f"{where}: component spec must be an object")
+    spec = config_object(spec, where)
     preset = spec.get("preset", "zero")
     if preset == "zero":
         return ZERO2
     if preset == "product":
-        params = spec.get("params", {})
+        params = config_object(spec.get("params", {}), f"{where}.params")
         px = parse_profile(params.get("x"), f"{where}.params.x")
         py = parse_profile(params.get("y"), f"{where}.params.y")
         comp = product2(px, py)
@@ -473,13 +486,11 @@ def _parse_component(
 
 
 def _scenario_from_full_config(cfg: dict) -> Scenario:
-    antisym = bool(cfg.get("antisymmetric", False))
-    phase_cfg = cfg.get("phase", {})
+    antisym = config_bool(cfg.get("antisymmetric", False), "antisymmetric")
+    phase_cfg = config_object(cfg.get("phase", {}), "phase")
     theta1 = parse_phase(phase_cfg.get("theta1"), "phase.theta1")
     theta2 = parse_phase(phase_cfg.get("theta2"), "phase.theta2")
-    initial_cfg = cfg.get("initial", {})
-    if not isinstance(initial_cfg, dict):
-        raise ScenarioConfigError("initial must be an object")
+    initial_cfg = config_object(cfg.get("initial", {}), "initial")
     unknown = set(initial_cfg) - {"g1", "g2", "g3", "g4"}
     if unknown:
         raise ScenarioConfigError(f"unknown initial keys {sorted(unknown)}")
@@ -489,9 +500,7 @@ def _scenario_from_full_config(cfg: dict) -> Scenario:
         key = f"omega{half}"
         parsed: list[Component2D] = []
         for name in ("g1", "g2", "g3", "g4"):
-            entry = initial_cfg.get(name, {})
-            if not isinstance(entry, dict):
-                raise ScenarioConfigError(f"initial.{name} must be an object")
+            entry = config_object(initial_cfg.get(name, {}), f"initial.{name}")
             g2 = parsed[1] if name == "g3" else None  # the source of a mirror
             where = f"initial.{name}.{key}"
             parsed.append(_parse_component(entry.get(key), where, theta, g2))
@@ -512,8 +521,7 @@ def _scenario_from_full_config(cfg: dict) -> Scenario:
 
 
 def scenario_from_dict(cfg: dict) -> Scenario:
-    if not isinstance(cfg, dict):
-        raise ScenarioConfigError("scenario config must be a JSON object")
+    cfg = config_object(cfg, "scenario config")
     if "preset" in cfg:
         # scattering presets live next to their closed forms; import lazily
         # to keep this module free of a cycle
@@ -523,7 +531,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         )
 
         preset = cfg["preset"]
-        params = cfg.get("params", {})
+        params = config_object(cfg.get("params", {}), "params")
         if preset == "wavepacket":
             return wavepacket_scenario_from_config(params)
         if preset == "spin_product":

@@ -4,7 +4,8 @@ The acceptance lines "characteristic constancy", "spinor algebra" and
 "boost covariance" check the paper's structure with these: the start point
 of the characteristic through a configuration, the Clifford relations and
 slot commutation of the two-particle gamma matrices, and the commutation of
-the boost pair factor with the matrices of the manifest jump condition.
+the boost pair factor with the matrices of the manifest jump condition, and
+that condition's residual on traces, the reference for lorentz.manifest_defect.
 The tests also evaluate and boost single configurations and read the
 order-0 compatibility gap through here, and the gamma-bilinear oracle of the current takes its adjoint pairing from here.
 The acceptance line "interaction verdict" reads `is_interacting`: a product
@@ -17,7 +18,7 @@ import numpy as np
 
 from mtdirac.geometry import Configuration
 from mtdirac.interaction import default_slice_grid, schmidt_spectrum, single_time_slice
-from mtdirac.lorentz import Boost, pair_factor
+from mtdirac.lorentz import Boost, manifest_sign, pair_factor
 from mtdirac.scenario import (
     BRANCH_MAPS,
     NULL_SIGNS,
@@ -25,7 +26,7 @@ from mtdirac.scenario import (
     initial_branch,
     null_pair,
 )
-from mtdirac.solver import check_compatibility, evaluate_fields
+from mtdirac.solver import boundary_trace_fields, check_compatibility, evaluate_fields
 from mtdirac.spin import (
     ID4,
     SIGMA1,
@@ -107,6 +108,18 @@ def manifest_commutant_defect(b):
     for m in (epsilon_gamma_pair(), chiral_pair_projector()):
         worst = max(worst, float(np.max(np.abs(s12 @ m - m @ s12))))
     return worst
+
+
+def manifest_trace_residual(s, t, z, side):
+    """eps_{mu nu} gamma1^mu gamma2^nu psi - s i (Id + gamma1^5 gamma2^5) psi
+    on the one-sided traces, shape (4,) + the broadcast shape of (t, z)."""
+    sign = manifest_sign(s.phase.on(side))
+    if sign is None:
+        raise ValueError("manifest form needs a plus_i or minus_i phase")
+    tr = boundary_trace_fields(s, t, z, side)
+    lhs = np.einsum("ij,j...->i...", epsilon_gamma_pair(), tr.values)
+    rhs = sign * 1j * np.einsum("ij,j...->i...", chiral_pair_projector(), tr.values)
+    return lhs - rhs
 
 
 @dataclass(frozen=True)

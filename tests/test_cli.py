@@ -609,23 +609,35 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ("evaluate", "--time", "inf"),
         ("scatter", "--times", "nan:1:3"),
         ("scatter", "--times", "0:inf:3"),
+        ("evaluate", "--panels", "8"),  # evaluate integrates nothing
+        ("evaluate --points", "--grid", "256"),  # the grid flags are unread there
+        ("evaluate --points", "--time", "0.0"),
     ],
 )
 def test_size_flags_rejected_before_any_output(tmp_path, capsys, command, flag, value):
-    # argparse rejects its typed flags; --times is parsed by the command itself
+    # argparse rejects its typed flags and the flags a command lacks; --times,
+    # and --grid or --time next to --points, are rejected by the command itself
     out = tmp_path / "out"
-    argv = [command, "--scenario", PACKET_CFG, "--out", str(out), flag, value]
+    argv = command.split() + ["--scenario", PACKET_CFG, "--out", str(out), flag, value]
+    if "--points" in argv:
+        pts = tmp_path / "pts.csv"
+        pts.write_text("t1,z1,t2,z2\n0,0,0,1\n")
+        argv.insert(argv.index("--points") + 1, str(pts))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if flag == "--times":
+        if flag == "--times" or "--points" in argv:
             assert main(argv) == 2
             named = f"error: {flag} "
         else:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
-            named = f"argument {flag}:"
-    assert named in capsys.readouterr().err
+            known = flag != "--panels" or command != "evaluate"
+            named = f"argument {flag}:" if known else f"unrecognized arguments: {flag}"
+    err = capsys.readouterr().err
+    assert named in err
+    if "--points" in argv:
+        assert f"{flag} and --points" in err
     assert not out.exists()
 
 
@@ -740,29 +752,65 @@ def test_verify_records_every_check_of_a_raising_probe(tmp_path, monkeypatch, ca
     assert "FAIL seam_c2: RuntimeError: probe broke" in capsys.readouterr().out
 
 
+def test_verify_fails_on_a_nan_trace_of_either_side(tmp_path, monkeypatch, capsys):
+    # a NaN on side 2 only must not drop out of the maximum over the sides,
+    # nor a NaN part, the last one, out of the covariance's worst ratio
+    import mtdirac.cli as cli
+
+    def nan_on_side_2(probe):
+        def probed(s, t, z, side):
+            values = probe(s, t, z, side)
+            return np.where(side == 2, np.nan, values)
+
+        return probed
+
+    for name in ("bc_defect", "coincidence_flux"):
+        monkeypatch.setattr(cli, name, nan_on_side_2(getattr(cli, name)))
+    monkeypatch.setattr(cli.lorentz, "current_covariance_defect", lambda b: np.nan)
+    out = tmp_path / "out"
+    rc = main(["verify", "--scenario", MIRROR_CFG, "--out", str(out), "--panels", "16"])
+    assert rc == 1
+    checks = json.loads(_read(out / "verify.json"))["checks"]
+    for name in ("boundary_condition", "coincidence_flux", "covariance"):
+        assert checks[name]["pass"] is False, name
+        assert np.isnan(checks[name]["value"]), name
+    text = capsys.readouterr().out
+    assert "FAIL boundary_condition: nan" in text
+    assert "FAIL coincidence_flux: nan" in text
+
+
 def test_verify_evaluates_each_probe_in_one_call(tmp_path, monkeypatch):
     # the residual probes stack every configuration's stencil into one call
     import sys
 
     import mtdirac.solver as solver
 
-    original = solver.evaluate_fields
-    points = []
+    calls = {"evaluate_fields": [], "boundary_trace_fields": []}
 
-    def counted(s, *coords):
-        points.append(np.broadcast(*coords).size)
-        return original(s, *coords)
+    def counting(name):
+        original = getattr(solver, name)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("mtdirac") and getattr(module, "evaluate_fields", None) is original:
-            monkeypatch.setattr(module, "evaluate_fields", counted)
+        def counted(s, *coords):
+            calls[name].append(np.broadcast(*coords).size)
+            return original(s, *coords)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("mtdirac") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+
+    for name in calls:
+        counting(name)
     out = tmp_path / "out"
     rc = main(["verify", "--scenario", MIRROR_CFG, "--out", str(out), "--panels", "128"])
     assert rc == 0
     # the pde and continuity probes (8 stencil points at each of 64
     # configurations) and the boosted probe; the current covariance is
     # decided on the basis spinors and evaluates no field
+    points = calls["evaluate_fields"]
     assert len(points) == 3 and points[:2] == [64 * 8, 64 * 8]
+    # the traces of each side, read by the jump condition and by the flux;
+    # its boost and its manifest form are identities on 4x4 matrices
+    assert calls["boundary_trace_fields"] == [1000] * 4
 
 
 @pytest.mark.parametrize("config", [PACKET_CFG, "configs/spin_product.json", MIRROR_CFG])
@@ -773,7 +821,9 @@ def test_verify_boost_probes_read_live_field(tmp_path, config):
     assert main(["verify", "--scenario", config, "--out", str(out), "--seed", "0"]) == 0
     parts = json.loads(_read(out / "verify.json"))["checks"]["covariance"]["parts"]
     assert parts["pde"]["value"] > 0.0
-    assert parts["boundary"]["value"] > 0.0
+    # the jump condition's covariance is an identity on the pair factor,
+    # exact for S1 S2 = diag(e^beta, 1, 1, e^-beta)
+    assert parts["boundary"]["value"] == 0.0
 
 
 G4_X = "initial.g4.omega1.params.x"
@@ -814,6 +864,20 @@ def test_nonfinite_config_numbers_rejected_at_load(
     out = tmp_path / "out"
     assert main([command, "--scenario", str(cfg), "--out", str(out)]) == 2
     assert f"error: {where} must be a finite number, got " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mistyped_config_value_rejected_at_load(tmp_path, capsys):
+    # a string where the config needs true or false would read as True
+    cfg = json.loads(_read(MIRROR_CFG))
+    cfg["antisymmetric"] = "false"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["verify", "--scenario", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error: antisymmetric must be true or false, got 'false'" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 

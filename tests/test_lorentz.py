@@ -14,6 +14,7 @@ from mtdirac.lorentz import (
     covariance_report,
     current_covariance_defect,
     generator,
+    jump_covariance_defect,
     manifest_defect,
     manifest_sign,
     pair_factor,
@@ -30,12 +31,14 @@ from mtdirac.scenario import (
 )
 from mtdirac.solver import (
     StencilError,
+    bc_defect,
     boundary_trace_fields,
     evaluate_fields,
     field_residual,
+    jump_residual,
 )
 from mtdirac.spin import SIGMA3, embed
-from probes import boosted_config, manifest_commutant_defect
+from probes import boosted_config, manifest_commutant_defect, manifest_trace_residual
 
 BETAS = (0.3, -0.3, 1.0, -1.0)
 
@@ -109,29 +112,51 @@ def test_manifest_matrices_commute_with_pair_factor():
 def test_manifest_sign_mapping():
     assert manifest_sign(Phase("plus_i")) == -1
     assert manifest_sign(Phase("minus_i")) == +1
-    with pytest.raises(ValueError):
-        manifest_sign(Phase("constant", 0.7))
+    assert manifest_sign(Phase("constant", 0.7)) is None
+    with pytest.raises(ValueError, match="manifest form needs"):
+        manifest_defect(Phase("constant", 0.7))
 
 
 def test_manifest_form_holds_on_traces(packet_plus_i):
+    # the identity on 4x4 matrices, and on traces against the reference:
+    # each trace's manifest residual is w times its jump residual
     t = np.linspace(-2.5, 2.5, 41)[:, None]
     z = np.linspace(-3.0, 3.0, 41)[None, :]
     for side in (1, 2):
-        d = manifest_defect(packet_plus_i, t, z, side)
-        assert d.max() <= 1e-13
+        phase = packet_plus_i.phase.on(side)
+        assert manifest_defect(phase) <= 1e-13
+        residual = manifest_trace_residual(packet_plus_i, t, z, side)
+        assert np.abs(residual).max() <= 1e-13
+        w = np.array([0.0, -2j * manifest_sign(phase), -2.0, 0.0])
+        jump = bc_defect(packet_plus_i, t, z, side)
+        assert np.abs(residual - np.multiply.outer(w, jump)).max() <= 1e-13
+    # the traces are live: psi2 is far from 0 on side 1
+    assert np.abs(boundary_trace_fields(packet_plus_i, t, z, 1).values[1]).max() > 0.1
 
 
 def test_manifest_form_detects_mislabeled_phase():
-    # freeze the +i boundary maps, then claim the phase is -i: the matrix
-    # form with the wrong sign must fail loudly on live trace points
+    # freeze the +i boundary maps, then claim the phase is -i: the traces
+    # fail the jump condition, and with it the matrix form of the wrong sign
     s = wavepacket_scenario(-3.0, -1.0, 1.0, 3.0, theta1=Phase("plus_i"))
     wrong = replace(
         s,
         boundary_override=boundary_maps(s),
         phase=BoundaryPhase(theta1=Phase("minus_i"), theta2=Phase("minus_i")),
     )
-    d = manifest_defect(wrong, 2.0, np.linspace(-1.0, 1.0, 21), 1)
-    assert d.max() > 0.1
+    t, z = 2.0, np.linspace(-1.0, 1.0, 21)
+    assert np.abs(bc_defect(wrong, t, z, 1)).max() > 0.1
+    assert np.abs(manifest_trace_residual(wrong, t, z, 1)).max() > 0.1
+    assert manifest_defect(Phase("minus_i")) <= 1e-13  # the identity holds
+
+
+def test_manifest_identity_catches_a_wrong_sign(monkeypatch):
+    import mtdirac.lorentz as lorentz
+
+    for kind in ("plus_i", "minus_i"):
+        assert manifest_defect(Phase(kind)) <= 1e-13
+    monkeypatch.setattr(lorentz, "manifest_sign", lambda phase: -manifest_sign(phase))
+    for kind in ("plus_i", "minus_i"):
+        assert manifest_defect(Phase(kind)) > 0.1
 
 
 def test_transformed_solution_is_pair_factor_times_base(packet):
@@ -153,7 +178,7 @@ def test_theta_transport(rich):
     base = Phase("custom", fn=lambda t, z: t + 2.0 * z)
     b = Boost(-0.4)
     s = replace(rich, phase=BoundaryPhase(theta1=base, theta2=base))
-    trans = TransformedSolution(s, b)
+    assert jump_covariance_defect(b) == 0.0
     t, z = np.meshgrid(np.linspace(-4.0, 4.0, 81), np.linspace(-4.0, 4.0, 81))
     it, iz = b.inverse().point(t, z)
     for side in (1, 2):
@@ -161,30 +186,56 @@ def test_theta_transport(rich):
         values = np.einsum("ij,j...->i...", pair_factor(b), traces)
         live = (np.abs(values[1]) > 1e-3) & (np.abs(values[2]) > 1e-3)
         assert live.sum() >= 50
-        assert np.abs(trans.bc_defect(t, z, side)).max() <= 1e-13
-        untransported = values[1] - np.exp(-1j * base(t, z)) * values[2]
+        # the boosted trace at (t, z) with theta' = theta o L^-1: the phase
+        # read at the preimage
+        transported = jump_residual(base, it, iz, values)
+        assert np.abs(transported).max() <= 1e-13
+        untransported = jump_residual(base, t, z, values)
         assert np.abs(untransported[live]).max() > 0.1
 
 
 def test_covariance_report(packet):
-    # source-frame configurations and coincidence points on the packet's box
+    # source-frame configurations on the packet's box
     rng = np.random.default_rng(0)
     configurations = sample_spacelike(rng, 80, (-4.0, 4.0), (-4.0, 4.0), margin=4e-4)
-    coincidences = tuple(rng.uniform(-4.0, 4.0, (2, 1000)))
     b = Boost(0.5)
-    rep = covariance_report(packet, b, configurations, coincidences)
+    rep = covariance_report(packet, b, configurations)
     t1, z1, t2, z2 = configurations
     margin = spacelike_margin(*b.point(t1, z1), *b.point(t2, z2))
     assert rep.samples == int((margin > 4 * COVARIANCE_STEP).sum()) > 0
-    # both probes read live field, and it obeys the boosted system
+    # the probe reads live field, and it obeys the boosted system
     assert 0.0 < rep.pde_max < 1e-6
-    assert 0.0 < rep.bc_max <= 1e-13
     # a NaN field value fails the report instead of dropping out of the maximum
     nan = Component2D(fn=lambda x, y: np.full(np.shape(x), np.nan), box=((-3, 3),) * 2)
     data = InitialData(half1=(nan,) + (ZERO2,) * 3, half2=(ZERO2,) * 4)
     broken = replace(packet, initial=data)
-    rep = covariance_report(broken, b, configurations, coincidences)
+    rep = covariance_report(broken, b, configurations)
     assert math.isnan(rep.pde_max)
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_jump_covariance_is_exact(beta):
+    # S1 S2 = diag(e^beta, 1, 1, e^-beta): its psi2 and psi3 rows are the
+    # identity's, bit for bit
+    assert jump_covariance_defect(Boost(beta)) == 0.0
+
+
+def _coupled(b):
+    f = pair_factor(b).copy()
+    f[1, 0] = 0.3  # psi2' takes a share of psi1
+    return f
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [lambda b: np.diag(np.exp([b.beta, 0.5 * b.beta, 0.0, -b.beta])), _coupled],
+    ids=["unequal_middle", "coupled"],
+)
+def test_jump_covariance_catches_a_wrong_pair_factor(monkeypatch, factor):
+    import mtdirac.lorentz as lorentz
+
+    monkeypatch.setattr(lorentz, "pair_factor", factor)
+    assert jump_covariance_defect(Boost(0.5)) > 0.1
 
 
 def test_current_transforms_as_a_tensor():
@@ -224,6 +275,7 @@ def test_current_covariance_evaluates_no_field(monkeypatch):
 
     monkeypatch.setattr(lorentz, "evaluate_fields", counted)
     assert current_covariance_defect(Boost(0.7)) <= 1e-12
+    assert jump_covariance_defect(Boost(0.7)) == 0.0
     assert calls == []
 
 

@@ -231,6 +231,28 @@ def test_scenario_config_errors():
             load_scenario(text)
     with pytest.raises(ScenarioConfigError):
         scenario_from_dict(["not", "an", "object"])
+    # values of the wrong JSON type: each names its key instead of crashing,
+    # or of being read as something else ("false" as True, 2.5 as 2)
+    product = '{"initial": {"g2": {"omega1": {"preset": "product", "params": %s}}}}'
+    y = '"y": {"lo": 1, "hi": 2}'
+    typed = [
+        ('{"preset": "wavepacket", "params": [1, 2]}', "params must be an object"),
+        ('{"phase": []}', "phase must be an object"),
+        (product % "[]", "initial.g2.omega1.params must be an object"),
+        ('{"antisymmetric": "false"}', "antisymmetric must be true or false"),
+        (
+            product % ('{"x": {"lo": 0, "hi": 1, "normalize": "no"}, %s}' % y),
+            "initial.g2.omega1.params.x.normalize must be true or false",
+        ),
+        (
+            product
+            % ('{"x": {"shape": "poly_bump", "lo": 0, "hi": 1, "smoothness": 2.5}, %s}' % y),
+            "initial.g2.omega1.params.x.smoothness must be a whole number",
+        ),
+    ]
+    for text, named in typed:
+        with pytest.raises(ScenarioConfigError, match=f"^{named}"):
+            load_scenario(text)
     # the mirror of g2 builds g3 only: on g1 or g4 it names the component,
     # also when g2 is nonzero
     g2 = (

@@ -48,3 +48,21 @@ def test_output_digests_every_call_succeeds():
     assert len(lines) == 7
     for line in lines:
         assert line.endswith("(exit 0)"), line
+
+
+def test_bench_resolves_a_speedup_only_beyond_the_spread():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    def layer(samples):
+        return {"median_s": sorted(samples)[len(samples) // 2], "samples_s": samples}
+
+    base = layer([1.0, 1.1, 1.2, 1.3, 1.4])  # interquartile range 0.3
+    assert bench.resolved(base, layer([0.5, 0.51, 0.52, 0.53, 0.54]))
+    assert not bench.resolved(base, layer([1.0, 1.01, 1.02, 1.03, 1.04]))
+    # the wider spread of the two decides, whichever tree has it
+    assert not bench.resolved(layer([1.0, 1.01, 1.02, 1.03, 1.04]), base)
+    assert bench.resolved(layer([0.5, 0.51, 0.52, 0.53, 0.54]), layer([0.9] * 5))
