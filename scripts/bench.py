@@ -172,7 +172,7 @@ def measure() -> dict:
 
     phi = smooth_bump(-3.0, -1.0, normalize=True)
     chi = smooth_bump(1.0, 3.0, normalize=True)
-    theta = Phase("constant", 0.7)
+    theta = Phase(0.7)
     packet = wavepacket_scenario(-3.0, -1.0, 1.0, 3.0, phi, chi, theta)
     cpts = sample_spacelike(np.random.default_rng(3), 4096, (-2.5, 2.5), (-4.0, 4.0))
     diff = evaluate_fields(packet, *cpts) - closed_form_packet(phi, chi, theta, *cpts)

@@ -30,7 +30,7 @@ def main() -> None:
     args = ap.parse_args()
 
     # the bundled wavepacket config
-    s = wavepacket_scenario(-3.0, -1.0, 1.0, 3.0, theta1=Phase("constant", 0.7))
+    s = wavepacket_scenario(-3.0, -1.0, 1.0, 3.0, theta1=Phase(0.7))
     rng = np.random.default_rng(0)
     span = (-4.0, 4.0)  # the packet's support hull, padded by 1 in each direction
     configurations = sample_spacelike(

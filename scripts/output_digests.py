@@ -5,16 +5,22 @@ change and compares the printed lines; any differing digest names the
 command whose output moved.  The calls cover `verify` on every bundled
 config (and at 128 panels on mirror_bump), `evaluate` on a slice grid at
 t = 1.5, where both branches of psi2 and psi3 occur, `evaluate` on a points
-file, and `scatter` on the crossing packet.  The points file is written
-here from a fixed seed: 4096 finite rows on the mirror_bump sampling box,
-space-like in both halves, time-like, exactly light-like in both directions
-and coincident, so the same file reaches every version of the program.
+file, `scatter` on the crossing packet, and `verify` on an antisymmetric
+scenario whose theta1 is the preset plus_i (so theta2 is minus_i): that
+call reaches the manifest checks on both sides, the antisymmetry check and
+mirrors under a preset phase, which no bundled config does.  The points
+file is written here from a fixed seed: 4096 finite rows on the
+mirror_bump sampling box, space-like in both halves, time-like, exactly
+light-like in both directions and coincident, so the same file reaches
+every version of the program.  The antisymmetric config is written here
+too, from mirror_bump's half-1 data.
 
     PYTHONPATH=src python scripts/output_digests.py
 """
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -24,7 +30,9 @@ import numpy as np
 from mtdirac.cli import main as mtdirac_main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-POINTS = "points.csv"  # written into the run's temporary directory
+# written into the run's temporary directory
+POINTS = "points.csv"
+ANTISYMMETRIC = "antisymmetric_plus_i.json"
 
 CALLS = [
     ("verify wavepacket", ["verify", "--scenario", "wavepacket.json"]),
@@ -43,6 +51,7 @@ CALLS = [
         ["evaluate", "--scenario", "mirror_bump.json", "--points", POINTS],
     ),
     ("scatter wavepacket", ["scatter", "--scenario", "wavepacket.json"]),
+    ("verify antisymmetric plus_i", ["verify", "--scenario", ANTISYMMETRIC]),
 ]
 
 
@@ -64,10 +73,19 @@ def write_points(path: Path, rows: int = 4096, seed: int = 4) -> None:
         fh.writelines("%r,%r,%r,%r\n" % tuple(row) for row in pts.tolist())
 
 
+def write_antisymmetric(path: Path) -> None:
+    """mirror_bump's half-1 data (g3 the mirror of g2), antisymmetrically
+    extended, with theta1 = plus_i."""
+    cfg = json.loads((CONFIGS / "mirror_bump.json").read_text())
+    initial = {name: {"omega1": g["omega1"]} for name, g in cfg["initial"].items()}
+    cfg = {"initial": initial, "phase": {"theta1": {"preset": "plus_i"}}, "antisymmetric": True}
+    path.write_text(json.dumps(cfg, indent=1) + "\n")
+
+
 def run(argv: list[str], out: Path) -> int:
     argv = list(argv)
     k = argv.index("--scenario") + 1
-    argv[k] = str(CONFIGS / argv[k])
+    argv[k] = str((out.parent if argv[k] == ANTISYMMETRIC else CONFIGS) / argv[k])
     if "--points" in argv:
         k = argv.index("--points") + 1
         argv[k] = str(out.parent / argv[k])
@@ -79,6 +97,7 @@ def main() -> int:
     worst = 0
     with tempfile.TemporaryDirectory() as tmp:
         write_points(Path(tmp) / POINTS)
+        write_antisymmetric(Path(tmp) / ANTISYMMETRIC)
         for k, (label, argv) in enumerate(CALLS):
             out = Path(tmp) / str(k)
             code = run(argv, out)

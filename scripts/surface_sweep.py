@@ -11,7 +11,7 @@ from mtdirac.interaction import wavepacket_scenario
 
 
 def leaky_packet():
-    base = wavepacket_scenario(-1.2, -0.2, 0.2, 1.2, theta1=Phase("constant", 0.7))
+    base = wavepacket_scenario(-1.2, -0.2, 0.2, 1.2, theta1=Phase(0.7))
     return absorbing_override(base, "h1_plus")
 
 

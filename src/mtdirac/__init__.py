@@ -38,7 +38,7 @@ from .conservation import (
     flat,
     normalization_report,
 )
-from .lorentz import Boost, TransformedSolution, covariance_report
+from .lorentz import Boost, covariance_report, transformed_fields
 from .interaction import (
     closed_form_packet,
     schmidt_spectrum,
@@ -57,7 +57,6 @@ __all__ = [
     "QuadratureSpec",
     "Region",
     "Scenario",
-    "TransformedSolution",
     "antisymmetric_extension",
     "bc_defect",
     "boosted_flat",
@@ -78,6 +77,7 @@ __all__ = [
     "single_time_slice",
     "spin_product_scenario",
     "tensor_current",
+    "transformed_fields",
     "wavepacket_scenario",
 ]
 

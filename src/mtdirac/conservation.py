@@ -35,7 +35,7 @@ source's), and each profile is read once per null coordinate.  This needs a
 certificate, checked exactly on the stored axis floats (_certified): both
 null coordinates z -+ f(z) strictly increase over the nodes, with a margin
 that makes every off-diagonal pair space-like as computed.  Branches that
-do not factor (data given by a function, custom phases, overridden
+do not factor (data given by a function, function phases, overridden
 boundary maps), and every branch where the certificate fails, are reduced
 on the whole N x N grid of node pairs, which counts excluded pairs.
 
@@ -67,8 +67,8 @@ from typing import Callable
 import numpy as np
 
 from .geometry import region_masks
-from .profiles import gauss_panels
-from .scenario import BRANCH_MAPS, NULL_SIGNS, Scenario
+from .profiles import gauss_panels, unit_bump
+from .scenario import BRANCH_MAPS, BRANCHES, NULL_SIGNS, Scenario
 from .solver import _branch_factors, _branch_values
 
 MAX_SLOPE = 1.0 - 1e-6
@@ -131,21 +131,15 @@ def bump_surface(center: float, height: float, width: float) -> Hypersurface:
         raise ValueError("width must be positive")
     half = 0.5 * width
 
-    def shape(z):
+    def shape(z, prime=False):
         u = (np.asarray(z, dtype=float) - center) / half
         out = np.zeros_like(u)
-        inner = np.abs(u) < 1.0
-        ui = u[inner]
-        out[inner] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
-        return out
-
-    def shape_prime(z):
-        u = (np.asarray(z, dtype=float) - center) / half
-        out = np.zeros_like(u)
-        inner = np.abs(u) < 1.0
-        ui = u[inner]
-        d = 1.0 - ui * ui
-        out[inner] = np.exp(1.0 - 1.0 / d) * (-2.0 * ui / (d * d)) / half
+        inner, v = unit_bump(u)
+        if prime:  # d/dz exp(1 - 1/d) = exp(1 - 1/d) (-2 u / d^2) / half, d = 1 - u^2
+            ui = u[inner]
+            d = 1.0 - ui * ui
+            v = v * (-2.0 * ui / (d * d)) / half
+        out[inner] = v
         return out
 
     # |d/du exp(1 - 1/d)| = exp(1 - 1/d) 2|u| / d^2, d = 1 - u^2, peaks where its
@@ -155,7 +149,7 @@ def bump_surface(center: float, height: float, width: float) -> Hypersurface:
     peak = math.exp(1.0 - 1.0 / d) * 2.0 * math.sqrt(u2) / (d * d)
     return Hypersurface(
         f=lambda z: height * shape(z),
-        fprime=lambda z: height * shape_prime(z),
+        fprime=lambda z: height * shape(z, prime=True),
         s_max=abs(height) / half * peak * (1.0 + 1e-12),
         label="bump",
     )
@@ -287,16 +281,15 @@ def _on_surface(surf: Hypersurface, z: np.ndarray) -> np.ndarray:
     return np.stack([surf.f(z), z, surf.fprime(z)])
 
 
-def _add_densities(s: Scenario, dens, where, leg1, leg2, branches=None) -> int:
+def _add_densities(s: Scenario, dens, where, leg1, leg2, branches=BRANCHES) -> int:
     """Write the terms of F at the pairs where into dens; return the excluded count.
 
     leg1 and leg2 hold the rows t, z, f'(z) (_on_surface) of the two points
     of each pair: flat rows are a list of pairs, a column and a row a tensor
     grid.  where is a mask of the pairs, or True for all.  dens has shape
     (4,) + the shape of the pairs and holds zeros; a term is written only
-    where its branch is evaluated, and only the branches named in branches
-    (all if None) are.  Excluded pairs are those of where that are not
-    space-like; they stay zero.
+    where one of the branches named in branches is evaluated.  Excluded
+    pairs are those of where that are not space-like; they stay zero.
     """
     (t1, z1, fp1), (t2, z2, fp2) = leg1, leg2
     m1, m2, bad = region_masks(t1, z1, t2, z2)
@@ -307,13 +300,6 @@ def _add_densities(s: Scenario, dens, where, leg1, leg2, branches=None) -> int:
     return int(np.count_nonzero(bad & where))
 
 
-# every (component, half, initial) branch of the solver's branch table
-_BRANCHES = tuple(
-    (comp, half, initial)
-    for comp in NULL_SIGNS
-    for half in (1, 2)
-    for initial in ((True, False) if (comp, half) in BRANCH_MAPS else (True,))
-)
 _MARGIN = 1.0 - 2.0**-40
 
 
@@ -405,7 +391,7 @@ def _integrate(
 
     factored = {}
     if _certified(axis[0], axis[1]):
-        factored = {key: _branch_factors(s, *key) for key in _BRANCHES}
+        factored = {key: _branch_factors(s, *key) for key in BRANCHES}
     t, z, fp = axis
     w = weights.reshape(-1)
     null = {-1: z - t, 1: z + t}  # the null coordinates z + sign t of the nodes
@@ -428,7 +414,7 @@ def _integrate(
 
     # the other branches: one tensor grid of the axis nodes, reduced by row
     # blocks straight into vals
-    grid = {key for key in _BRANCHES if factored.get(key) is None}
+    grid = tuple(key for key in BRANCHES if factored.get(key) is None)
     excluded = 0
     if grid:
         panel = np.repeat(np.arange(p), m)

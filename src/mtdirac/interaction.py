@@ -30,6 +30,7 @@ from .scenario import (
     ZERO_HALF,
     ScenarioConfigError,
     config_float,
+    config_object,
     parse_phase,
     parse_profile,
     product2,
@@ -44,7 +45,7 @@ def wavepacket_scenario(
     d: float,
     phi: Profile1D | None = None,
     chi: Profile1D | None = None,
-    theta1: Phase = Phase("constant", 0.0),
+    theta1: Phase = Phase(),
 ) -> Scenario:
     """Head-on scattering data: psi2 = phi(z1) chi(z2) on half 1, rest zero.
 
@@ -69,6 +70,7 @@ def wavepacket_scenario(
 
 
 def wavepacket_scenario_from_config(params: dict) -> Scenario:
+    config_object(params, "params", {*"abcd", "phi", "chi", "theta1"})
     try:
         a, b, c, d = (config_float(params[k], f"params.{k}") for k in "abcd")
     except KeyError as err:
@@ -89,7 +91,7 @@ def spin_product_scenario(
     d: float,
     phi: tuple[Profile1D, Profile1D] | None = None,
     chi: tuple[Profile1D, Profile1D] | None = None,
-    theta1: Phase = Phase("constant", 0.0),
+    theta1: Phase = Phase(),
 ) -> Scenario:
     """Product data phi (x) chi with both spin components per particle.
 
@@ -131,6 +133,7 @@ def spin_product_scenario(
 
 
 def spin_product_scenario_from_config(params: dict) -> Scenario:
+    config_object(params, "params", {*"abcd", "phi1", "phi2", "chi1", "chi2", "theta1"})
     try:
         a, b, c, d = (config_float(params[k], f"params.{k}") for k in "abcd")
     except KeyError as err:

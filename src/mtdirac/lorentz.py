@@ -22,7 +22,9 @@ The jump condition's boost and manifest form are identities on 4x4 matrices
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -88,10 +90,11 @@ def manifest_sign(phase: Phase) -> int | None:
     """Sign s in the manifest condition eps_{mu nu} gamma1^mu gamma2^nu psi
     = s * i * (Id + gamma1^5 gamma2^5) psi; None if the phase has none.
 
-    The jump factor exp(-i theta) = +i (preset plus_i) corresponds to
-    s = -1 and exp(-i theta) = -i to s = +1; no other phase has this form.
+    The jump factor exp(-i theta) = +i (the constant theta = -pi/2, preset
+    plus_i) corresponds to s = -1 and exp(-i theta) = -i (theta = +pi/2,
+    minus_i) to s = +1; no other phase has this form.
     """
-    return {"plus_i": -1, "minus_i": +1}.get(phase.kind)
+    return {-0.5 * math.pi: -1, 0.5 * math.pi: +1}.get(phase.value) if phase.fn is None else None
 
 
 def manifest_defect(phase: Phase) -> float:
@@ -104,26 +107,18 @@ def manifest_defect(phase: Phase) -> float:
     """
     sign = manifest_sign(phase)
     if sign is None:
-        raise ValueError("manifest form needs a plus_i or minus_i phase")
+        raise ValueError("manifest form needs a constant phase of -pi/2 or +pi/2")
     r = jump_residual(phase, 0.0, 0.0, np.eye(4, dtype=complex))
     w = np.array([0.0, -2j * sign, -2.0, 0.0])
     lhs = epsilon_gamma_pair() - sign * 1j * chiral_pair_projector()
     return float(np.max(np.abs(lhs - np.outer(w, r))))
 
 
-@dataclass(frozen=True, eq=False)
-class TransformedSolution:
-    """psi'(x1, x2) = S1 S2 psi(L^-1 x1, L^-1 x2)."""
-
-    base: Scenario
-    boost: Boost
-
-    def evaluate_fields(self, t1, z1, t2, z2) -> np.ndarray:
-        inv = self.boost.inverse()
-        it1, iz1 = inv.point(t1, z1)
-        it2, iz2 = inv.point(t2, z2)
-        psi = evaluate_fields(self.base, it1, iz1, it2, iz2)
-        return np.einsum("ij,j...->i...", pair_factor(self.boost), psi)
+def transformed_fields(s: Scenario, b: Boost, t1, z1, t2, z2) -> np.ndarray:
+    """psi'(x1, x2) = S1 S2 psi(L^-1 x1, L^-1 x2), the boosted solution."""
+    inv = b.inverse()
+    psi = evaluate_fields(s, *inv.point(t1, z1), *inv.point(t2, z2))
+    return np.einsum("ij,j...->i...", pair_factor(b), psi)
 
 
 @dataclass(frozen=True)
@@ -146,8 +141,7 @@ def covariance_report(s: Scenario, b: Boost, configurations) -> CovarianceReport
     t1, z1, t2, z2 = configurations
     c = np.array([*b.point(t1, z1), *b.point(t2, z2)])
     c = c[:, spacelike_margin(*c) > 4.0 * COVARIANCE_STEP]
-    trans = TransformedSolution(s, b)
-    r = field_residual(trans.evaluate_fields, *c, COVARIANCE_STEP)
+    r = field_residual(partial(transformed_fields, s, b), *c, COVARIANCE_STEP)
     pde_max = float(np.max(np.abs(r), initial=0.0))  # a NaN residual stays NaN
     return CovarianceReport(pde_max=pde_max, samples=c.shape[1])
 

@@ -76,6 +76,14 @@ def gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
     return 0.5 * (a + b) + 0.5 * (b - a) * x[None, :], 0.5 * (b - a) * w[None, :]
 
 
+def unit_bump(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mask |u| < 1 and exp(1 - 1/(1 - u^2)) at its points: the
+    C-infinity bump on [-1, 1], zero elsewhere."""
+    inner = np.abs(u) < 1.0
+    ui = u[inner]
+    return inner, np.exp(1.0 - 1.0 / (1.0 - ui * ui))
+
+
 def smooth_bump(
     lo: float,
     hi: float,
@@ -88,11 +96,9 @@ def smooth_bump(
     half = 0.5 * (hi - lo)
 
     def fn(x: np.ndarray) -> np.ndarray:
-        u = (x - center) / half
         out = np.zeros(x.shape, dtype=complex)
-        inner = np.abs(u) < 1.0
-        ui = u[inner]
-        out[inner] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
+        inner, v = unit_bump((x - center) / half)
+        out[inner] = v
         if momentum != 0.0:
             out[inner] *= np.exp(1j * momentum * x[inner])
         return amplitude * out

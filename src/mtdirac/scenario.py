@@ -12,9 +12,11 @@ A scenario bundles everything that determines a solution:
     for exercising the pure initial-boundary-value problem; compliant
     scenarios never set them.
 
-The boundary branch of psi2/psi3 is encoded once, as boundary_datum: the
-partner datum's phase mirror, a function of the component's own null pair.
-The derived boundary maps are that datum read at a coincidence point.
+BRANCHES lists every branch (component, half, initial) once, and
+branch_datum gives its datum.  The boundary branch of psi2/psi3 is encoded
+once, as boundary_datum: the partner datum's phase mirror, a function of
+the component's own null pair.  The derived boundary maps are that datum
+read at a coincidence point.
 
 The module also owns the JSON scenario-config format used by the CLI.
 """
@@ -89,14 +91,10 @@ class Component2D:
     factors: Factors | None = None
 
     def __call__(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        shape = np.broadcast_shapes(x.shape, y.shape)
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         if self.is_zero:
-            return np.zeros(shape, dtype=complex)
-        xb = np.broadcast_to(x, shape)
-        yb = np.broadcast_to(y, shape)
-        return np.asarray(self._pointwise(xb, yb), dtype=complex)
+            return np.zeros(x.shape, dtype=complex)
+        return np.asarray(self._pointwise(x, y), dtype=complex)
 
     @property
     def _pointwise(self) -> Fn2:
@@ -117,47 +115,38 @@ def product2(px: Profile1D, py: Profile1D) -> Component2D:
 
 @dataclass(frozen=True, eq=False)
 class Phase:
-    """Boundary phase theta(t, z) on the coincidence set.
+    """Boundary phase theta(t, z) on the coincidence set: the function fn if
+    given, else the constant value.
 
-    Presets: constant theta = value; plus_i and minus_i fix the jump factor
-    exp(-i theta) to +i and -i (theta = -pi/2 and +pi/2).
+    The config presets plus_i and minus_i are the constants -pi/2 and +pi/2
+    (PHASE_PRESETS): they fix the jump factor exp(-i theta) to +i and -i.
     """
 
-    kind: str = "constant"
     value: float = 0.0
     fn: PhaseFn | None = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.value, (int, float)) or not (self.fn is None or callable(self.fn)):
+            raise TypeError(f"a phase is a real value or a function fn, got {self.value!r}")
+
     def __call__(self, t, z) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        z = np.asarray(z, dtype=float)
-        shape = np.broadcast_shapes(t.shape, z.shape)
-        if self.kind == "constant":
-            return np.full(shape, self.value)
-        if self.kind == "plus_i":
-            return np.full(shape, -0.5 * math.pi)
-        if self.kind == "minus_i":
-            return np.full(shape, 0.5 * math.pi)
-        if self.kind == "custom":
-            tb = np.broadcast_to(t, shape)
-            zb = np.broadcast_to(z, shape)
-            return np.asarray(self.fn(tb, zb), dtype=float)
-        raise ValueError(f"unknown phase kind {self.kind!r}")
+        t, z = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(z, dtype=float))
+        if self.fn is None:
+            return np.full(t.shape, self.value)
+        return np.asarray(self.fn(t, z), dtype=float)
 
     def negated(self) -> "Phase":
-        if self.kind == "constant":
-            return Phase("constant", -self.value)
-        if self.kind == "plus_i":
-            return Phase("minus_i")
-        if self.kind == "minus_i":
-            return Phase("plus_i")
         fn = self.fn
-        return Phase("custom", fn=lambda t, z: -fn(t, z))
+        return Phase(-self.value, None if fn is None else lambda t, z: -fn(t, z))
+
+
+PHASE_PRESETS = {"plus_i": -0.5 * math.pi, "minus_i": 0.5 * math.pi}
 
 
 @dataclass(frozen=True, eq=False)
 class BoundaryPhase:
-    theta1: Phase = Phase("constant", 0.0)
-    theta2: Phase = Phase("constant", 0.0)
+    theta1: Phase = Phase()
+    theta2: Phase = Phase()
 
     def on(self, half: int) -> Phase:
         """theta_half, the phase of the jump condition on half (or side) 1 or 2."""
@@ -166,10 +155,22 @@ class BoundaryPhase:
 
 @dataclass(frozen=True, eq=False)
 class InitialData:
-    """The eight data functions (g1..g4 on each half) plus support metadata."""
+    """The eight data functions (g1..g4 on each half) plus support metadata.
+
+    Every nonzero component needs a finite box with lo < hi: the boxes bound
+    the support (support_hull), so data without one would integrate to zero.
+    """
 
     half1: tuple[Component2D, Component2D, Component2D, Component2D]
     half2: tuple[Component2D, Component2D, Component2D, Component2D]
+
+    def __post_init__(self) -> None:
+        for half, comps in ((1, self.half1), (2, self.half2)):
+            for i, g in enumerate(comps, 1):
+                finite = g.box and all(-math.inf < a < b < math.inf for a, b in g.box)
+                if not (g.is_zero or finite):
+                    msg = f"g{i}^({half}) needs a finite support box with lo < hi, got {g.box}"
+                    raise ValueError(msg)
 
     def component(self, index: int, half: int) -> Component2D:
         """g_index on the given half; index in 1..4, half in {1, 2}."""
@@ -185,17 +186,10 @@ class InitialData:
         particle coordinate contributes only when one of its null coordinates
         lands in this hull.  None means all data vanish identically.
         """
-        lo = math.inf
-        hi = -math.inf
-        for comp in (*self.half1, *self.half2):
-            if comp.box is None:
-                continue
-            for axis in comp.box:
-                lo = min(lo, axis[0])
-                hi = max(hi, axis[1])
-        if lo > hi:
+        axes = [axis for g in (*self.half1, *self.half2) if g.box is not None for axis in g.box]
+        if not axes:
             return None
-        return (lo, hi)
+        return (min(axis[0] for axis in axes), max(axis[1] for axis in axes))
 
 
 ZERO_HALF = (ZERO2, ZERO2, ZERO2, ZERO2)
@@ -254,11 +248,18 @@ def absorbing_override(s: Scenario, map_name: str) -> Scenario:
 
 # The branch table of the solver (its module docstring states the rule):
 # null signs (s1, s2) per component, for psi2/psi3 the BoundaryMaps field
-# feeding the boundary branch per (component, half), and the partner whose
-# datum that branch carries.
+# feeding the boundary branch per (component, half), the partner whose
+# datum that branch carries, and every branch (component, half, initial),
+# component by component: psi1 and psi4 have the initial branch only.
 NULL_SIGNS = {1: (-1, -1), 2: (-1, 1), 3: (1, -1), 4: (1, 1)}
 BRANCH_MAPS = {(2, 1): "h1_minus", (3, 1): "h1_plus", (2, 2): "h2_plus", (3, 2): "h2_minus"}
 PARTNER = {2: 3, 3: 2}
+BRANCHES = tuple(
+    (comp, half, initial)
+    for comp in NULL_SIGNS
+    for half in (1, 2)
+    for initial in ((True, False) if (comp, half) in BRANCH_MAPS else (True,))
+)
 
 
 def null_pair(component: int, t1, z1, t2, z2):
@@ -278,7 +279,7 @@ def coincidence_point(component: int, x, y):
     return t, 0.5 * (x + y)
 
 
-def exchanged_component(comp: Component2D, sign: float = -1.0) -> Component2D:
+def exchanged_component(comp: Component2D, sign: complex = -1.0) -> Component2D:
     """sign * comp with swapped arguments; support box transposed."""
     if comp.is_zero:
         return ZERO2
@@ -328,16 +329,15 @@ def phase_mirrored(source: Component2D, theta: Phase, target: int) -> Component2
     """
     if target not in (2, 3):
         raise ValueError("target must be 2 or 3")
+    sign = 1j if target == 3 else -1j
+    if theta.fn is None:
+        # a constant phase is one factor of an exchange, NaN (quietly) when
+        # the phase is not finite
+        with np.errstate(invalid="ignore"):
+            return exchanged_component(source, np.exp(sign * theta.value))
     if source.is_zero:
         return ZERO2
     box = (source.box[1], source.box[0]) if source.box is not None else None
-    sign = 1j if target == 3 else -1j
-    if source.factors is not None and theta.kind != "custom":
-        # a preset phase is one constant: the closure's factor, NaN (quietly)
-        # when the phase is not finite
-        with np.errstate(invalid="ignore"):
-            factor = np.exp(sign * theta(0.0, 0.0))
-        return Component2D(box=box, factors=source.factors.exchanged(factor))
     fn = source._pointwise
 
     def mirrored(x, y):
@@ -363,6 +363,12 @@ def boundary_datum(s: Scenario, comp: int, half: int) -> Component2D:
         return Component2D(fn=lambda x, y: hmap(*coincidence_point(comp, x, y)))
     theta = s.phase.on(half)
     return phase_mirrored(s.initial.component(PARTNER[comp], half), theta, target=comp)
+
+
+def branch_datum(s: Scenario, comp: int, half: int, initial: bool) -> Component2D:
+    """The datum of a branch of BRANCHES, a function of the component's null
+    pair: g_comp on the initial branch, boundary_datum on the boundary one."""
+    return s.initial.component(comp, half) if initial else boundary_datum(s, comp, half)
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +399,16 @@ def config_bool(raw, where: str) -> bool:
     raise ScenarioConfigError(f"{where} must be true or false, got {raw!r}")
 
 
-def config_object(raw, where: str) -> dict:
-    """A config entry that must be a JSON object."""
-    if isinstance(raw, dict):
-        return raw
-    raise ScenarioConfigError(f"{where} must be an object, got {raw!r}")
+def config_object(raw, where: str, keys=None) -> dict:
+    """A config entry that must be a JSON object; where is its path ("" at
+    the top).  A key outside keys (if given) is refused by its path where.key:
+    a misspelt key is never ignored."""
+    if not isinstance(raw, dict):
+        raise ScenarioConfigError(f"{where} must be an object, got {raw!r}")
+    unknown = [f"{where}.{k}" if where else k for k in raw if keys and k not in keys]
+    if unknown:
+        raise ScenarioConfigError(f"unknown config key {', '.join(unknown)}")
+    return raw
 
 
 def _parse_amplitude(raw, where: str) -> complex:
@@ -409,7 +420,8 @@ def _parse_amplitude(raw, where: str) -> complex:
 
 
 def parse_profile(spec: dict, where: str) -> Profile1D:
-    spec = config_object(spec, where)
+    keys = {"shape", "lo", "hi", "amplitude", "momentum", "normalize", "smoothness"}
+    spec = config_object(spec, where, keys)
     shape = spec.get("shape", "smooth_bump")
     try:
         lo = config_float(spec["lo"], f"{where}.lo")
@@ -420,6 +432,7 @@ def parse_profile(spec: dict, where: str) -> Profile1D:
     momentum = config_float(spec.get("momentum", 0.0), f"{where}.momentum")
     normalize = config_bool(spec.get("normalize", False), f"{where}.normalize")
     if shape == "smooth_bump":
+        config_object(spec, where, keys - {"smoothness"})  # the order of a poly_bump
         return smooth_bump(lo, hi, amplitude=amp, momentum=momentum, normalize=normalize)
     if shape == "poly_bump":
         k = config_float(spec.get("smoothness", 2), f"{where}.smoothness")
@@ -433,13 +446,14 @@ def parse_profile(spec: dict, where: str) -> Profile1D:
 
 def parse_phase(spec, where: str) -> Phase:
     if spec is None:
-        return Phase("constant", 0.0)
-    spec = config_object(spec, where)
+        return Phase()
+    spec = config_object(spec, where, {"preset", "value"})
     preset = spec.get("preset", "constant")
     if preset == "constant":
-        return Phase("constant", config_float(spec.get("value", 0.0), f"{where}.value"))
-    if preset in ("plus_i", "minus_i"):
-        return Phase(preset)
+        return Phase(config_float(spec.get("value", 0.0), f"{where}.value"))
+    if preset in PHASE_PRESETS:
+        config_object(spec, where, {"preset"})  # a preset fixes the value
+        return Phase(PHASE_PRESETS[preset])
     raise ScenarioConfigError(f"{where}: unknown phase preset {preset!r}")
 
 
@@ -450,16 +464,18 @@ def _parse_component(
     component the mirror_of_g2 preset builds."""
     if spec is None:
         return ZERO2
-    spec = config_object(spec, where)
+    spec = config_object(spec, where, {"preset", "params", "support"})
     preset = spec.get("preset", "zero")
     if preset == "zero":
+        config_object(spec, where, {"preset"})  # zero data have no params or box
         return ZERO2
     if preset == "product":
-        params = config_object(spec.get("params", {}), f"{where}.params")
+        params = config_object(spec.get("params", {}), f"{where}.params", {"x", "y"})
         px = parse_profile(params.get("x"), f"{where}.params.x")
         py = parse_profile(params.get("y"), f"{where}.params.y")
         comp = product2(px, py)
     elif preset == "mirror_of_g2":
+        config_object(spec, where, {"preset", "support"})  # the mirror has no params
         if g2 is None:
             raise ScenarioConfigError(f"{where}: preset {preset} is for g3 only")
         if g2.is_zero:
@@ -486,32 +502,30 @@ def _parse_component(
 
 
 def _scenario_from_full_config(cfg: dict) -> Scenario:
+    config_object(cfg, "", {"initial", "phase", "antisymmetric", "label"})
     antisym = config_bool(cfg.get("antisymmetric", False), "antisymmetric")
-    phase_cfg = config_object(cfg.get("phase", {}), "phase")
+    phase_cfg = config_object(cfg.get("phase", {}), "phase", {"theta1", "theta2"})
     theta1 = parse_phase(phase_cfg.get("theta1"), "phase.theta1")
     theta2 = parse_phase(phase_cfg.get("theta2"), "phase.theta2")
-    initial_cfg = config_object(cfg.get("initial", {}), "initial")
-    unknown = set(initial_cfg) - {"g1", "g2", "g3", "g4"}
-    if unknown:
-        raise ScenarioConfigError(f"unknown initial keys {sorted(unknown)}")
+    initial_cfg = config_object(cfg.get("initial", {}), "initial", {"g1", "g2", "g3", "g4"})
 
     halves: dict[int, tuple] = {}
     for half, theta in ((1, theta1), (2, theta2)):
         key = f"omega{half}"
         parsed: list[Component2D] = []
         for name in ("g1", "g2", "g3", "g4"):
-            entry = config_object(initial_cfg.get(name, {}), f"initial.{name}")
+            entry = config_object(
+                initial_cfg.get(name, {}), f"initial.{name}", {"omega1", "omega2"}
+            )
             g2 = parsed[1] if name == "g3" else None  # the source of a mirror
             where = f"initial.{name}.{key}"
             parsed.append(_parse_component(entry.get(key), where, theta, g2))
         halves[half] = tuple(parsed)
 
     if antisym:
-        for comp in halves[2]:
-            if not comp.is_zero:
-                raise ScenarioConfigError(
-                    "antisymmetric scenarios must not give omega2 data explicitly"
-                )
+        if "theta2" in phase_cfg or not all(comp.is_zero for comp in halves[2]):
+            msg = "antisymmetric scenarios derive omega2 data and phase.theta2; do not give them"
+            raise ScenarioConfigError(msg)
         return antisymmetric_extension(halves[1], theta1)
     return Scenario(
         initial=InitialData(half1=halves[1], half2=halves[2]),
@@ -530,7 +544,7 @@ def scenario_from_dict(cfg: dict) -> Scenario:
             wavepacket_scenario_from_config,
         )
 
-        preset = cfg["preset"]
+        preset = config_object(cfg, "", {"preset", "params", "label"})["preset"]
         params = config_object(cfg.get("params", {}), "params")
         if preset == "wavepacket":
             return wavepacket_scenario_from_config(params)

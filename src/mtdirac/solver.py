@@ -21,8 +21,9 @@ at the swapped pair: a datum of (x, y) like the initial one,
 scenario.boundary_datum, which every reader here takes (an overridden
 boundary map is read at (t*, z*) instead).  The inequality is strict: a tie
 (x = y, on the seam) goes to the boundary branch, where compatible data
-agree anyway.  scenario.NULL_SIGNS, scenario.BRANCH_MAPS and
-scenario.PARTNER hold this table; every evaluator here reads it there.
+agree anyway.  scenario holds this table (NULL_SIGNS, BRANCH_MAPS, PARTNER,
+BRANCHES) and each branch's datum (branch_datum); every evaluator here reads
+them there.
 
 Everything here is evaluated from the scenario data; there is no time
 stepping.  evaluate_fields takes points: array arguments broadcast, and
@@ -30,8 +31,8 @@ field values come back as an array of shape (4,) + broadcast shape,
 indexed psi1..psi4.  evaluate_grid takes the points of each particle and
 fills the tensor grid of their pairs.  There each null coordinate is a
 vector along one axis, so a separable datum (scenario.Factors), initial
-or boundary, is evaluated on the axis points only; both read the branch
-table in one loop and agree bit for bit.  The loop can skip branches: the
+or boundary, is evaluated on the axis points only; both walk the branches
+in one loop and agree bit for bit.  The loop can skip branches: the
 surface quadrature integrates the branches whose |psi|^2 is a product of
 one function of x and one of y (_branch_factors) from their axis values
 alone and evaluates only the others on its grid.
@@ -47,10 +48,10 @@ import numpy as np
 from .geometry import DomainError, region_masks, spacelike_margin
 from .scenario import (
     BRANCH_MAPS,
-    NULL_SIGNS,
+    BRANCHES,
     Phase,
     Scenario,
-    boundary_datum,
+    branch_datum,
     initial_branch,
     null_pair,
 )
@@ -64,14 +65,14 @@ class StencilError(ValueError):
 def _branch_factors(s: Scenario, comp: int, half: int, initial: bool):
     """(c, pa, pb) with |psi_comp|^2 = c |pa(x)|^2 |pb(y)|^2 on a branch of a half.
 
-    (x, y) is the null pair of the component, and the branch datum is g(x, y)
-    on the initial branch and scenario.boundary_datum on the boundary branch
-    of psi2/psi3.  It factors when the datum does, with finite constants:
-    c = |pre|^2.  c = 0 means the branch is zero.  None means it does not
-    factor: a datum given by its function (data, custom phases, overridden
-    boundary maps) or a non-finite constant (NaN times a zero read is NaN).
+    (x, y) is the null pair of the component and g(x, y) the branch datum
+    (scenario.branch_datum).  It factors when the datum does, with finite
+    constants: c = |pre|^2.  c = 0 means the branch is zero.  None means it
+    does not factor: a datum given by its function (data, function phases,
+    overridden boundary maps) or a non-finite constant (NaN times a zero read
+    is NaN).
     """
-    g = s.initial.component(comp, half) if initial else boundary_datum(s, comp, half)
+    g = branch_datum(s, comp, half, initial)
     if g.is_zero:
         return 0.0, None, None
     f = g.factors
@@ -86,46 +87,40 @@ def _branch_factors(s: Scenario, comp: int, half: int, initial: bool):
     return (c, f.py, f.px) if f.swapped else (c, f.px, f.py)
 
 
-def _on_mask(mask: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """x and y at the points mask, broadcast to the shape of mask first."""
-    return tuple(np.broadcast_to(a, mask.shape)[mask] for a in (x, y))
-
-
-def _branch_values(s: Scenario, halves, t1, z1, t2, z2, branches=None):
+def _branch_values(s: Scenario, halves, t1, z1, t2, z2, branches=BRANCHES):
     """Yield (comp, mask, values): psi_comp on one branch of one half.
 
     halves holds (half, where) pairs, where masking the points of that half.
     The coordinates broadcast to the shape of the masks; flat arrays are a
     list of points, a column (t1, z1) and a row (t2, z2) a tensor grid.
     values holds psi_comp at the points mask; psi is zero off every yielded
-    mask.  branches, if given, holds the (comp, half, initial) keys to
-    evaluate; the others are skipped.  Each branch reads its datum at the
-    null pair: on a grid a factored datum is filled from its profiles on the
-    axes, every other one is evaluated pointwise on its mask.
+    mask.  branches holds the (comp, half, initial) keys to evaluate, in the
+    order of BRANCHES.  Each branch reads its datum at the null pair: on a
+    grid a factored datum is filled from its profiles on the axes, every
+    other one is evaluated pointwise on its mask.
     """
-    for half, where in halves:
-        if not where.any():
+    live = {half: where for half, where in halves if where.any()}
+    pair = {}  # the null pair of one component: branches come component by component
+    for comp, half, initial in branches:
+        if half not in live:
             continue
-        for comp in NULL_SIGNS:
-            x, y = null_pair(comp, t1, z1, t2, z2)
-            seam = (comp, half) in BRANCH_MAPS
-            for initial in (True, False) if seam else (True,):
-                if branches is not None and (comp, half, initial) not in branches:
-                    continue
-                g = s.initial.component(comp, half) if initial else boundary_datum(s, comp, half)
-                if g.is_zero:
-                    continue
-                mask = where
-                if seam:
-                    on_initial = initial_branch(half, x, y)
-                    mask = mask & (on_initial if initial else ~on_initial)
-                if not mask.any():
-                    continue
-                # values are yielded, not kept: no branch's arrays outlive it
-                if g.factors is not None and x.shape != y.shape:
-                    yield comp, mask, g.factors.at(x, y)[mask]  # a column, a row
-                else:
-                    yield comp, mask, g(*_on_mask(mask, x, y))
+        g = branch_datum(s, comp, half, initial)
+        if g.is_zero:
+            continue
+        if comp not in pair:
+            pair = {comp: null_pair(comp, t1, z1, t2, z2)}
+        x, y = pair[comp]
+        mask = live[half]
+        if (comp, half) in BRANCH_MAPS:
+            on_initial = initial_branch(half, x, y)
+            mask = mask & (on_initial if initial else ~on_initial)
+        if not mask.any():
+            continue
+        # values are yielded, not kept: no branch's arrays outlive it
+        if g.factors is not None and x.shape != y.shape:
+            yield comp, mask, g.factors.at(x, y)[mask]  # a column, a row
+        else:
+            yield comp, mask, g(*(np.broadcast_to(a, mask.shape)[mask] for a in (x, y)))
 
 
 def _eval_halves(s: Scenario, halves, t1, z1, t2, z2) -> np.ndarray:
@@ -339,13 +334,12 @@ def seam_mismatch(s: Scenario, component: int, half: int, v) -> np.ndarray:
     if half not in (1, 2):
         raise ValueError("half must be 1 or 2")
     v = np.asarray(v, dtype=float)
-    g = s.initial.component(component, half)
-    boundary = boundary_datum(s, component, half)
+    initial, boundary = (branch_datum(s, component, half, b) for b in (True, False))
 
     def gap(k):
         x = v + k * SEAM_STEP
         y = v - k * SEAM_STEP
-        return g(x, y) - boundary(x, y)
+        return initial(x, y) - boundary(x, y)
 
     below, at, above = gap(-1), gap(0), gap(1)
     return np.stack(

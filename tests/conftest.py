@@ -6,6 +6,7 @@ from hypothesis import settings
 from mtdirac.interaction import spin_product_scenario, wavepacket_scenario
 from mtdirac.profiles import smooth_bump
 from mtdirac.scenario import (
+    PHASE_PRESETS,
     BoundaryPhase,
     Phase,
     absorbing_override,
@@ -23,7 +24,7 @@ PACKET_BOUNDS = (-3.0, -1.0, 1.0, 3.0)
 def packet_profiles():
     phi = smooth_bump(PACKET_BOUNDS[0], PACKET_BOUNDS[1], normalize=True)
     chi = smooth_bump(PACKET_BOUNDS[2], PACKET_BOUNDS[3], normalize=True)
-    return phi, chi, Phase("constant", 0.7)
+    return phi, chi, Phase(0.7)
 
 
 @pytest.fixture(scope="session")
@@ -34,15 +35,16 @@ def packet(packet_profiles):
 
 @pytest.fixture(scope="session")
 def packet_plus_i():
-    s = wavepacket_scenario(*PACKET_BOUNDS, theta1=Phase("plus_i"))
+    plus_i = Phase(PHASE_PRESETS["plus_i"])
+    s = wavepacket_scenario(*PACKET_BOUNDS, theta1=plus_i)
     # half 2 is empty, but the matrix form of the jump condition still reads
     # theta2 to pick its sign; pin it to the same preset
-    return replace(s, phase=BoundaryPhase(theta1=Phase("plus_i"), theta2=Phase("plus_i")))
+    return replace(s, phase=BoundaryPhase(theta1=plus_i, theta2=plus_i))
 
 
 @pytest.fixture(scope="session")
 def spin_pair():
-    return spin_product_scenario(*PACKET_BOUNDS, theta1=Phase("constant", 1.2))
+    return spin_product_scenario(*PACKET_BOUNDS, theta1=Phase(1.2))
 
 
 @pytest.fixture(scope="session")
@@ -66,5 +68,5 @@ def leaky():
     re-emitted, so the normalization integral must visibly drift across
     surfaces that straddle the overlap epoch (which starts at t = 0.2 here).
     """
-    base = wavepacket_scenario(-1.2, -0.2, 0.2, 1.2, theta1=Phase("constant", 0.7))
+    base = wavepacket_scenario(-1.2, -0.2, 0.2, 1.2, theta1=Phase(0.7))
     return absorbing_override(base, "h1_plus")

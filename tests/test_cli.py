@@ -881,6 +881,33 @@ def test_mistyped_config_value_rejected_at_load(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unknown_config_key_rejected_at_load(tmp_path, capsys):
+    # a misspelt key would be ignored, and the run would read the default
+    cfg = json.loads(_read(MIRROR_CFG))
+    cfg["initial"]["g2"]["omega1"]["params"]["x"]["momentm"] = 2.0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["verify", "--scenario", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error: unknown config key initial.g2.omega1.params.x.momentm" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_constant_quarter_turn_phase_gets_the_manifest_checks(tmp_path):
+    # the manifest form is decided by the phase's value, not by its preset name
+    cfg = json.loads(_read(PACKET_CFG))
+    cfg["params"]["theta1"] = {"preset": "constant", "value": -0.5 * np.pi}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["verify", "--scenario", str(path), "--out", str(out)]) == 0
+    checks = json.loads(_read(out / "verify.json"))["checks"]
+    assert checks["manifest_form_side1"]["pass"] is True
+    assert "manifest_form_side2" not in checks  # theta2 = 0 has no manifest form
+
+
 @pytest.mark.parametrize("command", ["evaluate", "verify", "scatter"])
 @pytest.mark.parametrize(
     "box, cause",

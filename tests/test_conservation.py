@@ -27,6 +27,7 @@ from mtdirac.conservation import (
 from mtdirac.geometry import region_masks
 from mtdirac.profiles import Profile1D, gauss_panels, smooth_bump
 from mtdirac.scenario import (
+    PHASE_PRESETS,
     BoundaryPhase,
     InitialData,
     Phase,
@@ -432,7 +433,7 @@ def test_moments_send_seam_ties_to_the_boundary_branch():
     g2 = product2(smooth_bump(-1.5, 1.5, momentum=0.7), smooth_bump(-1.5, 1.5))
     g3 = product2(smooth_bump(-1.5, 1.5, amplitude=0.3), smooth_bump(-1.5, 1.5))
     half = (ZERO2, g2, g3, ZERO2)
-    s = Scenario(InitialData(half, half), BoundaryPhase(Phase("constant", 0.4)))
+    s = Scenario(InitialData(half, half), BoundaryPhase(Phase(0.4)))
     q = QuadratureSpec(panels=4, box=(-2.0, 2.0))
     nodes, _ = gauss_panels(np.linspace(-2.0, 2.0, 5), GAUSS_ORDER)
     z = nodes.reshape(-1)
@@ -487,8 +488,8 @@ profiles = st.builds(
 )
 products = st.builds(product2, profiles, profiles)
 phases = st.one_of(
-    st.builds(lambda v: Phase("constant", v), st.floats(-4.0, 4.0)),
-    st.sampled_from([Phase("plus_i"), Phase("minus_i")]),
+    st.builds(Phase, st.floats(-4.0, 4.0)),
+    st.sampled_from([Phase(PHASE_PRESETS["plus_i"]), Phase(PHASE_PRESETS["minus_i"])]),
 )
 surfaces = st.one_of(
     st.builds(flat, st.floats(-1.5, 1.5)),

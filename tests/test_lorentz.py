@@ -1,5 +1,6 @@
 import math
 from dataclasses import astuple, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from mtdirac.geometry import Configuration, sample_spacelike, spacelike_margin
 from mtdirac.lorentz import (
     COVARIANCE_STEP,
     Boost,
-    TransformedSolution,
     commutation_defect,
     covariance_report,
     current_covariance_defect,
@@ -19,9 +19,11 @@ from mtdirac.lorentz import (
     manifest_sign,
     pair_factor,
     spinor_factor,
+    transformed_fields,
 )
 from mtdirac.interaction import wavepacket_scenario
 from mtdirac.scenario import (
+    PHASE_PRESETS,
     BoundaryPhase,
     Component2D,
     InitialData,
@@ -110,11 +112,15 @@ def test_manifest_matrices_commute_with_pair_factor():
 
 
 def test_manifest_sign_mapping():
-    assert manifest_sign(Phase("plus_i")) == -1
-    assert manifest_sign(Phase("minus_i")) == +1
-    assert manifest_sign(Phase("constant", 0.7)) is None
+    # the value decides: a constant -pi/2 or +pi/2 has the form, preset or not
+    assert manifest_sign(Phase(-0.5 * math.pi)) == -1
+    assert manifest_sign(Phase(0.5 * math.pi)) == +1
+    assert manifest_sign(Phase(PHASE_PRESETS["plus_i"])) == -1
+    assert manifest_sign(Phase(PHASE_PRESETS["minus_i"])) == +1
+    assert manifest_sign(Phase(0.7)) is None
+    assert manifest_sign(Phase(fn=lambda t, z: np.full(np.shape(t), -0.5 * math.pi))) is None
     with pytest.raises(ValueError, match="manifest form needs"):
-        manifest_defect(Phase("constant", 0.7))
+        manifest_defect(Phase(0.7))
 
 
 def test_manifest_form_holds_on_traces(packet_plus_i):
@@ -137,37 +143,37 @@ def test_manifest_form_holds_on_traces(packet_plus_i):
 def test_manifest_form_detects_mislabeled_phase():
     # freeze the +i boundary maps, then claim the phase is -i: the traces
     # fail the jump condition, and with it the matrix form of the wrong sign
-    s = wavepacket_scenario(-3.0, -1.0, 1.0, 3.0, theta1=Phase("plus_i"))
+    s = wavepacket_scenario(-3.0, -1.0, 1.0, 3.0, theta1=Phase(PHASE_PRESETS["plus_i"]))
+    minus_i = Phase(PHASE_PRESETS["minus_i"])
     wrong = replace(
         s,
         boundary_override=boundary_maps(s),
-        phase=BoundaryPhase(theta1=Phase("minus_i"), theta2=Phase("minus_i")),
+        phase=BoundaryPhase(theta1=minus_i, theta2=minus_i),
     )
     t, z = 2.0, np.linspace(-1.0, 1.0, 21)
     assert np.abs(bc_defect(wrong, t, z, 1)).max() > 0.1
     assert np.abs(manifest_trace_residual(wrong, t, z, 1)).max() > 0.1
-    assert manifest_defect(Phase("minus_i")) <= 1e-13  # the identity holds
+    assert manifest_defect(minus_i) <= 1e-13  # the identity holds
 
 
 def test_manifest_identity_catches_a_wrong_sign(monkeypatch):
     import mtdirac.lorentz as lorentz
 
     for kind in ("plus_i", "minus_i"):
-        assert manifest_defect(Phase(kind)) <= 1e-13
+        assert manifest_defect(Phase(PHASE_PRESETS[kind])) <= 1e-13
     monkeypatch.setattr(lorentz, "manifest_sign", lambda phase: -manifest_sign(phase))
     for kind in ("plus_i", "minus_i"):
-        assert manifest_defect(Phase(kind)) > 0.1
+        assert manifest_defect(Phase(PHASE_PRESETS[kind])) > 0.1
 
 
 def test_transformed_solution_is_pair_factor_times_base(packet):
     b = Boost(0.6)
-    trans = TransformedSolution(packet, b)
     rng = np.random.default_rng(4)
     t1, z1, t2, z2 = sample_spacelike(rng, 100, (-1.5, 1.5), (-3.5, 3.5))
     base = evaluate_fields(packet, t1, z1, t2, z2)
     bt1, bz1 = b.point(t1, z1)
     bt2, bz2 = b.point(t2, z2)
-    moved = trans.evaluate_fields(bt1, bz1, bt2, bz2)
+    moved = transformed_fields(packet, b, bt1, bz1, bt2, bz2)
     expected = np.einsum("ij,j...->i...", pair_factor(b), base)
     assert np.abs(moved - expected).max() <= 1e-12
 
@@ -175,7 +181,7 @@ def test_transformed_solution_is_pair_factor_times_base(packet):
 def test_theta_transport(rich):
     # a phase that varies along the coincidence set: the boosted traces obey
     # the jump condition with theta' = theta o L^-1 and fail it with theta
-    base = Phase("custom", fn=lambda t, z: t + 2.0 * z)
+    base = Phase(fn=lambda t, z: t + 2.0 * z)
     b = Boost(-0.4)
     s = replace(rich, phase=BoundaryPhase(theta1=base, theta2=base))
     assert jump_covariance_defect(b) == 0.0
@@ -280,8 +286,8 @@ def test_current_covariance_evaluates_no_field(monkeypatch):
 
 
 def test_field_residual_guards_stencil(packet):
-    trans = TransformedSolution(packet, Boost(0.2))
+    trans = partial(transformed_fields, packet, Boost(0.2))
     with pytest.raises(StencilError, match=r"^1 of 1 configurations lack room"):
-        field_residual(trans.evaluate_fields, 0, 0, 0, 1e-6, 1e-4)
+        field_residual(trans, 0, 0, 0, 1e-6, 1e-4)
     with pytest.raises(StencilError, match=r"^1 of 1 configurations have a non-finite"):
-        field_residual(trans.evaluate_fields, 0, 0, math.inf, 1.0, 1e-4)
+        field_residual(trans, 0, 0, math.inf, 1.0, 1e-4)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from mtdirac.profiles import smooth_bump
 from mtdirac.scenario import (
+    PHASE_PRESETS,
     ZERO2,
+    ZERO_HALF,
     BoundaryPhase,
     Component2D,
     InitialData,
@@ -18,6 +21,7 @@ from mtdirac.scenario import (
     boundary_maps,
     exchanged_component,
     load_scenario,
+    parse_phase,
     phase_mirrored,
     product2,
     scenario_from_dict,
@@ -53,23 +57,64 @@ def test_component_broadcasts():
     assert out.shape == (4, 3)
 
 
+def _preset(name):
+    return parse_phase({"preset": name}, "theta")
+
+
 def test_phase_presets():
-    assert Phase("constant", 0.7)(0.0, 0.0) == 0.7
-    # plus_i / minus_i pin the jump factor exp(-i theta) to +-i
-    assert np.exp(-1j * Phase("plus_i")(0.0, 0.0)) == pytest.approx(1j)
-    assert np.exp(-1j * Phase("minus_i")(0.0, 0.0)) == pytest.approx(-1j)
-    custom = Phase("custom", fn=lambda t, z: t + 2 * z)
+    assert Phase(0.7)(0.0, 0.0) == 0.7
+    # plus_i / minus_i are the constants -pi/2 and +pi/2, the same floats as
+    # ever, and pin the jump factor exp(-i theta) to +-i
+    for name, value, factor in (
+        ("plus_i", -1.5707963267948966, 1j),
+        ("minus_i", 1.5707963267948966, -1j),
+    ):
+        theta = _preset(name)
+        assert theta.fn is None and theta.value == value == PHASE_PRESETS[name]
+        assert theta(np.zeros(3), 0.0).tolist() == [value] * 3
+        assert np.exp(-1j * theta(0.0, 0.0)) == pytest.approx(factor)
+    assert parse_phase(None, "theta").value == 0.0
+    custom = Phase(fn=lambda t, z: t + 2 * z)
     assert custom(0.5, 1.0) == 2.5
-    with pytest.raises(ValueError):
-        Phase("wiggly")(0.0, 0.0)
+    # a phase is a number or a function: a name is neither
+    for bad in (("wiggly",), ("plus_i",), ("constant", 0.7)):
+        with pytest.raises(TypeError, match="^a phase is a real value or a function fn"):
+            Phase(*bad)
 
 
 def test_phase_negated():
-    assert Phase("constant", 0.7).negated()(0, 0) == -0.7
-    assert Phase("plus_i").negated().kind == "minus_i"
-    assert Phase("minus_i").negated().kind == "plus_i"
-    neg = Phase("custom", fn=lambda t, z: t).negated()
+    assert Phase(0.7).negated()(0, 0) == -0.7
+    # each preset maps exactly onto the other
+    plus_i, minus_i = _preset("plus_i"), _preset("minus_i")
+    assert plus_i.negated().value == minus_i.value and plus_i.negated().fn is None
+    assert minus_i.negated().value == plus_i.value and minus_i.negated().fn is None
+    neg = Phase(fn=lambda t, z: t).negated()
     assert neg(2.0, 0.0) == -2.0
+
+
+def test_initial_data_needs_a_finite_box_on_every_nonzero_component():
+    # a component without a box would integrate to zero: support_hull reads
+    # the boxes only
+    px, py = smooth_bump(-3.0, -1.0), smooth_bump(1.0, 3.0)
+    boxed = product2(px, py)
+    for comp, box in (
+        (Component2D(fn=lambda x, y: px(x) * py(y)), None),
+        (Component2D(factors=boxed.factors), None),
+        (replace(boxed, box=((-3.0, -1.0), (1.0, math.inf))), "inf"),
+        (replace(boxed, box=((-3.0, math.nan), (1.0, 3.0))), "nan"),
+        (replace(boxed, box=((-1.0, -3.0), (1.0, 3.0))), "(-1.0, -3.0)"),
+    ):
+        for half in (1, 2):
+            data = [ZERO_HALF, ZERO_HALF]
+            data[half - 1] = (ZERO2, comp, ZERO2, ZERO2)
+            needs = rf"^g2\^\({half}\) needs a finite support box"
+            with pytest.raises(ValueError, match=needs) as err:
+                InitialData(*data)
+            assert str(box) in str(err.value)
+    # zero components need no box; a boxed function datum is accepted
+    InitialData(ZERO_HALF, ZERO_HALF)
+    fn = Component2D(fn=lambda x, y: px(x) * py(y), box=boxed.box)
+    assert InitialData((ZERO2, fn, ZERO2, ZERO2), ZERO_HALF).support_hull() == (-3.0, 3.0)
 
 
 def test_exchanged_component_swaps_arguments_and_box():
@@ -83,7 +128,7 @@ def test_exchanged_component_swaps_arguments_and_box():
     assert exchanged_component(ZERO2) is ZERO2
 
 
-def _one_sided(theta=Phase("constant", 0.9)):
+def _one_sided(theta=Phase(0.9)):
     px, py = _bump_pair()
     g2 = product2(px, py)
     g3 = phase_mirrored(g2, theta, target=3)
@@ -95,7 +140,7 @@ def _one_sided(theta=Phase("constant", 0.9)):
 
 
 def test_phase_mirrored_values():
-    theta = Phase("constant", 0.9)
+    theta = Phase(0.9)
     px, py = _bump_pair()
     g2 = product2(px, py)
     g3 = phase_mirrored(g2, theta, target=3)
@@ -168,7 +213,7 @@ def test_component_accessor_validates_indices():
 def test_antisymmetric_extension_relations():
     px, py = _bump_pair()
     g2 = product2(px, py)
-    theta = Phase("constant", 1.2)
+    theta = Phase(1.2)
     g3 = phase_mirrored(g2, theta, target=3)
     g1 = product2(smooth_bump(-2.0, -0.5), smooth_bump(0.5, 2.0))
     half1 = (g1, g2, g3, ZERO2)
@@ -188,7 +233,7 @@ def test_antisymmetric_extension_relations():
 def test_antisymmetric_extension_stays_compatible(value):
     px, py = _bump_pair()
     g2 = product2(px, py)
-    theta = Phase("constant", value)
+    theta = Phase(value)
     half1 = (ZERO2, g2, phase_mirrored(g2, theta, target=3), ZERO2)
     assert compatibility_gap(antisymmetric_extension(half1, theta)) <= 1e-12
 
@@ -225,6 +270,7 @@ def test_scenario_config_errors():
         '{"initial": {"g2": {"omega1": 7}}}',
         '{"antisymmetric": true, "initial": {"g2": {"omega2": {"preset": "product", '
         '"params": {"x": {"lo": 0, "hi": 1}, "y": {"lo": 2, "hi": 3}}}}}}',
+        '{"antisymmetric": true, "phase": {"theta1": {"value": 0.3}, "theta2": {"value": 0.9}}}',
     ]
     for text in cases:
         with pytest.raises(ScenarioConfigError):
@@ -253,6 +299,34 @@ def test_scenario_config_errors():
     for text, named in typed:
         with pytest.raises(ScenarioConfigError, match=f"^{named}"):
             load_scenario(text)
+    # a key that no object of its kind has is refused by its path, not ignored
+    packet = '{"preset": "wavepacket", "params": {"a": -3, "b": -1, "c": 1, "d": 3%s}%s}'
+    x = '"x": {"lo": 0, "hi": 1%s}'
+    unknown = [
+        ('{"antisymetric": true}', "antisymetric"),
+        (packet % ("", ', "phase": {}'), "phase"),
+        (packet % (', "theta2": {}', ""), "params.theta2"),
+        (product.replace('"params"', '"parms"') % ("{%s, %s}" % (x % "", y)),
+         "initial.g2.omega1.parms"),
+        (product % ("{%s, %s}" % (x % ', "momentm": 1', y)),
+         "initial.g2.omega1.params.x.momentm"),
+        ('{"phase": {"theta1": {"preset": "constant", "valu": 0.7}}}', "phase.theta1.valu"),
+        ('{"phase": {"theta1": {"preset": "plus_i", "value": 0.7}}}', "phase.theta1.value"),
+        ('{"phase": {"theta3": {"preset": "plus_i"}}}', "phase.theta3"),
+        ('{"initial": {"g5": {}}}', "initial.g5"),
+        ('{"initial": {"g2": {"omega3": {}}}}', "initial.g2.omega3"),
+        (product % ("{%s, %s, \"z\": {}}" % (x % "", y)), "initial.g2.omega1.params.z"),
+        ('{"initial": {"g3": {"omega1": {"preset": "mirror_of_g2", "params": {}}}}}',
+         "initial.g3.omega1.params"),
+        ('{"initial": {"g1": {"omega2": {"preset": "zero", "support": [[0, 1], [0, 1]]}}}}',
+         "initial.g1.omega2.support"),
+        (product % ("{%s, %s}" % (x % ', "smoothness": 3', y)),
+         "initial.g2.omega1.params.x.smoothness"),
+    ]
+    for text, named in unknown:
+        with pytest.raises(ScenarioConfigError) as err:
+            load_scenario(text)
+        assert str(err.value) == f"unknown config key {named}"
     # the mirror of g2 builds g3 only: on g1 or g4 it names the component,
     # also when g2 is nonzero
     g2 = (
@@ -357,10 +431,14 @@ def test_exchanged_factors_reproduce_the_closure():
 
 @pytest.mark.parametrize("kind", ["constant", "plus_i", "minus_i"])
 def test_mirrored_factors_reproduce_the_closure(kind):
-    theta = Phase(kind, 0.9 if kind == "constant" else 0.0)
+    # under a constant phase the mirror is an exchange with the one factor
+    # exp(+-i theta), bit for bit the closure it replaces
+    theta = Phase(PHASE_PRESETS.get(kind, 0.9))
     px, py = _bump_pair()
     g2 = product2(px, py)
     g3 = phase_mirrored(g2, theta, target=3)
+    assert g3.factors.pre == (np.exp(1j * theta.value),) and g3.factors.swapped
+    assert g3.box == (py.support(), px.support())
     assert_factors_reproduce(
         g3,
         lambda x, y: np.exp(1j * theta(0.5 * (x - y), 0.5 * (x + y))) * g2(y, x),
@@ -399,10 +477,10 @@ def test_custom_data_and_custom_phases_have_no_factors():
     g = Component2D(fn=lambda x, y: x + 1j * y, box=((-1.0, 1.0), (-1.0, 1.0)))
     assert g.factors is None and not g.is_zero
     assert g(2.0, 3.0) == 2.0 + 3.0j
-    wavy = Phase("custom", fn=lambda t, z: t + z)
+    wavy = Phase(fn=lambda t, z: t + z)
     px, py = _bump_pair()
     for src in (g, product2(px, py)):
         assert phase_mirrored(src, wavy, target=3).factors is None
-    assert phase_mirrored(g, Phase("constant", 0.3), target=3).factors is None
+    assert phase_mirrored(g, Phase(0.3), target=3).factors is None
     assert exchanged_component(g).factors is None
     assert ZERO2.factors is None and ZERO2.is_zero

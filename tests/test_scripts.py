@@ -45,7 +45,7 @@ def test_script_runs(call):
 def test_output_digests_every_call_succeeds():
     # the script exits 0 when a verify fails (exit 1), so each line is read
     lines = _run(["output_digests.py"]).stdout.splitlines()
-    assert len(lines) == 7
+    assert len(lines) == 8
     for line in lines:
         assert line.endswith("(exit 0)"), line
 

@@ -20,9 +20,10 @@ from mtdirac.geometry import (
     sample_spacelike,
 )
 from mtdirac.interaction import wavepacket_scenario
-from mtdirac.lorentz import Boost, TransformedSolution
+from mtdirac.lorentz import Boost, transformed_fields
 from mtdirac.profiles import Profile1D, poly_bump, smooth_bump
 from mtdirac.scenario import (
+    PHASE_PRESETS,
     BRANCH_MAPS,
     BoundaryPhase,
     Component2D,
@@ -106,7 +107,7 @@ def _incompatible_pair():
     half = (ZERO2, product2(bump, bump), ZERO2, ZERO2)
     return Scenario(
         initial=InitialData(half1=half, half2=half),
-        phase=BoundaryPhase(Phase("constant", 0.7), Phase("constant", -0.3)),
+        phase=BoundaryPhase(Phase(0.7), Phase(-0.3)),
     )
 
 
@@ -231,11 +232,11 @@ def test_batched_probes_equal_the_per_configuration_probes(rich):
     rng = np.random.default_rng(21)
     h = 1e-4
     pts = sample_spacelike(rng, 12, (-1.5, 1.5), (-3.5, 3.5), margin=4 * h)
-    trans = TransformedSolution(rich, Boost(0.4))
+    trans = functools.partial(transformed_fields, rich, Boost(0.4))
     probes = [
         (4, lambda *c: pde_residual(rich, *c, h)),
         (2, lambda *c: continuity_residual(rich, *c, h)),
-        (4, lambda *c: field_residual(trans.evaluate_fields, *c, h)),
+        (4, lambda *c: field_residual(trans, *c, h)),
     ]
     for rows, probe in probes:
         single = [probe(*c) for c in zip(*pts)]
@@ -327,7 +328,7 @@ def test_seam_branches_match_to_second_order(comp, half):
     from mtdirac.interaction import wavepacket_scenario
     from mtdirac.scenario import Phase
 
-    s = wavepacket_scenario(-3.0, -1.0, 1.0, 3.0, theta1=Phase("constant", 0.7))
+    s = wavepacket_scenario(-3.0, -1.0, 1.0, 3.0, theta1=Phase(0.7))
     v = np.linspace(-2.5, 2.5, 21)
     m = seam_mismatch(s, comp, half, v)
     assert m.shape == (3, 21)
@@ -371,8 +372,8 @@ def _diagonal_pair(theta: Phase, compatible: bool):
 def test_compatibility_order_zero_is_the_boundary_map_gap(name):
     # the seam probe's order 0 is bit for bit the gap between the data and
     # the boundary map feeding them at t = 0
-    custom = Phase("custom", fn=lambda t, z: 0.3 + 0.2 * z - 0.7 * t)
-    mirrored = _diagonal_pair(Phase("constant", 0.4), compatible=True)
+    custom = Phase(fn=lambda t, z: 0.3 + 0.2 * z - 0.7 * t)
+    mirrored = _diagonal_pair(Phase(0.4), compatible=True)
     s = {
         "incompatible": _incompatible_pair(),
         "absorbing_override": absorbing_override(mirrored, "h1_plus"),
@@ -411,7 +412,7 @@ def sharp(lo, hi, momentum):
 
 def _mirrored_pair(kind1: str, kind2: str) -> Scenario:
     """Both halves populated; g3 mirrored from g2 on half 1, g2 from g3 on half 2."""
-    th1, th2 = Phase(kind1), Phase(kind2)
+    th1, th2 = Phase(PHASE_PRESETS[kind1]), Phase(PHASE_PRESETS[kind2])
     g2 = product2(wave(-2.5, 0.5, 0.9), wave(-0.5, 2.5, 0.2))
     g3 = product2(smooth_bump(-0.5, 2.5, amplitude=0.5j), wave(-2.5, 0.5, 1.3))
     g1 = product2(wave(-2.0, 1.0, 0.6), wave(-1.0, 2.0, -0.7))
@@ -433,8 +434,8 @@ def grid_scenarios() -> dict[str, Scenario]:
     profiles that stay nonzero up to their ends, and mirror_bump with
     support boxes narrower than the profiles of g4 and of the partner g2 on
     half 2."""
-    theta = Phase("constant", 0.8)
-    wavy = Phase("custom", fn=lambda t, z: 0.3 * t - 0.5 * z)
+    theta = Phase(0.8)
+    wavy = Phase(fn=lambda t, z: 0.3 * t - 0.5 * z)
     # complex factors on both axes: a product of two real profiles would hide
     # a swapped operand order
     g2 = product2(wave(-2.5, 0.5, 1.1), wave(-0.5, 2.5, -0.6))
@@ -446,7 +447,7 @@ def grid_scenarios() -> dict[str, Scenario]:
     bumpy = Component2D(fn=gauss, box=((-2.5, 2.5), (-2.5, 2.5)))
     with open("configs/mirror_bump.json") as fh:
         rich, _ = load_scenario(fh.read())
-    packet = wavepacket_scenario(-3.0, -1.0, 1.0, 3.0, theta1=Phase("constant", 0.7))
+    packet = wavepacket_scenario(-3.0, -1.0, 1.0, 3.0, theta1=Phase(0.7))
     edge2 = product2(sharp(-2.0, 0.0, 0.7), sharp(0.0, 2.0, -0.3))
     edge1 = product2(sharp(-2.0, 2.0, 0.2), sharp(0.0, 2.0, 0.5))
     g4, g2_2 = rich.initial.half1[3], rich.initial.half2[1]
@@ -570,13 +571,13 @@ def hostile_scenarios() -> dict[str, Scenario]:
     def holed(t, z):  # finite at the origin, NaN from |t| = 1/2 on
         return np.where(np.abs(t) < 0.5, 0.3 * t, np.nan)
 
-    plain = mirrored(Phase("constant", 0.8))
+    plain = mirrored(Phase(0.8))
     maps = replace(boundary_maps(plain), h1_plus=everywhere, h2_minus=everywhere)
     with np.errstate(invalid="ignore"):  # exp(1j * inf) is NaN
-        infinite = mirrored(Phase("constant", np.inf))
+        infinite = mirrored(Phase(np.inf))
     return {
         "map_everywhere": replace(plain, boundary_override=maps),
-        "nan_custom_phase": mirrored(Phase("custom", fn=holed)),
+        "nan_custom_phase": mirrored(Phase(fn=holed)),
         "inf_constant_phase": infinite,
     }
 

@@ -9,17 +9,10 @@ with the vectorized evaluator beyond the scenario container itself.
 """
 
 import cmath
-import math
 
 
 def _theta(phase, t, z):
-    if phase.kind == "constant":
-        return phase.value
-    if phase.kind == "plus_i":
-        return -0.5 * math.pi
-    if phase.kind == "minus_i":
-        return 0.5 * math.pi
-    return float(phase.fn(t, z))
+    return phase.value if phase.fn is None else float(phase.fn(t, z))
 
 
 def _g(component, x, y):
