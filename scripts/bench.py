@@ -19,15 +19,18 @@ the machine sat idle read up to ~3x slow.  The layers:
                       its repeats to agree from run to run
   normalization_64    normalization_report, mirror_bump, bump surface, 64 panels
   normalization_128   the same at 128 panels
-  slice_svd           a 256-point equal-time slice at t = 1.5 and its SVD
+  slice_svd           a 256-point equal-time slice at t = 1.5 and its SVD;
+                      peak_mb is the tracemalloc peak of one more call
   residual_probes     pde_residual and continuity_residual on 64 configurations,
                       passed as arrays: one call each
   evaluate_points     `mtdirac evaluate --points` on mirror_bump through
                       cli.main: reading a 2^18-row points file (space-like
                       rows, every tenth a coincidence point, written once to
                       a temporary directory), evaluation, writing fields.csv;
-                      peak_mb is the tracemalloc peak of one more call, made
-                      after the timed repeats so that tracing slows none
+                      peak_mb as for slice_svd
+
+A peak_mb call is made after the layer's timed repeats, so that tracing
+slows none of them.
 
 The accuracy block (computed once) holds the normalization values on the
 five acceptance surfaces at 64 and 128 panels with their drift, the largest
@@ -95,6 +98,16 @@ def timed(fn, repeats: int) -> tuple[dict, object]:
     return {"median_s": statistics.median(samples), "samples_s": samples}, out
 
 
+def peak_mb(fn) -> float:
+    """The tracemalloc peak of one call of fn, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def interquartile_range(samples: list[float]) -> float:
     q1, _, q3 = statistics.quantiles(samples, n=4)
     return q3 - q1
@@ -145,7 +158,12 @@ def measure() -> dict:
         )
 
     z = default_slice_grid(s, [1.5], n=256)
-    layers["slice_svd"], _ = timed(lambda: schmidt_spectrum(single_time_slice(s, 1.5, z)), 7)
+
+    def slice_svd():
+        return schmidt_spectrum(single_time_slice(s, 1.5, z))
+
+    layers["slice_svd"], _ = timed(slice_svd, 7)
+    layers["slice_svd"]["peak_mb"] = peak_mb(slice_svd)
 
     probe = sample_spacelike(np.random.default_rng(2), 64, T_SPAN, Z_SPAN, margin=4 * H)
     layers["residual_probes"], worst_residual = timed(lambda: residuals(s, probe), 5)
@@ -156,12 +174,7 @@ def measure() -> dict:
         argv = ["evaluate", "--scenario", str(CONFIGS / "mirror_bump.json"),
                 "--points", str(points), "--out", str(Path(tmp) / "out")]
         layers["evaluate_points"], _ = timed(lambda: run_cli(argv), 5)
-        tracemalloc.start()
-        try:
-            run_cli(argv)
-            layers["evaluate_points"]["peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
-        finally:
-            tracemalloc.stop()
+        layers["evaluate_points"]["peak_mb"] = peak_mb(lambda: run_cli(argv))
 
     accuracy = {"max_pde_residual": worst_residual}
     for panels in (64, 128):

@@ -111,6 +111,21 @@ GRID = 256  # default slice grid points
 _BLOCK = 4096  # rows classified, solved, formatted and written at a time
 
 
+def _grid_blocks(s: Scenario, time: float, z: np.ndarray):
+    """Yield (coords, psi) of the slice grid's pairs (z_i, z_j), i-major.
+
+    Each block holds whole z1 rows, about _BLOCK pairs: coords is (4, m)
+    and psi (4, m), zero where a pair is not space-like.
+    """
+    step = max(1, _BLOCK // z.size)
+    tz = np.full(z.size, time)
+    for first in range(0, z.size, step):
+        z1 = z[first:first + step]
+        psi, _ = evaluate_grid(s, tz[:z1.size], z1, tz, z)
+        t = np.full(z1.size * z.size, time)
+        yield np.stack([t, np.repeat(z1, z.size), t, np.tile(z, z1.size)]), psi.reshape(4, -1)
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     given = [f for f, v in (("--grid", args.grid), ("--time", args.time)) if v is not None]
     if args.points is not None and given:
@@ -118,26 +133,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     s, raw = _load(args.scenario)
     if args.points is not None:
         pts = _read_points(Path(args.points))
-
-        def solve(part: slice, on: np.ndarray) -> np.ndarray:
-            return evaluate_fields(s, *pts[:, part][:, on])
-
-    else:  # the pairs (z_i, z_j), i-major
+        n = pts.shape[1]
+        blocks = ((pts[:, k:k + _BLOCK], None) for k in range(0, n, _BLOCK))
+    else:
         time = 0.0 if args.time is None else args.time
         z = interaction.default_slice_grid(s, [time], n=args.grid or GRID)
-        tz = np.full(z.size, time)
-        psi = evaluate_grid(s, tz, z, tz, z)[0].reshape(4, -1)
-        t = np.full(z.size**2, time)
-        pts = np.stack([t, np.repeat(z, z.size), t, np.tile(z, z.size)])
-
-        def solve(part: slice, on: np.ndarray) -> np.ndarray:
-            return psi[:, part][:, on]
-
+        n = z.size**2
+        blocks = _grid_blocks(s, time, z)
     names = [r.value.encode() for r in REGIONS]
     name_pool = np.frombuffer(b"".join(names), dtype=np.uint8)
     name_length = np.array([len(b) for b in names])
     name_start = np.cumsum(name_length) - name_length
-    n = pts.shape[1]
     flagged = 0
     dest = Path(args.out) / "fields.csv"
     with _replacing(dest) as fh:
@@ -148,16 +154,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             header += [f"re_psi{i}", f"im_psi{i}"]
         fh.write(",".join(header) + "\n")
         # no row needs another row's value, so each block is classified,
-        # solved, formatted and written before the next: beyond the points
-        # (and a grid's psi) the memory does not grow with the rows
-        for first in range(0, n, _BLOCK):
-            part = slice(first, first + _BLOCK)
-            coords = pts[:, part]
+        # solved, formatted and written before the next: beyond a file's
+        # points the memory does not grow with the rows
+        for coords, psi in blocks:
             rows = regions(*coords)
             on = np.isin(rows, _SPACELIKE)
             flagged += rows.size - int(np.count_nonzero(on))
+            values = evaluate_fields(s, *coords[:, on]) if psi is None else psi[:, on]
             # re, im of psi1..psi4 on each space-like row
-            words = np.ascontiguousarray(solve(part, on).T).view(float)
+            words = np.ascontiguousarray(values.T).view(float)
+            del values  # not held while the next block is solved
             pool, start, length = fmt17.format17(
                 np.concatenate([coords.T.reshape(-1), words.reshape(-1)])
             )

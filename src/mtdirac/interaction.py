@@ -65,7 +65,6 @@ def wavepacket_scenario(
     return Scenario(
         initial=InitialData(half1=half1, half2=ZERO_HALF),
         phase=BoundaryPhase(theta1=theta1),
-        label="wavepacket",
     )
 
 
@@ -128,7 +127,6 @@ def spin_product_scenario(
     return Scenario(
         initial=InitialData(half1=half1, half2=ZERO_HALF),
         phase=BoundaryPhase(theta1=theta1),
-        label="spin_product",
     )
 
 
@@ -238,10 +236,17 @@ class SingleTimeSlice:
 
 
 def single_time_slice(s: Scenario, t: float, z) -> SingleTimeSlice:
-    """The slice at time t on the points z of each particle."""
-    tz = np.full(np.size(z), float(t))
-    vals, _ = evaluate_grid(s, tz, z, tz, z)  # the diagonal is not space-like: zero
-    matrix = np.block([[vals[0], vals[1]], [vals[2], vals[3]]])
+    """The slice at time t on the points z of each particle.
+
+    One zeroed (2n, 2n) matrix is allocated, and evaluate_grid writes psi_i
+    straight into its quadrant (psi1 top left, psi2 top right, psi3 bottom
+    left, psi4 bottom right): the slice holds no other copy of the field.
+    """
+    n = np.size(z)
+    tz = np.full(n, float(t))
+    matrix = np.zeros((2 * n, 2 * n), dtype=complex)
+    quadrants = [matrix[r:r + n, c:c + n] for r in (0, n) for c in (0, n)]
+    evaluate_grid(s, tz, z, tz, z, out=quadrants)  # the diagonal is not space-like: zero
     return SingleTimeSlice(matrix=matrix)
 
 
@@ -251,7 +256,9 @@ def schmidt_spectrum(sl: SingleTimeSlice) -> np.ndarray:
 
     Rows and columns that are all zero add only zero singular values, and
     compactly supported data leave most of them so; the SVD runs on the
-    block of the others and the rest of the spectrum is exact zeros.
+    block of the others and the rest of the spectrum is exact zeros.  The
+    block is a copy, divided by the norm in place: beyond the slice the
+    call holds that block and LAPACK's working copy of it.
     """
     m = sl.matrix
     finite = np.isfinite(m)
@@ -266,7 +273,8 @@ def schmidt_spectrum(sl: SingleTimeSlice) -> np.ndarray:
     if norm == 0.0:
         raise ValueError("slice is identically zero; no Schmidt spectrum")
     block = m[np.ix_(m.any(axis=1), m.any(axis=0))]
+    block /= norm
     values = np.zeros(min(m.shape))
-    sigma = np.linalg.svd(block / norm, compute_uv=False)
+    sigma = np.linalg.svd(block, compute_uv=False)
     values[: sigma.size] = sigma
     return values

@@ -215,7 +215,6 @@ class Scenario:
     phase: BoundaryPhase = field(default_factory=BoundaryPhase)
     antisymmetric: bool = False
     boundary_override: BoundaryMaps | None = None
-    label: str = ""
 
 
 def boundary_maps(s: Scenario) -> BoundaryMaps:
@@ -502,6 +501,7 @@ def _parse_component(
 
 
 def _scenario_from_full_config(cfg: dict) -> Scenario:
+    # a label is a note for the reader: outputs echo the raw config, the scenario keeps none
     config_object(cfg, "", {"initial", "phase", "antisymmetric", "label"})
     antisym = config_bool(cfg.get("antisymmetric", False), "antisymmetric")
     phase_cfg = config_object(cfg.get("phase", {}), "phase", {"theta1", "theta2"})
@@ -530,7 +530,6 @@ def _scenario_from_full_config(cfg: dict) -> Scenario:
     return Scenario(
         initial=InitialData(half1=halves[1], half2=halves[2]),
         phase=BoundaryPhase(theta1=theta1, theta2=theta2),
-        label=str(cfg.get("label", "")),
     )
 
 

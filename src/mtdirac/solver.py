@@ -29,13 +29,14 @@ Everything here is evaluated from the scenario data; there is no time
 stepping.  evaluate_fields takes points: array arguments broadcast, and
 field values come back as an array of shape (4,) + broadcast shape,
 indexed psi1..psi4.  evaluate_grid takes the points of each particle and
-fills the tensor grid of their pairs.  There each null coordinate is a
-vector along one axis, so a separable datum (scenario.Factors), initial
-or boundary, is evaluated on the axis points only; both walk the branches
-in one loop and agree bit for bit.  The loop can skip branches: the
-surface quadrature integrates the branches whose |psi|^2 is a product of
-one function of x and one of y (_branch_factors) from their axis values
-alone and evaluates only the others on its grid.
+fills the tensor grid of their pairs, into the caller's arrays if it gives
+them (an equal-time slice gives its matrix's quadrants).  There each null
+coordinate is a vector along one axis, so a separable datum
+(scenario.Factors), initial or boundary, is evaluated on the axis points
+only; both walk the branches in one loop and agree bit for bit.  The loop
+can skip branches: the surface quadrature integrates the branches whose
+|psi|^2 is a product of one function of x and one of y (_branch_factors)
+from their axis values alone and evaluates only the others on its grid.
 """
 
 from __future__ import annotations
@@ -123,13 +124,17 @@ def _branch_values(s: Scenario, halves, t1, z1, t2, z2, branches=BRANCHES):
             yield comp, mask, g(*(np.broadcast_to(a, mask.shape)[mask] for a in (x, y)))
 
 
-def _eval_halves(s: Scenario, halves, t1, z1, t2, z2) -> np.ndarray:
+def _eval_halves(s: Scenario, halves, t1, z1, t2, z2, out=None):
     """psi on the points of each (half, where) of halves, zero elsewhere.
 
-    The result has shape (4,) + the shape of the masks.
+    The result has shape (4,) + the shape of the masks.  With out, four
+    complex arrays of that shape holding zeros (views into a larger matrix
+    will do), psi1..psi4 are written into them and out is returned: no
+    second copy of psi is made.
     """
-    shape = np.broadcast_shapes(t1.shape, t2.shape)
-    out = np.zeros((4,) + shape, dtype=complex)
+    if out is None:
+        shape = np.broadcast_shapes(t1.shape, t2.shape)
+        out = np.zeros((4,) + shape, dtype=complex)
     for comp, mask, values in _branch_values(s, halves, t1, z1, t2, z2):
         out[comp - 1][mask] = values
         del values  # not held while the next branch is evaluated
@@ -169,7 +174,7 @@ def evaluate_fields(s: Scenario, t1, z1, t2, z2) -> np.ndarray:
     return out.reshape((4,) + shape)
 
 
-def evaluate_grid(s: Scenario, t1, z1, t2, z2) -> tuple[np.ndarray, np.ndarray]:
+def evaluate_grid(s: Scenario, t1, z1, t2, z2, out=None):
     """psi on the tensor grid (t1_i, z1_i) x (t2_j, z2_j), shape (4, n1, n2).
 
     (t1, z1) are the n1 points of particle 1 and (t2, z2) the n2 points of
@@ -177,14 +182,16 @@ def evaluate_grid(s: Scenario, t1, z1, t2, z2) -> tuple[np.ndarray, np.ndarray]:
     space-like (geometry.region_masks); psi is zero there.  The space-like
     entries equal evaluate_fields on the flattened grid bit for bit, but the
     data profiles are evaluated on the axis points, not on every pair: each
-    null coordinate z + s t depends on one particle only.
+    null coordinate z + s t depends on one particle only.  With out, four
+    zeroed complex (n1, n2) arrays, psi_i is written into out[i - 1] and out
+    is returned in place of a new (4, n1, n2) array.
     """
     t1, z1 = (np.asarray(a, dtype=float).reshape(-1, 1) for a in (t1, z1))
     t2, z2 = (np.asarray(a, dtype=float).reshape(1, -1) for a in (t2, z2))
     if t1.shape != z1.shape or t2.shape != z2.shape:
         raise ValueError("each particle needs as many times as positions")
     m1, m2, bad = region_masks(t1, z1, t2, z2)
-    return _eval_halves(s, ((1, m1), (2, m2)), t1, z1, t2, z2), bad
+    return _eval_halves(s, ((1, m1), (2, m2)), t1, z1, t2, z2, out), bad
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,9 @@ from mtdirac.scenario import (
     InitialData,
     Scenario,
     ScenarioConfigError,
+    load_scenario,
 )
-from mtdirac.solver import evaluate_fields
+from mtdirac.solver import evaluate_fields, evaluate_grid
 from probes import compatibility_gap, is_interacting
 
 BOUNDS = (-3.0, -1.0, 1.0, 3.0)
@@ -35,7 +38,6 @@ def test_wavepacket_scenario_validation():
     with pytest.raises(ValueError):
         wavepacket_scenario(*BOUNDS, chi=smooth_bump(0.5, 3.0))
     s = wavepacket_scenario(*BOUNDS)
-    assert s.label == "wavepacket"
     assert s.initial.component(2, 1).box == ((-3.0, -1.0), (1.0, 3.0))
     for idx in (1, 3, 4):
         assert s.initial.component(idx, 1).is_zero
@@ -121,6 +123,40 @@ def test_single_time_slice_layout(packet):
     assert np.array_equal(block2, direct)
     assert not np.diag(block2).any()
 
+    # the slice is written in place by evaluate_grid: each quadrant holds
+    # its component bit for bit, on every kind of datum and each config
+    from test_solver import bits, grid_scenarios
+
+    cases = dict(grid_scenarios())
+    for name in ("wavepacket", "spin_product", "mirror_bump"):
+        with open(f"configs/{name}.json") as fh:
+            cases[name], _ = load_scenario(fh.read())
+    for name, s in cases.items():
+        for t in (0.0, 1.5):
+            z = default_slice_grid(s, [t], n=40)
+            tz = np.full(z.size, t)
+            vals, _ = evaluate_grid(s, tz, z, tz, z)
+            m = single_time_slice(s, t, z).matrix
+            n = z.size
+            quadrants = (m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:])
+            for comp, (got, want) in enumerate(zip(quadrants, vals), start=1):
+                assert np.array_equal(bits(got), bits(want)), (name, t, comp)
+
+
+def test_slice_and_spectrum_hold_one_matrix_and_the_block(rich):
+    """The slice is one (2n, 2n) matrix, and the SVD adds only its nonzero
+    block and LAPACK's copy of it: the peak stays under 1.75 matrices."""
+    z = default_slice_grid(rich, [0.0], n=256)
+    schmidt_spectrum(single_time_slice(rich, 0.0, z))  # warm: no first-call allocations
+    tracemalloc.start()
+    try:
+        sl = single_time_slice(rich, 0.0, z)
+        schmidt_spectrum(sl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * sl.matrix.nbytes, peak / sl.matrix.nbytes
+
 
 def test_schmidt_spectrum_properties(spin_pair):
     z = default_slice_grid(spin_pair, [2.0])
@@ -195,7 +231,6 @@ def test_interaction_criterion_requires_product_start(rich):
 
 
 def test_spin_product_scenario_structure(spin_pair):
-    assert spin_pair.label == "spin_product"
     assert compatibility_gap(spin_pair) <= 1e-12
     for idx in range(1, 5):
         assert not spin_pair.initial.component(idx, 1).is_zero
@@ -219,5 +254,4 @@ def test_spin_product_config_needs_paired_profiles():
     with pytest.raises(ScenarioConfigError):
         spin_product_scenario_from_config(params)
     params["phi2"] = {"lo": -3.0, "hi": -1.0, "momentum": 1.0}
-    s = spin_product_scenario_from_config(params)
-    assert s.label == "spin_product"
+    spin_product_scenario_from_config(params)

@@ -247,7 +247,6 @@ def test_load_scenario_presets_and_full_config():
         assert compatibility_gap(s) <= 1e-12
     with open("configs/mirror_bump.json") as fh:
         s, _ = load_scenario(fh.read())
-    assert s.label != ""
     assert compatibility_gap(s) <= 1e-12
 
 
