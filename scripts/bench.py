@@ -27,7 +27,9 @@ the machine sat idle read up to ~3x slow.  The layers:
                       cli.main: reading a 2^18-row points file (space-like
                       rows, every tenth a coincidence point, written once to
                       a temporary directory), evaluation, writing fields.csv;
-                      peak_mb as for slice_svd
+                      peak_mb as for slice_svd, of this process only: on two
+                      or more usable CPUs worker processes hold the other
+                      row ranges
 
 A peak_mb call is made after the layer's timed repeats, so that tracing
 slows none of them.

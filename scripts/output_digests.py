@@ -13,7 +13,10 @@ file is written here from a fixed seed: 4096 finite rows on the
 mirror_bump sampling box, space-like in both halves, time-like, exactly
 light-like in both directions and coincident, so the same file reaches
 every version of the program.  The antisymmetric config is written here
-too, from mirror_bump's half-1 data.
+too, from mirror_bump's half-1 data.  The last call evaluates a file of
+2^17 such rows, large enough that `evaluate` splits it over the usable
+CPUs, twice: on all of them, then with this process pinned to one CPU,
+where it runs one worker.  Its two digests must be equal.
 
     PYTHONPATH=src python scripts/output_digests.py
 """
@@ -21,6 +24,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -32,6 +36,7 @@ from mtdirac.cli import main as mtdirac_main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # written into the run's temporary directory
 POINTS = "points.csv"
+MANY_POINTS = "points_2e17.csv"
 ANTISYMMETRIC = "antisymmetric_plus_i.json"
 
 CALLS = [
@@ -52,6 +57,10 @@ CALLS = [
     ),
     ("scatter wavepacket", ["scatter", "--scenario", "wavepacket.json"]),
     ("verify antisymmetric plus_i", ["verify", "--scenario", ANTISYMMETRIC]),
+    (
+        "evaluate mirror_bump --points, 2^17 rows",
+        ["evaluate", "--scenario", "mirror_bump.json", "--points", MANY_POINTS],
+    ),
 ]
 
 
@@ -82,6 +91,17 @@ def write_antisymmetric(path: Path) -> None:
     path.write_text(json.dumps(cfg, indent=1) + "\n")
 
 
+@contextlib.contextmanager
+def one_cpu():
+    """This process pinned to one of its CPUs, then set free again."""
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
 def run(argv: list[str], out: Path) -> int:
     argv = list(argv)
     k = argv.index("--scenario") + 1
@@ -98,9 +118,13 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         write_points(Path(tmp) / POINTS)
         write_antisymmetric(Path(tmp) / ANTISYMMETRIC)
-        for k, (label, argv) in enumerate(CALLS):
+        write_points(Path(tmp) / MANY_POINTS, rows=2**17, seed=17)
+        runs = [(label, argv, contextlib.nullcontext()) for label, argv in CALLS]
+        runs.append((f"{CALLS[-1][0]}, one CPU", CALLS[-1][1], one_cpu()))
+        for k, (label, argv, cpus) in enumerate(runs):
             out = Path(tmp) / str(k)
-            code = run(argv, out)
+            with cpus:
+                code = run(argv, out)
             worst = max(worst, code)
             for path in sorted(out.iterdir()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()

@@ -8,22 +8,26 @@ scatter   equal-time mass and Schmidt time series for a scattering scenario
 
 Outputs are deterministic: a fixed scenario file, options and --seed yield
 byte-identical files (floats printed with %.17g, LF line endings, raw
-config echoed in headers).  MTDIRAC_THREADS caps evaluation threads and
-never changes results.  Exit codes: 0 success / all checks pass, 1 at
-least one verification failure, 2 usage or config errors or an output
-that cannot be written.
+config echoed in headers).  The Schmidt values of verify and scatter come
+from BLAS, so their bytes hold for a fixed numpy/BLAS build and BLAS thread
+count; evaluate calls no BLAS.  On a large input evaluate runs one worker
+process per usable CPU (limit them with taskset), each holding only its
+own range of rows, and writes the same bytes for any number of them.
+MTDIRAC_THREADS caps the threads of the quadrature's whole-grid path only
+(data given by functions) and never changes results.  Exit codes: 0
+success / all checks pass, 1 at least one verification failure, 2 usage or
+config errors or an output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
+import functools
 import json
 import math
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,18 +55,18 @@ def _echo_lines(command: str, raw: str, seed: int) -> list[str]:
 
 
 @contextlib.contextmanager
-def _replacing(dest: Path):
-    """A text file that becomes dest only if the block finishes.
+def _replacing(dest: Path, binary: bool = False):
+    """A file that becomes dest only if the block finishes.
 
     It is written as a hidden temporary file next to dest (the directory is
     made if needed) and renamed onto dest by os.replace; if the block
     raises, the temporary file is removed, so a failing command leaves no
-    partial output.
+    partial output.  It is a text file with LF line ends, or a binary one.
     """
     dest.parent.mkdir(parents=True, exist_ok=True)
     tmp = dest.with_name(f".{dest.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="\n") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", newline="\n") as fh:
             yield fh
         os.replace(tmp, dest)
     except BaseException:
@@ -70,60 +74,98 @@ def _replacing(dest: Path):
         raise
 
 
-def _read_points(path: Path) -> np.ndarray:
-    """The (4, n) coordinates t1, z1, t2, z2 of a CSV file, columns found by name.
-
-    The file is UTF-8, with or without a byte-order mark.  The header is one
-    csv row; a repeated name means its last column.  The
-    rows are parsed by np.loadtxt on the same handle: blank lines and extra
-    columns are skipped, quoted cells accepted, and a short row, a "#" or an
-    unparsable cell is a "bad points file".
-    """
-    cols = ("t1", "z1", "t2", "z2")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = next(csv.reader(fh), [])
-        index = {name: k for k, name in enumerate(header)}
-        if any(c not in index for c in cols):
-            msg = f"points file needs columns {cols}, its header has {tuple(header)}"
-            raise ScenarioConfigError(msg)
-        try:
-            with warnings.catch_warnings():  # a header-only file is reported below
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning
-                )
-                pts = np.loadtxt(
-                    fh,
-                    delimiter=",",
-                    usecols=[index[c] for c in cols],
-                    ndmin=2,
-                    quotechar='"',
-                    comments=None,  # "#" is not a comment: such a line is an error
-                )
-        except ValueError as err:
-            raise ScenarioConfigError(f"bad points file: {err}") from err
-    if pts.shape[0] == 0:
-        raise ScenarioConfigError("points file has no rows")
-    return pts.T
-
-
 _SPACELIKE = [REGIONS.index(r) for r in (Region.OMEGA1, Region.OMEGA2)]
 GRID = 256  # default slice grid points
 _BLOCK = 4096  # rows classified, solved, formatted and written at a time
+_RANGE = 4 * _BLOCK  # rows a range needs for a worker: a fork does not pay below 2-4 blocks
 
 
-def _grid_blocks(s: Scenario, time: float, z: np.ndarray):
-    """Yield (coords, psi) of the slice grid's pairs (z_i, z_j), i-major.
+def _grid_blocks(s: Scenario, time: float, z: np.ndarray, first: int, stop: int):
+    """Yield (coords, psi) of the slice grid's pairs (z_i, z_j), i-major, for first <= i < stop.
 
     Each block holds whole z1 rows, about _BLOCK pairs: coords is (4, m)
     and psi (4, m), zero where a pair is not space-like.
     """
     step = max(1, _BLOCK // z.size)
     tz = np.full(z.size, time)
-    for first in range(0, z.size, step):
-        z1 = z[first:first + step]
+    for first in range(first, stop, step):
+        z1 = z[first:min(first + step, stop)]
         psi, _ = evaluate_grid(s, tz[:z1.size], z1, tz, z)
         t = np.full(z1.size * z.size, time)
         yield np.stack([t, np.repeat(z1, z.size), t, np.tile(z, z1.size)]), psi.reshape(4, -1)
+
+
+def _grid_ranges(s: Scenario, time: float, z: np.ndarray, workers: int) -> list:
+    """Jobs for the slice grid, at most one per worker: runs of _grid_blocks' blocks."""
+    starts = range(0, z.size, max(1, _BLOCK // z.size))
+    count = min(workers, len(starts))
+    bounds = [starts[len(starts) * k // count] for k in range(count)] + [z.size]
+    return [
+        lambda a=a, b=b: ((b - a) * z.size, _grid_blocks(s, time, z, a, b))
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+def _write_blocks(s: Scenario, blocks, fh) -> int:
+    """Classify, solve, format and write each (coords, psi) block; the rows flagged.
+
+    psi is None for points, which are solved here.
+    """
+    names = [r.value.encode() for r in REGIONS]
+    name_pool = np.frombuffer(b"".join(names), dtype=np.uint8)
+    name_length = np.array([len(b) for b in names])
+    name_start = np.cumsum(name_length) - name_length
+    flagged = 0
+    # no row needs another row's value, so each block is classified,
+    # solved, formatted and written before the next: beyond a file's
+    # points the memory does not grow with the rows
+    for coords, psi in blocks:
+        rows = regions(*coords)
+        on = np.isin(rows, _SPACELIKE)
+        flagged += rows.size - int(np.count_nonzero(on))
+        values = evaluate_fields(s, *coords[:, on]) if psi is None else psi[:, on]
+        # re, im of psi1..psi4 on each space-like row
+        words = np.ascontiguousarray(values.T).view(float)
+        del values  # not held while the next block is solved
+        pool, start, length = fmt17.format17(
+            np.concatenate([coords.T.reshape(-1), words.reshape(-1)])
+        )
+        # (start, length) of each row's cells: four coordinates, the region
+        # name, eight psi words (empty on a flagged row)
+        cell = np.stack([start, length])
+        split = 4 * rows.size
+        cells = np.zeros((2, rows.size, 13), dtype=np.int64)
+        cells[:, :, :4] = cell[:, :split].reshape(2, -1, 4)
+        cells[:, :, 4] = pool.size + name_start[rows], name_length[rows]
+        cells[:, on, 5:] = cell[:, split:].reshape(2, -1, 8)
+        fh.write(fmt17.join_rows(np.concatenate([pool, name_pool]), *cells))
+    return flagged
+
+
+def _write_fields(s: Scenario, jobs: list, dest: Path, head: list[str]) -> tuple[int, int]:
+    """Write dest from jobs, each (rows, blocks) of a range: (rows, flagged).
+
+    jobs[0] runs here and each other job in a forked worker; the parent
+    writes head and its own rows, then appends each worker's part in order.
+    """
+    from .ranges import Workers
+
+    with Workers(dest) as workers:
+        for job in jobs[1:]:
+            workers.fork(job, functools.partial(_write_blocks, s))
+        n, blocks = jobs[0]()
+        n += sum(workers.receive(k) for k in range(len(jobs) - 1))
+        if n == 0:  # the ranges cover the points file, so it has no rows
+            raise ScenarioConfigError("points file has no rows")
+        with _replacing(dest, binary=True) as fh:
+            for line in head:
+                fh.write(line.encode() + b"\n")
+            workers.go()
+            flagged = _write_blocks(s, blocks, fh)
+            for k in range(len(jobs) - 1):
+                flagged += workers.receive(k)
+                workers.append(k, fh)
+    return n, flagged
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -131,52 +173,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.points is not None and given:
         raise ScenarioConfigError(f"{given[0]} and --points exclude each other")
     s, raw = _load(args.scenario)
+    from . import ranges  # compiled by evaluate only
+
+    # no row needs another row's value, so the rows are cut into ranges, one
+    # per worker process, and each range into blocks
     if args.points is not None:
-        pts = _read_points(Path(args.points))
-        n = pts.shape[1]
-        blocks = ((pts[:, k:k + _BLOCK], None) for k in range(0, n, _BLOCK))
+        jobs = ranges.point_ranges(Path(args.points), _RANGE, _BLOCK)
     else:
         time = 0.0 if args.time is None else args.time
         z = interaction.default_slice_grid(s, [time], n=args.grid or GRID)
-        n = z.size**2
-        blocks = _grid_blocks(s, time, z)
-    names = [r.value.encode() for r in REGIONS]
-    name_pool = np.frombuffer(b"".join(names), dtype=np.uint8)
-    name_length = np.array([len(b) for b in names])
-    name_start = np.cumsum(name_length) - name_length
-    flagged = 0
+        jobs = _grid_ranges(s, time, z, ranges.worker_count(z.size**2, _RANGE))
+    header = ["t1", "z1", "t2", "z2", "region"]
+    for i in range(1, 5):
+        header += [f"re_psi{i}", f"im_psi{i}"]
+    head = [*_echo_lines("evaluate", raw, args.seed), ",".join(header)]
     dest = Path(args.out) / "fields.csv"
-    with _replacing(dest) as fh:
-        for line in _echo_lines("evaluate", raw, args.seed):
-            fh.write(line + "\n")
-        header = ["t1", "z1", "t2", "z2", "region"]
-        for i in range(1, 5):
-            header += [f"re_psi{i}", f"im_psi{i}"]
-        fh.write(",".join(header) + "\n")
-        # no row needs another row's value, so each block is classified,
-        # solved, formatted and written before the next: beyond a file's
-        # points the memory does not grow with the rows
-        for coords, psi in blocks:
-            rows = regions(*coords)
-            on = np.isin(rows, _SPACELIKE)
-            flagged += rows.size - int(np.count_nonzero(on))
-            values = evaluate_fields(s, *coords[:, on]) if psi is None else psi[:, on]
-            # re, im of psi1..psi4 on each space-like row
-            words = np.ascontiguousarray(values.T).view(float)
-            del values  # not held while the next block is solved
-            pool, start, length = fmt17.format17(
-                np.concatenate([coords.T.reshape(-1), words.reshape(-1)])
-            )
-            # (start, length) of each row's cells: four coordinates, the region
-            # name, eight psi words (empty on a flagged row)
-            cell = np.stack([start, length])
-            split = 4 * rows.size
-            cells = np.zeros((2, rows.size, 13), dtype=np.int64)
-            cells[:, :, :4] = cell[:, :split].reshape(2, -1, 4)
-            cells[:, :, 4] = pool.size + name_start[rows], name_length[rows]
-            cells[:, on, 5:] = cell[:, split:].reshape(2, -1, 8)
-            text = fmt17.join_rows(np.concatenate([pool, name_pool]), *cells)
-            fh.write(text.decode("ascii"))
+    n, flagged = _write_fields(s, jobs, dest, head)
     print(f"wrote {dest} ({n} rows, {flagged} outside the space-like domain)")
     return 0
 
@@ -445,7 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mtdirac",
         description="two-particle multi-time transport with contact interaction",
-        epilog="MTDIRAC_THREADS caps evaluation threads (default 1).",
+        epilog="MTDIRAC_THREADS caps the threads of the quadrature's whole-grid path"
+        " (default 1); evaluate runs one worker process per usable CPU (limit them"
+        " with taskset).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -295,9 +296,13 @@ def test_evaluate_points_across_block_seams(tmp_path, capsys):
         assert fh.readlines()[4:] == want
 
 
-def test_evaluate_points_memory_grows_with_the_points_only(tmp_path):
+def test_evaluate_points_memory_grows_with_the_points_only(tmp_path, monkeypatch):
     # each block of rows is solved, formatted and written before the next, so
-    # the peak grows by the (4, n) float points (32 bytes a row) and no more
+    # the peak grows by the (4, n) float points (32 bytes a row) and no more;
+    # on one CPU, so that one process holds every row
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     peaks = []
     for n in (2**13, 2**15):
         pts = np.stack(sample_spacelike(np.random.default_rng(n), n, *MIRROR_BOX))
@@ -336,6 +341,234 @@ def test_evaluate_failing_mid_stream_leaves_no_output(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err == "error: solver failed\n"
     assert len(calls) == 2
     assert list(out.iterdir()) == []  # neither fields.csv nor a .fields.csv.*.tmp
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that waits on worker processes for more than a minute."""
+    import signal
+
+    def expire(signum, frame):
+        raise TimeoutError("evaluate did not finish within 60 s")
+
+    before = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, before)
+
+
+def _workers(monkeypatch, count):
+    """Make evaluate use count workers on any input; return the forks made."""
+    import os
+
+    import mtdirac.cli as cli
+
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(cli, "_RANGE", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _no_child_left():
+    import os
+
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split_points_file(path, quoted=False):
+    """A points file of every row kind and line end.
+
+    The header (after a byte-order mark) names an extra column and t1 twice,
+    so the last t1 column is read; the rows end in LF, CRLF and CR in turn,
+    with blank lines, non-finite, time-like and coincident rows, and a row
+    count that leaves a short last block.  With quoted, one row's extra cell
+    is quoted and holds a newline at exactly half the file's bytes, where a
+    cut is sought when the file is split in two.
+    """
+    import mtdirac.cli as cli
+
+    rng = np.random.default_rng(21)
+    (t_lo, t_hi), (z_lo, z_hi) = MIRROR_BOX
+    pts = rng.uniform([t_lo, z_lo, t_lo, z_lo], [t_hi, z_hi, t_hi, z_hi], (cli._BLOCK + 333, 4))
+    pts[3::40, 1] = np.nan
+    pts[5::40, 3] = -np.inf
+    pts[7::9, 2:] = pts[7::9, :2]  # coincidence
+    pts[8::9, 2] = pts[8::9, 0] + np.abs(pts[8::9, 1] - pts[8::9, 3]) + 0.5  # time-like
+    ends = ["\n", "\r\n", "\r"]
+    lines = [
+        f"x{k},{k % 7},{z1!r},{t2!r},{z2!r},{t1!r}{ends[k % 3]}" + ("\n" if k % 50 == 0 else "")
+        for k, (t1, z1, t2, z2) in enumerate(pts.tolist())
+    ]
+    head = "\ufeffnote,t1,z1,t2,z2,t1\r\n".encode()
+    if not quoted:
+        path.write_bytes(head + "".join(lines).encode())
+        return path
+    r = 2 * len(lines) // 5
+    before = head + "".join(lines[:r]).encode()
+    after = "".join(lines[r + 1 :]).encode()
+    t1, z1, t2, z2 = pts[r].tolist()
+    tail = f'",9,{z1!r},{t2!r},{z2!r},{t1!r}\n'.encode()
+    # the newline sits at len(before) + 2 + len(a); the file holds len(rest) + len(a)
+    rest = len(before) + 2 + 1 + len(tail) + len(after)
+    a = rest - 2 * (len(before) + 2)
+    data = before + b'"q' + b"a" * a + b"\n" + tail + after
+    assert data[len(data) // 2 : len(data) // 2 + 1] == b"\n"
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_evaluate_is_byte_identical_for_any_worker_count(
+    tmp_path, monkeypatch, capsys, deadline, quoted
+):
+    path = _split_points_file(tmp_path / "points.csv", quoted)
+    argv = ["evaluate", "--scenario", MIRROR_CFG, "--points", str(path), "--out"]
+    assert main(argv + [str(tmp_path / "alone")]) == 0
+    want = _read(tmp_path / "alone" / "fields.csv")
+    stdout = capsys.readouterr().out.replace("alone", "{}")
+    assert "4429 rows" in stdout
+    assert all(f",{r}," in want for r in ("Coincidence", "NonFinite", "TimeLike", "Omega1"))
+    assert want.count(",Coincidence,") > 400 and want.count(",TimeLike,") > 400
+    for count in (1, 2, 3):
+        forks = _workers(monkeypatch, count)
+        out = tmp_path / str(count)
+        assert main(argv + [str(out)]) == 0
+        assert len(forks) == (0 if quoted else count - 1)  # a file with a quote is not cut
+        assert capsys.readouterr().out == stdout.format(count)
+        assert _read(out / "fields.csv") == want
+        assert [p.name for p in out.iterdir()] == ["fields.csv"]
+        _no_child_left()
+        monkeypatch.undo()
+
+
+def test_evaluate_grid_is_byte_identical_for_any_worker_count(tmp_path, monkeypatch, capsys, deadline):
+    argv = ["evaluate", "--scenario", MIRROR_CFG, "--grid", "128", "--time", "1.5", "--out"]
+    assert main(argv + [str(tmp_path / "alone")]) == 0
+    want = _read(tmp_path / "alone" / "fields.csv")
+    stdout = capsys.readouterr().out.replace("alone", "{}")
+    for count in (2, 3):
+        forks = _workers(monkeypatch, count)
+        out = tmp_path / str(count)
+        assert main(argv + [str(out)]) == 0
+        assert len(forks) == count - 1
+        assert capsys.readouterr().out == stdout.format(count)
+        assert _read(out / "fields.csv") == want
+        _no_child_left()
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("scan", [1, 1 << 16])
+def test_cuts_fall_at_row_starts(tmp_path, monkeypatch, scan):
+    from mtdirac import ranges
+
+    monkeypatch.setattr(ranges, "_SCAN", scan)  # read a byte at a time too
+    path = tmp_path / "points.csv"
+    path.write_bytes(
+        "\ufeffnote,t1,z1,t2,z2\r\n".encode()
+        + b"a,1,2,3,4\nb,5,6,7,8\r\n\r\nc,9,1,2,3\r\r d,4,5,6,7\n\n,8,9,1,2\r,2,3,4,5"
+    )
+    data = path.read_bytes()
+    whole = ranges.read_points(path)
+    cuts = []
+    for target in range(1, len(data) + 1):
+        # the first row start at or after target follows a line end at target - 1 or later
+        end = re.compile(rb"[\r\n]").search(data, target - 1)
+        assert ranges.row_starts(path, [target]) == ([end.end()] if end else [])
+        cut = end.end() if end else len(data)
+        cuts += [cut] if end else []
+        halves = [ranges.read_points(path, *bounds) for bounds in ((0, cut), (cut, len(data)))]
+        assert np.array_equal(np.concatenate(halves, axis=1), whole), target
+    assert ranges.row_starts(path, list(range(1, len(data) + 1))) == cuts
+    # a quoted cell can hold a line end, so a file with a quote is not cut
+    path.write_bytes(b'note,t1,z1,t2,z2\n"a\nb",1,2,3,4\n' + b"c,5,6,7,8\n" * 3)
+    assert ranges.row_starts(path, [path.stat().st_size - 1]) is None
+
+
+def test_evaluate_worker_failure_leaves_nothing(tmp_path, monkeypatch, capsys, deadline):
+    import os
+
+    import mtdirac.cli as cli
+
+    parent = os.getpid()
+    path = _split_points_file(tmp_path / "points.csv")
+    argv = ["evaluate", "--scenario", MIRROR_CFG, "--points", str(path), "--out"]
+    for error in (ValueError("solver failed in a worker"), ZeroDivisionError("its own type")):
+
+        def fails_in_a_worker(*args, error=error):
+            if os.getpid() != parent:
+                raise error
+            return evaluate_fields(*args)
+
+        _workers(monkeypatch, 3)
+        monkeypatch.setattr(cli, "evaluate_fields", fails_in_a_worker)
+        out = tmp_path / type(error).__name__
+        if isinstance(error, ValueError):
+            assert main(argv + [str(out)]) == 2
+            assert capsys.readouterr().err == "error: solver failed in a worker\n"
+        else:
+            with pytest.raises(ZeroDivisionError, match="its own type"):
+                main(argv + [str(out)])
+        assert list(out.iterdir()) == []  # no fields.csv, .tmp or .part file
+        _no_child_left()
+        monkeypatch.undo()
+
+
+def test_evaluate_worker_that_dies_is_reported(tmp_path, monkeypatch, capsys, deadline):
+    import os
+
+    import mtdirac.cli as cli
+
+    parent = os.getpid()
+
+    def dies_in_a_worker(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return evaluate_fields(*args)
+
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(cli, "evaluate_fields", dies_in_a_worker)
+    out = tmp_path / "out"
+    path = _split_points_file(tmp_path / "points.csv")
+    argv = ["evaluate", "--scenario", MIRROR_CFG, "--points", str(path), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: an evaluate worker ended without a report\n"
+    assert list(out.iterdir()) == []
+    _no_child_left()
+
+
+@pytest.mark.parametrize("bad", ["cell in the last range", "no rows"])
+def test_evaluate_bad_file_is_reported_as_one_read_reports_it(
+    tmp_path, monkeypatch, capsys, deadline, bad
+):
+    data = _split_points_file(tmp_path / "points.csv").read_bytes()
+    path = tmp_path / "bad.csv"
+    if bad == "no rows":
+        path.write_bytes(data[: data.index(b"\n") + 1] + b"\r\n" * 4096)
+        message = "error: points file has no rows\n"
+    else:
+        path.write_bytes(data + b"x9,0.5,abc,0.25,1.5,0.5\n")
+        message = "at row 4429, column 3"
+    argv = ["evaluate", "--scenario", MIRROR_CFG, "--points", str(path), "--out"]
+    assert main(argv + [str(tmp_path / "alone")]) == 2
+    want = capsys.readouterr().err
+    assert want.startswith("error: ") and message in want
+    for count in (2, 3):
+        _workers(monkeypatch, count)
+        out = tmp_path / str(count)
+        assert main(argv + [str(out)]) == 2
+        assert capsys.readouterr().err == want
+        assert not out.exists()  # every range is read before anything is written
+        _no_child_left()
+        monkeypatch.undo()
 
 
 def test_evaluate_grid(tmp_path):

@@ -45,9 +45,12 @@ def test_script_runs(call):
 def test_output_digests_every_call_succeeds():
     # the script exits 0 when a verify fails (exit 1), so each line is read
     lines = _run(["output_digests.py"]).stdout.splitlines()
-    assert len(lines) == 8
+    assert len(lines) == 10
     for line in lines:
         assert line.endswith("(exit 0)"), line
+    # the last call on all CPUs, then pinned to one CPU: the same bytes
+    assert ", one CPU: " in lines[-1] and ", one CPU" not in lines[-2]
+    assert lines[-2].split()[0] == lines[-1].split()[0]
 
 
 def test_bench_resolves_a_speedup_only_beyond_the_spread():
