@@ -30,6 +30,15 @@ the machine sat idle read up to ~3x slow.  The layers:
                       peak_mb as for slice_svd, of this process only: on two
                       or more usable CPUs worker processes hold the other
                       row ranges
+  startup             21 fresh processes, each running perfbench's setup
+                      probe on mirror_bump (import mtdirac.cli, load the
+                      config); peak_rss_mb is the median of their own
+                      peaks (VmHWM: a child's ru_maxrss also counts the
+                      resident set its parent had when it forked, so an
+                      interpreter spawned by a 200 MB process reads 218
+                      MB).  A process compiles what it imports from source
+                      when PYTHONDONTWRITEBYTECODE is set and no bytecode
+                      is cached, so `machine` records that variable
 
 A peak_mb call is made after the layer's timed repeats, so that tracing
 slows none of them.
@@ -51,6 +60,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -59,6 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
+import mtdirac
 from mtdirac.cli import main as mtdirac_main
 from mtdirac.conservation import (
     QuadratureSpec,
@@ -84,6 +95,12 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 T_SPAN, Z_SPAN = (-3.25, 3.25), (-3.0, 3.5)
 H = 1e-4
 WARM_UP_S = 0.5
+# perfbench's SETUP_CODE (perfbench/run.py), run with a config path argument
+SETUP_CODE = (
+    "import sys; from pathlib import Path; import mtdirac.cli as cli; "
+    "cli.load_scenario(Path(sys.argv[1]).read_text())"
+)
+PEAK_CODE = "; print(Path('/proc/self/status').read_text().split('VmHWM:')[1].split()[0])"
 
 
 def timed(fn, repeats: int) -> tuple[dict, object]:
@@ -142,6 +159,22 @@ def run_cli(argv: list[str]) -> None:
             raise RuntimeError(f"mtdirac {' '.join(argv)} failed")
 
 
+def startup(repeats: int) -> dict:
+    """Wall time and peak RSS of fresh processes that run SETUP_CODE."""
+    src = Path(mtdirac.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-c", SETUP_CODE + PEAK_CODE, str(CONFIGS / "mirror_bump.json")]
+    peaks = []
+
+    def fresh_process() -> None:
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        peaks.append(int(done.stdout) / 1024.0)  # VmHWM is in kB
+
+    layer, _ = timed(fresh_process, repeats)
+    layer["peak_rss_mb"] = statistics.median(peaks[-repeats:])
+    return layer
+
+
 def measure() -> dict:
     s, _ = load_scenario((CONFIGS / "mirror_bump.json").read_text())
     layers = {}
@@ -178,6 +211,8 @@ def measure() -> dict:
         layers["evaluate_points"], _ = timed(lambda: run_cli(argv), 5)
         layers["evaluate_points"]["peak_mb"] = peak_mb(lambda: run_cli(argv))
 
+    layers["startup"] = startup(21)
+
     accuracy = {"max_pde_residual": worst_residual}
     for panels in (64, 128):
         q = QuadratureSpec(panels=panels)
@@ -204,6 +239,7 @@ def machine() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "MTDIRAC_THREADS": os.environ.get("MTDIRAC_THREADS"),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
 
 
@@ -218,18 +254,19 @@ def main() -> int:
     if args.baseline:
         base = json.loads(Path(args.baseline).read_text())
         report["baseline"] = {k: base[k] for k in ("label", "machine", "layers", "accuracy")}
+        # a layer that the baseline's script did not measure is not compared
+        shared = {k: v for k, v in report["layers"].items() if k in base["layers"]}
         report["speedup"] = {
             name: base["layers"][name]["median_s"] / layer["median_s"]
-            for name, layer in report["layers"].items()
+            for name, layer in shared.items()
         }
         report["resolved"] = {
-            name: resolved(base["layers"][name], layer)
-            for name, layer in report["layers"].items()
+            name: resolved(base["layers"][name], layer) for name, layer in shared.items()
         }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for name, layer in report["layers"].items():
         extra = ""
-        if args.baseline:
+        if name in report.get("speedup", {}):
             gain = report["speedup"][name]
             state = "resolved" if report["resolved"][name] else "unresolved"
             extra = f"  x{gain:.2f} vs {report['baseline']['label']} ({state})"

@@ -32,18 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import conservation, fmt17, interaction, lorentz
-from .geometry import REGIONS, Region, regions, sample_spacelike
+# each command imports the layers it runs when it starts, so a process
+# compiles only what its command needs: scenario (and profiles) here
 from .scenario import Scenario, ScenarioConfigError, load_scenario
-from .solver import (
-    bc_defect,
-    check_compatibility,
-    evaluate_fields,
-    evaluate_grid,
-    pde_residual,
-)
-from .current import coincidence_flux, continuity_residual
-from .spin import exchange
 
 
 def _echo_lines(command: str, raw: str, seed: int) -> list[str]:
@@ -74,7 +65,6 @@ def _replacing(dest: Path, binary: bool = False):
         raise
 
 
-_SPACELIKE = [REGIONS.index(r) for r in (Region.OMEGA1, Region.OMEGA2)]
 GRID = 256  # default slice grid points
 _BLOCK = 4096  # rows classified, solved, formatted and written at a time
 _RANGE = 4 * _BLOCK  # rows a range needs for a worker: a fork does not pay below 2-4 blocks
@@ -86,6 +76,8 @@ def _grid_blocks(s: Scenario, time: float, z: np.ndarray, first: int, stop: int)
     Each block holds whole z1 rows, about _BLOCK pairs: coords is (4, m)
     and psi (4, m), zero where a pair is not space-like.
     """
+    from .solver import evaluate_grid
+
     step = max(1, _BLOCK // z.size)
     tz = np.full(z.size, time)
     for first in range(first, stop, step):
@@ -111,6 +103,11 @@ def _write_blocks(s: Scenario, blocks, fh) -> int:
 
     psi is None for points, which are solved here.
     """
+    from . import fmt17
+    from .geometry import REGIONS, Region, regions
+    from .solver import evaluate_fields
+
+    spacelike = [REGIONS.index(r) for r in (Region.OMEGA1, Region.OMEGA2)]
     names = [r.value.encode() for r in REGIONS]
     name_pool = np.frombuffer(b"".join(names), dtype=np.uint8)
     name_length = np.array([len(b) for b in names])
@@ -121,7 +118,7 @@ def _write_blocks(s: Scenario, blocks, fh) -> int:
     # points the memory does not grow with the rows
     for coords, psi in blocks:
         rows = regions(*coords)
-        on = np.isin(rows, _SPACELIKE)
+        on = np.isin(rows, spacelike)
         flagged += rows.size - int(np.count_nonzero(on))
         values = evaluate_fields(s, *coords[:, on]) if psi is None else psi[:, on]
         # re, im of psi1..psi4 on each space-like row
@@ -181,7 +178,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         jobs = ranges.point_ranges(Path(args.points), _RANGE, _BLOCK)
     else:
         time = 0.0 if args.time is None else args.time
-        z = interaction.default_slice_grid(s, [time], n=args.grid or GRID)
+        from .interaction import default_slice_grid
+
+        z = default_slice_grid(s, [time], n=args.grid or GRID)
         jobs = _grid_ranges(s, time, z, ranges.worker_count(z.size**2, _RANGE))
     header = ["t1", "z1", "t2", "z2", "region"]
     for i in range(1, 5):
@@ -209,6 +208,12 @@ def _sample_box(s: Scenario) -> tuple[tuple[float, float], tuple[float, float]]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     s, raw = _load(args.scenario)
+    from . import conservation, interaction, lorentz
+    from .current import coincidence_flux, continuity_residual
+    from .geometry import sample_spacelike
+    from .solver import bc_defect, check_compatibility, evaluate_fields, pde_residual
+    from .spin import exchange
+
     rng = np.random.default_rng(args.seed)
     q = conservation.QuadratureSpec(panels=args.panels)
     checks: dict[str, dict] = {}
@@ -374,6 +379,8 @@ def _parse_times(spec: str) -> np.ndarray:
 
 def cmd_scatter(args: argparse.Namespace) -> int:
     s, raw = _load(args.scenario)
+    from . import conservation, fmt17, interaction
+
     hull = s.initial.support_hull()
     if hull is None:
         raise ScenarioConfigError("scatter needs a scenario with nonzero data")

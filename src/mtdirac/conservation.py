@@ -60,7 +60,6 @@ import math
 import operator
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -256,6 +255,10 @@ def _threaded(evaluate, n: int) -> list:
         return [evaluate(slice(0, n))]
     bounds = np.linspace(0, n, workers + 1).astype(int)
     pieces = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    # imported only here: no bundled config reaches the pool, and the
+    # module with the logging and threading it pulls in costs ~7 ms to load
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(evaluate, pieces))
 

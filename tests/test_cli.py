@@ -332,7 +332,7 @@ def test_evaluate_failing_mid_stream_leaves_no_output(tmp_path, monkeypatch, cap
             raise ValueError("solver failed")
         return evaluate_fields(*args)
 
-    monkeypatch.setattr(cli, "evaluate_fields", fails_second)
+    monkeypatch.setattr("mtdirac.solver.evaluate_fields", fails_second)
     rng = np.random.default_rng(13)
     pts = np.stack(sample_spacelike(rng, 2 * cli._BLOCK, *MIRROR_BOX))
     out = tmp_path / "out"
@@ -496,8 +496,6 @@ def test_cuts_fall_at_row_starts(tmp_path, monkeypatch, scan):
 def test_evaluate_worker_failure_leaves_nothing(tmp_path, monkeypatch, capsys, deadline):
     import os
 
-    import mtdirac.cli as cli
-
     parent = os.getpid()
     path = _split_points_file(tmp_path / "points.csv")
     argv = ["evaluate", "--scenario", MIRROR_CFG, "--points", str(path), "--out"]
@@ -509,7 +507,7 @@ def test_evaluate_worker_failure_leaves_nothing(tmp_path, monkeypatch, capsys, d
             return evaluate_fields(*args)
 
         _workers(monkeypatch, 3)
-        monkeypatch.setattr(cli, "evaluate_fields", fails_in_a_worker)
+        monkeypatch.setattr("mtdirac.solver.evaluate_fields", fails_in_a_worker)
         out = tmp_path / type(error).__name__
         if isinstance(error, ValueError):
             assert main(argv + [str(out)]) == 2
@@ -525,8 +523,6 @@ def test_evaluate_worker_failure_leaves_nothing(tmp_path, monkeypatch, capsys, d
 def test_evaluate_worker_that_dies_is_reported(tmp_path, monkeypatch, capsys, deadline):
     import os
 
-    import mtdirac.cli as cli
-
     parent = os.getpid()
 
     def dies_in_a_worker(*args):
@@ -535,7 +531,7 @@ def test_evaluate_worker_that_dies_is_reported(tmp_path, monkeypatch, capsys, de
         return evaluate_fields(*args)
 
     _workers(monkeypatch, 2)
-    monkeypatch.setattr(cli, "evaluate_fields", dies_in_a_worker)
+    monkeypatch.setattr("mtdirac.solver.evaluate_fields", dies_in_a_worker)
     out = tmp_path / "out"
     path = _split_points_file(tmp_path / "points.csv")
     argv = ["evaluate", "--scenario", MIRROR_CFG, "--points", str(path), "--out", str(out)]
@@ -963,14 +959,12 @@ def test_verify_takes_the_svd_of_the_nonzero_block(tmp_path, monkeypatch):
 
 
 def test_verify_records_every_check_of_a_raising_probe(tmp_path, monkeypatch, capsys):
-    import mtdirac.cli as cli
-
     def broken(*args, **kwargs):
         raise RuntimeError("probe broke")
 
-    for name in ("check_compatibility", "pde_residual", "continuity_residual"):
-        monkeypatch.setattr(cli, name, broken)
-    monkeypatch.setattr(cli.conservation, "normalization_report", broken)
+    for name in ("solver.check_compatibility", "solver.pde_residual",
+                 "current.continuity_residual", "conservation.normalization_report"):
+        monkeypatch.setattr(f"mtdirac.{name}", broken)
     out = tmp_path / "out"
     rc = main(
         ["verify", "--scenario", PACKET_CFG, "--out", str(out), "--panels", "16"]
@@ -988,7 +982,8 @@ def test_verify_records_every_check_of_a_raising_probe(tmp_path, monkeypatch, ca
 def test_verify_fails_on_a_nan_trace_of_either_side(tmp_path, monkeypatch, capsys):
     # a NaN on side 2 only must not drop out of the maximum over the sides,
     # nor a NaN part, the last one, out of the covariance's worst ratio
-    import mtdirac.cli as cli
+    import mtdirac.current as current
+    import mtdirac.solver as solver
 
     def nan_on_side_2(probe):
         def probed(s, t, z, side):
@@ -997,9 +992,9 @@ def test_verify_fails_on_a_nan_trace_of_either_side(tmp_path, monkeypatch, capsy
 
         return probed
 
-    for name in ("bc_defect", "coincidence_flux"):
-        monkeypatch.setattr(cli, name, nan_on_side_2(getattr(cli, name)))
-    monkeypatch.setattr(cli.lorentz, "current_covariance_defect", lambda b: np.nan)
+    for module, name in ((solver, "bc_defect"), (current, "coincidence_flux")):
+        monkeypatch.setattr(module, name, nan_on_side_2(getattr(module, name)))
+    monkeypatch.setattr("mtdirac.lorentz.current_covariance_defect", lambda b: np.nan)
     out = tmp_path / "out"
     rc = main(["verify", "--scenario", MIRROR_CFG, "--out", str(out), "--panels", "16"])
     assert rc == 1
@@ -1224,3 +1219,55 @@ def test_failing_write_leaves_no_partial_output(
     assert main(cmd) == 2
     assert "error: no space left" in capsys.readouterr().err
     assert _read(out / name) == before and [p.name for p in out.iterdir()] == [name]
+
+
+_LOADED = """
+import contextlib, io, json, sys
+from pathlib import Path
+import mtdirac.cli as cli
+
+def loaded():
+    return [m for m in sys.modules if m.startswith(("mtdirac.", "concurrent."))]
+
+cli.load_scenario(Path(sys.argv[1]).read_text())
+seen = {"start": loaded()}
+with contextlib.redirect_stdout(io.StringIO()):
+    if cli.main(sys.argv[2:]) != 0:
+        sys.exit("the command failed")
+seen["command"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("source", ["points", "grid"])
+def test_each_command_compiles_only_the_layers_it_runs(tmp_path, source):
+    # in a fresh interpreter, start-up (the import and a config load, as
+    # perfbench's setup probe does) loads no layer and no thread pool, and
+    # evaluate loads none of the verifiers
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    config = str(root / MIRROR_CFG)
+    argv = ["evaluate", "--scenario", config, "--out", str(tmp_path / "out")]
+    if source == "points":
+        pts = [[0.25, -1.5, 0.125, 1.5], [0.0, 0.0, 1.0, 1.0]]
+        argv += ["--points", str(_write_points(tmp_path / "points.csv", pts))]
+    else:
+        argv += ["--grid", "16"]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    done = subprocess.run([sys.executable, "-c", _LOADED, config, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+
+    layers = ("geometry", "solver", "spin", "current", "conservation", "lorentz",
+              "interaction", "fmt17", "ranges")
+    assert [m for m in seen["start"] if m.removeprefix("mtdirac.") in layers] == []
+    assert "concurrent.futures" not in seen["start"]
+    verifiers = {f"mtdirac.{m}" for m in ("conservation", "lorentz", "current")}
+    assert verifiers.isdisjoint(seen["command"])
+    assert ("mtdirac.interaction" in seen["command"]) == (source == "grid")

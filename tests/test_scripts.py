@@ -53,12 +53,18 @@ def test_output_digests_every_call_succeeds():
     assert lines[-2].split()[0] == lines[-1].split()[0]
 
 
-def test_bench_resolves_a_speedup_only_beyond_the_spread():
+def _bench():
+    """scripts/bench.py as a module."""
     import importlib.util
 
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_resolves_a_speedup_only_beyond_the_spread():
+    bench = _bench()
 
     def layer(samples):
         return {"median_s": sorted(samples)[len(samples) // 2], "samples_s": samples}
@@ -69,3 +75,10 @@ def test_bench_resolves_a_speedup_only_beyond_the_spread():
     # the wider spread of the two decides, whichever tree has it
     assert not bench.resolved(layer([1.0, 1.01, 1.02, 1.03, 1.04]), base)
     assert bench.resolved(layer([0.5, 0.51, 0.52, 0.53, 0.54]), layer([0.9] * 5))
+
+
+def test_bench_startup_runs_fresh_setup_probes():
+    layer = _bench().startup(2)
+    assert len(layer["samples_s"]) == 2 and layer["median_s"] > 0
+    # a fresh interpreter with numpy holds well over 10 MB
+    assert 10.0 < layer["peak_rss_mb"] < 1000.0
