@@ -30,6 +30,8 @@ the machine sat idle read up to ~3x slow.  The layers:
                       peak_mb as for slice_svd, of this process only: on two
                       or more usable CPUs worker processes hold the other
                       row ranges
+  read_points         ranges.read_points alone on that points file: the
+                      whole file in this process; peak_mb as for slice_svd
   startup             21 fresh processes, each running perfbench's setup
                       probe on mirror_bump (import mtdirac.cli, load the
                       config); peak_rss_mb is the median of their own
@@ -87,6 +89,7 @@ from mtdirac.interaction import (
     wavepacket_scenario,
 )
 from mtdirac.profiles import smooth_bump
+from mtdirac.ranges import read_points
 from mtdirac.scenario import Phase, load_scenario
 from mtdirac.solver import evaluate_fields, pde_residual
 
@@ -210,6 +213,8 @@ def measure() -> dict:
                 "--points", str(points), "--out", str(Path(tmp) / "out")]
         layers["evaluate_points"], _ = timed(lambda: run_cli(argv), 5)
         layers["evaluate_points"]["peak_mb"] = peak_mb(lambda: run_cli(argv))
+        layers["read_points"], _ = timed(lambda: read_points(points), 7)
+        layers["read_points"]["peak_mb"] = peak_mb(lambda: read_points(points))
 
     layers["startup"] = startup(21)
 

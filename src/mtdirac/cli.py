@@ -107,35 +107,45 @@ def _write_blocks(s: Scenario, blocks, fh) -> int:
     from .geometry import REGIONS, Region, regions
     from .solver import evaluate_fields
 
-    spacelike = [REGIONS.index(r) for r in (Region.OMEGA1, Region.OMEGA2)]
+    spacelike = (Region.OMEGA1, Region.OMEGA2)
+    on_codes = [REGIONS.index(r) for r in spacelike]
+    # a row's tail: its region name and then eight empty cells (a flagged
+    # row) or eight "0" (a space-like row whose psi words are all +0.0)
     names = [r.value.encode() for r in REGIONS]
-    name_pool = np.frombuffer(b"".join(names), dtype=np.uint8)
-    name_length = np.array([len(b) for b in names])
-    name_start = np.cumsum(name_length) - name_length
+    tails = [n + (b",0" if r in spacelike else b",") * 8 for n, r in zip(names, REGIONS)]
+    tail_pool = np.frombuffer(b"".join(tails), dtype=np.uint8)
+    tail_length = np.array([len(t) for t in tails])
+    tail_start = np.cumsum(tail_length) - tail_length
+    name_length = np.array([len(n) for n in names])
     flagged = 0
     # no row needs another row's value, so each block is classified,
     # solved, formatted and written before the next: beyond a file's
     # points the memory does not grow with the rows
     for coords, psi in blocks:
         rows = regions(*coords)
-        on = np.isin(rows, spacelike)
-        flagged += rows.size - int(np.count_nonzero(on))
+        on = np.flatnonzero(np.isin(rows, on_codes))
+        flagged += rows.size - on.size
         values = evaluate_fields(s, *coords[:, on]) if psi is None else psi[:, on]
         # re, im of psi1..psi4 on each space-like row
         words = np.ascontiguousarray(values.T).view(float)
         del values  # not held while the next block is solved
+        nonzero = words.view(np.uint64).any(axis=1)  # a word other than +0.0
+        live = np.zeros(rows.size, dtype=bool)
+        live[on[nonzero]] = True
         pool, start, length = fmt17.format17(
-            np.concatenate([coords.T.reshape(-1), words.reshape(-1)])
+            np.concatenate([coords.T.reshape(-1), words[nonzero].reshape(-1)])
         )
-        # (start, length) of each row's cells: four coordinates, the region
-        # name, eight psi words (empty on a flagged row)
+        # (start, length) of each row's cells: four coordinates, then its
+        # tail, or its region name and eight psi words on a live row
         cell = np.stack([start, length])
         split = 4 * rows.size
         cells = np.zeros((2, rows.size, 13), dtype=np.int64)
         cells[:, :, :4] = cell[:, :split].reshape(2, -1, 4)
-        cells[:, :, 4] = pool.size + name_start[rows], name_length[rows]
-        cells[:, on, 5:] = cell[:, split:].reshape(2, -1, 8)
-        fh.write(fmt17.join_rows(np.concatenate([pool, name_pool]), *cells))
+        cells[0, :, 4] = pool.size + tail_start[rows]
+        cells[1, :, 4] = np.where(live, name_length[rows], tail_length[rows])
+        cells[:, live, 5:] = cell[:, split:].reshape(2, -1, 8)
+        width = np.where(live, 13, 5)
+        fh.write(fmt17.join_rows(np.concatenate([pool, tail_pool]), *cells, width))
     return flagged
 
 

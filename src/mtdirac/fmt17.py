@@ -24,7 +24,7 @@ _EXP = 21  # the class of exponent notation; fixed notation k has class k + 4
 _MINUS, _POINT, _ZERO, _E, _PLUS = b"-.0e+"
 
 
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Veltkamp's split a = head + tail, each with at most 26 significant bits."""
     c = _SPLIT * a
     head = c - (c - a)
@@ -61,7 +61,7 @@ def _powers() -> tuple[np.ndarray, ...]:
         hi.append(h)
         lo.append(r)
     hi, lo = np.array(hi), np.array(lo)
-    head, tail = _split(hi)
+    head, tail = split(hi)
     return _frozen(hi, head, tail, lo)
 
 
@@ -80,7 +80,7 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a 10^(16 - k) as yh + yl: Dekker's exact product a hi, plus a lo."""
     row = k - _K_MIN
     hi, head, tail, lo = (t[row] for t in _powers())
-    ah, at = _split(a)
+    ah, at = split(a)
     yh = a * hi
     yl = ((ah * head - yh) + ah * tail + at * head) + at * tail
     yl += a * lo
@@ -250,24 +250,32 @@ def format17(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return text.reshape(-1), start.reshape(x.shape), length.reshape(x.shape)
 
 
-def join_rows(pool: np.ndarray, start: np.ndarray, length: np.ndarray) -> bytes:
+def join_rows(
+    pool: np.ndarray, start: np.ndarray, length: np.ndarray, width: np.ndarray | None = None
+) -> bytes:
     """The rows of a (rows, columns) text array as CSV lines.
 
-    Cells are joined by "," and each row ends in "\n"; the bytes are
+    Cells are joined by "," and each row ends in "\n"; with width given,
+    row i holds only its first width[i] >= 1 cells.  The bytes are
     gathered from the pool in one take.
     """
     rows, cols = start.shape
+    if width is None:
+        width = np.full(rows, cols)
+    else:
+        kept = np.arange(cols) < width[:, None]
+        start, length = start[kept], length[kept]
+    start, length = start.reshape(-1), length.reshape(-1)  # the cells in order
     src = np.concatenate([pool, np.frombuffer(b",\n", dtype=np.uint8)])
     comma, newline = src.size - 2, src.size - 1
     total = int(length.sum()) + length.size
     index_type = np.int32 if max(src.size, total) < 2**31 else np.int64
     # segments: each cell, then its separator
-    seg_start = np.full((rows, 2 * cols), comma, dtype=index_type)
-    seg_length = np.ones((rows, 2 * cols), dtype=index_type)
-    seg_start[:, 0::2] = start
-    seg_length[:, 0::2] = length
-    seg_start[:, -1] = newline
-    seg_start, seg_length = seg_start.reshape(-1), seg_length.reshape(-1)
+    seg_start = np.full(2 * start.size, comma, dtype=index_type)
+    seg_length = np.ones(2 * start.size, dtype=index_type)
+    seg_start[0::2] = start
+    seg_length[0::2] = length
+    seg_start[2 * np.cumsum(width) - 1] = newline
     first = np.cumsum(seg_length, dtype=index_type)
     first -= seg_length
     index = np.repeat(seg_start - first, seg_length)

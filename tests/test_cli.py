@@ -251,6 +251,70 @@ def test_evaluate_writes_every_cell_as_format_17g(tmp_path, source):
     assert {REGIONS[k] for k in label} == flagged | spacelike
 
 
+def _word_kinds(m):
+    """(m, 8) psi words of twelve kinds of row in turn: all +0.0, a -0.0, one
+    nonzero word in each of the eight places, a NaN word, no zero word."""
+    rng = np.random.default_rng(31)
+    words = np.zeros((m, 8))
+    kind = np.arange(m) % 12
+    words[kind == 1, 3] = -0.0
+    for place in range(8):
+        words[kind == 2 + place, place] = rng.uniform(-2.0, 2.0, np.count_nonzero(kind == 2 + place))
+    words[kind == 10, 5] = np.nan
+    words[kind == 11] = rng.uniform(-2.0, 2.0, (np.count_nonzero(kind == 11), 8))
+    return words
+
+
+@pytest.mark.parametrize("source", ["points", "grid"])
+def test_evaluate_writes_zero_rows_as_every_other_row(tmp_path, monkeypatch, source):
+    # rows of all-+0.0 words are written as one tail: the bytes are those
+    # of the cells one by one, beside flagged rows and rows of -0.0, of
+    # one nonzero word and of a NaN
+    s, _ = load_scenario(_read(MIRROR_CFG))
+    out = tmp_path / "out"
+    argv = ["evaluate", "--scenario", MIRROR_CFG, "--out", str(out)]
+    if source == "points":
+        rng = np.random.default_rng(32)
+        pts = rng.uniform([-3.25, -3.0, -3.25, -3.0], [3.25, 3.5, 3.25, 3.5], (300, 4))
+        pts[::13, 2:] = pts[::13, :2]  # coincidence
+        pts[5::17, 0] = np.nan
+        argv += ["--points", str(_write_points(tmp_path / "points.csv", pts))]
+        pts = pts.T
+
+        def patterned(s, t1, z1, t2, z2):
+            return _word_kinds(np.size(t1)).view(complex).T
+
+        monkeypatch.setattr("mtdirac.solver.evaluate_fields", patterned)
+    else:
+        z = default_slice_grid(s, [1.5], n=24)
+        t = np.full(z.size**2, 1.5)
+        pts = np.stack([t, np.repeat(z, z.size), t, np.tile(z, z.size)])
+        argv += ["--grid", "24", "--time", "1.5"]
+
+        def patterned(s, t1, z1, t2, z2):
+            m = np.size(z1) * np.size(z2)
+            psi = np.zeros((4, m), dtype=complex)
+            on = regions(np.repeat(t1, np.size(z2)), np.repeat(z1, np.size(z2)),
+                         np.tile(t2, np.size(z1)), np.tile(z2, np.size(z1)))
+            on = np.isin(on, [REGIONS.index(r) for r in (Region.OMEGA1, Region.OMEGA2)])
+            psi[:, on] = _word_kinds(np.count_nonzero(on)).view(complex).T
+            return psi.reshape(4, np.size(z1), np.size(z2)), None
+
+        monkeypatch.setattr("mtdirac.solver.evaluate_grid", patterned)
+    assert main(argv) == 0
+    label = regions(*pts)
+    on = np.isin(label, [REGIONS.index(r) for r in (Region.OMEGA1, Region.OMEGA2)])
+    words = _word_kinds(np.count_nonzero(on))
+    assert np.count_nonzero(on) > 24 and not on.all()
+    want, live = [], iter(words.tolist())
+    for k in range(label.size):
+        cells = [format(x, ".17g") for x in pts[:, k]] + [REGIONS[label[k]].value]
+        cells += [format(x, ".17g") for x in next(live)] if on[k] else [""] * 8
+        want.append(",".join(cells) + "\n")
+    with open(out / "fields.csv", newline="") as fh:
+        assert fh.readlines()[4:] == want
+
+
 def _write_points(path, pts):
     """A points file of the (n, 4) rows pts, each coordinate as repr."""
     rows = ("%r,%r,%r,%r\n" % tuple(p) for p in np.asarray(pts).tolist())

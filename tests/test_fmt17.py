@@ -110,3 +110,11 @@ def test_join_rows_lays_out_csv_lines():
     length[1, 1] = 0  # an empty cell
     lines = [b",".join(row) + b"\n" for row in (_want(table[0]), [b"nan", b"", b"-1e+22"])]
     assert join_rows(pool, start, length) == b"".join(lines)
+
+
+def test_join_rows_keeps_the_first_cells_of_each_row():
+    table = np.array([[1.5, -0.0, 2e-7], [np.nan, 3.0, -1e22], [0.25, 7.0, 8.0]])
+    pool, start, length = format17(table)
+    width = np.array([1, 3, 2])
+    lines = [b",".join(_want(row)[:w]) + b"\n" for row, w in zip(table, width.tolist())]
+    assert join_rows(pool, start, length, width) == b"".join(lines)
