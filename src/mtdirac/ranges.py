@@ -74,7 +74,18 @@ def read_points(path: Path, start: int = 0, stop: int | None = None) -> np.ndarr
 
     def rows(fh) -> np.ndarray:
         try:
-            return _loadtxt(fh, usecols)
+            with warnings.catch_warnings():  # a header-only file is reported below
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning
+                )
+                return np.loadtxt(
+                    fh,
+                    delimiter=",",
+                    usecols=usecols,
+                    ndmin=2,
+                    quotechar='"',
+                    comments=None,  # "#" is not a comment: such a line is an error
+                )
         except ValueError as err:
             raise ScenarioConfigError(f"bad points file: {err}") from err
 
@@ -96,22 +107,8 @@ def read_points(path: Path, start: int = 0, stop: int | None = None) -> np.ndarr
     return pts.T
 
 
-def _loadtxt(fh, usecols: list[int]) -> np.ndarray:
-    """The (n, 4) columns usecols of the CSV rows of text handle fh, by np.loadtxt."""
-    with warnings.catch_warnings():  # a header-only file is reported by read_points
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(
-            fh,
-            delimiter=",",
-            usecols=usecols,
-            ndmin=2,
-            quotechar='"',
-            comments=None,  # "#" is not a comment: such a line is an error
-        )
-
-
 _CHUNK = 1 << 16  # bytes of a points file parsed at a time by _chunked_rows
-_LF, _COMMA, _POINT, _MINUS, _ZERO = b"\n,.-0"
+_LF, _COMMA, _POINT, _MINUS, _PLUS, _ZERO = b"\n,.-+0"
 _PLAIN = b"0123456789-.,e+\n"  # the bytes of a plain chunk
 _FRACTION = 22  # 10^22 is the last power of ten that is an exact double
 _HUGE = 10**18  # an integer of up to 18 digits is below this
@@ -128,12 +125,11 @@ def _chunked_rows(
     first 0 is the start of the file, whose header line (to its LF) is
     skipped; stop None is its end.  The lines are counted first, so that
     the points are held once; then the rows are read in chunks of about
-    _CHUNK bytes cut after an LF, each by _plain_chunk or else by
-    np.loadtxt, as read_points reads a range.  None, and the caller reads
-    the whole range with np.loadtxt, where there is no row, where the
-    header or a row holds a quote (a quoted cell can hold a line end) or a
-    CR (a line end other than an LF), and where np.loadtxt fails on a
-    chunk: a whole read reports the error with its row in the file.
+    _CHUNK bytes cut after an LF, each by _plain_chunk.  None, and the
+    caller reads the whole range with np.loadtxt, where there is no row,
+    where the header or a row holds a quote (a quoted cell can hold a line
+    end) or a CR (a line end other than an LF), and where a chunk is not
+    plain: a whole read reports an error with its row in the file.
     """
     with open(path, "rb") as fh:
         if first == 0:
@@ -161,12 +157,8 @@ def _chunked_rows(
             if not chunk:  # the last line, without its LF
                 data += b"\n"
             rows = _plain_chunk(data, fields, usecols)
-            if rows is None:  # as read_points reads a range
-                try:
-                    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-                    rows = _loadtxt(text, usecols)
-                except ValueError:
-                    return None
+            if rows is None:
+                return None
             out[n : n + len(rows)] = rows
             n += len(rows)
     return out[:n] if n else None
@@ -183,15 +175,16 @@ def _plain_chunk(data: bytes, fields: int, usecols: list[int]) -> np.ndarray | N
     """The (m, 4) columns usecols of data, whole LF-ended rows; None if not plain.
 
     data is plain when it holds only the bytes 0-9 - . , e + and LF, and
-    each row has fields cells.  A cell of at most one point and no "e" is
-    read as N / 10^k, N the integer of its digits and k the count of them
-    after the point: np.loadtxt reads each N as an int64 from data without
-    its points, and _scaled scales it.  A zero takes its sign from the cell's
-    first byte, so that -0 is -0.0.  A cell with an "e", more than one
-    point or k > 22, one with |N| of 10^18 or more, and a quotient that
-    _scaled cannot prove correctly rounded are read by np.loadtxt as
-    floats, as the whole file would be; where np.loadtxt fails the chunk is
-    not plain.
+    each row has fields cells.  A cell of at most one point, no "e" and no
+    sign right after its point is read as N / 10^k, N the integer of its
+    digits and k the count of them after the point: np.loadtxt reads each N
+    as an int64 from data without its points (so the sign of a cell it
+    reads is its first byte), and _scaled scales it.  A zero takes its sign
+    from the cell's first byte, so that -0 is -0.0.  A cell with an "e",
+    more than one point, a sign after its point or k > 22, one with |N| of
+    10^18 or more, and a quotient that _scaled cannot prove correctly
+    rounded are read by np.loadtxt as floats, as the whole file would be;
+    where np.loadtxt fails the chunk is not plain.
     """
     if data.translate(None, _PLAIN):
         return None
@@ -211,6 +204,10 @@ def _plain_chunk(data: bytes, fields: int, usecols: list[int]) -> np.ndarray | N
         odd = np.bincount(owner, minlength=sep.size) > 1
     if b"e" in data:
         odd[np.searchsorted(sep, np.flatnonzero(b == ord("e")))] = True
+    after = b[point + 1]  # a data's last byte is an LF
+    signed = (after == _MINUS) | (after == _PLUS)
+    if signed.any():  # ".-5" would read -5 with its point dropped
+        odd[np.searchsorted(sep, point[signed])] = True
     cells = (np.arange(rows)[:, None] * fields + usecols).ravel()
     k = sep[cells] - at[cells] - 1
     odd = odd[cells] | (k > _FRACTION)

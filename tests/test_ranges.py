@@ -168,6 +168,10 @@ BAD_ROWS = [
     ".,0,0,0",
     "e,0,0,0",
     "1e,0,0,0",
+    ".-5,0,0,0",  # a sign after the point: no integer -5
+    ".+5,0,0,0",
+    ".-0,0,0,0",
+    "0,5.-,0,0",
 ]
 
 
