@@ -19,6 +19,12 @@ the machine sat idle read up to ~3x slow.  The layers:
                       its repeats to agree from run to run
   normalization_64    normalization_report, mirror_bump, bump surface, 64 panels
   normalization_128   the same at 128 panels
+  whole_grid_16       normalization_report at 16, 64 and 128 panels on
+  whole_grid_64       mirror_bump with each datum given by its function,
+  whole_grid_128      bump surface: no branch factors, so every one is
+                      reduced on the whole grid of node pairs, one thread
+                      per usable CPU from conservation's THREAD_ROWS rows
+                      each (128, 512 and 1024 rows)
   slice_svd           a 256-point equal-time slice at t = 1.5 and its SVD;
                       peak_mb is the tracemalloc peak of one more call
   residual_probes     pde_residual and continuity_residual on 64 configurations,
@@ -46,7 +52,8 @@ A peak_mb call is made after the layer's timed repeats, so that tracing
 slows none of them.
 
 The accuracy block (computed once) holds the normalization values on the
-five acceptance surfaces at 64 and 128 panels with their drift, the largest
+five acceptance surfaces at 64 and 128 panels with their drift, the
+whole_grid values at 16, 64 and 128 panels, the largest
 difference from the closed form of the crossing packet, and the largest
 PDE residual, so that a speed-up cannot hide a change in the numbers.  With
 --baseline, the file also holds the baseline's layers and accuracy and, per
@@ -67,6 +74,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +98,7 @@ from mtdirac.interaction import (
 )
 from mtdirac.profiles import smooth_bump
 from mtdirac.ranges import read_points
-from mtdirac.scenario import Phase, load_scenario
+from mtdirac.scenario import Component2D, InitialData, Phase, load_scenario
 from mtdirac.solver import evaluate_fields, pde_residual
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -195,6 +203,18 @@ def measure() -> dict:
             lambda: normalization_report(s, surf, q), repeats
         )
 
+    def by_function(half):
+        return tuple(g if g.is_zero else Component2D(fn=g.__call__, box=g.box) for g in half)
+
+    fn_data = replace(s, initial=InitialData(*map(by_function, (s.initial.half1, s.initial.half2))))
+    whole_grid_values = []
+    for panels, repeats in ((16, 15), (64, 9), (128, 7)):
+        q = QuadratureSpec(panels=panels)
+        layers[f"whole_grid_{panels}"], rep = timed(
+            lambda: normalization_report(fn_data, surf, q), repeats
+        )
+        whole_grid_values.append(rep.value)
+
     z = default_slice_grid(s, [1.5], n=256)
 
     def slice_svd():
@@ -218,7 +238,7 @@ def measure() -> dict:
 
     layers["startup"] = startup(21)
 
-    accuracy = {"max_pde_residual": worst_residual}
+    accuracy = {"max_pde_residual": worst_residual, "whole_grid_values": whole_grid_values}
     for panels in (64, 128):
         q = QuadratureSpec(panels=panels)
         values = [normalization_report(s, f, q).value for f in acceptance_family()]
@@ -243,7 +263,6 @@ def machine() -> dict:
         "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "MTDIRAC_THREADS": os.environ.get("MTDIRAC_THREADS"),
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
 

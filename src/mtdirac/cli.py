@@ -11,12 +11,13 @@ byte-identical files (floats printed with %.17g, LF line endings, raw
 config echoed in headers).  The Schmidt values of verify and scatter come
 from BLAS, so their bytes hold for a fixed numpy/BLAS build and BLAS thread
 count; evaluate calls no BLAS.  On a large input evaluate runs one worker
-process per usable CPU (limit them with taskset), each holding only its
-own range of rows, and writes the same bytes for any number of them.
-MTDIRAC_THREADS caps the threads of the quadrature's whole-grid path only
-(data given by functions) and never changes results.  Exit codes: 0
-success / all checks pass, 1 at least one verification failure, 2 usage or
-config errors or an output that cannot be written.
+process per usable CPU, each holding only its own range of rows, and
+writes the same bytes for any number of them.  The quadrature's
+whole-grid path (data given by functions, which no config expresses) runs
+one thread per usable CPU, from 256 node rows each, with the same bits for
+any number of them.  Limit both with taskset.  Exit codes: 0 success / all
+checks pass, 1 at least one verification failure, 2 usage or config errors
+or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -410,7 +411,7 @@ def cmd_scatter(args: argparse.Namespace) -> int:
             sigma = interaction.schmidt_spectrum(sl)[:4]
         else:
             sigma = np.zeros(4)
-        rows.append((float(t), masses, np.asarray(sigma)))
+        rows.append((float(t), masses, sigma))
 
     dest = Path(args.out) / "scatter.csv"
     with _replacing(dest) as fh:
@@ -423,10 +424,7 @@ def cmd_scatter(args: argparse.Namespace) -> int:
             + [f"sigma{i}" for i in range(1, 5)]
         )
         fh.write(",".join(header) + "\n")
-        table = [
-            [t, *masses, float(np.sum(masses)), *np.pad(sigma, (0, 4 - sigma.size))]
-            for t, masses, sigma in rows
-        ]
+        table = [[t, *masses, float(np.sum(masses)), *sigma] for t, masses, sigma in rows]
         fh.write(fmt17.join_rows(*fmt17.format17(table)).decode("ascii"))
 
     totals = [float(np.sum(m)) for _, m, _ in rows]
@@ -474,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mtdirac",
         description="two-particle multi-time transport with contact interaction",
-        epilog="MTDIRAC_THREADS caps the threads of the quadrature's whole-grid path"
-        " (default 1); evaluate runs one worker process per usable CPU (limit them"
+        epilog="evaluate runs one worker process per usable CPU, and the quadrature's"
+        " whole-grid path one thread per usable CPU from 256 rows on (limit them"
         " with taskset).",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -47,11 +47,11 @@ moments of nodes outside it are exact zeros.  One reducer (_add_densities)
 turns field values into densities, on the grid and on the flat point lists
 of the diagonal triangles alike.  All parts (grid blocks, triangle panels
 and moment rows) are accumulated per component with math.fsum, so the
-result is independent of chunking and thread count (MTDIRAC_THREADS splits
-the grid by row blocks; the triangles are one call each).  The moments
-change the summation order of the off-diagonal terms, not their set: they
-differ from the grid by rounding of the prefix sums, at most
-~2 N u (sum A)(sum B) per branch.
+result is independent of chunking and thread count (the grid is split by
+row blocks, one thread per usable CPU from THREAD_ROWS rows each; the
+triangles are one call each).  The moments change the summation order of
+the off-diagonal terms, not their set: they differ from the grid by
+rounding of the prefix sums, at most ~2 N u (sum A)(sum B) per branch.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -234,27 +233,27 @@ def truncation_box(s: Scenario, surf: Hypersurface) -> tuple[float, float] | Non
     return (lo - pad, hi + pad)
 
 
+# node-grid rows per thread: on 2 CPUs two threads beat one in 10 of 10
+# alternating rounds at 224 and 256 rows each (56 and 64 panels), in 8 of 10
+# at 192, 5 of 10 at 160 and 3 of 10 at 96
+THREAD_ROWS = 256
+
+
 def worker_count() -> int:
-    """Thread cap from MTDIRAC_THREADS (default 1); results never depend on it."""
-    raw = os.environ.get("MTDIRAC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n >= 1:
-        return n
-    msg = f"MTDIRAC_THREADS={raw!r} is not a positive integer; using 1 thread"
-    warnings.warn(msg, RuntimeWarning, stacklevel=2)
-    return 1
+    """Usable CPUs (os.sched_getaffinity; 1 where it does not exist)."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _threaded(evaluate, n: int) -> list:
-    """evaluate(sl) over slices of range(n) rows; threaded from 64 rows on."""
-    workers = worker_count()
-    if workers == 1 or n < 64:
+    """evaluate(sl) over slices of range(n) rows: one per usable CPU, each of
+    THREAD_ROWS rows or more."""
+    workers = min(worker_count(), n // THREAD_ROWS)
+    if workers <= 1:
         return [evaluate(slice(0, n))]
     bounds = np.linspace(0, n, workers + 1).astype(int)
-    pieces = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    pieces = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     # imported only here: no bundled config reaches the pool, and the
     # module with the logging and threading it pulls in costs ~7 ms to load
     from concurrent.futures import ThreadPoolExecutor

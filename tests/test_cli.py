@@ -822,12 +822,17 @@ def test_scatter_series(tmp_path):
 
 
 def test_scatter_deterministic_and_thread_invariant(tmp_path, monkeypatch):
+    # from 32 rows a thread 4 CPUs would split the 192 node rows of 24 panels;
+    # a config cannot give data by a function, so every branch here factors
+    # and no grid is split (tests/test_conservation.py splits them)
+    import os
+
+    from mtdirac import conservation
+
+    monkeypatch.setattr(conservation, "THREAD_ROWS", 32)
     outs = []
-    for name, threads in (("a", None), ("b", None), ("c", "4")):
-        if threads is None:
-            monkeypatch.delenv("MTDIRAC_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("MTDIRAC_THREADS", threads)
+    for name, cpus in (("a", 1), ("b", 1), ("c", 4)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
         out = tmp_path / name
         rc = main(
             [

@@ -1,6 +1,6 @@
 import math
+import os
 import tracemalloc
-import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mtdirac import conservation
 from mtdirac.conservation import (
     GAUSS_ORDER,
     Hypersurface,
@@ -15,6 +16,7 @@ from mtdirac.conservation import (
     _certified,
     _density,
     _integrate,
+    _threaded,
     acceptance_family,
     boosted_flat,
     bump_surface,
@@ -29,6 +31,7 @@ from mtdirac.profiles import Profile1D, gauss_panels, smooth_bump
 from mtdirac.scenario import (
     PHASE_PRESETS,
     BoundaryPhase,
+    Component2D,
     InitialData,
     Phase,
     Scenario,
@@ -40,7 +43,6 @@ from mtdirac.scenario import (
 )
 from mtdirac.solver import evaluate_fields
 from test_current import gamma_current
-from test_solver import grid_scenarios
 from test_solver import grid_scenarios
 
 
@@ -274,38 +276,69 @@ def test_pullback_equals_covector_density(packet):
     assert np.abs(a - b).max() <= 1e-12
 
 
-def test_worker_count_env(monkeypatch):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # valid values never warn
-        monkeypatch.delenv("MTDIRAC_THREADS", raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv("MTDIRAC_THREADS", "8")
-        assert worker_count() == 8
-    for bad in ("abc", "two", "0", "-3"):
-        monkeypatch.setenv("MTDIRAC_THREADS", bad)
-        with pytest.warns(RuntimeWarning, match=f"MTDIRAC_THREADS='{bad}'"):
-            assert worker_count() == 1
+def test_worker_count_is_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+    assert worker_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count() == 1
+
+
+def function_data(s: Scenario) -> Scenario:
+    """s with each nonzero datum given by its function: no branch factors, so
+    _integrate reduces every branch on the whole grid of node pairs."""
+
+    def wrap(half):
+        return tuple(g if g.is_zero else Component2D(fn=g.__call__, box=g.box) for g in half)
+
+    return replace(s, initial=InitialData(wrap(s.initial.half1), wrap(s.initial.half2)))
+
+
+def split_on(monkeypatch, cpus: int) -> list:
+    """Patch the usable CPUs to cpus; the returned list collects (start, stop)
+    of each row block that _threaded evaluates from then on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    blocks = []
+
+    def counted(evaluate, n):
+        def block(rows):
+            blocks.append((rows.start, rows.stop))  # list.append is atomic
+            return evaluate(rows)
+
+        return _threaded(block, n)
+
+    monkeypatch.setattr(conservation, "_threaded", counted)
+    return blocks
 
 
 def test_thread_count_never_changes_bits(packet, monkeypatch):
-    monkeypatch.setenv("MTDIRAC_THREADS", "1")
-    serial = normalization_report(packet, flat(0.3), QuadratureSpec(panels=48)).value
-    monkeypatch.setenv("MTDIRAC_THREADS", "4")
-    threaded = normalization_report(packet, flat(0.3), QuadratureSpec(panels=48)).value
-    assert serial == threaded
+    # 48 panels are 384 node rows: from 128 rows a thread, one block per CPU
+    monkeypatch.setattr(conservation, "THREAD_ROWS", 128)
+    s, q = function_data(packet), QuadratureSpec(panels=48)
+    values = []
+    for cpus in (1, 2, 3):
+        blocks = split_on(monkeypatch, cpus)
+        values.append(normalization_report(s, flat(0.3), q).value)
+        bounds = np.linspace(0, 384, cpus + 1).astype(int).tolist()
+        assert sorted(blocks) == list(zip(bounds, bounds[1:]))
+    assert values[0] == values[1] == values[2] > 0.5
 
 
 def test_thread_count_never_changes_bits_at_128_panels(rich, monkeypatch):
-    # 1024 axis nodes on 3 threads: row blocks of 341, 341 and 342
-    q = QuadratureSpec(panels=128)
+    # 1024 node rows at the module's own THREAD_ROWS: on 3 CPUs row blocks of
+    # 341, 341 and 342, the same bits as on one
+    s, q = function_data(rich), QuadratureSpec(panels=128)
     surf = bump_surface(0.0, 0.3, 5.0)
-    monkeypatch.setenv("MTDIRAC_THREADS", "1")
-    serial = _integrate(rich, surf, q)
-    monkeypatch.setenv("MTDIRAC_THREADS", "3")
-    threaded = _integrate(rich, surf, q)
-    assert np.array_equal(serial[0], threaded[0]) and serial[1:] == threaded[1:]
+    cuts = {1: [(0, 1024)], 2: [(0, 512), (512, 1024)], 3: [(0, 341), (341, 682), (682, 1024)]}
+    results = {}
+    for cpus, want in cuts.items():
+        blocks = split_on(monkeypatch, cpus)
+        results[cpus] = _integrate(s, surf, q)
+        assert sorted(blocks) == want
+    serial = results[1]
+    for threaded in results.values():
+        assert np.array_equal(serial[0], threaded[0]) and serial[1:] == threaded[1:]
     assert serial[3] == 1_056_768
-    rep = normalization_report(rich, surf, q)
+    rep = normalization_report(s, surf, q)
     assert rep.value == math.fsum(serial[0]) and rep.node_count == serial[3]
 
 
@@ -403,19 +436,23 @@ def test_integrate_equals_pointwise_assembly(name, panels, request, monkeypatch)
     # custom2's data are all functions, so every branch takes the grid path:
     # the same bits as the oracle.  Every other scenario has factored
     # branches, which _integrate takes from moments: within the bound.
-    # Both grids have at least 64 rows, so MTDIRAC_THREADS=3 splits them
-    # into row blocks.  On flat(0) with the box (-2, 2) null coordinates are
-    # the nodes themselves.
+    # From 32 rows a thread, 3 CPUs split both grids (96 and 200 node rows)
+    # into 3 row blocks.  On flat(0) with the box (-2, 2) null coordinates
+    # are the nodes themselves.
+    monkeypatch.setattr(conservation, "THREAD_ROWS", 32)
     s = grid_scenarios().get(name) or request.getfixturevalue(name)
     q = QuadratureSpec(panels=panels)
     cases = [(bump_surface(0.2, 0.3, 4.0), q), (boosted_flat(-0.4), q), (flat(1.1), q)]
     cases.append((flat(0.0), replace(q, box=(-2.0, 2.0))))
     for surf, qs in cases:
         expected, expected_box, expected_excluded = pointwise_integrate(s, surf, qs)
-        for threads in ("1", "3"):
-            monkeypatch.setenv("MTDIRAC_THREADS", threads)
+        for cpus in (1, 3):
+            blocks = split_on(monkeypatch, cpus)
             totals, excluded, box, nodes = _integrate(s, surf, qs)
+            # a scenario with a branch that does not factor takes the grid
+            assert len(blocks) in (0, cpus)
             if name == "custom2":
+                assert len(blocks) == cpus
                 assert np.array_equal(totals, expected)
             else:
                 assert_within_moment_bound(totals, expected, s, surf, qs)

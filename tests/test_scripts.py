@@ -14,7 +14,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 CALLS = [
-    ["packet_swap_series.py", "--steps", "3", "--panels", "16"],
     ["boost_demo.py", "--samples", "10"],
     ["surface_sweep.py", "--panels", "16"],
     ["bench.py", "--help"],
