@@ -12,7 +12,8 @@ config echoed in headers).  The Schmidt values of verify and scatter come
 from BLAS, so their bytes hold for a fixed numpy/BLAS build and BLAS thread
 count; evaluate calls no BLAS.  On a large input evaluate runs one worker
 process per usable CPU, each holding only its own range of rows, and
-writes the same bytes for any number of them.  The quadrature's
+writes the same bytes for any number of them: ranges cuts, solves and
+formats the rows, and evaluate here owns the output file.  The quadrature's
 whole-grid path (data given by functions, which no config expresses) runs
 one thread per usable CPU, from 256 node rows each, with the same bits for
 any number of them.  Limit both with taskset.  Exit codes: 0 success / all
@@ -67,87 +68,6 @@ def _replacing(dest: Path, binary: bool = False):
 
 
 GRID = 256  # default slice grid points
-_BLOCK = 4096  # rows classified, solved, formatted and written at a time
-_RANGE = 4 * _BLOCK  # rows a range needs for a worker: a fork does not pay below 2-4 blocks
-
-
-def _grid_blocks(s: Scenario, time: float, z: np.ndarray, first: int, stop: int):
-    """Yield (coords, psi) of the slice grid's pairs (z_i, z_j), i-major, for first <= i < stop.
-
-    Each block holds whole z1 rows, about _BLOCK pairs: coords is (4, m)
-    and psi (4, m), zero where a pair is not space-like.
-    """
-    from .solver import evaluate_grid
-
-    step = max(1, _BLOCK // z.size)
-    tz = np.full(z.size, time)
-    for first in range(first, stop, step):
-        z1 = z[first:min(first + step, stop)]
-        psi, _ = evaluate_grid(s, tz[:z1.size], z1, tz, z)
-        t = np.full(z1.size * z.size, time)
-        yield np.stack([t, np.repeat(z1, z.size), t, np.tile(z, z1.size)]), psi.reshape(4, -1)
-
-
-def _grid_ranges(s: Scenario, time: float, z: np.ndarray, workers: int) -> list:
-    """Jobs for the slice grid, at most one per worker: runs of _grid_blocks' blocks."""
-    starts = range(0, z.size, max(1, _BLOCK // z.size))
-    count = min(workers, len(starts))
-    bounds = [starts[len(starts) * k // count] for k in range(count)] + [z.size]
-    return [
-        lambda a=a, b=b: ((b - a) * z.size, _grid_blocks(s, time, z, a, b))
-        for a, b in zip(bounds, bounds[1:])
-    ]
-
-
-def _write_blocks(s: Scenario, blocks, fh) -> int:
-    """Classify, solve, format and write each (coords, psi) block; the rows flagged.
-
-    psi is None for points, which are solved here.
-    """
-    from . import fmt17
-    from .geometry import REGIONS, Region, regions
-    from .solver import evaluate_fields
-
-    spacelike = (Region.OMEGA1, Region.OMEGA2)
-    on_codes = [REGIONS.index(r) for r in spacelike]
-    # a row's tail: its region name and then eight empty cells (a flagged
-    # row) or eight "0" (a space-like row whose psi words are all +0.0)
-    names = [r.value.encode() for r in REGIONS]
-    tails = [n + (b",0" if r in spacelike else b",") * 8 for n, r in zip(names, REGIONS)]
-    tail_pool = np.frombuffer(b"".join(tails), dtype=np.uint8)
-    tail_length = np.array([len(t) for t in tails])
-    tail_start = np.cumsum(tail_length) - tail_length
-    name_length = np.array([len(n) for n in names])
-    flagged = 0
-    # no row needs another row's value, so each block is classified,
-    # solved, formatted and written before the next: beyond a file's
-    # points the memory does not grow with the rows
-    for coords, psi in blocks:
-        rows = regions(*coords)
-        on = np.flatnonzero(np.isin(rows, on_codes))
-        flagged += rows.size - on.size
-        values = evaluate_fields(s, *coords[:, on]) if psi is None else psi[:, on]
-        # re, im of psi1..psi4 on each space-like row
-        words = np.ascontiguousarray(values.T).view(float)
-        del values  # not held while the next block is solved
-        nonzero = words.view(np.uint64).any(axis=1)  # a word other than +0.0
-        live = np.zeros(rows.size, dtype=bool)
-        live[on[nonzero]] = True
-        pool, start, length = fmt17.format17(
-            np.concatenate([coords.T.reshape(-1), words[nonzero].reshape(-1)])
-        )
-        # (start, length) of each row's cells: four coordinates, then its
-        # tail, or its region name and eight psi words on a live row
-        cell = np.stack([start, length])
-        split = 4 * rows.size
-        cells = np.zeros((2, rows.size, 13), dtype=np.int64)
-        cells[:, :, :4] = cell[:, :split].reshape(2, -1, 4)
-        cells[0, :, 4] = pool.size + tail_start[rows]
-        cells[1, :, 4] = np.where(live, name_length[rows], tail_length[rows])
-        cells[:, live, 5:] = cell[:, split:].reshape(2, -1, 8)
-        width = np.where(live, 13, 5)
-        fh.write(fmt17.join_rows(np.concatenate([pool, tail_pool]), *cells, width))
-    return flagged
 
 
 def _write_fields(s: Scenario, jobs: list, dest: Path, head: list[str]) -> tuple[int, int]:
@@ -156,11 +76,11 @@ def _write_fields(s: Scenario, jobs: list, dest: Path, head: list[str]) -> tuple
     jobs[0] runs here and each other job in a forked worker; the parent
     writes head and its own rows, then appends each worker's part in order.
     """
-    from .ranges import Workers
+    from .ranges import Workers, write_blocks
 
     with Workers(dest) as workers:
         for job in jobs[1:]:
-            workers.fork(job, functools.partial(_write_blocks, s))
+            workers.fork(job, functools.partial(write_blocks, s))
         n, blocks = jobs[0]()
         n += sum(workers.receive(k) for k in range(len(jobs) - 1))
         if n == 0:  # the ranges cover the points file, so it has no rows
@@ -169,7 +89,7 @@ def _write_fields(s: Scenario, jobs: list, dest: Path, head: list[str]) -> tuple
             for line in head:
                 fh.write(line.encode() + b"\n")
             workers.go()
-            flagged = _write_blocks(s, blocks, fh)
+            flagged = write_blocks(s, blocks, fh)
             for k in range(len(jobs) - 1):
                 flagged += workers.receive(k)
                 workers.append(k, fh)
@@ -183,16 +103,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     s, raw = _load(args.scenario)
     from . import ranges  # compiled by evaluate only
 
-    # no row needs another row's value, so the rows are cut into ranges, one
-    # per worker process, and each range into blocks
     if args.points is not None:
-        jobs = ranges.point_ranges(Path(args.points), _RANGE, _BLOCK)
+        jobs = ranges.point_ranges(Path(args.points))
     else:
         time = 0.0 if args.time is None else args.time
         from .interaction import default_slice_grid
 
         z = default_slice_grid(s, [time], n=args.grid or GRID)
-        jobs = _grid_ranges(s, time, z, ranges.worker_count(z.size**2, _RANGE))
+        jobs = ranges.grid_ranges(s, time, z)
     header = ["t1", "z1", "t2", "z2", "region"]
     for i in range(1, 5):
         header += [f"re_psi{i}", f"im_psi{i}"]

@@ -379,11 +379,18 @@ def _integrate(
     off-diagonal pair is excluded, by its proof.  The other branches, and
     all of them where the certificate fails, are reduced on the N x N grid
     of node pairs, whose excluded pairs region_masks counts.  A component
-    with a non-finite term (data that read NaN or inf) raises ValueError.
+    with a non-finite term (data that read NaN or inf) raises ValueError,
+    and so does a box whose panel area overflows (a time near 1e160).
     """
     box = q.box if q.box is not None else truncation_box(s, surf)
     if box is None:
         return np.zeros(4), 0, None, 0
+    width = (box[1] - box[0]) / q.panels
+    if not math.isfinite(width * width):  # not width**2, which raises OverflowError
+        raise ValueError(
+            f"the panels of box [{box[0]!r}, {box[1]!r}] on surface {surf.label} "
+            "have a non-finite area; no integral"
+        )
     edges = np.linspace(box[0], box[1], q.panels + 1)
     nodes, weights = gauss_panels(edges, GAUSS_ORDER)  # (panels, m)
     p, m = nodes.shape

@@ -211,7 +211,8 @@ def closed_form_packet(
 def default_slice_grid(s: Scenario, times, n: int = 256) -> np.ndarray:
     """n uniform points covering the support propagated to the largest |t| requested.
 
-    Without data (no support) the points cover [-8, 8].
+    Without data (no support) the points cover [-8, 8].  A span too wide
+    for a double (|t| near 1e308) raises ValueError.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 slice grid points, got {n}")
@@ -220,7 +221,11 @@ def default_slice_grid(s: Scenario, times, n: int = 256) -> np.ndarray:
         return np.linspace(-8.0, 8.0, n)
     reach = max((abs(float(t)) for t in np.atleast_1d(times)), default=0.0)
     pad = reach + (hull[1] - hull[0]) / (n - 1)
-    return np.linspace(hull[0] - pad, hull[1] + pad, n)
+    lo, hi = hull[0] - pad, hull[1] + pad
+    if not np.isfinite(hi - lo):
+        msg = f"the slice grid at time {reach!r} spans [{lo!r}, {hi!r}], too wide for a double"
+        raise ValueError(msg)
+    return np.linspace(lo, hi, n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,14 @@
-"""Row ranges of `evaluate`'s input, and the worker processes that run them.
+"""How `evaluate` cuts its rows into ranges and blocks, and solves and formats them.
 
 No row needs another row's value, so `evaluate` cuts a large input into
-contiguous ranges, one per usable CPU, and forks a worker process for each
-range after the first.  read_points reads a points file, or one byte range
-of it; point_ranges cuts a file at row starts (row_starts); Workers runs
-the ranges.  Only `evaluate` imports this module, and only when it runs,
-so that the command line's start-up does not compile it.
+contiguous ranges, one per usable CPU, each of _RANGE rows or more, and
+each range into blocks of about _BLOCK rows.  point_ranges cuts a points
+file at row starts (row_starts) and reads each range (read_points);
+grid_ranges cuts the slice grid's pairs by z1 rows; write_blocks
+classifies, solves, formats and writes a range's blocks; Workers forks a
+process for each range after the first.  Only `evaluate` imports this
+module, and only when it runs, so that the command line's start-up does
+not compile it.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from . import fmt17
-from .scenario import ScenarioConfigError
+from .scenario import Scenario, ScenarioConfigError
 
 ROW_BYTES = 64  # a points file counts a row per this many bytes (%r rows take ~77)
+_BLOCK = 4096  # rows classified, solved, formatted and written at a time
+_RANGE = 4 * _BLOCK  # rows a range needs for a worker: a fork does not pay below 2-4 blocks
 
 
 class _Window(io.RawIOBase):
@@ -55,9 +60,9 @@ def read_points(path: Path, start: int = 0, stop: int | None = None) -> np.ndarr
     csv row; a repeated name means its last column.  The rows read as
     np.loadtxt parses them on the same handle: blank lines and extra
     columns are skipped, quoted cells accepted, and a short row, a "#" or
-    an unparsable cell is a "bad points file".  With stop given, only the
-    rows in bytes [start, stop) are read, a range that begins at 0 or at a
-    row start (see row_starts), and no rows is no error.  A regular file is
+    an unparsable cell is a "bad points file"; no rows is no error.  With
+    stop given, only the rows in bytes [start, stop) are read, a range that
+    begins at 0 or at a row start (see row_starts).  A regular file is
     read in chunks by _chunked_rows where it can be, to the same bits; the
     rest, and every error, by np.loadtxt on the whole range.
     """
@@ -74,7 +79,7 @@ def read_points(path: Path, start: int = 0, stop: int | None = None) -> np.ndarr
 
     def rows(fh) -> np.ndarray:
         try:
-            with warnings.catch_warnings():  # a header-only file is reported below
+            with warnings.catch_warnings():  # no rows is no error
                 warnings.filterwarnings(
                     "ignore", "loadtxt: input contained no data", UserWarning
                 )
@@ -102,8 +107,6 @@ def read_points(path: Path, start: int = 0, stop: int | None = None) -> np.ndarr
     if pts is None:
         with text(start) as fh:
             pts = rows(fh)
-    if stop is None and pts.shape[0] == 0:
-        raise ScenarioConfigError("points file has no rows")
     return pts.T
 
 
@@ -112,9 +115,6 @@ _LF, _COMMA, _POINT, _MINUS, _PLUS, _ZERO = b"\n,.-+0"
 _PLAIN = b"0123456789-.,e+\n"  # the bytes of a plain chunk
 _FRACTION = 22  # 10^22 is the last power of ten that is an exact double
 _HUGE = 10**18  # an integer of up to 18 digits is below this
-_TEN = np.array([float(10**k) for k in range(_FRACTION + 1)])
-_INVERSE = 1.0 / _TEN
-_TEN_HEAD, _TEN_TAIL = fmt17.split(_TEN)
 
 
 def _chunked_rows(
@@ -123,13 +123,14 @@ def _chunked_rows(
     """The (n, 4) columns usecols of bytes [first, stop) of a file; None if not read.
 
     first 0 is the start of the file, whose header line (to its LF) is
-    skipped; stop None is its end.  The lines are counted first, so that
+    skipped; stop None is its end.  The LFs are counted first, so that
     the points are held once; then the rows are read in chunks of about
     _CHUNK bytes cut after an LF, each by _plain_chunk.  None, and the
     caller reads the whole range with np.loadtxt, where there is no row,
-    where the header or a row holds a quote (a quoted cell can hold a line
-    end) or a CR (a line end other than an LF), and where a chunk is not
-    plain: a whole read reports an error with its row in the file.
+    where the header holds a quote (a quoted cell can hold a line end) or a
+    CR (a line end other than an LF), and where a chunk is not plain (which
+    rules out both in the rows): a whole read reports an error with its row
+    in the file.
     """
     with open(path, "rb") as fh:
         if first == 0:
@@ -141,8 +142,6 @@ def _chunked_rows(
         fh.seek(first)
         lines = 0
         for chunk in _chunks(fh, end - first):
-            if b'"' in chunk or b"\r" in chunk:
-                return None
             lines += int(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == _LF))
         out = np.empty((lines + 1, 4))  # the last line may have no LF
         n = 0
@@ -270,13 +269,15 @@ def _scaled(n: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one IEEE division n / 10^k of Clinger's fast path, found here without
     dividing.
     """
-    ten, inverse = _TEN.take(k), _INVERSE.take(k)
+    hi, split_head, split_tail, _ = fmt17._powers()
+    one = 16 - fmt17._K_MIN  # the row of 10^0: 10^k lies k rows before it, 10^-k k after
+    ten, inverse = hi.take(one - k), hi.take(one + k)
     nh = n.astype(np.float64)
     q = nh * inverse
     nl = (n - nh.astype(np.int64)).astype(np.float64)
     ph = q * ten
     qh, qt = fmt17.split(q)
-    head, tail = _TEN_HEAD.take(k), _TEN_TAIL.take(k)
+    head, tail = split_head.take(one - k), split_tail.take(one - k)
     pl = ((qh * head - ph) + qh * tail + qt * head) + qt * tail
     c = (((nh - ph) - pl) + nl) * inverse
     r = q + c
@@ -285,7 +286,6 @@ def _scaled(n: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, (np.abs(t) < np.abs(gap) * (0.5 - 2.0**-41)) | (n == 0)
 
 
-_SCAN = 1 << 16  # bytes read at a time while a points file is cut into ranges
 _ROW_END = re.compile(rb"[\r\n]")
 
 
@@ -295,7 +295,7 @@ def row_starts(path: Path, targets: list[int]) -> list[int] | None:
     A row ends at "\n" or "\r" (a range that starts inside "\r\n" starts
     with a blank line, which is skipped).  A target past the last row start
     gets none.  None if the bytes read to find them (up to the last start, in
-    chunks of _SCAN) hold a quote: a quoted cell can hold a line end, so
+    chunks of _CHUNK) hold a quote: a quoted cell can hold a line end, so
     such a file is not cut.
     """
     starts: list[int] = []
@@ -303,7 +303,8 @@ def row_starts(path: Path, targets: list[int]) -> list[int] | None:
     target = next(pending, None)
     offset = 0  # of chunk in the file
     with open(path, "rb") as fh:
-        while target is not None and (chunk := fh.read(_SCAN)):
+        chunks = _chunks(fh, os.fstat(fh.fileno()).st_size)
+        while target is not None and (chunk := next(chunks, b"")):
             if b'"' in chunk:
                 return None
             # a row starts at target if a line end is at target - 1
@@ -314,19 +315,19 @@ def row_starts(path: Path, targets: list[int]) -> list[int] | None:
     return starts
 
 
-def worker_count(rows: int, least: int) -> int:
-    """Processes for rows of input: one per usable CPU, each with least rows or more."""
+def worker_count(rows: int) -> int:
+    """Processes for rows of input: one per usable CPU, each with _RANGE rows or more."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), rows // least))
+    return max(1, min(len(os.sched_getaffinity(0)), rows // _RANGE))
 
 
-def point_ranges(path: Path, least: int, block: int) -> list:
+def point_ranges(path: Path) -> list:
     """Jobs that read the points file, one per worker: each returns (rows, blocks).
 
-    blocks yields (coords, None) of block rows at a time.  A regular file
+    blocks yields (coords, None) of _BLOCK rows at a time.  A regular file
     large enough is cut at row starts into byte ranges of about equal size,
-    each of least rows or more; any other file, or one with a quote before
+    each of _RANGE rows or more; any other file, or one with a quote before
     its last cut, is read whole, as one range.  A range that starts past 0
     and fails to read reads the whole file, so that a bad row is reported
     with its row number in the file.
@@ -339,15 +340,90 @@ def point_ranges(path: Path, least: int, block: int) -> list:
             if start:  # its rows count from start: one read of the whole file numbers them
                 read_points(path)
             raise
-        return pts.shape[1], ((pts[:, k:k + block], None) for k in range(0, pts.shape[1], block))
+        return pts.shape[1], ((pts[:, k:k + _BLOCK], None) for k in range(0, pts.shape[1], _BLOCK))
 
     size = path.stat().st_size if path.is_file() else 0
-    count = worker_count(size // ROW_BYTES, least)
+    count = worker_count(size // ROW_BYTES)
     starts = row_starts(path, [size * k // count for k in range(1, count)]) if count > 1 else None
     if not starts:  # one range: the file is read whole
         return [job]
     bounds = sorted({0, *starts, size})
     return [lambda a=a, b=b: job(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def grid_ranges(s: Scenario, time: float, z: np.ndarray) -> list:
+    """Jobs for the slice grid, at most one per worker: each returns (rows, blocks).
+
+    blocks yields (coords, psi) of the grid's pairs (z_i, z_j), i-major, in
+    whole z1 rows, about _BLOCK pairs at a time: coords is (4, m) and psi
+    (4, m), zero where a pair is not space-like.
+    """
+    step = max(1, _BLOCK // z.size)
+    starts = range(0, z.size, step)
+    count = min(worker_count(z.size**2), len(starts))
+    bounds = [starts[len(starts) * k // count] for k in range(count)] + [z.size]
+
+    def blocks(first: int, stop: int):
+        from .solver import evaluate_grid
+
+        tz = np.full(z.size, time)
+        for i in range(first, stop, step):
+            z1 = z[i:min(i + step, stop)]
+            psi, _ = evaluate_grid(s, tz[:z1.size], z1, tz, z)
+            t = np.full(z1.size * z.size, time)
+            yield np.stack([t, np.repeat(z1, z.size), t, np.tile(z, z1.size)]), psi.reshape(4, -1)
+
+    return [lambda a=a, b=b: ((b - a) * z.size, blocks(a, b)) for a, b in zip(bounds, bounds[1:])]
+
+
+def write_blocks(s: Scenario, blocks, fh) -> int:
+    """Classify, solve, format and write each (coords, psi) block; the rows flagged.
+
+    psi is None for points, which are solved here.
+    """
+    from .geometry import REGIONS, Region, regions
+    from .solver import evaluate_fields
+
+    spacelike = (Region.OMEGA1, Region.OMEGA2)
+    on_codes = [REGIONS.index(r) for r in spacelike]
+    # a row's tail: its region name and then eight empty cells (a flagged
+    # row) or eight "0" (a space-like row whose psi words are all +0.0)
+    names = [r.value.encode() for r in REGIONS]
+    tails = [n + (b",0" if r in spacelike else b",") * 8 for n, r in zip(names, REGIONS)]
+    tail_pool = np.frombuffer(b"".join(tails), dtype=np.uint8)
+    tail_length = np.array([len(t) for t in tails])
+    tail_start = np.cumsum(tail_length) - tail_length
+    name_length = np.array([len(n) for n in names])
+    flagged = 0
+    # no row needs another row's value, so each block is classified,
+    # solved, formatted and written before the next: beyond a file's
+    # points the memory does not grow with the rows
+    for coords, psi in blocks:
+        rows = regions(*coords)
+        on = np.flatnonzero(np.isin(rows, on_codes))
+        flagged += rows.size - on.size
+        values = evaluate_fields(s, *coords[:, on]) if psi is None else psi[:, on]
+        # re, im of psi1..psi4 on each space-like row
+        words = np.ascontiguousarray(values.T).view(float)
+        del values  # not held while the next block is solved
+        nonzero = words.view(np.uint64).any(axis=1)  # a word other than +0.0
+        live = np.zeros(rows.size, dtype=bool)
+        live[on[nonzero]] = True
+        pool, start, length = fmt17.format17(
+            np.concatenate([coords.T.reshape(-1), words[nonzero].reshape(-1)])
+        )
+        # (start, length) of each row's cells: four coordinates, then its
+        # tail, or its region name and eight psi words on a live row
+        cell = np.stack([start, length])
+        split = 4 * rows.size
+        cells = np.zeros((2, rows.size, 13), dtype=np.int64)
+        cells[:, :, :4] = cell[:, :split].reshape(2, -1, 4)
+        cells[0, :, 4] = pool.size + tail_start[rows]
+        cells[1, :, 4] = np.where(live, name_length[rows], tail_length[rows])
+        cells[:, live, 5:] = cell[:, split:].reshape(2, -1, 8)
+        width = np.where(live, 13, 5)
+        fh.write(fmt17.join_rows(np.concatenate([pool, tail_pool]), *cells, width))
+    return flagged
 
 
 class Workers:

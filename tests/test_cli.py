@@ -328,9 +328,9 @@ MIRROR_BOX = ((-3.25, 3.25), (-3.0, 3.5))  # verify's box on mirror_bump: its hu
 def test_evaluate_points_across_block_seams(tmp_path, capsys):
     # a first block with non-finite rows, a whole block without a space-like
     # row and a short last block
-    import mtdirac.cli as cli
+    from mtdirac import ranges
 
-    block = cli._BLOCK
+    block = ranges._BLOCK
     (t_lo, t_hi), (z_lo, z_hi) = MIRROR_BOX
     rng = np.random.default_rng(12)
     low, high = [t_lo, z_lo, t_lo, z_lo], [t_hi, z_hi, t_hi, z_hi]
@@ -386,7 +386,7 @@ def test_evaluate_points_memory_grows_with_the_points_only(tmp_path, monkeypatch
 
 def test_evaluate_failing_mid_stream_leaves_no_output(tmp_path, monkeypatch, capsys):
     # the first block is written before the second one fails
-    import mtdirac.cli as cli
+    from mtdirac import ranges
 
     calls = []
 
@@ -398,7 +398,7 @@ def test_evaluate_failing_mid_stream_leaves_no_output(tmp_path, monkeypatch, cap
 
     monkeypatch.setattr("mtdirac.solver.evaluate_fields", fails_second)
     rng = np.random.default_rng(13)
-    pts = np.stack(sample_spacelike(rng, 2 * cli._BLOCK, *MIRROR_BOX))
+    pts = np.stack(sample_spacelike(rng, 2 * ranges._BLOCK, *MIRROR_BOX))
     out = tmp_path / "out"
     argv = ["evaluate", "--scenario", MIRROR_CFG, "--out", str(out), "--points"]
     assert main(argv + [str(_write_points(tmp_path / "points.csv", pts.T))]) == 2
@@ -426,7 +426,7 @@ def _workers(monkeypatch, count):
     """Make evaluate use count workers on any input; return the forks made."""
     import os
 
-    import mtdirac.cli as cli
+    from mtdirac import ranges
 
     forks = []
     fork = os.fork
@@ -435,7 +435,7 @@ def _workers(monkeypatch, count):
         forks.append(1)
         return fork()
 
-    monkeypatch.setattr(cli, "_RANGE", 1)
+    monkeypatch.setattr(ranges, "_RANGE", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
     monkeypatch.setattr(os, "fork", counted)
     return forks
@@ -458,11 +458,11 @@ def _split_points_file(path, quoted=False):
     is quoted and holds a newline at exactly half the file's bytes, where a
     cut is sought when the file is split in two.
     """
-    import mtdirac.cli as cli
+    from mtdirac import ranges
 
     rng = np.random.default_rng(21)
     (t_lo, t_hi), (z_lo, z_hi) = MIRROR_BOX
-    pts = rng.uniform([t_lo, z_lo, t_lo, z_lo], [t_hi, z_hi, t_hi, z_hi], (cli._BLOCK + 333, 4))
+    pts = rng.uniform([t_lo, z_lo, t_lo, z_lo], [t_hi, z_hi, t_hi, z_hi], (ranges._BLOCK + 333, 4))
     pts[3::40, 1] = np.nan
     pts[5::40, 3] = -np.inf
     pts[7::9, 2:] = pts[7::9, :2]  # coincidence
@@ -530,11 +530,11 @@ def test_evaluate_grid_is_byte_identical_for_any_worker_count(tmp_path, monkeypa
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("scan", [1, 1 << 16])
-def test_cuts_fall_at_row_starts(tmp_path, monkeypatch, scan):
+@pytest.mark.parametrize("chunk", [1, 1 << 16])
+def test_cuts_fall_at_row_starts(tmp_path, monkeypatch, chunk):
     from mtdirac import ranges
 
-    monkeypatch.setattr(ranges, "_SCAN", scan)  # read a byte at a time too
+    monkeypatch.setattr(ranges, "_CHUNK", chunk)  # read a byte at a time too
     path = tmp_path / "points.csv"
     path.write_bytes(
         "\ufeffnote,t1,z1,t2,z2\r\n".encode()
@@ -555,6 +555,32 @@ def test_cuts_fall_at_row_starts(tmp_path, monkeypatch, scan):
     # a quoted cell can hold a line end, so a file with a quote is not cut
     path.write_bytes(b'note,t1,z1,t2,z2\n"a\nb",1,2,3,4\n' + b"c,5,6,7,8\n" * 3)
     assert ranges.row_starts(path, [path.stat().st_size - 1]) is None
+
+
+def test_evaluate_reads_points_from_a_pipe(tmp_path, capsys):
+    # /dev/stdin on a pipe is no regular file: one range, not cut, read by
+    # np.loadtxt as text; its rows and line equal those of the file itself
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    pts = np.stack(sample_spacelike(np.random.default_rng(27), 1999, *MIRROR_BOX))
+    pts[2:, ::10] = pts[:2, ::10]  # coincidence
+    path = _write_points(tmp_path / "points.csv", pts.T)
+    argv = ["evaluate", "--scenario", MIRROR_CFG, "--points"]
+    assert main(argv + [str(path), "--out", str(tmp_path / "file")]) == 0
+    want = capsys.readouterr().out.replace(str(tmp_path / "file"), str(tmp_path / "pipe"))
+    assert "1999 rows" in want
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    argv += ["/dev/stdin", "--out", str(tmp_path / "pipe")]
+    done = subprocess.run([sys.executable, "-m", "mtdirac.cli", *argv], input=path.read_bytes(),
+                          capture_output=True, cwd=root, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode() == want
+    assert _read(tmp_path / "pipe" / "fields.csv") == _read(tmp_path / "file" / "fields.csv")
 
 
 def test_evaluate_worker_failure_leaves_nothing(tmp_path, monkeypatch, capsys, deadline):
@@ -955,6 +981,31 @@ def test_scatter_rejects_empty_time_list(tmp_path, capsys):
     assert rc == 2
     assert "--times count must be at least 1" in capsys.readouterr().err
     assert not (out / "scatter.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_evaluate_rejects_a_grid_time_too_large_for_a_double(tmp_path, capsys):
+    # each input is finite, but the slice grid's span at t = 1e308 is not
+    out = tmp_path / "out"
+    argv = ["evaluate", "--scenario", MIRROR_CFG, "--out", str(out), "--grid", "2"]
+    assert main(argv + ["--time", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the slice grid at time 1e+308 spans [")
+    assert err.endswith("], too wide for a double\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_scatter_rejects_a_time_whose_panel_area_overflows(tmp_path, capsys):
+    # at t = 1e160 the flat surface's box is finite, but a panel's width
+    # squared is not: no psi is to blame
+    out = tmp_path / "out"
+    argv = ["scatter", "--scenario", PACKET_CFG, "--out", str(out), "--times", "0:1e160:2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the panels of box [-1.00000000")
+    assert err.endswith("on surface flat have a non-finite area; no integral\n")
+    assert not out.exists()
 
 
 def test_scatter_zero_fills_only_an_all_zero_slice(tmp_path):
