@@ -38,6 +38,11 @@ the machine sat idle read up to ~3x slow.  The layers:
                       row ranges
   read_points         ranges.read_points alone on that points file: the
                       whole file in this process; peak_mb as for slice_svd
+  verify_128          `mtdirac verify` on mirror_bump at 128 panels through
+                      cli.main, as perfbench's verify-mirror128 runs it: on
+                      two or more usable CPUs a forked worker computes the
+                      surface quadrature beside the other checks, and
+                      peak_mb (as for slice_svd) is of this process only
   startup             21 fresh processes, each running perfbench's setup
                       probe on mirror_bump (import mtdirac.cli, load the
                       config); peak_rss_mb is the median of their own
@@ -46,7 +51,9 @@ the machine sat idle read up to ~3x slow.  The layers:
                       interpreter spawned by a 200 MB process reads 218
                       MB).  A process compiles what it imports from source
                       when PYTHONDONTWRITEBYTECODE is set and no bytecode
-                      is cached, so `machine` records that variable
+                      is cached, so `machine` records that variable; it
+                      records the BLAS thread count numpy starts with too
+                      (mtdirac.blas.threads: None where it cannot be read)
 
 A peak_mb call is made after the layer's timed repeats, so that tracing
 slows none of them.
@@ -80,6 +87,7 @@ from pathlib import Path
 import numpy as np
 
 import mtdirac
+from mtdirac import blas
 from mtdirac.cli import main as mtdirac_main
 from mtdirac.conservation import (
     QuadratureSpec,
@@ -235,6 +243,10 @@ def measure() -> dict:
         layers["evaluate_points"]["peak_mb"] = peak_mb(lambda: run_cli(argv))
         layers["read_points"], _ = timed(lambda: read_points(points), 7)
         layers["read_points"]["peak_mb"] = peak_mb(lambda: read_points(points))
+        argv = ["verify", "--scenario", str(CONFIGS / "mirror_bump.json"),
+                "--panels", "128", "--out", str(Path(tmp) / "out")]
+        layers["verify_128"], _ = timed(lambda: run_cli(argv), 21)
+        layers["verify_128"]["peak_mb"] = peak_mb(lambda: run_cli(argv))
 
     layers["startup"] = startup(21)
 
@@ -264,6 +276,7 @@ def machine() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "blas_threads": blas.threads(),
     }
 
 

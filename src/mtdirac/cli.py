@@ -9,16 +9,19 @@ scatter   equal-time mass and Schmidt time series for a scattering scenario
 Outputs are deterministic: a fixed scenario file, options and --seed yield
 byte-identical files (floats printed with %.17g, LF line endings, raw
 config echoed in headers).  The Schmidt values of verify and scatter come
-from BLAS, so their bytes hold for a fixed numpy/BLAS build and BLAS thread
-count; evaluate calls no BLAS.  On a large input evaluate runs one worker
-process per usable CPU, each holding only its own range of rows, and
-writes the same bytes for any number of them: ranges cuts, solves and
-formats the rows, and evaluate here owns the output file.  The quadrature's
-whole-grid path (data given by functions, which no config expresses) runs
-one thread per usable CPU, from 256 node rows each, with the same bits for
-any number of them.  Limit both with taskset.  Exit codes: 0 success / all
-checks pass, 1 at least one verification failure, 2 usage or config errors
-or an output that cannot be written.
+from BLAS, so both commands run at one BLAS thread (blas.one_thread): their
+bytes hold for a fixed numpy/BLAS build on any number of CPUs; evaluate
+calls no BLAS.  On a large input evaluate runs one worker process per
+usable CPU, each holding only its own range of rows, and writes the same
+bytes for any number of them: ranges cuts, solves and formats the rows,
+and evaluate here owns the output file.  On two or more usable CPUs verify
+forks one worker process that computes the surface quadrature beside the
+other checks, to the same report.  The quadrature's whole-grid path (data
+given by functions, which no config expresses) runs one thread per usable
+CPU, from 256 node rows each, with the same bits for any number of them.
+Limit them all with taskset.  Exit codes: 0 success / all checks pass, 1 at
+least one verification failure, 2 usage or config errors or an output that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -135,10 +138,15 @@ def _sample_box(s: Scenario) -> tuple[tuple[float, float], tuple[float, float]]:
     return (-t_half, t_half), (hull[0] - 1.0, hull[1] + 1.0)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    s, raw = _load(args.scenario)
-    from . import conservation, interaction, lorentz
+def _verify_checks(s: Scenario, args: argparse.Namespace, forks) -> dict[str, dict]:
+    """The entries of verify's checks, by name in the report's order.
+
+    The conservation entries are computed by a worker forked on forks when
+    two or more CPUs are usable, beside the other checks, else here.
+    """
+    from . import blas, conservation, interaction, lorentz
     from .current import coincidence_flux, continuity_residual
+    from .forks import send
     from .geometry import sample_spacelike
     from .solver import bc_defect, check_compatibility, evaluate_fields, pde_residual
     from .spin import exchange
@@ -158,6 +166,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
             error = f"{type(err).__name__}: {err}"
             entries = [{"pass": False, "error": error} for _ in group]
         checks.update(zip(group, entries))
+
+    conserved = ("conservation_diffs", "excluded_pairs")
+
+    def conservation_diffs() -> list[dict]:
+        family = conservation.acceptance_family()
+        reports = [conservation.normalization_report(s, surf, q) for surf in family]
+        values = [r.value for r in reports]
+        drift = max(values) - min(values) if values else 0.0
+        excluded = int(sum(r.excluded_pairs for r in reports))
+        entry = _check(
+            drift, 1e-6, surfaces=[surf.label for surf in family], values=values
+        )
+        if all(r.box is None for r in reports):
+            entry["degenerate"] = True  # zero scenario, integral vanishes
+        return [entry, _check(float(excluded), 0.0)]
+
+    if conservation.worker_count() > 1 and hasattr(os, "fork"):
+        # the quadrature reads no other check and calls no BLAS, so a worker
+        # runs it beside the other checks; it sends its entries as run made
+        # them, so that an error of it is reported as one here would be
+
+        def worker(reply) -> None:
+            run(conserved, conservation_diffs)  # into the worker's copy of checks
+            send(reply, [checks[name] for name in conserved])
+
+        forks.fork(worker)
 
     def compatibility() -> list[dict]:
         # per condition the seam gaps of orders 0..2; conditions reports
@@ -202,20 +236,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lambda: _check(both_sides(coincidence_flux), 1e-12, samples=1000),
     )
 
-    def conservation_diffs() -> list[dict]:
-        family = conservation.acceptance_family()
-        reports = [conservation.normalization_report(s, surf, q) for surf in family]
-        values = [r.value for r in reports]
-        drift = max(values) - min(values) if values else 0.0
-        excluded = int(sum(r.excluded_pairs for r in reports))
-        entry = _check(
-            drift, 1e-6, surfaces=[surf.label for surf in family], values=values
-        )
-        if all(r.box is None for r in reports):
-            entry["degenerate"] = True  # zero scenario, integral vanishes
-        return [entry, _check(float(excluded), 0.0)]
-
-    run(("conservation_diffs", "excluded_pairs"), conservation_diffs)
+    if forks.pids:  # the worker's entries, received below, take this place
+        checks.update(dict.fromkeys(conserved))
+    else:
+        run(conserved, conservation_diffs)
 
     b = lorentz.Boost(0.5)
 
@@ -259,13 +283,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
     def schmidt() -> dict:
         values = interaction.schmidt_spectrum(sl)
         top = [float(v) for v in values[:4]]
-        return _check(abs(float(np.sum(values**2)) - 1.0), 1e-12, top_values=top)
+        error = abs(float(np.sum(values**2)) - 1.0)
+        # the BLAS thread count the SVD ran at: None where it cannot be read
+        return _check(error, 1e-12, top_values=top, blas_threads=blas.threads())
 
     z = interaction.default_slice_grid(s, [0.0], n=args.grid)
     sl = interaction.single_time_slice(s, 0.0, z)
     if sl.matrix.any():  # an identically zero slice has no spectrum
         run("schmidt", schmidt)
 
+    if forks.pids:
+        run(conserved, lambda: forks.receive(0))
+    return checks
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    s, raw = _load(args.scenario)
+    from .blas import one_thread
+    from .forks import Forks
+
+    # one BLAS thread: the Schmidt values are the same bytes on any host,
+    # and the SVD leaves the other CPUs to the conservation worker
+    with one_thread(), Forks("verify's conservation worker") as forks:
+        checks = _verify_checks(s, args, forks)
     all_pass = all(entry["pass"] for entry in checks.values())
     report = {
         "command": "verify",
@@ -308,7 +348,7 @@ def _parse_times(spec: str) -> np.ndarray:
 
 def cmd_scatter(args: argparse.Namespace) -> int:
     s, raw = _load(args.scenario)
-    from . import conservation, fmt17, interaction
+    from . import blas, conservation, fmt17, interaction
 
     hull = s.initial.support_hull()
     if hull is None:
@@ -322,14 +362,15 @@ def cmd_scatter(args: argparse.Namespace) -> int:
     z = interaction.default_slice_grid(s, times, n=args.grid)
 
     rows = []
-    for t in times:
-        masses = conservation.component_masses(s, float(t), q)
-        sl = interaction.single_time_slice(s, float(t), z)
-        if sl.matrix.any():  # an identically zero slice has no spectrum
-            sigma = interaction.schmidt_spectrum(sl)[:4]
-        else:
-            sigma = np.zeros(4)
-        rows.append((float(t), masses, sigma))
+    with blas.one_thread():  # the Schmidt values are the same bytes on any host
+        for t in times:
+            masses = conservation.component_masses(s, float(t), q)
+            sl = interaction.single_time_slice(s, float(t), z)
+            if sl.matrix.any():  # an identically zero slice has no spectrum
+                sigma = interaction.schmidt_spectrum(sl)[:4]
+            else:
+                sigma = np.zeros(4)
+            rows.append((float(t), masses, sigma))
 
     dest = Path(args.out) / "scatter.csv"
     with _replacing(dest) as fh:
@@ -390,9 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mtdirac",
         description="two-particle multi-time transport with contact interaction",
-        epilog="evaluate runs one worker process per usable CPU, and the quadrature's"
-        " whole-grid path one thread per usable CPU from 256 rows on (limit them"
-        " with taskset).",
+        epilog="evaluate runs one worker process per usable CPU, verify one worker"
+        " for its quadrature on two or more, and the quadrature's whole-grid path"
+        " one thread per usable CPU from 256 rows on (limit them with taskset).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -10,11 +10,14 @@ Equal-time slices collect psi at (t, z_i, t, z_j) over grid points into a
 matrix indexed by (spin, position) per particle; its singular values are
 the Schmidt coefficients of the state at that time.  A scenario whose
 initial slice is a product but develops sigma_2 > 0 under evolution
-interacts: free dynamics preserve product form.
+interacts: free dynamics preserve product form.  The spectrum's norm is a
+numpy sum and its SVD runs at one BLAS thread, so that its bytes do not
+depend on the thread count OpenBLAS starts with.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,8 +266,13 @@ def schmidt_spectrum(sl: SingleTimeSlice) -> np.ndarray:
     compactly supported data leave most of them so; the SVD runs on the
     block of the others and the rest of the spectrum is exact zeros.  The
     block is a copy, divided by the norm in place: beyond the slice the
-    call holds that block and LAPACK's working copy of it.
+    call holds that block and LAPACK's working copy of it.  The norm is
+    numpy's pairwise sum of the block's squares, and the SVD runs at one
+    BLAS thread (blas.one_thread), so that the values are the same bytes
+    for any thread count OpenBLAS starts with.
     """
+    from . import blas  # not compiled by evaluate, which imports this module
+
     m = sl.matrix
     finite = np.isfinite(m)
     if not finite.all():
@@ -274,12 +282,13 @@ def schmidt_spectrum(sl: SingleTimeSlice) -> np.ndarray:
             f"slice has {len(bad)} non-finite entries (NaN or inf), "
             f"the first at row {row}, column {col}; no Schmidt spectrum"
         )
-    norm = float(np.linalg.norm(m))
+    block = m[np.ix_(m.any(axis=1), m.any(axis=0))]
+    norm = math.sqrt(float(np.sum(np.square(block.real)) + np.sum(np.square(block.imag))))
     if norm == 0.0:
         raise ValueError("slice is identically zero; no Schmidt spectrum")
-    block = m[np.ix_(m.any(axis=1), m.any(axis=0))]
     block /= norm
     values = np.zeros(min(m.shape))
-    sigma = np.linalg.svd(block, compute_uv=False)
+    with blas.one_thread():
+        sigma = np.linalg.svd(block, compute_uv=False)
     values[: sigma.size] = sigma
     return values

@@ -15,6 +15,7 @@ amplitude, and can be L2-normalized by quadrature.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,10 +68,19 @@ class Profile1D:
         return self.scaled(1.0 / n)
 
 
+@functools.cache
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule of order on [-1, 1], read-only: every caller shares it."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def gauss_panels(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on each panel between consecutive
     edges, both of shape (panels, order)."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _legendre(order)
     a = edges[:-1, None]
     b = edges[1:, None]
     return 0.5 * (a + b) + 0.5 * (b - a) * x[None, :], 0.5 * (b - a) * w[None, :]

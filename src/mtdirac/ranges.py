@@ -14,10 +14,10 @@ not compile it.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import os
-import pickle
 import re
 import warnings
 from pathlib import Path
@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fmt17
+from .forks import Forks, send
 from .scenario import Scenario, ScenarioConfigError
 
 ROW_BYTES = 64  # a points file counts a row per this many bytes (%r rows take ~77)
@@ -123,21 +124,27 @@ def _chunked_rows(
     """The (n, 4) columns usecols of bytes [first, stop) of a file; None if not read.
 
     first 0 is the start of the file, whose header line (to its LF) is
-    skipped; stop None is its end.  The LFs are counted first, so that
-    the points are held once; then the rows are read in chunks of about
-    _CHUNK bytes cut after an LF, each by _plain_chunk.  None, and the
-    caller reads the whole range with np.loadtxt, where there is no row,
-    where the header holds a quote (a quoted cell can hold a line end) or a
-    CR (a line end other than an LF), and where a chunk is not plain (which
-    rules out both in the rows): a whole read reports an error with its row
-    in the file.
+    skipped; stop None is its end.  A range that starts at the LF of a
+    CRLF (row_starts cuts after the CR) starts after it: that LF ends a
+    blank line.  The LFs are counted first, so that the points are held
+    once; then the rows are read in chunks of about _CHUNK bytes cut after
+    an LF, each by _plain_chunk.  None, and the caller reads the whole
+    range with np.loadtxt, where there is no row, where the header holds a
+    quote (a quoted cell can hold a line end) or a CR other than one just
+    before its LF (a line end other than an LF or CRLF), and where a chunk
+    is not plain (which rules out both in the rows): a whole read reports
+    an error with its row in the file.
     """
     with open(path, "rb") as fh:
         if first == 0:
             head = fh.readline()
-            if b'"' in head or b"\r" in head or not head.endswith(b"\n"):
+            if b'"' in head or b"\r" in head[:-2] or not head.endswith(b"\n"):
                 return None
             first = len(head)
+        else:
+            fh.seek(first - 1)
+            if fh.read(2) == b"\r\n":
+                first += 1
         end = os.fstat(fh.fileno()).st_size if stop is None else stop
         fh.seek(first)
         lines = 0
@@ -174,8 +181,9 @@ def _plain_chunk(data: bytes, fields: int, usecols: list[int]) -> np.ndarray | N
     """The (m, 4) columns usecols of data, whole LF-ended rows; None if not plain.
 
     data is plain when it holds only the bytes 0-9 - . , e + and LF, and
-    each row has fields cells.  A cell of at most one point, no "e" and no
-    sign right after its point is read as N / 10^k, N the integer of its
+    each row has fields cells; where its only CRs are those of CRLF line
+    ends, they are dropped first.  A cell of at most one point, no "e" and
+    no sign right after its point is read as N / 10^k, N the integer of its
     digits and k the count of them after the point: np.loadtxt reads each N
     as an int64 from data without its points (so the sign of a cell it
     reads is its first byte), and _scaled scales it.  A zero takes its sign
@@ -185,8 +193,13 @@ def _plain_chunk(data: bytes, fields: int, usecols: list[int]) -> np.ndarray | N
     rounded are read by np.loadtxt as floats, as the whole file would be;
     where np.loadtxt fails the chunk is not plain.
     """
-    if data.translate(None, _PLAIN):
-        return None
+    if data.translate(None, _PLAIN):  # only here: a plain chunk pays no CR test
+        crs = data.count(b"\r")
+        if not crs or crs != data.count(b"\r\n"):
+            return None
+        data = data.replace(b"\r\n", b"\n")
+        if data.translate(None, _PLAIN):
+            return None
     b = np.frombuffer(data, dtype=np.uint8)
     line_end = b == _LF
     sep = np.flatnonzero(line_end | (b == _COMMA))  # the end of each cell
@@ -426,41 +439,25 @@ def write_blocks(s: Scenario, blocks, fh) -> int:
     return flagged
 
 
-class Workers:
+class Workers(Forks):
     """Forked processes, each of which reads, solves and formats one range.
 
-    A worker reports twice over its pipe: its row count once its range is
-    read, then its flagged count once its rows are in its part file (a
-    hidden file next to the output).  Either report can be an exception
-    instead, which receive raises with the worker's type and message.
-    Between the two the worker waits for go, so that nothing is written
-    before every range has been read.  On leaving the with block every
-    worker is reaped, and killed first if the block raised.  Workers call
-    no BLAS: a forked process holds none of its parent's BLAS threads
-    (Python 3.12 and later warn on a fork while threads run), and evaluate
-    is elementwise numpy.
+    A worker reports twice over its pipe (forks.send): its row count once
+    its range is read, then its flagged count once its rows are in its part
+    file (a hidden file next to the output).  Between the two the worker
+    waits for go, so that nothing is written before every range has been
+    read.  On leaving the with block the part files are removed.  evaluate
+    is elementwise numpy, so the workers call no BLAS.
     """
 
     def __init__(self, dest: Path):
+        super().__init__("an evaluate worker")
         self.dest = dest
-        self.pids: list[int] = []
-        self.replies: list = []
         self.parts: list[Path] = []
         self.start, self.go_signal = os.pipe()
 
-    def __enter__(self) -> Workers:
-        return self
-
-    def __exit__(self, kind, *_) -> None:
-        if kind is not None:
-            import signal  # only a failing command kills its workers
-
-            for pid in self.pids:
-                os.kill(pid, signal.SIGKILL)
-        for pid in self.pids:
-            os.waitpid(pid, 0)
-        for fh in self.replies:
-            fh.close()
+    def __exit__(self, kind, *rest) -> None:
+        super().__exit__(kind, *rest)
         os.close(self.start)
         os.close(self.go_signal)
         for part in self.parts:
@@ -470,28 +467,7 @@ class Workers:
         """Run job() -> (rows, blocks) in a new worker, then write(blocks, fh) -> flagged."""
         part = self.dest.with_name(f".{self.dest.name}.{os.getpid()}.{len(self.pids) + 1}.part")
         self.parts.append(part)
-        read, reply = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # a worker never returns into its caller
-            try:
-                os.close(read)
-                os.close(self.go_signal)
-                with os.fdopen(reply, "wb") as fh:
-                    _work(job, write, part, self.start, fh)
-            finally:
-                os._exit(0)
-        os.close(reply)
-        self.pids.append(pid)
-        self.replies.append(os.fdopen(read, "rb"))
-
-    def receive(self, k: int) -> int:
-        try:
-            value = pickle.load(self.replies[k])
-        except EOFError:
-            raise ChildProcessError("an evaluate worker ended without a report") from None
-        if isinstance(value, BaseException):
-            raise value
-        return value
+        super().fork(functools.partial(_work, job, write, part, self.start), self.go_signal)
 
     def go(self) -> None:
         os.write(self.go_signal, b"g" * len(self.pids))
@@ -505,21 +481,15 @@ class Workers:
                 offset += sent
 
 
-def _send(reply, value) -> None:
-    # an exception that does not pickle ends the worker without a report
-    pickle.dump(value, reply)
-    reply.flush()
-
-
 def _work(job, write, part: Path, start: int, reply) -> None:
     """A worker's body: read its range, then on go write its rows into part."""
     try:
         rows, blocks = job()
-        _send(reply, rows)
+        send(reply, rows)
         if os.read(start, 1) != b"g":  # the parent is gone
             return
         with open(part, "wb") as fh:
             flagged = write(blocks, fh)
-        _send(reply, flagged)
+        send(reply, flagged)
     except Exception as err:  # an interrupt reaches the parent itself
-        _send(reply, err)
+        send(reply, err)

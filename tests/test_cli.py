@@ -423,7 +423,8 @@ def deadline():
 
 
 def _workers(monkeypatch, count):
-    """Make evaluate use count workers on any input; return the forks made."""
+    """Make evaluate use count workers on any input, and verify see count
+    usable CPUs; return the forks made."""
     import os
 
     from mtdirac import ranges
@@ -1099,6 +1100,121 @@ def test_verify_records_every_check_of_a_raising_probe(tmp_path, monkeypatch, ca
     assert "FAIL seam_c2: RuntimeError: probe broke" in capsys.readouterr().out
 
 
+def _verify_run(argv, out):
+    """verify's exit code, stdout (out read as {}) and verify.json bytes."""
+    import contextlib
+    import io
+
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv + ["--out", str(out)])
+    return code, stdout.getvalue().replace(str(out), "{}"), _read(out / "verify.json")
+
+
+@pytest.mark.parametrize("case", ["pass", "non_finite", "raising"])
+def test_verify_is_byte_identical_at_one_and_two_cpus(tmp_path, monkeypatch, deadline, case):
+    # at two usable CPUs a forked worker computes the conservation entries,
+    # at one they are computed in-process: the same report, stdout and exit
+    # code, the errors of a failing quadrature included
+    import mtdirac.cli as cli
+
+    argv = ["verify", "--scenario", MIRROR_CFG, "--panels", "64", "--grid", "32"]
+    if case == "non_finite":
+        from test_interaction import nan_data
+
+        monkeypatch.setattr(cli, "_load", lambda path: (nan_data(), "{}"))
+    elif case == "raising":
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("probe broke")
+
+        monkeypatch.setattr("mtdirac.conservation.normalization_report", broken)
+    runs = {}
+    for count in (1, 2):
+        with monkeypatch.context() as mp:
+            forks = _workers(mp, count)
+            runs[count] = _verify_run(argv, tmp_path / str(count))
+        assert len(forks) == count - 1
+        _no_child_left()
+    assert runs[1] == runs[2]
+    code, stdout, report = runs[1]
+    assert code == (0 if case == "pass" else 1)
+    checks = json.loads(report)["checks"]
+    if case == "pass":
+        from mtdirac import blas
+
+        # the SVD ran at one BLAS thread, or at a count that cannot be read
+        assert checks["schmidt"]["blas_threads"] == (None if blas.threads() is None else 1)
+    if case == "non_finite":
+        assert checks["conservation_diffs"]["error"].startswith("ValueError: psi2 has ")
+    if case == "raising":
+        assert checks["excluded_pairs"] == {"pass": False, "error": "RuntimeError: probe broke"}
+    # the conservation entries keep their place in the stdout order
+    names = [line.split()[1].rstrip(":") for line in stdout.splitlines()[:-2]]
+    assert names[names.index("coincidence_flux") + 1 :][:3] == [
+        "conservation_diffs", "excluded_pairs", "covariance"
+    ]
+
+
+def test_verify_worker_that_dies_fails_its_checks(tmp_path, monkeypatch, capsys, deadline):
+    import os
+
+    from mtdirac import conservation
+
+    parent = os.getpid()
+    report = conservation.normalization_report
+
+    def dies_in_a_worker(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return report(*args)
+
+    forks = _workers(monkeypatch, 2)
+    monkeypatch.setattr(conservation, "normalization_report", dies_in_a_worker)
+    out = tmp_path / "out"
+    argv = ["verify", "--scenario", MIRROR_CFG, "--panels", "16", "--out", str(out)]
+    assert main(argv) == 1
+    assert len(forks) == 1
+    checks = json.loads(_read(out / "verify.json"))["checks"]
+    error = "ChildProcessError: verify's conservation worker ended without a report"
+    conserved = ("conservation_diffs", "excluded_pairs")
+    for name in conserved:
+        assert checks[name] == {"pass": False, "error": error}, name
+    assert all(v["pass"] for k, v in checks.items() if k not in conserved)
+    assert f"FAIL excluded_pairs: {error}" in capsys.readouterr().out
+    _no_child_left()
+
+
+def test_verify_failing_in_the_parent_kills_its_worker(tmp_path, monkeypatch, capsys, deadline):
+    import os
+    import time
+
+    from mtdirac import conservation, interaction
+
+    parent = os.getpid()
+
+    def stalls_in_a_worker(*args):
+        if os.getpid() != parent:
+            time.sleep(30)
+        raise AssertionError("the quadrature runs in the worker")
+
+    def broken(*args):
+        raise ValueError("slice broke")
+
+    forks = _workers(monkeypatch, 2)
+    monkeypatch.setattr(conservation, "normalization_report", stalls_in_a_worker)
+    monkeypatch.setattr(interaction, "single_time_slice", broken)
+    out = tmp_path / "out"
+    argv = ["verify", "--scenario", MIRROR_CFG, "--panels", "16", "--out", str(out)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 10  # the worker was killed, not waited for
+    assert len(forks) == 1
+    assert capsys.readouterr().err == "error: slice broke\n"
+    assert not out.exists()
+    _no_child_left()
+
+
 def test_verify_fails_on_a_nan_trace_of_either_side(tmp_path, monkeypatch, capsys):
     # a NaN on side 2 only must not drop out of the maximum over the sides,
     # nor a NaN part, the last one, out of the covariance's worst ratio
@@ -1385,9 +1501,9 @@ def test_each_command_compiles_only_the_layers_it_runs(tmp_path, source):
     seen = json.loads(done.stdout)
 
     layers = ("geometry", "solver", "spin", "current", "conservation", "lorentz",
-              "interaction", "fmt17", "ranges")
+              "interaction", "fmt17", "ranges", "forks", "blas")
     assert [m for m in seen["start"] if m.removeprefix("mtdirac.") in layers] == []
     assert "concurrent.futures" not in seen["start"]
-    verifiers = {f"mtdirac.{m}" for m in ("conservation", "lorentz", "current")}
+    verifiers = {f"mtdirac.{m}" for m in ("conservation", "lorentz", "current", "blas")}
     assert verifiers.isdisjoint(seen["command"])
     assert ("mtdirac.interaction" in seen["command"]) == (source == "grid")

@@ -191,6 +191,31 @@ def test_schmidt_spectrum_of_a_block_embedded_in_zeros():
     assert np.all(spec[5:] == 0.0)
 
 
+def test_schmidt_spectrum_runs_its_svd_at_one_blas_thread(rich, monkeypatch):
+    # the thread count is set for the SVD alone and restored after it; a
+    # pin nested in another is a no-op
+    from mtdirac import blas
+
+    before = blas.threads()
+    if before is None:
+        pytest.skip("this numpy's BLAS thread count cannot be set")
+    svd = np.linalg.svd
+    seen = []
+
+    def spy(a, *args, **kwargs):
+        seen.append(blas.threads())
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    sl = single_time_slice(rich, 0.0, default_slice_grid(rich, [0.0], n=64))
+    values = schmidt_spectrum(sl)
+    assert seen == [1] and blas.threads() == before
+    with blas.one_thread():
+        assert np.array_equal(schmidt_spectrum(sl), values)
+        assert blas.threads() == 1
+    assert seen == [1, 1] and blas.threads() == before
+
+
 def test_schmidt_spectrum_of_a_single_row():
     m = np.zeros((16, 16), dtype=complex)
     m[3, 2:9] = np.arange(1.0, 8.0) * (1 - 2j)

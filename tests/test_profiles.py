@@ -85,3 +85,18 @@ def test_scaled_profile():
     x = np.linspace(-1.5, 1.5, 11)
     assert np.allclose(q(x), 2.0j * p(x))
     assert q.support() == p.support()
+
+
+def test_gauss_panels_shares_one_read_only_rule_per_order():
+    # leggauss runs once per order: every caller reads the same arrays,
+    # which nobody can change under the others
+    from mtdirac.profiles import _legendre, gauss_panels
+
+    x, w = _legendre(8)
+    assert _legendre(8)[0] is x and _legendre(8)[1] is w
+    assert not (x.flags.writeable or w.flags.writeable)
+    want_x, want_w = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+    nodes, weights = gauss_panels(np.array([0.0, 1.0, 3.0]), 8)
+    assert np.array_equal(nodes[1], 2.0 + x) and np.array_equal(weights[1], w)
+    assert nodes.flags.writeable and weights.flags.writeable  # the caller's own arrays

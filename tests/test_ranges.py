@@ -195,14 +195,18 @@ def test_reader_reads_or_fails_as_loadtxt_alone(tmp_path, monkeypatch, chunk, li
         assert want.startswith("bad points file")
 
 
-def test_only_exponent_cells_are_read_as_floats(tmp_path, monkeypatch):
-    # on the benchmark's points, np.loadtxt reads floats only for the cells
-    # in exponent notation: every other cell takes the integer route
+def _point_gen():
+    """perfbench's seeded points generator."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import points as point_gen
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
+    return point_gen
+
+
+def _counted_loadtxt(monkeypatch) -> dict:
+    """The cells np.loadtxt reads from now on, as "int" (int64) and "float"."""
     loadtxt = np.loadtxt
     read = {"float": 0, "int": 0}
 
@@ -212,6 +216,14 @@ def test_only_exponent_cells_are_read_as_floats(tmp_path, monkeypatch):
         return out
 
     monkeypatch.setattr(np, "loadtxt", counted)
+    return read
+
+
+def test_only_exponent_cells_are_read_as_floats(tmp_path, monkeypatch):
+    # on the benchmark's points, np.loadtxt reads floats only for the cells
+    # in exponent notation: every other cell takes the integer route
+    point_gen = _point_gen()
+    read = _counted_loadtxt(monkeypatch)
     exponent = 0
     for seed in (1, 2, 3):
         pts, _ = point_gen.generate(seed, 2**16)
@@ -225,3 +237,50 @@ def test_only_exponent_cells_are_read_as_floats(tmp_path, monkeypatch):
         assert read["int"] - before["int"] == pts.size
         exponent += cells
     assert exponent > 0
+
+
+@pytest.mark.parametrize("chunk", [512, 1 << 16])
+def test_crlf_file_takes_the_integer_route(tmp_path, monkeypatch, chunk):
+    # a CRLF file reads the bits of its LF twin, and as it does: np.loadtxt
+    # reads floats only for the cells in exponent notation, in the whole
+    # file and in each range of it, a range cut after a CR included
+    monkeypatch.setattr(ranges, "_CHUNK", chunk)
+    pts, _ = _point_gen().generate(6, 4096)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    _point_gen().write_csv(pts, lf)
+    with open(lf, "ab") as fh:  # two cells in exponent notation
+        fh.write(b"1e-05,0.5,2.5e+17,-0.25\n")
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    want = ranges.read_points(lf)
+    read = _counted_loadtxt(monkeypatch)
+    assert _same(ranges.read_points(crlf), want)
+    exponent = len(re.findall(rb"[^,\n]*e[^,\n]*", lf.read_bytes()))
+    assert read == {"int": want.size, "float": exponent} and exponent >= 2
+    data = crlf.read_bytes()
+    cut = data.index(b"\r", len(data) // 2) + 1  # as row_starts cuts: after the CR
+    assert ranges.row_starts(crlf, [cut - 1]) == [cut]
+    read.update(int=0, float=0)
+    halves = [ranges.read_points(crlf, *bounds) for bounds in ((0, cut), (cut, len(data)))]
+    assert _same(np.concatenate(halves, axis=1), want)
+    assert read == {"int": want.size, "float": exponent}
+
+
+@pytest.mark.parametrize("chunk", [8, 1 << 16])
+@pytest.mark.parametrize(
+    "lines",
+    [*READ.values(), *(["t1,z1,t2,z2", "0.5,-2.0,0.5,2.0", row] for row in BAD_ROWS)],
+    ids=[*READ, *(f"bad{k}" for k in range(len(BAD_ROWS)))],
+)
+def test_crlf_reader_reads_or_fails_as_loadtxt_alone(tmp_path, monkeypatch, chunk, lines):
+    # the same rows, or the same error at the same row, as np.loadtxt alone;
+    # a CR that ends no CRLF (the last line) reads as the whole file does
+    path = tmp_path / "points.csv"
+    for end in (b"", b"\r"):
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode() + end)
+        monkeypatch.setattr(ranges, "_CHUNK", chunk)
+        got = _read(path)
+        with monkeypatch.context() as mp:
+            _loadtxt_only(mp)
+            want = _read(path)
+        assert _same(got, want)
+        assert isinstance(want, str) != (lines in READ.values())

@@ -20,9 +20,10 @@ CALLS = [
 ]
 
 
-def _run(call: list[str]) -> subprocess.CompletedProcess:
+def _run(call: list[str], **env: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh process, with env added to its environment."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / call[0]), *call[1:]],
         cwd=ROOT,
@@ -50,6 +51,13 @@ def test_output_digests_every_call_succeeds():
     # the last call on all CPUs, then pinned to one CPU: the same bytes
     assert ", one CPU: " in lines[-1] and ", one CPU" not in lines[-2]
     assert lines[-2].split()[0] == lines[-1].split()[0]
+
+
+def test_output_digests_do_not_move_with_the_blas_threads():
+    # verify and scatter run their SVDs at one BLAS thread, so no digest
+    # depends on the thread count OpenBLAS starts with
+    runs = [_run(["output_digests.py"], OPENBLAS_NUM_THREADS=n).stdout for n in ("1", "2")]
+    assert runs[0] == runs[1]
 
 
 def _bench():
