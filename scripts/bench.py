@@ -1,12 +1,14 @@
 """Layer timings and accuracy figures of the mtdirac library, as one JSON file.
 
-    cd <parent checkout> && PYTHONPATH=src python scripts/bench.py --label parent --out base.json
+    PYTHONPATH=<parent checkout>/src python scripts/bench.py --label parent --out base.json
     PYTHONPATH=src python scripts/bench.py --label change --baseline base.json --out BENCH.json
 
-Each checkout is measured with its own copy of the script, on its own
-`src`: the layers call public functions only, but their signatures can
-change (residual_probes passes arrays of configurations, which a checkout
-whose probes take one `Configuration` does not accept).  Each timing is
+This script runs on another checkout's `src` as long as the public
+functions its layers call keep their signatures (residual_probes passes
+arrays of configurations, which a checkout whose probes take one
+`Configuration` does not accept; there, measure with that checkout's own
+copy of the script), so that every layer has a figure on both trees.
+Alternate the two trees' runs: the host drifts between runs.  Each timing is
 the median of a fixed number of repeats (time.perf_counter,
 statistics.median) on inputs drawn from fixed seeds.  Before its repeats
 each layer runs untimed for at least WARM_UP_S seconds of wall time (at
@@ -43,6 +45,10 @@ the machine sat idle read up to ~3x slow.  The layers:
                       two or more usable CPUs a forked worker computes the
                       surface quadrature beside the other checks, and
                       peak_mb (as for slice_svd) is of this process only
+  scatter_packet      `mtdirac scatter` on wavepacket with its default
+                      options through cli.main: 17 times, each a flat-surface
+                      quadrature at 64 panels and a 256-point slice with
+                      its SVD
   startup             21 fresh processes, each running perfbench's setup
                       probe on mirror_bump (import mtdirac.cli, load the
                       config); peak_rss_mb is the median of their own
@@ -247,6 +253,10 @@ def measure() -> dict:
                 "--panels", "128", "--out", str(Path(tmp) / "out")]
         layers["verify_128"], _ = timed(lambda: run_cli(argv), 21)
         layers["verify_128"]["peak_mb"] = peak_mb(lambda: run_cli(argv))
+        argv = ["scatter", "--scenario", str(CONFIGS / "wavepacket.json"),
+                "--out", str(Path(tmp) / "out")]
+        layers["scatter_packet"], _ = timed(lambda: run_cli(argv), 11)
+        layers["scatter_packet"]["peak_mb"] = peak_mb(lambda: run_cli(argv))
 
     layers["startup"] = startup(21)
 

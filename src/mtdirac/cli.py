@@ -289,7 +289,7 @@ def _verify_checks(s: Scenario, args: argparse.Namespace, forks) -> dict[str, di
 
     z = interaction.default_slice_grid(s, [0.0], n=args.grid)
     sl = interaction.single_time_slice(s, 0.0, z)
-    if sl.matrix.any():  # an identically zero slice has no spectrum
+    if sl.block.size:  # an identically zero slice has no spectrum
         run("schmidt", schmidt)
 
     if forks.pids:
@@ -366,7 +366,7 @@ def cmd_scatter(args: argparse.Namespace) -> int:
         for t in times:
             masses = conservation.component_masses(s, float(t), q)
             sl = interaction.single_time_slice(s, float(t), z)
-            if sl.matrix.any():  # an identically zero slice has no spectrum
+            if sl.block.size:  # an identically zero slice has no spectrum
                 sigma = interaction.schmidt_spectrum(sl)[:4]
             else:
                 sigma = np.zeros(4)

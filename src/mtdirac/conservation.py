@@ -45,7 +45,11 @@ are strictly increasing in z, so inverting them at the support hull
 endpoints yields a box outside which the integrand is exactly zero; the
 moments of nodes outside it are exact zeros.  One reducer (_add_densities)
 turns field values into densities, on the grid and on the flat point lists
-of the diagonal triangles alike.  All parts (grid blocks, triangle panels
+of the diagonal triangles alike.  It evaluates a factored branch only at
+the pairs whose null pair lies in its solver.branch_support box: elsewhere
+|psi|^2 is +0, and so is its term, the Jacobians 1 +- f' being positive.
+So the pruned pairs change no bit of any sum, and neither the excluded
+pairs nor the node count.  All parts (grid blocks, triangle panels
 and moment rows) are accumulated per component with math.fsum, so the
 result is independent of chunking and thread count (the grid is split by
 row blocks, one thread per usable CPU from THREAD_ROWS rows each; the
@@ -290,13 +294,15 @@ def _add_densities(s: Scenario, dens, where, leg1, leg2, branches=BRANCHES) -> i
     of each pair: flat rows are a list of pairs, a column and a row a tensor
     grid.  where is a mask of the pairs, or True for all.  dens has shape
     (4,) + the shape of the pairs and holds zeros; a term is written only
-    where one of the branches named in branches is evaluated.  Excluded
-    pairs are those of where that are not space-like; they stay zero.
+    where one of the branches named in branches is evaluated, inside its
+    branch_support box (the term is +0 outside it).  Excluded pairs are
+    those of where that are not space-like; they stay zero.
     """
     (t1, z1, fp1), (t2, z2, fp2) = leg1, leg2
     m1, m2, bad = region_masks(t1, z1, t2, z2)
     halves = ((1, m1 & where), (2, m2 & where))
-    for comp, mask, values in _branch_values(s, halves, t1, z1, t2, z2, branches):
+    terms = _branch_values(s, halves, t1, z1, t2, z2, branches, on_support=True)
+    for comp, mask, values in terms:
         fp_at = (np.broadcast_to(f, mask.shape)[mask] for f in (fp1, fp2))
         dens[comp - 1][mask] = _density(comp, values, *fp_at)
     return int(np.count_nonzero(bad & where))

@@ -10,9 +10,11 @@ Equal-time slices collect psi at (t, z_i, t, z_j) over grid points into a
 matrix indexed by (spin, position) per particle; its singular values are
 the Schmidt coefficients of the state at that time.  A scenario whose
 initial slice is a product but develops sigma_2 > 0 under evolution
-interacts: free dynamics preserve product form.  The spectrum's norm is a
-numpy sum and its SVD runs at one BLAS thread, so that its bytes do not
-depend on the thread count OpenBLAS starts with.
+interacts: free dynamics preserve product form.  Compact data leave most
+rows and columns of that matrix zero, so a slice holds only its nonzero
+block, evaluated on the rows and columns the branches' supports reach.
+The spectrum's norm is a numpy sum and its SVD runs at one BLAS thread,
+so that its bytes do not depend on the thread count OpenBLAS starts with.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import numpy as np
 from .geometry import region_masks
 from .profiles import Profile1D, smooth_bump
 from .scenario import (
+    BRANCHES,
+    NULL_SIGNS,
     ZERO2,
     BoundaryPhase,
     InitialData,
@@ -34,11 +38,12 @@ from .scenario import (
     ScenarioConfigError,
     config_float,
     config_object,
+    null_pair,
     parse_phase,
     parse_profile,
     product2,
 )
-from .solver import evaluate_grid
+from .solver import _within, branch_support, evaluate_grid
 
 
 def wavepacket_scenario(
@@ -233,29 +238,76 @@ def default_slice_grid(s: Scenario, times, n: int = 256) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SingleTimeSlice:
-    """psi sampled at (t, z_i, t, z_j) arranged as a (spin, z) x (spin, z) matrix.
+    """psi sampled at (t, z_i, t, z_j) as a (spin, z) x (spin, z) matrix,
+    held as its nonzero block.
 
-    Row index s1 * n + i with s1 = 0 for spin -1 and 1 for spin +1; columns
-    likewise for particle 2.  Diagonal pairs z_i = z_j are not space-like
-    and their entries are zero.
+    The matrix has shape shape, (2n, 2n) on n points: row index s1 * n + i
+    with s1 = 0 for spin -1 and 1 for spin +1; columns likewise for
+    particle 2.  Diagonal pairs z_i = z_j are not space-like and their
+    entries are zero.  block holds the entries at the rows rows and the
+    columns cols (increasing indices into the matrix), and no row or column
+    of it is all zero; every entry of the matrix outside it is zero.
     """
 
-    matrix: np.ndarray
+    block: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The full matrix, built anew on each read: +0.0 outside the block."""
+        m = np.zeros(self.shape, dtype=complex)
+        m[np.ix_(self.rows, self.cols)] = self.block
+        return m
 
 
 def single_time_slice(s: Scenario, t: float, z) -> SingleTimeSlice:
     """The slice at time t on the points z of each particle.
 
-    One zeroed (2n, 2n) matrix is allocated, and evaluate_grid writes psi_i
-    straight into its quadrant (psi1 top left, psi2 top right, psi3 bottom
-    left, psi4 bottom right): the slice holds no other copy of the field.
+    A point is reached, on a spin of a particle, when its null coordinate
+    z + s t lies in the branch_support box of a branch of that spin (every
+    point, for a branch with no proven box).  Elsewhere its row or column
+    of the matrix is exactly zero.  evaluate_grid fills each component on
+    the points reached (psi1 reached rows of spin -1 by reached columns of
+    spin -1, psi2 the same rows by the columns of spin +1, ...), so the
+    reached rows by the reached columns hold the entries of the full
+    matrix bit for bit.  Their all-zero rows and columns are dropped, and
+    the slice keeps what remains.
     """
-    n = np.size(z)
+    z = np.asarray(z, dtype=float).reshape(-1)
+    n = z.size
     tz = np.full(n, float(t))
-    matrix = np.zeros((2 * n, 2 * n), dtype=complex)
-    quadrants = [matrix[r:r + n, c:c + n] for r in (0, n) for c in (0, n)]
-    evaluate_grid(s, tz, z, tz, z, out=quadrants)  # the diagonal is not space-like: zero
-    return SingleTimeSlice(matrix=matrix)
+    reached = np.zeros((2, 2, n), dtype=bool)  # particle, spin (- then +), point
+    for comp, half, initial in BRANCHES:
+        box = branch_support(s, comp, half, initial)
+        x, y = null_pair(comp, tz, z, tz, z)
+        on = [np.ones(n, dtype=bool)] * 2 if box is None else [
+            _within(v, interval) for v, interval in zip((x, y), box)
+        ]
+        if on[0].any() and on[1].any():  # a branch with no point reached adds none
+            for particle, sign in enumerate(NULL_SIGNS[comp]):
+                reached[particle, int(sign > 0)] |= on[particle]
+    # per particle and spin, the points reached; their rows (columns) in the
+    # matrix come spin by spin, and so do their offsets in the block
+    points = [[np.flatnonzero(spin) for spin in particle] for particle in reached]
+    rows, cols = (np.concatenate((minus, n + plus)) for minus, plus in points)
+    block = np.zeros((rows.size, cols.size), dtype=complex)
+    for comp, (s1, s2) in NULL_SIGNS.items():
+        i, j = points[0][int(s1 > 0)], points[1][int(s2 > 0)]
+        r = points[0][0].size if s1 > 0 else 0
+        c = points[1][0].size if s2 > 0 else 0
+        out = [None] * 4
+        out[comp - 1] = block[r:r + i.size, c:c + j.size]
+        keys = tuple(key for key in BRANCHES if key[0] == comp)
+        evaluate_grid(s, tz[i], z[i], tz[j], z[j], out=out, branches=keys)
+    live_rows, live_cols = block.any(axis=1), block.any(axis=0)
+    return SingleTimeSlice(
+        block=block[np.ix_(live_rows, live_cols)],
+        rows=rows[live_rows],
+        cols=cols[live_cols],
+        shape=(2 * n, 2 * n),
+    )
 
 
 def schmidt_spectrum(sl: SingleTimeSlice) -> np.ndarray:
@@ -264,30 +316,30 @@ def schmidt_spectrum(sl: SingleTimeSlice) -> np.ndarray:
 
     Rows and columns that are all zero add only zero singular values, and
     compactly supported data leave most of them so; the SVD runs on the
-    block of the others and the rest of the spectrum is exact zeros.  The
-    block is a copy, divided by the norm in place: beyond the slice the
-    call holds that block and LAPACK's working copy of it.  The norm is
-    numpy's pairwise sum of the block's squares, and the SVD runs at one
-    BLAS thread (blas.one_thread), so that the values are the same bytes
-    for any thread count OpenBLAS starts with.
+    slice's block, which holds the others, and the rest of the spectrum is
+    exact zeros.  The block over the norm is a copy: beyond the slice the
+    call holds it and LAPACK's working copy of it.  The norm is numpy's
+    pairwise sum of the block's squares, and the SVD runs at one BLAS
+    thread (blas.one_thread), so that the values are the same bytes for any
+    thread count OpenBLAS starts with.  A non-finite entry is named by its
+    row and column in the full matrix.
     """
     from . import blas  # not compiled by evaluate, which imports this module
 
-    m = sl.matrix
-    finite = np.isfinite(m)
+    block = sl.block
+    finite = np.isfinite(block)
     if not finite.all():
         bad = np.argwhere(~finite)
-        row, col = bad[0]
+        row, col = sl.rows[bad[0][0]], sl.cols[bad[0][1]]
         raise ValueError(
             f"slice has {len(bad)} non-finite entries (NaN or inf), "
             f"the first at row {row}, column {col}; no Schmidt spectrum"
         )
-    block = m[np.ix_(m.any(axis=1), m.any(axis=0))]
     norm = math.sqrt(float(np.sum(np.square(block.real)) + np.sum(np.square(block.imag))))
     if norm == 0.0:
         raise ValueError("slice is identically zero; no Schmidt spectrum")
-    block /= norm
-    values = np.zeros(min(m.shape))
+    block = block / norm
+    values = np.zeros(min(sl.shape))
     with blas.one_thread():
         sigma = np.linalg.svd(block, compute_uv=False)
     values[: sigma.size] = sigma

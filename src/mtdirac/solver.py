@@ -37,6 +37,11 @@ only; both walk the branches in one loop and agree bit for bit.  The loop
 can skip branches: the surface quadrature integrates the branches whose
 |psi|^2 is a product of one function of x and one of y (_branch_factors)
 from their axis values alone and evaluates only the others on its grid.
+
+A factored branch is an exact zero outside the product of its two
+profiles' open supports: branch_support gives that box in the null pair.
+The surface quadrature evaluates a branch only inside it, and the
+equal-time slice only on the rows and columns it reaches.
 """
 
 from __future__ import annotations
@@ -88,7 +93,40 @@ def _branch_factors(s: Scenario, comp: int, half: int, initial: bool):
     return (c, f.py, f.px) if f.swapped else (c, f.px, f.py)
 
 
-def _branch_values(s: Scenario, halves, t1, z1, t2, z2, branches=BRANCHES):
+def branch_support(s: Scenario, comp: int, half: int, initial: bool):
+    """The open box ((x_lo, x_hi), (y_lo, y_hi)) in the null pair (x, y) of
+    a branch outside which the branch reads an exact zero, or None where
+    that zero is not proven.
+
+    The box is the product of the open supports of the two profiles of
+    _branch_factors, in (x, y) order: outside it one profile reads +0, and
+    the finite constants keep the product a zero (of either sign).  None is
+    for the branches that do not factor, by _branch_factors' rule: data
+    given by a function, function phases, overridden boundary maps and
+    non-finite constants.  A zero branch gives an empty box.  The box of a
+    datum (Component2D.box) is not read: a config's support can be narrower
+    than its data.  The profiles are taken to be finite on their supports,
+    as every bundled shape with finite parameters is: a profile that read
+    NaN would make the product NaN, not zero, across the other one's zeros.
+    """
+    f = _branch_factors(s, comp, half, initial)
+    if f is None:
+        return None
+    _, pa, pb = f
+    if pa is None:
+        return (0.0, 0.0), (0.0, 0.0)
+    return pa.support(), pb.support()
+
+
+def _within(v, interval):
+    """Where lo < v < hi: the open interval, tested as Profile1D.inside does."""
+    lo, hi = interval
+    return (v > lo) & (v < hi)
+
+
+def _branch_values(
+    s: Scenario, halves, t1, z1, t2, z2, branches=BRANCHES, on_support=False
+):
     """Yield (comp, mask, values): psi_comp on one branch of one half.
 
     halves holds (half, where) pairs, where masking the points of that half.
@@ -98,7 +136,10 @@ def _branch_values(s: Scenario, halves, t1, z1, t2, z2, branches=BRANCHES):
     mask.  branches holds the (comp, half, initial) keys to evaluate, in the
     order of BRANCHES.  Each branch reads its datum at the null pair: on a
     grid a factored datum is filled from its profiles on the axes, every
-    other one is evaluated pointwise on its mask.
+    other one is evaluated pointwise on its mask.  With on_support, a mask
+    also leaves out the points whose null pair lies outside the branch's
+    branch_support box: the zeros there are not read, so their signs are
+    lost.
     """
     live = {half: where for half, where in halves if where.any()}
     pair = {}  # the null pair of one component: branches come component by component
@@ -115,6 +156,8 @@ def _branch_values(s: Scenario, halves, t1, z1, t2, z2, branches=BRANCHES):
         if (comp, half) in BRANCH_MAPS:
             on_initial = initial_branch(half, x, y)
             mask = mask & (on_initial if initial else ~on_initial)
+        if on_support and (box := branch_support(s, comp, half, initial)) is not None:
+            mask = mask & _within(x, box[0]) & _within(y, box[1])
         if not mask.any():
             continue
         # values are yielded, not kept: no branch's arrays outlive it
@@ -124,18 +167,19 @@ def _branch_values(s: Scenario, halves, t1, z1, t2, z2, branches=BRANCHES):
             yield comp, mask, g(*(np.broadcast_to(a, mask.shape)[mask] for a in (x, y)))
 
 
-def _eval_halves(s: Scenario, halves, t1, z1, t2, z2, out=None):
+def _eval_halves(s: Scenario, halves, t1, z1, t2, z2, out=None, branches=BRANCHES):
     """psi on the points of each (half, where) of halves, zero elsewhere.
 
     The result has shape (4,) + the shape of the masks.  With out, four
     complex arrays of that shape holding zeros (views into a larger matrix
     will do), psi1..psi4 are written into them and out is returned: no
-    second copy of psi is made.
+    second copy of psi is made.  Only the branches named in branches are
+    evaluated.
     """
     if out is None:
         shape = np.broadcast_shapes(t1.shape, t2.shape)
         out = np.zeros((4,) + shape, dtype=complex)
-    for comp, mask, values in _branch_values(s, halves, t1, z1, t2, z2):
+    for comp, mask, values in _branch_values(s, halves, t1, z1, t2, z2, branches):
         out[comp - 1][mask] = values
         del values  # not held while the next branch is evaluated
     return out
@@ -174,7 +218,7 @@ def evaluate_fields(s: Scenario, t1, z1, t2, z2) -> np.ndarray:
     return out.reshape((4,) + shape)
 
 
-def evaluate_grid(s: Scenario, t1, z1, t2, z2, out=None):
+def evaluate_grid(s: Scenario, t1, z1, t2, z2, out=None, branches=BRANCHES):
     """psi on the tensor grid (t1_i, z1_i) x (t2_j, z2_j), shape (4, n1, n2).
 
     (t1, z1) are the n1 points of particle 1 and (t2, z2) the n2 points of
@@ -184,14 +228,16 @@ def evaluate_grid(s: Scenario, t1, z1, t2, z2, out=None):
     data profiles are evaluated on the axis points, not on every pair: each
     null coordinate z + s t depends on one particle only.  With out, four
     zeroed complex (n1, n2) arrays, psi_i is written into out[i - 1] and out
-    is returned in place of a new (4, n1, n2) array.
+    is returned in place of a new (4, n1, n2) array.  branches, keys of
+    BRANCHES, limits the evaluation to those branches: the others are left
+    zero, and out[i - 1] may be None for a component none of them names.
     """
     t1, z1 = (np.asarray(a, dtype=float).reshape(-1, 1) for a in (t1, z1))
     t2, z2 = (np.asarray(a, dtype=float).reshape(1, -1) for a in (t2, z2))
     if t1.shape != z1.shape or t2.shape != z2.shape:
         raise ValueError("each particle needs as many times as positions")
     m1, m2, bad = region_masks(t1, z1, t2, z2)
-    return _eval_halves(s, ((1, m1), (2, m2)), t1, z1, t2, z2, out), bad
+    return _eval_halves(s, ((1, m1), (2, m2)), t1, z1, t2, z2, out, branches), bad
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ The tests also evaluate and boost single configurations and read the
 order-0 compatibility gap through here, and the gamma-bilinear oracle of the current takes its adjoint pairing from here.
 The acceptance line "interaction verdict" reads `is_interacting`: a product
 initial slice whose Schmidt spectrum gains a second value under evolution.
+`slice_of` makes a slice of a given matrix, for the spectrum's own tests.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from mtdirac.geometry import Configuration
-from mtdirac.interaction import default_slice_grid, schmidt_spectrum, single_time_slice
+from mtdirac.interaction import (
+    SingleTimeSlice,
+    default_slice_grid,
+    schmidt_spectrum,
+    single_time_slice,
+)
 from mtdirac.lorentz import Boost, manifest_sign, pair_factor
 from mtdirac.scenario import (
     BRANCH_MAPS,
@@ -162,3 +168,11 @@ def is_interacting(s, times, tol=1e-8) -> InteractionVerdict:
         max_sigma2=max_sigma2,
         max_ratio=max_ratio,
     )
+
+
+def slice_of(matrix: np.ndarray) -> SingleTimeSlice:
+    """The slice whose matrix is matrix: the block of its rows and columns
+    that are not all zero, as single_time_slice keeps it."""
+    rows, cols = (np.flatnonzero(matrix.any(axis=k)) for k in (1, 0))
+    block = matrix[np.ix_(rows, cols)]
+    return SingleTimeSlice(block=block, rows=rows, cols=cols, shape=matrix.shape)

@@ -6,7 +6,6 @@ import pytest
 from mtdirac.conservation import QuadratureSpec, component_masses
 from mtdirac.geometry import sample_spacelike
 from mtdirac.interaction import (
-    SingleTimeSlice,
     closed_form_packet,
     default_slice_grid,
     schmidt_spectrum,
@@ -25,7 +24,7 @@ from mtdirac.scenario import (
     load_scenario,
 )
 from mtdirac.solver import evaluate_fields, evaluate_grid
-from probes import compatibility_gap, is_interacting
+from probes import compatibility_gap, is_interacting, slice_of
 
 BOUNDS = (-3.0, -1.0, 1.0, 3.0)
 
@@ -123,8 +122,9 @@ def test_single_time_slice_layout(packet):
     assert np.array_equal(block2, direct)
     assert not np.diag(block2).any()
 
-    # the slice is written in place by evaluate_grid: each quadrant holds
-    # its component bit for bit, on every kind of datum and each config
+    # the quadrants of evaluate_grid, psi1 top left to psi4 bottom right: the
+    # block holds their entries bit for bit, on every kind of datum and each
+    # config, and every entry outside it is zero, of either sign
     from test_solver import bits, grid_scenarios
 
     cases = dict(grid_scenarios())
@@ -136,16 +136,20 @@ def test_single_time_slice_layout(packet):
             z = default_slice_grid(s, [t], n=40)
             tz = np.full(z.size, t)
             vals, _ = evaluate_grid(s, tz, z, tz, z)
-            m = single_time_slice(s, t, z).matrix
-            n = z.size
-            quadrants = (m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:])
-            for comp, (got, want) in enumerate(zip(quadrants, vals), start=1):
-                assert np.array_equal(bits(got), bits(want)), (name, t, comp)
+            full = np.block([[vals[0], vals[1]], [vals[2], vals[3]]])
+            sl = single_time_slice(s, t, z)
+            inside = np.ix_(sl.rows, sl.cols)
+            assert np.array_equal(bits(sl.block), bits(full[inside])), (name, t)
+            outside = np.ones(full.shape, dtype=bool)
+            outside[inside] = False
+            assert not full[outside].any(), (name, t)
+            assert np.array_equal(bits(sl.matrix), bits(np.where(outside, 0.0, full)))
 
 
 def test_slice_and_spectrum_hold_one_matrix_and_the_block(rich):
-    """The slice is one (2n, 2n) matrix, and the SVD adds only its nonzero
-    block and LAPACK's copy of it: the peak stays under 1.75 matrices."""
+    """The slice holds its nonzero block only, 252 x 280 of the (2n, 2n)
+    matrix at t = 0, and the SVD adds a copy of it and LAPACK's: the peak
+    stays under one (2n, 2n) matrix, in which no part is ever built."""
     z = default_slice_grid(rich, [0.0], n=256)
     schmidt_spectrum(single_time_slice(rich, 0.0, z))  # warm: no first-call allocations
     tracemalloc.start()
@@ -155,7 +159,9 @@ def test_slice_and_spectrum_hold_one_matrix_and_the_block(rich):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.75 * sl.matrix.nbytes, peak / sl.matrix.nbytes
+    matrix_bytes = (2 * z.size) ** 2 * np.dtype(complex).itemsize
+    assert sl.block.shape == (252, 280)
+    assert peak < matrix_bytes, peak / matrix_bytes
 
 
 def test_schmidt_spectrum_properties(spin_pair):
@@ -184,7 +190,7 @@ def test_schmidt_spectrum_of_a_block_embedded_in_zeros():
     rows = np.sort(rng.choice(40, 7, replace=False))
     cols = np.sort(rng.choice(60, 5, replace=False))
     m[np.ix_(rows, cols)] = block
-    spec = schmidt_spectrum(SingleTimeSlice(matrix=m))
+    spec = schmidt_spectrum(slice_of(m))
     expected = np.linalg.svd(block, compute_uv=False) / np.linalg.norm(block)
     assert spec.shape == (40,)
     assert np.all(np.abs(spec[:5] - expected) <= 4 * np.spacing(expected[0]))
@@ -219,7 +225,7 @@ def test_schmidt_spectrum_runs_its_svd_at_one_blas_thread(rich, monkeypatch):
 def test_schmidt_spectrum_of_a_single_row():
     m = np.zeros((16, 16), dtype=complex)
     m[3, 2:9] = np.arange(1.0, 8.0) * (1 - 2j)
-    spec = schmidt_spectrum(SingleTimeSlice(matrix=m))
+    spec = schmidt_spectrum(slice_of(m))
     assert spec[0] == pytest.approx(1.0, abs=1e-15)
     assert spec[1] == 0.0 and spec.shape == (16,)
 
