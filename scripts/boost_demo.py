@@ -14,7 +14,6 @@ import numpy as np
 from mtdirac.geometry import sample_spacelike
 from mtdirac.interaction import wavepacket_scenario
 from mtdirac.lorentz import (
-    COVARIANCE_STEP,
     Boost,
     commutation_defect,
     covariance_report,
@@ -22,6 +21,7 @@ from mtdirac.lorentz import (
     jump_covariance_defect,
 )
 from mtdirac.scenario import Phase
+from mtdirac.solver import STENCIL_STEP
 
 
 def main() -> None:
@@ -34,7 +34,7 @@ def main() -> None:
     rng = np.random.default_rng(0)
     span = (-4.0, 4.0)  # the packet's support hull, padded by 1 in each direction
     configurations = sample_spacelike(
-        rng, args.samples, span, span, margin=4 * COVARIANCE_STEP
+        rng, args.samples, span, span, margin=4 * STENCIL_STEP
     )
     print(
         f"{'beta':>6} {'kept':>5} {'pde_max':>10} {'jump':>10} "

@@ -26,13 +26,12 @@ _EXPORTS = {
         "scenario_from_dict",
     ),
     "solver": (
-        "bc_defect",
         "check_compatibility",
         "evaluate_fields",
         "evaluate_grid",
         "pde_residual",
     ),
-    "current": ("coincidence_flux", "tensor_current"),
+    "current": ("tensor_current",),
     "conservation": (
         "Hypersurface",
         "QuadratureSpec",

@@ -131,26 +131,37 @@ def _check(value: float, tol: float, **extra) -> dict:
 
 
 def _sample_box(s: Scenario) -> tuple[tuple[float, float], tuple[float, float]]:
-    """(t_span, z_span) covering where the evolved field can be nonzero."""
-    hull = s.initial.support_hull() or (-1.0, 1.0)
-    w = hull[1] - hull[0]
-    t_half = 0.5 * w + 1.0
-    return (-t_half, t_half), (hull[0] - 1.0, hull[1] + 1.0)
+    """(t_span, z_span) covering where the evolved field can be nonzero.
+
+    Raises ValueError naming the support hull if a span is too wide for a
+    double.
+    """
+    lo, hi = (float(v) for v in s.initial.support_hull() or (-1.0, 1.0))
+    t_half = 0.5 * (hi - lo) + 1.0
+    spans = (-t_half, t_half), (lo - 1.0, hi + 1.0)
+    if not all(math.isfinite(b - a) for a, b in spans):
+        raise ScenarioConfigError(
+            f"the sampling box around the support hull [{lo}, {hi}] is too wide for a double"
+        )
+    return spans
 
 
 def _verify_checks(s: Scenario, args: argparse.Namespace, forks) -> dict[str, dict]:
     """The entries of verify's checks, by name in the report's order.
 
     The conservation entries are computed by a worker forked on forks when
-    two or more CPUs are usable, beside the other checks, else here.
+    two or more CPUs are usable, beside the other checks, else here after
+    them; either way they are filled in last, in their place.
     """
     from . import blas, conservation, interaction, lorentz
-    from .current import coincidence_flux, continuity_residual
-    from .forks import send
+    from .current import continuity_residual, levi_civita_contraction, tensor_current
+    from .forks import send, worker_count
     from .geometry import sample_spacelike
-    from .solver import bc_defect, check_compatibility, evaluate_fields, pde_residual
+    from .solver import STENCIL_STEP, boundary_trace_fields, check_compatibility
+    from .solver import evaluate_fields, jump_residual, pde_residual
     from .spin import exchange
 
+    t_span, z_span = _sample_box(s)  # before any check, and before the fork
     rng = np.random.default_rng(args.seed)
     q = conservation.QuadratureSpec(panels=args.panels)
     checks: dict[str, dict] = {}
@@ -182,7 +193,7 @@ def _verify_checks(s: Scenario, args: argparse.Namespace, forks) -> dict[str, di
             entry["degenerate"] = True  # zero scenario, integral vanishes
         return [entry, _check(float(excluded), 0.0)]
 
-    if conservation.worker_count() > 1 and hasattr(os, "fork"):
+    if worker_count() > 1:
         # the quadrature reads no other check and calls no BLAS, so a worker
         # runs it beside the other checks; it sends its entries as run made
         # them, so that an error of it is reported as one here would be
@@ -207,8 +218,7 @@ def _verify_checks(s: Scenario, args: argparse.Namespace, forks) -> dict[str, di
 
     run(("compatibility", "seam_c1", "seam_c2"), compatibility)
 
-    h = 1e-4
-    t_span, z_span = _sample_box(s)
+    h = STENCIL_STEP
     t1, z1, t2, z2 = sample_spacelike(rng, 64, t_span, z_span, margin=4 * h)
 
     def residuals() -> list[dict]:
@@ -226,20 +236,20 @@ def _verify_checks(s: Scenario, args: argparse.Namespace, forks) -> dict[str, di
     tt = rng.uniform(t_span[0], t_span[1], 1000)
     zz = rng.uniform(z_span[0], z_span[1], 1000)
 
-    def both_sides(probe) -> float:
-        # np.max, not max: a NaN on either side fails the check
-        return float(np.max(np.abs([probe(s, tt, zz, side) for side in (1, 2)])))
+    def traces() -> list[dict]:
+        # each side's trace once, read by the jump condition and by the net
+        # flux into the coincidence set; np.max, not max: a NaN on either
+        # side fails the check
+        values = {side: boundary_trace_fields(s, tt, zz, side).values for side in (1, 2)}
+        jump = [jump_residual(s.phase.on(side), tt, zz, v) for side, v in values.items()]
+        flux = [levi_civita_contraction(tensor_current(v)) for v in values.values()]
+        return [
+            _check(float(np.max(np.abs(jump))), 1e-13, samples=1000),
+            _check(float(np.max(np.abs(flux))), 1e-12, samples=1000),
+        ]
 
-    run("boundary_condition", lambda: _check(both_sides(bc_defect), 1e-13, samples=1000))
-    run(
-        "coincidence_flux",
-        lambda: _check(both_sides(coincidence_flux), 1e-12, samples=1000),
-    )
-
-    if forks.pids:  # the worker's entries, received below, take this place
-        checks.update(dict.fromkeys(conserved))
-    else:
-        run(conserved, conservation_diffs)
+    run(("boundary_condition", "coincidence_flux"), traces)
+    checks.update(dict.fromkeys(conserved))  # their place; filled in last
 
     b = lorentz.Boost(0.5)
 
@@ -292,8 +302,7 @@ def _verify_checks(s: Scenario, args: argparse.Namespace, forks) -> dict[str, di
     if sl.block.size:  # an identically zero slice has no spectrum
         run("schmidt", schmidt)
 
-    if forks.pids:
-        run(conserved, lambda: forks.receive(0))
+    run(conserved, (lambda: forks.receive(0)) if forks.pids else conservation_diffs)
     return checks
 
 
@@ -443,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_eval, p_verify, p_scatter):
         p.add_argument("--scenario", required=True, help="scenario config JSON file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed")
+        p.add_argument("--seed", type=_at_least(0), default=0, help="sampling seed")
         p.add_argument("--grid", type=_at_least(2), default=GRID, help="slice grid points")
     for p in (p_verify, p_scatter):  # evaluate integrates nothing
         p.add_argument(

@@ -62,12 +62,12 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .forks import worker_count  # the usable CPUs; perfbench reads it here
 from .geometry import region_masks
 from .profiles import gauss_panels, unit_bump
 from .scenario import BRANCH_MAPS, BRANCHES, NULL_SIGNS, Scenario
@@ -241,13 +241,6 @@ def truncation_box(s: Scenario, surf: Hypersurface) -> tuple[float, float] | Non
 # alternating rounds at 224 and 256 rows each (56 and 64 panels), in 8 of 10
 # at 192, 5 of 10 at 160 and 3 of 10 at 96
 THREAD_ROWS = 256
-
-
-def worker_count() -> int:
-    """Usable CPUs (os.sched_getaffinity; 1 where it does not exist)."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 def _threaded(evaluate, n: int) -> list:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import NULL_SIGNS
-from .solver import boundary_trace_fields, evaluate_fields, stencil_derivatives
+from .solver import STENCIL_STEP, evaluate_fields, stencil_derivatives
 
 # velocities v_k = -s_k of particles 1 and 2 on psi_1 .. psi_4
 _V1, _V2 = -np.array([NULL_SIGNS[i] for i in (1, 2, 3, 4)], dtype=float).T
@@ -61,7 +61,7 @@ def levi_civita_contraction(j: TensorCurrent) -> np.ndarray:
 
 
 def continuity_residual(
-    s, t1, z1, t2, z2, h: float = 1e-4
+    s, t1, z1, t2, z2, h: float = STENCIL_STEP
 ) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference residuals of the two continuity equations, elementwise.
 
@@ -79,14 +79,3 @@ def continuity_residual(
     d1 = d_t1[0] + d_z1[1]  # indexed by nu
     d2 = d_t2[:, 0] + d_z2[:, 1]  # indexed by mu
     return d1, d2
-
-
-def coincidence_flux(s, t, z, side: int) -> np.ndarray:
-    """Net flux j^{01} - j^{10} carried by the one-sided trace at (t, z).
-
-    Vanishes for every trace satisfying the modulus-preserving jump
-    condition |psi2| = |psi3|; a nonzero value certifies probability
-    leaking through the coincidence set.
-    """
-    tr = boundary_trace_fields(s, t, z, side)
-    return levi_civita_contraction(tensor_current(tr.values))

@@ -11,13 +11,21 @@ returns into its caller: it ends by os._exit, so that no buffer, atexit
 hook or enclosing frame of the parent runs twice.  Workers call no BLAS: a
 forked process holds none of its parent's BLAS threads (Python 3.12 and
 later warn on a fork while threads run).  `evaluate` (ranges.Workers) and
-`verify` fork through this module.
+`verify` fork through this module, and worker_count holds the one rule for
+how many CPUs a run may use, also for the quadrature's threads.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+
+
+def worker_count() -> int:
+    """Usable CPUs (os.sched_getaffinity) where a process can fork; else 1."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 class Forks:

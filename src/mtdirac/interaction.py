@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import region_masks
-from .profiles import Profile1D, smooth_bump
+from .profiles import Profile1D, smooth_bump, within
 from .scenario import (
     BRANCHES,
     NULL_SIGNS,
@@ -43,7 +43,7 @@ from .scenario import (
     parse_profile,
     product2,
 )
-from .solver import _within, branch_support, evaluate_grid
+from .solver import branch_support, evaluate_grid
 
 
 def wavepacket_scenario(
@@ -283,7 +283,7 @@ def single_time_slice(s: Scenario, t: float, z) -> SingleTimeSlice:
         box = branch_support(s, comp, half, initial)
         x, y = null_pair(comp, tz, z, tz, z)
         on = [np.ones(n, dtype=bool)] * 2 if box is None else [
-            _within(v, interval) for v, interval in zip((x, y), box)
+            within(v, interval) for v, interval in zip((x, y), box)
         ]
         if on[0].any() and on[1].any():  # a branch with no point reached adds none
             for particle, sign in enumerate(NULL_SIGNS[comp]):

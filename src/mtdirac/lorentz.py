@@ -17,7 +17,7 @@ transported phase theta' = theta o inverse-boost.
 A transformed solution psi'(x1, x2) = S1 S2 psi(L^-1 x1, L^-1 x2) is again
 a solution; the probe here verifies that numerically rather than assume it.
 The jump condition's boost and manifest form are identities on 4x4 matrices
-(solver.bc_defect alone reads traces).
+(verify's boundary_condition alone reads traces).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .current import tensor_current
 from .geometry import spacelike_margin
 from .scenario import Phase, Scenario
-from .solver import evaluate_fields, field_residual, jump_residual
+from .solver import STENCIL_STEP, evaluate_fields, field_residual, jump_residual
 from .spin import chiral_pair_projector, epsilon_gamma_pair, gamma
 
 
@@ -127,21 +127,19 @@ class CovarianceReport:
     samples: int
 
 
-COVARIANCE_STEP = 1e-4  # the stencil step of covariance_report's residual probe
-
-
 def covariance_report(s: Scenario, b: Boost, configurations) -> CovarianceReport:
     """Residuals of the transformed solution against the transformed system.
 
     configurations (t1, z1, t2, z2) are the caller's source-frame points,
     mapped through the boost, so the probe lands on the boosted image of
     wherever the caller sampled the field.  Configurations whose image lacks
-    stencil room are dropped; samples counts those kept.
+    stencil room (a margin of 4 solver.STENCIL_STEP, as verify samples with)
+    are dropped; samples counts those kept.
     """
     t1, z1, t2, z2 = configurations
     c = np.array([*b.point(t1, z1), *b.point(t2, z2)])
-    c = c[:, spacelike_margin(*c) > 4.0 * COVARIANCE_STEP]
-    r = field_residual(partial(transformed_fields, s, b), *c, COVARIANCE_STEP)
+    c = c[:, spacelike_margin(*c) > 4.0 * STENCIL_STEP]
+    r = field_residual(partial(transformed_fields, s, b), *c, STENCIL_STEP)
     pde_max = float(np.max(np.abs(r), initial=0.0))  # a NaN residual stays NaN
     return CovarianceReport(pde_max=pde_max, samples=c.shape[1])
 

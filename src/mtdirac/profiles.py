@@ -24,6 +24,12 @@ import numpy as np
 Complex1D = Callable[[np.ndarray], np.ndarray]
 
 
+def within(x, interval) -> np.ndarray:
+    """Where lo < x < hi for interval (lo, hi): the open support test."""
+    lo, hi = interval
+    return (x > lo) & (x < hi)
+
+
 @dataclass(frozen=True, eq=False)
 class Profile1D:
     """One-variable complex profile vanishing exactly outside [lo, hi]."""
@@ -46,7 +52,7 @@ class Profile1D:
 
     def inside(self, x: np.ndarray) -> np.ndarray:
         """Where the profile may be nonzero: the open support lo < x < hi."""
-        return (x > self.lo) & (x < self.hi)
+        return within(x, (self.lo, self.hi))
 
     def support(self) -> tuple[float, float]:
         return (self.lo, self.hi)

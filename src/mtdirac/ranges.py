@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fmt17
-from .forks import Forks, send
+from .forks import Forks, send, worker_count
 from .scenario import Scenario, ScenarioConfigError
 
 ROW_BYTES = 64  # a points file counts a row per this many bytes (%r rows take ~77)
@@ -328,11 +328,9 @@ def row_starts(path: Path, targets: list[int]) -> list[int] | None:
     return starts
 
 
-def worker_count(rows: int) -> int:
-    """Processes for rows of input: one per usable CPU, each with _RANGE rows or more."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), rows // _RANGE))
+def range_count(rows: int) -> int:
+    """Ranges for rows of input: one per usable CPU, each with _RANGE rows or more."""
+    return max(1, min(worker_count(), rows // _RANGE))
 
 
 def point_ranges(path: Path) -> list:
@@ -356,7 +354,7 @@ def point_ranges(path: Path) -> list:
         return pts.shape[1], ((pts[:, k:k + _BLOCK], None) for k in range(0, pts.shape[1], _BLOCK))
 
     size = path.stat().st_size if path.is_file() else 0
-    count = worker_count(size // ROW_BYTES)
+    count = range_count(size // ROW_BYTES)
     starts = row_starts(path, [size * k // count for k in range(1, count)]) if count > 1 else None
     if not starts:  # one range: the file is read whole
         return [job]
@@ -373,7 +371,7 @@ def grid_ranges(s: Scenario, time: float, z: np.ndarray) -> list:
     """
     step = max(1, _BLOCK // z.size)
     starts = range(0, z.size, step)
-    count = min(worker_count(z.size**2), len(starts))
+    count = min(range_count(z.size**2), len(starts))
     bounds = [starts[len(starts) * k // count] for k in range(count)] + [z.size]
 
     def blocks(first: int, stop: int):

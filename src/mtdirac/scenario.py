@@ -224,7 +224,8 @@ def boundary_maps(s: Scenario) -> BoundaryMaps:
     it feeds, read at the null pair of the coincidence point (t, z): the
     datum arriving there on the incoming characteristic, multiplied by the
     jump factor exp(-+ i theta).  On each half h the pair (psi2, psi3)
-    satisfies psi2 = exp(-i theta_h) psi3, as solver.bc_defect checks.
+    satisfies psi2 = exp(-i theta_h) psi3, as verify checks on the one-sided
+    traces (solver.jump_residual).
     """
     if s.boundary_override is not None:
         return s.boundary_override

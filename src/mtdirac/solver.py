@@ -52,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DomainError, region_masks, spacelike_margin
+from .profiles import within
 from .scenario import (
     BRANCH_MAPS,
     BRANCHES,
@@ -118,12 +119,6 @@ def branch_support(s: Scenario, comp: int, half: int, initial: bool):
     return pa.support(), pb.support()
 
 
-def _within(v, interval):
-    """Where lo < v < hi: the open interval, tested as Profile1D.inside does."""
-    lo, hi = interval
-    return (v > lo) & (v < hi)
-
-
 def _branch_values(
     s: Scenario, halves, t1, z1, t2, z2, branches=BRANCHES, on_support=False
 ):
@@ -157,7 +152,7 @@ def _branch_values(
             on_initial = initial_branch(half, x, y)
             mask = mask & (on_initial if initial else ~on_initial)
         if on_support and (box := branch_support(s, comp, half, initial)) is not None:
-            mask = mask & _within(x, box[0]) & _within(y, box[1])
+            mask = mask & within(x, box[0]) & within(y, box[1])
         if not mask.any():
             continue
         # values are yielded, not kept: no branch's arrays outlive it
@@ -276,17 +271,12 @@ def jump_residual(theta: Phase, t, z, values) -> np.ndarray:
     return values[1] - np.exp(-1j * theta(t, z)) * values[2]
 
 
-def bc_defect(s: Scenario, t, z, side: int) -> np.ndarray:
-    """jump_residual of the scenario's trace on a side."""
-    tr = boundary_trace_fields(s, t, z, side)
-    return jump_residual(s.phase.on(side), t, z, tr.values)
-
-
 # ---------------------------------------------------------------------------
 # Finite-difference probes
 # ---------------------------------------------------------------------------
 
 SEAM_STEP = 1e-3  # the central-difference step of seam_mismatch
+STENCIL_STEP = 1e-4  # the step h of the residual probes that verify runs
 _SIGMA3_SLOT1 = embed(SIGMA3, 1)
 _SIGMA3_SLOT2 = embed(SIGMA3, 2)
 
@@ -364,7 +354,7 @@ def field_residual(
 
 
 def pde_residual(
-    s: Scenario, t1, z1, t2, z2, h: float = 1e-4
+    s: Scenario, t1, z1, t2, z2, h: float = STENCIL_STEP
 ) -> tuple[np.ndarray, np.ndarray]:
     """field_residual of the scenario's field at the configurations (t1, z1, t2, z2)."""
     return field_residual(lambda *p: evaluate_fields(s, *p), t1, z1, t2, z2, h)

@@ -6,6 +6,8 @@ of the characteristic through a configuration, the Clifford relations and
 slot commutation of the two-particle gamma matrices, and the commutation of
 the boost pair factor with the matrices of the manifest jump condition, and
 that condition's residual on traces, the reference for lorentz.manifest_defect.
+`bc_defect` and `coincidence_flux` read one functional each of a side's
+trace, as verify reads both of one trace.
 The tests also evaluate and boost single configurations and read the
 order-0 compatibility gap through here, and the gamma-bilinear oracle of the current takes its adjoint pairing from here.
 The acceptance line "interaction verdict" reads `is_interacting`: a product
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mtdirac.current import levi_civita_contraction, tensor_current
 from mtdirac.geometry import Configuration
 from mtdirac.interaction import (
     SingleTimeSlice,
@@ -32,7 +35,12 @@ from mtdirac.scenario import (
     initial_branch,
     null_pair,
 )
-from mtdirac.solver import boundary_trace_fields, check_compatibility, evaluate_fields
+from mtdirac.solver import (
+    boundary_trace_fields,
+    check_compatibility,
+    evaluate_fields,
+    jump_residual,
+)
 from mtdirac.spin import (
     ID4,
     SIGMA1,
@@ -46,6 +54,23 @@ from mtdirac.spin import (
 def evaluate(s, c: Configuration) -> np.ndarray:
     """Spinor psi(c) as a shape-(4,) complex array."""
     return evaluate_fields(s, c.t1, c.z1, c.t2, c.z2)
+
+
+def bc_defect(s, t, z, side: int) -> np.ndarray:
+    """jump_residual of the scenario's trace on a side."""
+    tr = boundary_trace_fields(s, t, z, side)
+    return jump_residual(s.phase.on(side), t, z, tr.values)
+
+
+def coincidence_flux(s, t, z, side: int) -> np.ndarray:
+    """Net flux j^{01} - j^{10} carried by the one-sided trace at (t, z).
+
+    Vanishes for every trace satisfying the modulus-preserving jump
+    condition |psi2| = |psi3|; a nonzero value certifies probability
+    leaking through the coincidence set.
+    """
+    tr = boundary_trace_fields(s, t, z, side)
+    return levi_civita_contraction(tensor_current(tr.values))
 
 
 def compatibility_gap(s) -> float:

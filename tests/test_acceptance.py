@@ -13,7 +13,7 @@ from mtdirac.conservation import (
     component_masses,
     normalization_report,
 )
-from mtdirac.current import coincidence_flux, levi_civita_contraction, tensor_current
+from mtdirac.current import levi_civita_contraction, tensor_current
 from mtdirac.geometry import region_masks, sample_spacelike
 from mtdirac.interaction import closed_form_packet
 from mtdirac.lorentz import (
@@ -23,11 +23,13 @@ from mtdirac.lorentz import (
     current_covariance_defect,
     jump_covariance_defect,
 )
-from mtdirac.solver import bc_defect, evaluate_fields, pde_residual
+from mtdirac.solver import evaluate_fields, pde_residual
 from mtdirac.spin import exchange
 from probes import (
+    bc_defect,
     characteristic_anchor,
     clifford_defect,
+    coincidence_flux,
     is_interacting,
     manifest_commutant_defect,
     slot_commutator_defect,

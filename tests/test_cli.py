@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 import tracemalloc
@@ -966,6 +968,18 @@ def test_size_flags_rejected_before_any_output(tmp_path, capsys, command, flag, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "verify", "scatter"])
+def test_a_negative_seed_is_rejected_by_its_flag(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", PACKET_CFG, "--out", str(out), "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: must be at least 0, got -1" in captured.err
+    assert not out.exists()
+
+
 def test_scatter_rejects_zero_scenario(tmp_path):
     cfg = tmp_path / "zero.json"
     cfg.write_text("{}\n")
@@ -1006,6 +1020,33 @@ def test_scatter_rejects_a_time_whose_panel_area_overflows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: the panels of box [-1.00000000")
     assert err.endswith("on surface flat have a non-finite area; no integral\n")
+    assert not out.exists()
+
+
+WIDE_HULL = """{"initial": {"g1": {"omega1": {"preset": "product", "params": {
+  "x": {"shape": "smooth_bump", "lo": -1e308, "hi": 1e308},
+  "y": {"shape": "smooth_bump", "lo": -1e308, "hi": 1e308}}}}}}
+"""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["verify", "scatter"])
+def test_a_support_hull_too_wide_to_sample_is_refused(tmp_path, monkeypatch, capsys, command):
+    # the hull is finite, but the sampling box around it is not: verify refuses
+    # it before its worker forks and before a check runs, and scatter before
+    # its default times are drawn from that box
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(WIDE_HULL)
+    forks = _workers(monkeypatch, 2)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(cfg), "--out", str(out)]) == 2
+    assert forks == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the sampling box around the support hull [-1e+308, 1e+308]"
+        " is too wide for a double\n"
+    )
     assert not out.exists()
 
 
@@ -1218,18 +1259,15 @@ def test_verify_failing_in_the_parent_kills_its_worker(tmp_path, monkeypatch, ca
 def test_verify_fails_on_a_nan_trace_of_either_side(tmp_path, monkeypatch, capsys):
     # a NaN on side 2 only must not drop out of the maximum over the sides,
     # nor a NaN part, the last one, out of the covariance's worst ratio
-    import mtdirac.current as current
     import mtdirac.solver as solver
 
-    def nan_on_side_2(probe):
-        def probed(s, t, z, side):
-            values = probe(s, t, z, side)
-            return np.where(side == 2, np.nan, values)
+    trace = solver.boundary_trace_fields
 
-        return probed
+    def nan_on_side_2(s, t, z, side):
+        tr = trace(s, t, z, side)
+        return solver.BoundaryTrace(values=np.where(side == 2, np.nan, tr.values))
 
-    for module, name in ((solver, "bc_defect"), (current, "coincidence_flux")):
-        monkeypatch.setattr(module, name, nan_on_side_2(getattr(module, name)))
+    monkeypatch.setattr(solver, "boundary_trace_fields", nan_on_side_2)
     monkeypatch.setattr("mtdirac.lorentz.current_covariance_defect", lambda b: np.nan)
     out = tmp_path / "out"
     rc = main(["verify", "--scenario", MIRROR_CFG, "--out", str(out), "--panels", "16"])
@@ -1272,9 +1310,72 @@ def test_verify_evaluates_each_probe_in_one_call(tmp_path, monkeypatch):
     # decided on the basis spinors and evaluates no field
     points = calls["evaluate_fields"]
     assert len(points) == 3 and points[:2] == [64 * 8, 64 * 8]
-    # the traces of each side, read by the jump condition and by the flux;
+    # one trace of each side, read by the jump condition and by the flux;
     # its boost and its manifest form are identities on 4x4 matrices
-    assert calls["boundary_trace_fields"] == [1000] * 4
+    assert calls["boundary_trace_fields"] == [1000] * 2
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_verify_records_both_checks_of_a_raising_trace(tmp_path, monkeypatch, deadline, count):
+    # the jump condition and the flux read one trace: a trace that raises
+    # fails both with its message, and the other checks still run
+    import mtdirac.solver as solver
+
+    def broken(*args):
+        raise RuntimeError("trace broke")
+
+    forks = _workers(monkeypatch, count)
+    monkeypatch.setattr(solver, "boundary_trace_fields", broken)
+    out = tmp_path / "out"
+    argv = ["verify", "--scenario", MIRROR_CFG, "--panels", "64", "--grid", "32"]
+    code, stdout, report = _verify_run(argv, out)
+    assert code == 1
+    assert len(forks) == count - 1
+    checks = json.loads(report)["checks"]
+    traced = ("boundary_condition", "coincidence_flux")
+    for name in traced:
+        assert checks[name] == {"pass": False, "error": "RuntimeError: trace broke"}, name
+    assert all(v["pass"] for k, v in checks.items() if k not in traced)
+    assert "FAIL coincidence_flux: RuntimeError: trace broke" in stdout
+    names = [line.split()[1].rstrip(":") for line in stdout.splitlines()[:-2]]
+    assert names[names.index("coincidence_flux") + 1 :] == [
+        "conservation_diffs", "excluded_pairs", "covariance", "schmidt"
+    ]
+    _no_child_left()
+
+
+def test_evaluate_and_verify_fork_by_the_usable_cpus(tmp_path, monkeypatch, deadline):
+    # one rule sizes both: at 3 usable CPUs evaluate runs 3 ranges (2 forked
+    # workers) and verify 1 quadrature worker; where os.fork does not
+    # exist, neither forks and both write the same bytes
+    import os
+
+    from mtdirac import conservation
+    from mtdirac import forks as forks_module
+
+    assert conservation.worker_count is forks_module.worker_count  # perfbench's import
+    pts = np.stack(sample_spacelike(np.random.default_rng(5), 300, *MIRROR_BOX))
+    path = _write_points(tmp_path / "points.csv", pts.T)
+    evaluate = ["evaluate", "--scenario", MIRROR_CFG, "--points", str(path), "--out"]
+    verify = ["verify", "--scenario", MIRROR_CFG, "--panels", "64", "--grid", "32", "--out"]
+    outputs = {}
+    for forking in (True, False):
+        with monkeypatch.context() as mp:
+            forks = _workers(mp, 3)
+            if not forking:
+                mp.delattr(os, "fork")
+            assert forks_module.worker_count() == (3 if forking else 1)
+            made = []
+            for name, argv in (("evaluate", evaluate), ("verify", verify)):
+                out = tmp_path / f"{name}-{forking}"
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv + [str(out)]) == 0
+                made.append(len(forks))
+                outputs[name, forking] = _read(next(out.iterdir()))
+            assert made == ([2, 3] if forking else [0, 0])
+        _no_child_left()
+    for name in ("evaluate", "verify"):
+        assert outputs[name, True] == outputs[name, False], name
 
 
 @pytest.mark.parametrize("config", [PACKET_CFG, "configs/spin_product.json", MIRROR_CFG])

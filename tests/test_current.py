@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from mtdirac.current import (
     SIGN_TABLE,
-    coincidence_flux,
     continuity_residual,
     levi_civita_contraction,
     tensor_current,
@@ -14,7 +13,7 @@ from mtdirac.geometry import sample_spacelike
 from mtdirac.scenario import NULL_SIGNS
 from mtdirac.solver import StencilError
 from mtdirac.spin import gamma
-from probes import ADJOINT_METRIC
+from probes import ADJOINT_METRIC, coincidence_flux
 
 cvals = st.tuples(
     st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False)

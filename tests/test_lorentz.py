@@ -8,7 +8,6 @@ import pytest
 from mtdirac.current import tensor_current
 from mtdirac.geometry import Configuration, sample_spacelike, spacelike_margin
 from mtdirac.lorentz import (
-    COVARIANCE_STEP,
     Boost,
     commutation_defect,
     covariance_report,
@@ -32,15 +31,20 @@ from mtdirac.scenario import (
     boundary_maps,
 )
 from mtdirac.solver import (
+    STENCIL_STEP,
     StencilError,
-    bc_defect,
     boundary_trace_fields,
     evaluate_fields,
     field_residual,
     jump_residual,
 )
 from mtdirac.spin import SIGMA3, embed
-from probes import boosted_config, manifest_commutant_defect, manifest_trace_residual
+from probes import (
+    bc_defect,
+    boosted_config,
+    manifest_commutant_defect,
+    manifest_trace_residual,
+)
 
 BETAS = (0.3, -0.3, 1.0, -1.0)
 
@@ -208,7 +212,7 @@ def test_covariance_report(packet):
     rep = covariance_report(packet, b, configurations)
     t1, z1, t2, z2 = configurations
     margin = spacelike_margin(*b.point(t1, z1), *b.point(t2, z2))
-    assert rep.samples == int((margin > 4 * COVARIANCE_STEP).sum()) > 0
+    assert rep.samples == int((margin > 4 * STENCIL_STEP).sum()) > 0
     # the probe reads live field, and it obeys the boosted system
     assert 0.0 < rep.pde_max < 1e-6
     # a NaN field value fails the report instead of dropping out of the maximum

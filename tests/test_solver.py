@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from probes import characteristic_anchor, compatibility_gap, evaluate
+from probes import bc_defect, characteristic_anchor, compatibility_gap, evaluate
 from tracing import reference_value
 
 from mtdirac.current import continuity_residual
@@ -43,7 +43,6 @@ from mtdirac.scenario import (
 from mtdirac.solver import (
     StencilError,
     _branch_factors,
-    bc_defect,
     boundary_trace_fields,
     check_compatibility,
     evaluate_fields,
