@@ -29,6 +29,8 @@ the machine sat idle read up to ~3x slow.  The layers:
                       each (128, 512 and 1024 rows)
   slice_svd           a 256-point equal-time slice at t = 1.5 and its SVD;
                       peak_mb is the tracemalloc peak of one more call
+  slice_svd_0         the same at t = 0, the slice that `verify` takes
+                      (two independent blocks, 168 x 196 and 84 x 84)
   residual_probes     pde_residual and continuity_residual on 64 configurations,
                       passed as arrays: one call each
   evaluate_points     `mtdirac evaluate --points` on mirror_bump through
@@ -229,13 +231,14 @@ def measure() -> dict:
         )
         whole_grid_values.append(rep.value)
 
-    z = default_slice_grid(s, [1.5], n=256)
+    for name, t in (("slice_svd", 1.5), ("slice_svd_0", 0.0)):
+        z = default_slice_grid(s, [t], n=256)
 
-    def slice_svd():
-        return schmidt_spectrum(single_time_slice(s, 1.5, z))
+        def slice_svd():
+            return schmidt_spectrum(single_time_slice(s, t, z))
 
-    layers["slice_svd"], _ = timed(slice_svd, 7)
-    layers["slice_svd"]["peak_mb"] = peak_mb(slice_svd)
+        layers[name], _ = timed(slice_svd, 7)
+        layers[name]["peak_mb"] = peak_mb(slice_svd)
 
     probe = sample_spacelike(np.random.default_rng(2), 64, T_SPAN, Z_SPAN, margin=4 * H)
     layers["residual_probes"], worst_residual = timed(lambda: residuals(s, probe), 5)

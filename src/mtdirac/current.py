@@ -24,6 +24,7 @@ import numpy as np
 
 from .scenario import NULL_SIGNS
 from .solver import STENCIL_STEP, evaluate_fields, stencil_derivatives
+from .solver import _field_equations, _stencil
 
 # velocities v_k = -s_k of particles 1 and 2 on psi_1 .. psi_4
 _V1, _V2 = -np.array([NULL_SIGNS[i] for i in (1, 2, 3, 4)], dtype=float).T
@@ -60,6 +61,11 @@ def levi_civita_contraction(j: TensorCurrent) -> np.ndarray:
     return j.j01 - j.j10
 
 
+def _continuity_equations(d_t1, d_z1, d_t2, d_z2) -> tuple[np.ndarray, np.ndarray]:
+    """continuity_residual's (d1, d2) from the differences of j, each indexed [mu, nu]."""
+    return d_t1[0] + d_z1[1], d_t2[:, 0] + d_z2[:, 1]  # indexed by nu, by mu
+
+
 def continuity_residual(
     s, t1, z1, t2, z2, h: float = STENCIL_STEP
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -73,9 +79,17 @@ def continuity_residual(
     D is the symmetric difference of solver.stencil_derivatives, the same
     stencil as the field residual probe.
     """
-    d_t1, d_z1, d_t2, d_z2 = stencil_derivatives(  # each indexed [mu, nu]
+    return _continuity_equations(*stencil_derivatives(
         lambda *p: tensor_current(evaluate_fields(s, *p)).as_matrix(), t1, z1, t2, z2, h
+    ))
+
+
+def _stencil_residuals(s, t1, z1, t2, z2, h: float):
+    """(solver.pde_residual, continuity_residual) of s, the same bits, from
+    one evaluate_fields call on their shared stencil."""
+    points, differences = _stencil(t1, z1, t2, z2, h)
+    psi = evaluate_fields(s, *points)
+    return (
+        _field_equations(*differences(psi)),
+        _continuity_equations(*differences(tensor_current(psi).as_matrix())),
     )
-    d1 = d_t1[0] + d_z1[1]  # indexed by nu
-    d2 = d_t2[:, 0] + d_z2[:, 1]  # indexed by mu
-    return d1, d2

@@ -13,8 +13,13 @@ initial slice is a product but develops sigma_2 > 0 under evolution
 interacts: free dynamics preserve product form.  Compact data leave most
 rows and columns of that matrix zero, so a slice holds only its nonzero
 block, evaluated on the rows and columns the branches' supports reach.
-The spectrum's norm is a numpy sum and its SVD runs at one BLAS thread,
-so that its bytes do not depend on the thread count OpenBLAS starts with.
+That block is in turn a direct sum of independent blocks, which share no
+row and no column (the two space-like halves hold each particle on
+disjoint intervals, and packets separate after contact).  The singular
+values of a direct sum are the union of its summands', so the spectrum
+takes one SVD per independent block.  Its norm is a numpy sum and its
+SVDs run at one BLAS thread, so that its bytes do not depend on the
+thread count OpenBLAS starts with.
 """
 
 from __future__ import annotations
@@ -220,19 +225,28 @@ def default_slice_grid(s: Scenario, times, n: int = 256) -> np.ndarray:
     """n uniform points covering the support propagated to the largest |t| requested.
 
     Without data (no support) the points cover [-8, 8].  A span too wide
-    for a double (|t| near 1e308) raises ValueError.
+    for a double raises ValueError, which names the support hull if the
+    span at t = 0 is already too wide, else the largest |t| (near 1e308).
     """
     if n < 2:
         raise ValueError(f"need n >= 2 slice grid points, got {n}")
     hull = s.initial.support_hull()
     if hull is None:
         return np.linspace(-8.0, 8.0, n)
+
+    def span(reach: float) -> tuple[float, float]:
+        pad = reach + (hull[1] - hull[0]) / (n - 1)
+        return hull[0] - pad, hull[1] + pad
+
     reach = max((abs(float(t)) for t in np.atleast_1d(times)), default=0.0)
-    pad = reach + (hull[1] - hull[0]) / (n - 1)
-    lo, hi = hull[0] - pad, hull[1] + pad
+    lo, hi = span(reach)
     if not np.isfinite(hi - lo):
-        msg = f"the slice grid at time {reach!r} spans [{lo!r}, {hi!r}], too wide for a double"
-        raise ValueError(msg)
+        lo0, hi0 = span(0.0)
+        where = (
+            f"around the support hull [{hull[0]!r}, {hull[1]!r}]"
+            if not np.isfinite(hi0 - lo0) else f"at time {reach!r}"
+        )
+        raise ValueError(f"the slice grid {where} spans [{lo!r}, {hi!r}], too wide for a double")
     return np.linspace(lo, hi, n)
 
 
@@ -310,19 +324,63 @@ def single_time_slice(s: Scenario, t: float, z) -> SingleTimeSlice:
     )
 
 
+def _components(pattern: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The connected components of a matrix's pattern of True entries.
+
+    Rows and columns are the nodes, and each True entry joins its row and
+    its column.  Each component comes as (rows, cols), both increasing; a
+    row or column with no True entry is a component of its own.  Each node
+    starts as its own root.  Each round hooks every root onto the least
+    root next to its tree, if that is smaller, and pointer jumping then
+    points each node at its new root.  In a round a tree with a neighbour
+    hooks onto one, is hooked by one, or is left alone because each
+    neighbour hooked onto a smaller root, which it hooks onto next round.
+    So every two rounds at least halve the trees of a component: at most
+    2 ceil(log2(nodes)) rounds hook, however long a chain, and one more
+    finds nothing to hook.
+    """
+    n_rows, n_cols = pattern.shape
+    nodes = n_rows + n_cols
+    root = np.arange(nodes)
+    while True:
+        # the least root among each row's columns and each column's rows
+        col_roots = np.broadcast_to(root[n_rows:], pattern.shape)
+        row_roots = np.broadcast_to(root[:n_rows, None], pattern.shape)
+        near = np.concatenate((
+            np.min(col_roots, axis=1, where=pattern, initial=nodes),
+            np.min(row_roots, axis=0, where=pattern, initial=nodes),
+        ))
+        hooked = root.copy()
+        np.minimum.at(hooked, root, near)  # a root hooks onto a smaller one only
+        while not np.array_equal(jumped := hooked[hooked], hooked):
+            hooked = jumped
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    order = np.argsort(root, kind="stable")  # by component, then by node
+    groups = np.split(order, np.flatnonzero(np.diff(root[order])) + 1)
+    return [(g[g < n_rows], g[g >= n_rows] - n_rows) for g in groups]
+
+
 def schmidt_spectrum(sl: SingleTimeSlice) -> np.ndarray:
     """Singular values of the slice over its Frobenius norm, min(shape) of them,
     descending (their squares sum to 1).
 
-    Rows and columns that are all zero add only zero singular values, and
-    compactly supported data leave most of them so; the SVD runs on the
-    slice's block, which holds the others, and the rest of the spectrum is
-    exact zeros.  The block over the norm is a copy: beyond the slice the
-    call holds it and LAPACK's working copy of it.  The norm is numpy's
-    pairwise sum of the block's squares, and the SVD runs at one BLAS
-    thread (blas.one_thread), so that the values are the same bytes for any
-    thread count OpenBLAS starts with.  A non-finite entry is named by its
-    row and column in the full matrix.
+    Rows and columns that are all zero add only zero singular values; the
+    slice's block holds the others.  Up to the order of its rows and
+    columns, that block is the direct sum of the connected components of
+    its pattern of nonzero entries (a NaN counts as nonzero): blocks that
+    share no row and no column.  The singular values of a direct sum are
+    the union of its summands', so the spectrum takes one SVD per
+    component: exact in exact arithmetic, and less cubic work than one SVD
+    of their union.  Each takes its component's entries over the norm, in
+    increasing row and column order, so a block of one component takes the
+    SVD of exactly the block over the norm; the call holds one component's
+    copy at a time beside LAPACK's.  The rest of the spectrum is exact
+    zeros.  The norm is numpy's pairwise sum of the whole block's squares,
+    and the SVDs run at one BLAS thread (blas.one_thread), so that the
+    values are the same bytes for any thread count OpenBLAS starts with.
+    A non-finite entry is named by its row and column in the full matrix.
     """
     from . import blas  # not compiled by evaluate, which imports this module
 
@@ -338,9 +396,19 @@ def schmidt_spectrum(sl: SingleTimeSlice) -> np.ndarray:
     norm = math.sqrt(float(np.sum(np.square(block.real)) + np.sum(np.square(block.imag))))
     if norm == 0.0:
         raise ValueError("slice is identically zero; no Schmidt spectrum")
-    block = block / norm
-    values = np.zeros(min(sl.shape))
+    sigma = []
     with blas.one_thread():
-        sigma = np.linalg.svd(block, compute_uv=False)
+        for rows, cols in _components(block != 0):
+            if (rows.size, cols.size) == block.shape:  # one component: no gather
+                part = block / norm
+            elif rows.size and cols.size:
+                part = block[np.ix_(rows, cols)]
+                part /= norm
+            else:  # a row or a column of zeros alone
+                continue
+            sigma.append(np.linalg.svd(part, compute_uv=False))
+            del part  # before the next component's copy
+    sigma = np.sort(np.concatenate(sigma))[::-1]
+    values = np.zeros(min(sl.shape))
     values[: sigma.size] = sigma
     return values

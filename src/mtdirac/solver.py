@@ -299,6 +299,30 @@ def require_stencil_room(t1, z1, t2, z2, h: float) -> None:
         raise StencilError(f"{first} with margin {m[bad][0]:.3e}")
 
 
+def _stencil(t1, z1, t2, z2, h: float):
+    """stencil_derivatives' points, four arrays of shape S + (8,), and its
+    differences, a function of values of shape V + S + (8,) on them."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    require_stencil_room(t1, z1, t2, z2, h)
+    ht = 0.25 * h
+    hz = 0.125 * h
+    points = (
+        np.expand_dims(t1, -1) + np.array([ht, -ht, 0, 0, 0, 0, 0, 0]),
+        np.expand_dims(z1, -1) + np.array([0, 0, hz, -hz, 0, 0, 0, 0]),
+        np.expand_dims(t2, -1) + np.array([0, 0, 0, 0, ht, -ht, 0, 0]),
+        np.expand_dims(z2, -1) + np.array([0, 0, 0, 0, 0, 0, hz, -hz]),
+    )
+
+    def differences(f: np.ndarray) -> tuple[np.ndarray, ...]:
+        return tuple(
+            (f[..., 2 * k] - f[..., 2 * k + 1]) / (2 * step)
+            for k, step in enumerate((ht, hz, ht, hz))
+        )
+
+    return points, differences
+
+
 def stencil_derivatives(
     evaluate_fn, t1, z1, t2, z2, h: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -316,21 +340,15 @@ def stencil_derivatives(
     scale.  The full stencil must stay inside one branch: points closer
     than 2h to a branch seam or to the light-like boundary are rejected.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    require_stencil_room(t1, z1, t2, z2, h)
-    ht = 0.25 * h
-    hz = 0.125 * h
-    f = evaluate_fn(
-        np.expand_dims(t1, -1) + np.array([ht, -ht, 0, 0, 0, 0, 0, 0]),
-        np.expand_dims(z1, -1) + np.array([0, 0, hz, -hz, 0, 0, 0, 0]),
-        np.expand_dims(t2, -1) + np.array([0, 0, 0, 0, ht, -ht, 0, 0]),
-        np.expand_dims(z2, -1) + np.array([0, 0, 0, 0, 0, 0, hz, -hz]),
-    )
-    return tuple(
-        (f[..., 2 * k] - f[..., 2 * k + 1]) / (2 * step)
-        for k, step in enumerate((ht, hz, ht, hz))
-    )
+    points, differences = _stencil(t1, z1, t2, z2, h)
+    return differences(evaluate_fn(*points))
+
+
+def _field_equations(d_t1, d_z1, d_t2, d_z2) -> tuple[np.ndarray, np.ndarray]:
+    """field_residual's (r1, r2) from the differences of psi."""
+    r1 = 1j * d_t1 + 1j * np.tensordot(_SIGMA3_SLOT1, d_z1, axes=1)
+    r2 = 1j * d_t2 + 1j * np.tensordot(_SIGMA3_SLOT2, d_z2, axes=1)
+    return r1, r2
 
 
 def field_residual(
@@ -347,10 +365,7 @@ def field_residual(
 
     where D is the symmetric difference of stencil_derivatives.
     """
-    d_t1, d_z1, d_t2, d_z2 = stencil_derivatives(evaluate_fn, t1, z1, t2, z2, h)
-    r1 = 1j * d_t1 + 1j * np.tensordot(_SIGMA3_SLOT1, d_z1, axes=1)
-    r2 = 1j * d_t2 + 1j * np.tensordot(_SIGMA3_SLOT2, d_z2, axes=1)
-    return r1, r2
+    return _field_equations(*stencil_derivatives(evaluate_fn, t1, z1, t2, z2, h))
 
 
 def pde_residual(

@@ -12,7 +12,9 @@ The tests also evaluate and boost single configurations and read the
 order-0 compatibility gap through here, and the gamma-bilinear oracle of the current takes its adjoint pairing from here.
 The acceptance line "interaction verdict" reads `is_interacting`: a product
 initial slice whose Schmidt spectrum gains a second value under evolution.
-`slice_of` makes a slice of a given matrix, for the spectrum's own tests.
+`slice_of` makes a slice of a given matrix, for the spectrum's own tests,
+and `independent_blocks` finds its independent blocks by union-find, the
+reference of the spectrum's own labelling.
 """
 
 from dataclasses import dataclass
@@ -201,3 +203,30 @@ def slice_of(matrix: np.ndarray) -> SingleTimeSlice:
     rows, cols = (np.flatnonzero(matrix.any(axis=k)) for k in (1, 0))
     block = matrix[np.ix_(rows, cols)]
     return SingleTimeSlice(block=block, rows=rows, cols=cols, shape=matrix.shape)
+
+
+def independent_blocks(matrix: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (rows, cols) of each connected component of matrix's pattern of
+    nonzero entries (NaN among them), both increasing, in the order of the
+    least node of each (rows count before columns): sequential union-find
+    with path halving over the entries, one union per entry."""
+    n_rows, n_cols = matrix.shape
+    parent = list(range(n_rows + n_cols))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in zip(*np.nonzero(matrix)):
+        a, b = find(int(i)), find(n_rows + int(j))
+        parent[max(a, b)] = min(a, b)
+    groups: dict[int, list[int]] = {}
+    for node in range(n_rows + n_cols):
+        groups.setdefault(find(node), []).append(node)
+    return [
+        (np.array([v for v in g if v < n_rows], dtype=int),
+         np.array([v - n_rows for v in g if v >= n_rows], dtype=int))
+        for g in groups.values()
+    ]

@@ -1050,6 +1050,26 @@ def test_a_support_hull_too_wide_to_sample_is_refused(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [["evaluate", "--grid", "8"], ["scatter", "--times", "0:1:2"]],
+    ids=["evaluate", "scatter"],
+)
+def test_a_support_hull_too_wide_for_the_slice_grid_is_named(tmp_path, capsys, argv):
+    # the slice grid is too wide for a double at every time, so the error
+    # names the hull, not the time
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(WIDE_HULL)
+    out = tmp_path / "out"
+    assert main([*argv, "--scenario", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the slice grid around the support hull [-1e+308, 1e+308]"
+        " spans [-inf, inf], too wide for a double\n"
+    )
+    assert not out.exists()
+
+
 def test_scatter_zero_fills_only_an_all_zero_slice(tmp_path):
     # two grid points sit outside the data, so every slice is zero
     out = tmp_path / "out"
@@ -1104,7 +1124,7 @@ def test_scatter_does_not_hide_a_failing_svd(tmp_path, monkeypatch, capsys):
 
 def test_verify_takes_the_svd_of_the_nonzero_block(tmp_path, monkeypatch):
     # mirror_bump's t = 0 slice is 512 x 512; 252 rows and 280 columns are
-    # not all zero, and only those reach the SVD
+    # not all zero, and only those reach the SVD, as two independent blocks
     import mtdirac.interaction as interaction
 
     svd = interaction.np.linalg.svd
@@ -1117,15 +1137,16 @@ def test_verify_takes_the_svd_of_the_nonzero_block(tmp_path, monkeypatch):
     monkeypatch.setattr(interaction.np.linalg, "svd", spy)
     argv = ["verify", "--scenario", MIRROR_CFG, "--out", str(tmp_path / "o")]
     assert main(argv + ["--panels", "128"]) == 0
-    assert shapes == [(252, 280)]
+    assert shapes == [(168, 196), (84, 84)]
 
 
 def test_verify_records_every_check_of_a_raising_probe(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("probe broke")
 
-    for name in ("solver.check_compatibility", "solver.pde_residual",
-                 "current.continuity_residual", "conservation.normalization_report"):
+    # the pde and continuity probes share one evaluation of their stencil
+    for name in ("solver.check_compatibility", "current._stencil_residuals",
+                 "conservation.normalization_report"):
         monkeypatch.setattr(f"mtdirac.{name}", broken)
     out = tmp_path / "out"
     rc = main(
@@ -1305,11 +1326,12 @@ def test_verify_evaluates_each_probe_in_one_call(tmp_path, monkeypatch):
     out = tmp_path / "out"
     rc = main(["verify", "--scenario", MIRROR_CFG, "--out", str(out), "--panels", "128"])
     assert rc == 0
-    # the pde and continuity probes (8 stencil points at each of 64
-    # configurations) and the boosted probe; the current covariance is
-    # decided on the basis spinors and evaluates no field
+    # one call for both the pde and the continuity probe (8 stencil points
+    # at each of 64 configurations) and one for the boosted probe; the
+    # current covariance is decided on the basis spinors and evaluates no
+    # field
     points = calls["evaluate_fields"]
-    assert len(points) == 3 and points[:2] == [64 * 8, 64 * 8]
+    assert len(points) == 2 and points[0] == 64 * 8
     # one trace of each side, read by the jump condition and by the flux;
     # its boost and its manifest form are identities on 4x4 matrices
     assert calls["boundary_trace_fields"] == [1000] * 2

@@ -148,8 +148,9 @@ def test_single_time_slice_layout(packet):
 
 def test_slice_and_spectrum_hold_one_matrix_and_the_block(rich):
     """The slice holds its nonzero block only, 252 x 280 of the (2n, 2n)
-    matrix at t = 0, and the SVD adds a copy of it and LAPACK's: the peak
-    stays under one (2n, 2n) matrix, in which no part is ever built."""
+    matrix at t = 0, and each SVD adds a copy of one of its independent
+    blocks and LAPACK's: the peak stays under one (2n, 2n) matrix, in
+    which no part is ever built."""
     z = default_slice_grid(rich, [0.0], n=256)
     schmidt_spectrum(single_time_slice(rich, 0.0, z))  # warm: no first-call allocations
     tracemalloc.start()
@@ -198,8 +199,8 @@ def test_schmidt_spectrum_of_a_block_embedded_in_zeros():
 
 
 def test_schmidt_spectrum_runs_its_svd_at_one_blas_thread(rich, monkeypatch):
-    # the thread count is set for the SVD alone and restored after it; a
-    # pin nested in another is a no-op
+    # the thread count is set for the SVDs of the independent blocks alone
+    # and restored after them; a pin nested in another is a no-op
     from mtdirac import blas
 
     before = blas.threads()
@@ -215,11 +216,12 @@ def test_schmidt_spectrum_runs_its_svd_at_one_blas_thread(rich, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", spy)
     sl = single_time_slice(rich, 0.0, default_slice_grid(rich, [0.0], n=64))
     values = schmidt_spectrum(sl)
-    assert seen == [1] and blas.threads() == before
+    calls = len(seen)
+    assert calls > 1 and seen == [1] * calls and blas.threads() == before
     with blas.one_thread():
         assert np.array_equal(schmidt_spectrum(sl), values)
         assert blas.threads() == 1
-    assert seen == [1, 1] and blas.threads() == before
+    assert seen == [1] * (2 * calls) and blas.threads() == before
 
 
 def test_schmidt_spectrum_of_a_single_row():

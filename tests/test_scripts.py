@@ -42,22 +42,28 @@ def test_script_runs(call):
     _run(call)
 
 
-def test_output_digests_every_call_succeeds():
+@pytest.fixture(scope="module")
+def digest_runs() -> dict[str, str]:
+    """output_digests.py's stdout at OPENBLAS_NUM_THREADS 1 and 2, one run each."""
+    return {n: _run(["output_digests.py"], OPENBLAS_NUM_THREADS=n).stdout for n in ("1", "2")}
+
+
+def test_output_digests_every_call_succeeds(digest_runs):
     # the script exits 0 when a verify fails (exit 1), so each line is read
-    lines = _run(["output_digests.py"]).stdout.splitlines()
-    assert len(lines) == 10
-    for line in lines:
-        assert line.endswith("(exit 0)"), line
-    # the last call on all CPUs, then pinned to one CPU: the same bytes
-    assert ", one CPU: " in lines[-1] and ", one CPU" not in lines[-2]
-    assert lines[-2].split()[0] == lines[-1].split()[0]
+    for threads, stdout in digest_runs.items():
+        lines = stdout.splitlines()
+        assert len(lines) == 10, threads
+        for line in lines:
+            assert line.endswith("(exit 0)"), (threads, line)
+        # the last call on all CPUs, then pinned to one CPU: the same bytes
+        assert ", one CPU: " in lines[-1] and ", one CPU" not in lines[-2]
+        assert lines[-2].split()[0] == lines[-1].split()[0]
 
 
-def test_output_digests_do_not_move_with_the_blas_threads():
+def test_output_digests_do_not_move_with_the_blas_threads(digest_runs):
     # verify and scatter run their SVDs at one BLAS thread, so no digest
     # depends on the thread count OpenBLAS starts with
-    runs = [_run(["output_digests.py"], OPENBLAS_NUM_THREADS=n).stdout for n in ("1", "2")]
-    assert runs[0] == runs[1]
+    assert digest_runs["1"] == digest_runs["2"]
 
 
 def _bench():

@@ -5,7 +5,9 @@ and the equal-time slice evaluates each component only on the rows and
 columns its boxes reach and keeps the nonzero block.  Both give the bits
 they give without the boxes: every test here compares the two, with
 branch_support patched to prove no box, or with the full matrix of
-evaluate_grid.
+evaluate_grid.  The spectrum splits that block further into its
+independent blocks; the tests at the end check the split against a
+union-find and against one SVD of the whole block.
 """
 
 import math
@@ -16,6 +18,10 @@ import pytest
 
 from mtdirac import blas, conservation, solver
 from mtdirac.conservation import QuadratureSpec, _integrate, acceptance_family, bump_surface
+from hypothesis import given
+from hypothesis import strategies as st
+
+from mtdirac import interaction
 from mtdirac.interaction import default_slice_grid, schmidt_spectrum, single_time_slice
 from mtdirac.profiles import smooth_bump
 from mtdirac.scenario import (
@@ -31,6 +37,7 @@ from mtdirac.scenario import (
     phase_mirrored,
 )
 from mtdirac.solver import branch_support, evaluate_grid
+from probes import independent_blocks, slice_of
 from test_conservation import function_data
 from test_interaction import nan_data
 from test_solver import bits, grid_scenarios
@@ -155,14 +162,23 @@ def full_matrix(s, t, z) -> np.ndarray:
     return np.block([[vals[0], vals[1]], [vals[2], vals[3]]])
 
 
+def block_norm(block: np.ndarray) -> float:
+    """The Frobenius norm as schmidt_spectrum takes it: numpy sums of squares."""
+    return math.sqrt(float(np.sum(np.square(block.real)) + np.sum(np.square(block.imag))))
+
+
 def reference_spectrum(m: np.ndarray) -> np.ndarray:
-    """The spectrum of m from its nonzero block, taken from the full matrix."""
+    """The spectrum of m as the union of its independent blocks' spectra,
+    each block taken from the full matrix over the norm of its nonzero block."""
     block = m[np.ix_(m.any(axis=1), m.any(axis=0))]
-    norm = math.sqrt(float(np.sum(np.square(block.real)) + np.sum(np.square(block.imag))))
-    values = np.zeros(min(m.shape))
+    norm = block_norm(block)
+    sigma = []
     with blas.one_thread():
-        sigma = np.linalg.svd(block / norm, compute_uv=False)
-    values[: sigma.size] = sigma
+        for rows, cols in independent_blocks(m):
+            if rows.size and cols.size:
+                sigma.append(np.linalg.svd(m[np.ix_(rows, cols)] / norm, compute_uv=False))
+    values = np.zeros(min(m.shape))
+    values[: sum(s.size for s in sigma)] = np.sort(np.concatenate(sigma))[::-1]
     return values
 
 
@@ -231,3 +247,113 @@ def test_matrix_is_built_only_when_read(monkeypatch, tmp_path):
     config = "configs/mirror_bump.json"
     for argv in (["verify"], ["scatter", "--panels", "8", "--times=0:2:3"]):
         assert main([*argv, "--scenario", config, "--out", str(tmp_path)]) == 0, argv
+
+
+U = 2.0**-53  # the unit roundoff of a double
+
+
+def whole_block_spectrum(sl) -> np.ndarray:
+    """The spectrum from one SVD of the slice's whole block over its norm."""
+    block = sl.block
+    norm = block_norm(block)
+    values = np.zeros(min(sl.shape))
+    with blas.one_thread():
+        sigma = np.linalg.svd(block / norm, compute_uv=False)
+    values[: sigma.size] = sigma
+    return values
+
+
+def assert_within_the_whole_block_bound(sl, spectrum) -> None:
+    """The split spectrum lies within 2 max(m, n) u sigma_1 of the whole
+    block's, for an m x n block A over its norm.
+
+    LAPACK's SVD is backward stable: its values are the exact values of
+    its input plus E with ||E||_2 <= p u ||input||_2, p a modestly growing
+    function of the shape (LAPACK Users' Guide, error bounds for the SVD),
+    taken here as max(rows, columns) <= max(m, n).  The blocks' values
+    together are the exact values of A plus the direct sum of their E,
+    whose 2-norm is the largest of theirs, at most max(m, n) u ||A||_2;
+    the whole block's are those of A plus its own E.  By Weyl each sorted
+    value moves by at most the 2-norm of the perturbation, so the two
+    differ by at most 2 max(m, n) u sigma_1, sigma_1 = ||A||_2 (here the
+    larger of the two computed values).
+    """
+    whole = whole_block_spectrum(sl)
+    bound = 2 * max(sl.block.shape) * U * max(whole[0], spectrum[0])
+    assert np.max(np.abs(spectrum - whole)) <= bound
+
+
+def assert_split_by_union_find(m: np.ndarray) -> None:
+    """The spectrum of slice_of(m) splits its block as union-find does, is
+    the union of those blocks' spectra bit for bit, and keeps the bound."""
+    sl = slice_of(m)
+    labels = interaction._components(sl.block != 0)
+    expected = independent_blocks(sl.block)
+    assert len(labels) == len(expected)
+    for (rows, cols), (want_rows, want_cols) in zip(labels, expected):
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    spectrum = schmidt_spectrum(sl)
+    assert np.array_equal(bits(spectrum), bits(reference_spectrum(m)))
+    assert_within_the_whole_block_bound(sl, spectrum)
+
+
+def embedded_direct_sum(shapes, seed: int, sparsity: float, margin: int) -> np.ndarray:
+    """Random complex blocks of the shapes along a diagonal, a share
+    sparsity of their entries made zero (one kept), then their rows and
+    columns scattered over a matrix with margin more of each, all zero."""
+    rng = np.random.default_rng(seed)
+    n_rows, n_cols = (sum(shape[k] for shape in shapes) for k in (0, 1))
+    direct = np.zeros((n_rows, n_cols), dtype=complex)
+    r = c = 0
+    for a, b in shapes:
+        direct[r:r + a, c:c + b] = rng.normal(size=(a, b)) + 1j * rng.normal(size=(a, b))
+        r, c = r + a, c + b
+    keep = direct[0, 0]
+    direct[rng.random(direct.shape) < sparsity] = 0.0
+    direct[0, 0] = keep
+    m = np.zeros((n_rows + margin, n_cols + margin), dtype=complex)
+    rows = rng.permutation(n_rows + margin)[:n_rows]
+    cols = rng.permutation(n_cols + margin)[:n_cols]
+    m[np.ix_(rows, cols)] = direct
+    return m
+
+
+@given(
+    st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), min_size=1, max_size=5),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.3, 0.7]),
+    st.integers(0, 9),
+)
+def test_a_direct_sum_is_split_into_its_blocks(shapes, seed, sparsity, margin):
+    assert_split_by_union_find(embedded_direct_sum(shapes, seed, sparsity, margin))
+
+
+def test_a_long_chain_is_one_block_in_few_rounds(monkeypatch):
+    # a bidiagonal 300 x 300 pattern, rows and columns permuted: one chain
+    # of 600 nodes, which a propagation by hops would cross in 599 rounds;
+    # the labelling's two masked minima a round stay within its bound
+    rng = np.random.default_rng(7)
+    n = 300
+    chain = np.diag(rng.normal(size=n) + 1j) + np.diag(rng.normal(size=n - 1) - 1j, 1)
+    m = np.zeros((n + 5, n + 5), dtype=complex)
+    m[np.ix_(rng.permutation(n + 5)[:n], rng.permutation(n + 5)[:n])] = chain
+    assert_split_by_union_find(m)
+    minima, calls = np.min, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return minima(*args, **kwargs)
+
+    monkeypatch.setattr(np, "min", counted)
+    (rows, cols), = interaction._components(slice_of(m).block != 0)
+    assert rows.size == cols.size == n
+    assert len(calls) // 2 <= 2 * math.ceil(math.log2(2 * n)) + 1
+
+
+@pytest.mark.parametrize("name", ("wavepacket", "spin_product", "mirror_bump"))
+def test_split_spectrum_is_within_the_bound_of_one_svd(name):
+    s = SCENARIOS[name]
+    for t in (0.0, 0.75, 1.5, 2.0, 3.0):
+        sl = single_time_slice(s, t, default_slice_grid(s, [t], n=256))
+        assert_within_the_whole_block_bound(sl, schmidt_spectrum(sl))
+
